@@ -41,9 +41,6 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
   GraphOptions opt;
   opt.acc = cfg.acc;
   opt.acc.policy = cfg.compress;
-  opt.recursive_all = cfg.recursive_all;
-  opt.recursive_potrf = cfg.recursive_potrf;
-  opt.recursive_block = cfg.recursive_block;
   rt::TaskGraph g = build_cholesky_graph(a, opt, &result.stats);
   result.model_flops = result.stats.model_flops;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "dense/blas.hpp"
-#include "dense/lapack.hpp"
 #include "hcore/kernels.hpp"
 #include "tlr/io.hpp"
 
@@ -11,7 +9,6 @@ namespace ptlr::core {
 
 namespace {
 
-using dense::MatrixView;
 using flops::Kernel;
 using rt::DataKey;
 using rt::make_key;
@@ -124,9 +121,9 @@ class Builder {
 
   // Declare tile (i, j) as the task's (sole) output so the executor's
   // recovery layer can snapshot/restore it around fault-injected attempts.
-  // Only whole-tile tasks get hooks: recursive sub-tasks write blocks of a
-  // tile other sub-tasks update concurrently, so a whole-tile restore
-  // would clobber their work — they stay non-recoverable by design.
+  // Every real task writes exactly one whole tile (the recursion that
+  // split tiles across tasks is modelled only), so every real task is
+  // recoverable.
   void attach_output(TaskInfo& t, int i, int j) {
     if (mat_ == nullptr) return;
     auto* m = mat_;
@@ -320,12 +317,12 @@ class Builder {
   }
 
   // -------------------------------------------------- recursive kernels --
-  // Each group is a split → sub-kernels → merge sub-DAG. The split writes
-  // the whole-tile key (inheriting all pending dependencies), sub-kernels
-  // synchronize through a per-group token plus sub-block keys, and the
-  // merge re-publishes the whole-tile key for downstream consumers. All
-  // group tasks run on the tile owner (PaRSEC nested computing is
-  // process-local).
+  // Modelled only (simulation mode, no bodies): each group is a split →
+  // sub-kernels → merge sub-DAG. The split writes the whole-tile key
+  // (inheriting all pending dependencies), sub-kernels synchronize through
+  // a per-group token plus sub-block keys, and the merge re-publishes the
+  // whole-tile key for downstream consumers. All group tasks run on the
+  // tile owner (PaRSEC nested computing is process-local).
 
   struct Group {
     DataKey token;
@@ -381,91 +378,27 @@ class Builder {
   }
 
   void rec_potrf(int k) {
-    const int bk = rows_of(k);
-    const SubGrid gr(bk, rb_);
+    const SubGrid gr(rows_of(k), rb_);
     const int s = gr.s();
     const Group grp = open_group("potrf", k, k, k, 12.0);
-    auto* m = mat_;
     std::vector<DataKey> subs;
     for (int kk = 0; kk < s; ++kk) {
-      {
-        TaskInfo t = sub_info(grp, "potrf_sub", Kernel::kPotrf1,
-                              flops::potrf(gr.sz[kk]));
-        if (m != nullptr) {
-          const SubGrid grc = gr;
-          const int b = b_;
-          t.fn = [m, k, kk, grc, b] {
-            auto v = m->at(k, k).dense_data().block(grc.off[kk], grc.off[kk],
-                                                    grc.sz[kk], grc.sz[kk]);
-            try {
-              dense::potrf(dense::Uplo::Lower, v);
-            } catch (const NumericalError& e) {
-              // Rebase: tile offset plus sub-block offset, 1-based global.
-              const long long pivot =
-                  static_cast<long long>(k) * b + grc.off[kk] + e.info();
-              throw NumericalError("cholesky breakdown: non-positive global "
-                                   "pivot " + std::to_string(pivot),
-                                   pivot);
-            }
-          };
-        }
-        add(std::move(t), {grp.token}, {sub_key(k, k, kk, kk)});
-        subs.push_back(sub_key(k, k, kk, kk));
-      }
+      add(sub_info(grp, "potrf_sub", Kernel::kPotrf1, flops::potrf(gr.sz[kk])),
+          {grp.token}, {sub_key(k, k, kk, kk)});
+      subs.push_back(sub_key(k, k, kk, kk));
       for (int ii = kk + 1; ii < s; ++ii) {
-        TaskInfo t = sub_info(grp, "trsm_sub", Kernel::kTrsm1,
-                              flops::trsm(gr.sz[kk], gr.sz[ii]));
-        if (m != nullptr) {
-          const SubGrid grc = gr;
-          t.fn = [m, k, ii, kk, grc] {
-            auto d = m->at(k, k).dense_data().block(grc.off[kk], grc.off[kk],
-                                                    grc.sz[kk], grc.sz[kk]);
-            auto v = m->at(k, k).dense_data().block(grc.off[ii], grc.off[kk],
-                                                    grc.sz[ii], grc.sz[kk]);
-            dense::trsm(dense::Side::Right, dense::Uplo::Lower,
-                        dense::Trans::T, dense::Diag::NonUnit, 1.0, d, v);
-          };
-        }
-        add(std::move(t), {grp.token, sub_key(k, k, kk, kk)},
-            {sub_key(k, k, ii, kk)});
+        add(sub_info(grp, "trsm_sub", Kernel::kTrsm1,
+                     flops::trsm(gr.sz[kk], gr.sz[ii])),
+            {grp.token, sub_key(k, k, kk, kk)}, {sub_key(k, k, ii, kk)});
         subs.push_back(sub_key(k, k, ii, kk));
       }
       for (int ii = kk + 1; ii < s; ++ii) {
-        {
-          TaskInfo t = sub_info(grp, "syrk_sub", Kernel::kSyrk1,
-                                flops::syrk(gr.sz[ii], gr.sz[kk]));
-          if (m != nullptr) {
-            const SubGrid grc = gr;
-            t.fn = [m, k, ii, kk, grc] {
-              auto a = m->at(k, k).dense_data().block(
-                  grc.off[ii], grc.off[kk], grc.sz[ii], grc.sz[kk]);
-              auto c = m->at(k, k).dense_data().block(
-                  grc.off[ii], grc.off[ii], grc.sz[ii], grc.sz[ii]);
-              dense::syrk(dense::Uplo::Lower, dense::Trans::N, -1.0, a, 1.0,
-                          c);
-            };
-          }
-          add(std::move(t), {grp.token, sub_key(k, k, ii, kk)},
-              {sub_key(k, k, ii, ii)});
-        }
+        add(sub_info(grp, "syrk_sub", Kernel::kSyrk1,
+                     flops::syrk(gr.sz[ii], gr.sz[kk])),
+            {grp.token, sub_key(k, k, ii, kk)}, {sub_key(k, k, ii, ii)});
         for (int jj = kk + 1; jj < ii; ++jj) {
-          TaskInfo t = sub_info(
-              grp, "gemm_sub", Kernel::kGemm1,
-              flops::gemm(gr.sz[ii], gr.sz[jj], gr.sz[kk]));
-          if (m != nullptr) {
-            const SubGrid grc = gr;
-            t.fn = [m, k, ii, jj, kk, grc] {
-              auto a = m->at(k, k).dense_data().block(
-                  grc.off[ii], grc.off[kk], grc.sz[ii], grc.sz[kk]);
-              auto bm = m->at(k, k).dense_data().block(
-                  grc.off[jj], grc.off[kk], grc.sz[jj], grc.sz[kk]);
-              auto c = m->at(k, k).dense_data().block(
-                  grc.off[ii], grc.off[jj], grc.sz[ii], grc.sz[jj]);
-              dense::gemm(dense::Trans::N, dense::Trans::T, -1.0, a, bm,
-                          1.0, c);
-            };
-          }
-          add(std::move(t),
+          add(sub_info(grp, "gemm_sub", Kernel::kGemm1,
+                       flops::gemm(gr.sz[ii], gr.sz[jj], gr.sz[kk])),
               {grp.token, sub_key(k, k, ii, kk), sub_key(k, k, jj, kk)},
               {sub_key(k, k, ii, jj)});
         }
@@ -476,48 +409,20 @@ class Builder {
   }
 
   void rec_trsm(int k, int i) {
-    const int bi = rows_of(i), bk = rows_of(k);
-    const SubGrid gr(bi, rb_), gc(bk, rb_);
+    const SubGrid gr(rows_of(i), rb_), gc(rows_of(k), rb_);
     const Group grp = open_group("trsm", k, i, k, 8.0);
-    auto* m = mat_;
     std::vector<DataKey> subs;
     for (int j = 0; j < gc.s(); ++j) {
       for (int ii = 0; ii < gr.s(); ++ii) {
         for (int p = 0; p < j; ++p) {
-          TaskInfo t = sub_info(grp, "trsm_gemm_sub", Kernel::kGemm1,
-                                flops::gemm(gr.sz[ii], gc.sz[j], gc.sz[p]));
-          if (m != nullptr) {
-            const SubGrid grc = gr, gcc = gc;
-            t.fn = [m, k, i, ii, j, p, grc, gcc] {
-              auto x = m->at(i, k).dense_data().block(
-                  grc.off[ii], gcc.off[p], grc.sz[ii], gcc.sz[p]);
-              auto l = m->at(k, k).dense_data().block(
-                  gcc.off[j], gcc.off[p], gcc.sz[j], gcc.sz[p]);
-              auto c = m->at(i, k).dense_data().block(
-                  grc.off[ii], gcc.off[j], grc.sz[ii], gcc.sz[j]);
-              dense::gemm(dense::Trans::N, dense::Trans::T, -1.0, x, l, 1.0,
-                          c);
-            };
-          }
-          add(std::move(t),
+          add(sub_info(grp, "trsm_gemm_sub", Kernel::kGemm1,
+                       flops::gemm(gr.sz[ii], gc.sz[j], gc.sz[p])),
               {grp.token, tile_key(k, k), sub_key(i, k, ii, p)},
               {sub_key(i, k, ii, j)});
         }
-        TaskInfo t = sub_info(grp, "trsm_sub", Kernel::kTrsm1,
-                              flops::trsm(gc.sz[j], gr.sz[ii]));
-        if (m != nullptr) {
-          const SubGrid grc = gr, gcc = gc;
-          t.fn = [m, k, i, ii, j, grc, gcc] {
-            auto l = m->at(k, k).dense_data().block(gcc.off[j], gcc.off[j],
-                                                    gcc.sz[j], gcc.sz[j]);
-            auto x = m->at(i, k).dense_data().block(grc.off[ii], gcc.off[j],
-                                                    grc.sz[ii], gcc.sz[j]);
-            dense::trsm(dense::Side::Right, dense::Uplo::Lower,
-                        dense::Trans::T, dense::Diag::NonUnit, 1.0, l, x);
-          };
-        }
-        add(std::move(t), {grp.token, tile_key(k, k)},
-            {sub_key(i, k, ii, j)});
+        add(sub_info(grp, "trsm_sub", Kernel::kTrsm1,
+                     flops::trsm(gc.sz[j], gr.sz[ii])),
+            {grp.token, tile_key(k, k)}, {sub_key(i, k, ii, j)});
         subs.push_back(sub_key(i, k, ii, j));
       }
     }
@@ -526,40 +431,18 @@ class Builder {
   }
 
   void rec_syrk(int k, int i) {
-    const int bi = rows_of(i), bk = rows_of(k);
-    const SubGrid gr(bi, rb_), gc(bk, rb_);
+    const SubGrid gr(rows_of(i), rb_), gc(rows_of(k), rb_);
     const Group grp = open_group("syrk", k, i, i, 6.0);
-    auto* m = mat_;
     std::vector<DataKey> subs;
     for (int ii = 0; ii < gr.s(); ++ii)
       for (int jj = 0; jj <= ii; ++jj) {
         for (int p = 0; p < gc.s(); ++p) {
           const bool diag = ii == jj;
-          TaskInfo t = sub_info(
-              grp, diag ? "syrk_sub" : "syrk_gemm_sub",
-              diag ? Kernel::kSyrk1 : Kernel::kGemm1,
-              diag ? flops::syrk(gr.sz[ii], gc.sz[p])
-                   : flops::gemm(gr.sz[ii], gr.sz[jj], gc.sz[p]));
-          if (m != nullptr) {
-            const SubGrid grc = gr, gcc = gc;
-            t.fn = [m, k, i, ii, jj, p, diag, grc, gcc] {
-              auto a = m->at(i, k).dense_data().block(
-                  grc.off[ii], gcc.off[p], grc.sz[ii], gcc.sz[p]);
-              auto c = m->at(i, i).dense_data().block(
-                  grc.off[ii], grc.off[jj], grc.sz[ii], grc.sz[jj]);
-              if (diag) {
-                dense::syrk(dense::Uplo::Lower, dense::Trans::N, -1.0, a,
-                            1.0, c);
-              } else {
-                auto bmat = m->at(i, k).dense_data().block(
-                    grc.off[jj], gcc.off[p], grc.sz[jj], gcc.sz[p]);
-                dense::gemm(dense::Trans::N, dense::Trans::T, -1.0, a, bmat,
-                            1.0, c);
-              }
-            };
-          }
-          add(std::move(t), {grp.token, tile_key(i, k)},
-              {sub_key(i, i, ii, jj)});
+          add(sub_info(grp, diag ? "syrk_sub" : "syrk_gemm_sub",
+                       diag ? Kernel::kSyrk1 : Kernel::kGemm1,
+                       diag ? flops::syrk(gr.sz[ii], gc.sz[p])
+                            : flops::gemm(gr.sz[ii], gr.sz[jj], gc.sz[p])),
+              {grp.token, tile_key(i, k)}, {sub_key(i, i, ii, jj)});
         }
         subs.push_back(sub_key(i, i, ii, jj));
       }
@@ -568,31 +451,15 @@ class Builder {
   }
 
   void rec_gemm(int k, int i, int j) {
-    const int bi = rows_of(i), bj = rows_of(j), bk = rows_of(k);
-    const SubGrid gr(bi, rb_), gcn(bj, rb_), gp(bk, rb_);
+    const SubGrid gr(rows_of(i), rb_), gcn(rows_of(j), rb_),
+        gp(rows_of(k), rb_);
     const Group grp = open_group("gemm", k, i, j, 4.0);
-    auto* m = mat_;
     std::vector<DataKey> subs;
     for (int ii = 0; ii < gr.s(); ++ii)
       for (int jj = 0; jj < gcn.s(); ++jj) {
         for (int p = 0; p < gp.s(); ++p) {
-          TaskInfo t =
-              sub_info(grp, "gemm_sub", Kernel::kGemm1,
-                       flops::gemm(gr.sz[ii], gcn.sz[jj], gp.sz[p]));
-          if (m != nullptr) {
-            const SubGrid grc = gr, gnc = gcn, gpc = gp;
-            t.fn = [m, k, i, j, ii, jj, p, grc, gnc, gpc] {
-              auto a = m->at(i, k).dense_data().block(
-                  grc.off[ii], gpc.off[p], grc.sz[ii], gpc.sz[p]);
-              auto bmat = m->at(j, k).dense_data().block(
-                  gnc.off[jj], gpc.off[p], gnc.sz[jj], gpc.sz[p]);
-              auto c = m->at(i, j).dense_data().block(
-                  grc.off[ii], gnc.off[jj], grc.sz[ii], gnc.sz[jj]);
-              dense::gemm(dense::Trans::N, dense::Trans::T, -1.0, a, bmat,
-                          1.0, c);
-            };
-          }
-          add(std::move(t),
+          add(sub_info(grp, "gemm_sub", Kernel::kGemm1,
+                       flops::gemm(gr.sz[ii], gcn.sz[jj], gp.sz[p])),
               {grp.token, tile_key(i, k), tile_key(j, k)},
               {sub_key(i, j, ii, jj)});
         }
@@ -618,6 +485,9 @@ class Builder {
 rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
                                    const GraphOptions& opt,
                                    GraphStats* stats) {
+  PTLR_CHECK(!opt.recursive_all && !opt.recursive_potrf,
+             "recursive kernels are modelled only: real band tiles split "
+             "through nested child tasks");
   Builder b(&mat, nullptr, opt, false);
   return b.build(stats);
 }

@@ -9,11 +9,14 @@
 //     classifies every dataflow edge LOCAL or REMOTE (Section VII-A),
 //   * optional recursive formulations of all region-(1) kernels
 //     (Section VII-D), generated as split → sub-kernels → merge sub-DAGs so
-//     concurrency inside band tiles is exposed to the scheduler.
+//     the simulator sees the concurrency inside band tiles.
 //
 // The same generator serves both execution modes: with a TlrMatrix it
 // attaches real hcore bodies (shared-memory runs); with only a RankMap it
 // attaches modelled durations and message sizes (virtual-cluster runs).
+// The recursion is modelled only: real band kernels split a tile through
+// nested child tasks inside one graph task (runtime/nested.hpp), so every
+// real task writes one whole tile and carries recovery hooks.
 #pragma once
 
 #include "core/cost_model.hpp"
@@ -28,9 +31,10 @@ namespace ptlr::core {
 struct GraphOptions {
   compress::Accuracy acc{1e-8, 1 << 30};  ///< recompression accuracy
   /// Recursive formulation of all region-(1) kernels (POTRF, TRSM, SYRK,
-  /// GEMM) — the PaRSEC-HiCMA-New behaviour.
+  /// GEMM) — the PaRSEC-HiCMA-New behaviour. Simulation mode only.
   bool recursive_all = false;
-  /// Recursive POTRF only — the PaRSEC-HiCMA-Prev behaviour.
+  /// Recursive POTRF only — the PaRSEC-HiCMA-Prev behaviour. Simulation
+  /// mode only.
   bool recursive_potrf = false;
   /// Sub-block size for recursion; 0 picks tile_size/4.
   int recursive_block = 0;
@@ -49,7 +53,9 @@ struct GraphStats {
 };
 
 /// Build the graph with real hcore bodies operating on `mat` (shared-memory
-/// execution mode). Formats/ranks are taken from the matrix itself.
+/// execution mode). Formats/ranks are taken from the matrix itself. Every
+/// task writes one tile and declares it as its TaskOutput. Throws
+/// ptlr::Error when `opt` asks for the (modelled-only) recursion.
 rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
                                    const GraphOptions& opt,
                                    GraphStats* stats = nullptr);
@@ -65,14 +71,5 @@ rt::TaskGraph build_cholesky_graph(const RankMap& ranks,
 rt::TaskGraph build_cholesky_graph_no_tlr_gemm(const RankMap& ranks,
                                                const GraphOptions& opt,
                                                GraphStats* stats = nullptr);
-
-/// The same modelled graph expressed through the PTG/JDF front-end
-/// (rt::ptg) instead of imperative insertion — the programming model the
-/// paper's JDF uses (Section III-C). Supports the non-recursive kernel set;
-/// produces a DAG equivalent to build_cholesky_graph for the same inputs
-/// (tested). `opt.recursive_*` must be false.
-rt::TaskGraph build_cholesky_graph_ptg(const RankMap& ranks,
-                                       const GraphOptions& opt,
-                                       GraphStats* stats = nullptr);
 
 }  // namespace ptlr::core

@@ -53,7 +53,7 @@ struct DistCholeskyResult {
 
 /// Factorize `a` in place with `nranks` ranks (one thread each) owning
 /// tiles per `dist`, over the in-process transport. Kernels are the
-/// non-recursive hcore set; `acc` controls low-rank recompression as in
+/// hcore set of the shared-memory path; `acc` controls low-rank recompression as in
 /// the shared-memory path. `opts` selects the communication path
 /// (broadcast trees, panel lookahead); the default reads PTLR_BCAST /
 /// PTLR_LOOKAHEAD.

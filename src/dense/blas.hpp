@@ -43,19 +43,16 @@ void gemv(Trans ta, double alpha, ConstMatrixView a, const double* x,
 // The level-3 kernels have two implementations: the cache-blocked, packed
 // engine (gemm_kernel.cpp/pack.cpp) and the seed's unblocked reference
 // loops. kAuto picks per call by problem volume; the other values force one
-// path — used by the oracle tests and the kernel benchmark, and exposed to
-// users through the PTLR_DENSE_UNBLOCKED environment variable (any
-// non-empty value other than "0" selects kUnblocked until overridden).
+// path — used by the oracle tests and the kernel benchmark.
 
 /// Which level-3 implementation to run.
 enum class KernelPath { kAuto, kBlocked, kUnblocked };
 
 /// Override the kernel path for the whole process (not thread-local; call
-/// before spawning workers). Resets any PTLR_DENSE_UNBLOCKED decision.
+/// before spawning workers).
 void set_kernel_path(KernelPath path);
 
-/// Currently configured path (kAuto unless overridden by set_kernel_path
-/// or PTLR_DENSE_UNBLOCKED).
+/// Currently configured path (kAuto unless overridden by set_kernel_path).
 KernelPath kernel_path();
 
 /// Dot product of length-n vectors.

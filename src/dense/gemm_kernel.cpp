@@ -4,7 +4,6 @@
 #include "dense/gemm_kernel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "runtime/nested.hpp"
@@ -90,17 +89,8 @@ PackBuffers& pack_buffers() {
   return bufs;
 }
 
-KernelPath initial_kernel_path() {
-  const char* env = std::getenv("PTLR_DENSE_UNBLOCKED");
-  if (env != nullptr && env[0] != '\0' &&
-      !(env[0] == '0' && env[1] == '\0')) {
-    return KernelPath::kUnblocked;
-  }
-  return KernelPath::kAuto;
-}
-
 KernelPath& kernel_path_state() {
-  static KernelPath path = initial_kernel_path();
+  static KernelPath path = KernelPath::kAuto;
   return path;
 }
 

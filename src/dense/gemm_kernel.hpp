@@ -65,7 +65,7 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 
 /// Unblocked reference path with identical contract (the seed gaxpy/dot
 /// loops, minus the BLAS-violating zero shortcuts). Kept as the oracle and
-/// as the small-size / PTLR_DENSE_UNBLOCKED fallback.
+/// as the small-size fallback.
 void gemm_unblocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                     ConstMatrixView b, MatrixView c);
 

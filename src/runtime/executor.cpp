@@ -259,9 +259,9 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     perturber.maybe_stall();
     const TaskInfo& info = g.info(task);
     // Only tasks that declared their outputs are fault-targets: recovery
-    // needs the snapshots, and tasks without output hooks (the recursive
-    // sub-block tasks, which alias one tile's storage across concurrent
-    // writers) cannot be safely restored.
+    // needs the snapshots to restore. Every task of a real Cholesky graph
+    // declares its tile; graphs built without hooks (bare test graphs)
+    // run uninjected.
     const bool inject = injector.enabled() && !info.outputs.empty() &&
                         opts.retry.max_retries > 0;
     std::vector<std::vector<char>> snapshots;
@@ -574,11 +574,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     // find_work results as n + slot — no TaskIds, no watchdog states, no
     // entries in `pending`/`remaining` (a parent cannot complete before
     // its sync(), so termination detection never sees a dangling child).
-    std::unique_ptr<detail::NestedEngine> nest;
-    if (nested_enabled()) {
-      nest = std::make_unique<detail::NestedEngine>(nthreads);
-      nest->wake = [&wake_one_idle](int spawner) { wake_one_idle(spawner); };
-    }
+    detail::NestedEngine nest(nthreads);
+    nest.wake = [&wake_one_idle](int spawner) { wake_one_idle(spawner); };
 
     // Make a newly-ready task runnable. Default: the finishing worker's
     // own deque (the successor consumes what this worker just produced —
@@ -647,11 +644,9 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     // graph-task completion — closer than any fresh graph task would.
     auto pop_own = [&](int self) -> TaskId {
       WsWorker& me = *ws[static_cast<std::size_t>(self)];
-      if (nest) {
-        const std::int32_t c =
-            nest->lanes[static_cast<std::size_t>(self)]->kids.pop();
-        if (c >= 0) return n + c;
-      }
+      const std::int32_t c =
+          nest.lanes[static_cast<std::size_t>(self)]->kids.pop();
+      if (c >= 0) return n + c;
       for (int b = nbands - 1; b >= 0; --b) {
         const std::int32_t v = me.bands[static_cast<std::size_t>(b)].pop();
         if (v >= 0) return v;
@@ -667,15 +662,13 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
         for (int d = 1; d < nthreads; ++d) {
           const int v = (self + d) % nthreads;
           WsWorker& victim = *ws[static_cast<std::size_t>(v)];
-          if (nest) {
-            const std::int32_t c =
-                nest->lanes[static_cast<std::size_t>(v)]->kids.steal();
-            if (c >= 0) {
-              ws[static_cast<std::size_t>(self)]->steals++;
-              return n + c;
-            }
-            if (c == WsDeque::kAbort) aborted = true;
+          const std::int32_t c =
+              nest.lanes[static_cast<std::size_t>(v)]->kids.steal();
+          if (c >= 0) {
+            ws[static_cast<std::size_t>(self)]->steals++;
+            return n + c;
           }
+          if (c == WsDeque::kAbort) aborted = true;
           for (int b = nbands - 1; b >= 0; --b) {
             const std::int32_t r =
                 victim.bands[static_cast<std::size_t>(b)].steal();
@@ -725,8 +718,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
       // Install the nested-spawn context for the lifetime of this worker:
       // any task body running here may open a TaskGroup and push children
       // into this worker's kids deque.
-      detail::TaskContext ctx{nest.get(), self};
-      const detail::ContextGuard ctx_guard(nest ? &ctx : nullptr);
+      detail::TaskContext ctx{&nest, self};
+      const detail::ContextGuard ctx_guard(&ctx);
       // Completions are counted locally and flushed to the shared
       // `remaining` only when this worker runs dry — one atomic RMW per
       // dry spell instead of one per task. Correct because the global
@@ -837,11 +830,11 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
         if (futile > 0) --futile;
         probing = false;
 
-        if (nest && task >= n) {
+        if (task >= n) {
           // A child task: raw body, no graph ceremony (no trace span, no
           // completion count, no release loop — the parent's sync() is
           // the join point).
-          nest->run_child(task - n);
+          nest.run_child(task - n);
           continue;
         }
 
@@ -918,10 +911,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
       result.sched.inline_runs += w->inline_runs;
       result.sched.divert_suppressed += w->divert_suppressed;
     }
-    if (nest) {
-      for (const auto& lane : nest->lanes)
-        result.sched.nested_spawned += lane->spawned;
-    }
+    for (const auto& lane : nest.lanes)
+      result.sched.nested_spawned += lane->spawned;
   }
 
   if (wd_thread.joinable()) {

@@ -25,9 +25,6 @@
 //     The decomposition itself must not depend on whether a context is
 //     present — callers gate chunking on problem shape only, which is what
 //     keeps nested-parallel results bitwise-identical to the serial oracle.
-//
-// PTLR_NESTED=off is the escape hatch: the executor then installs no
-// contexts and every spawn degenerates to a plain call.
 #pragma once
 
 #include <atomic>
@@ -121,11 +118,6 @@ class ContextGuard {
 };
 
 }  // namespace detail
-
-/// Reads PTLR_NESTED: unset/"1"/"on" → enabled, "0"/"off" → disabled; any
-/// other value throws ptlr::Error (a typo must not silently change an A/B
-/// run). Not cached — execute() consults it once per run.
-[[nodiscard]] bool nested_enabled();
 
 /// True when the calling thread is a ws worker that accepts child tasks
 /// (i.e. a TaskGroup spawned here would actually run in parallel). The

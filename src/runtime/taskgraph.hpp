@@ -35,9 +35,8 @@ constexpr DataKey make_key(std::uint32_t kind, std::uint32_t i,
 /// fault-injected attempt the executor snapshots every output via `save`,
 /// and a transient failure restores the snapshots with `restore` and
 /// re-runs the body — producing a factor bitwise identical to a fault-free
-/// run. Tasks whose outputs alias other concurrent tasks' data (the
-/// recursive sub-block tasks, which share one tile's storage) must NOT
-/// declare outputs; the executor never injects into or retries them.
+/// run. A task whose outputs alias other concurrent tasks' data must NOT
+/// declare outputs; the executor never injects into or retries it.
 struct TaskOutput {
   /// Serialize the output's current contents.
   std::function<std::vector<char>()> save;

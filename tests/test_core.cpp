@@ -196,6 +196,95 @@ TEST(CholeskyGraph, RecursionAddsSubTasks) {
   EXPECT_NEAR(s1.model_flops, s2.model_flops, 1e-6 * s1.model_flops);
 }
 
+TEST(CholeskyGraph, EveryRealTaskDeclaresOneRecoverableOutput) {
+  // Real graphs carry no structural or sub-block tasks: every task writes
+  // one whole tile, so every task is a fault-injection and recovery site.
+  auto prob = test_problem(192);
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
+  a.densify_band(3, &prob);
+  GraphStats stats;
+  auto g = build_cholesky_graph(a, GraphOptions{}, &stats);
+  ASSERT_EQ(g.size(), stats.tasks);
+  for (rt::TaskId t = 0; t < g.size(); ++t) {
+    const rt::TaskInfo& info = g.info(t);
+    ASSERT_EQ(info.outputs.size(), 1u) << info.name;
+    EXPECT_TRUE(info.outputs[0].save && info.outputs[0].restore &&
+                info.outputs[0].finite && info.outputs[0].poison)
+        << info.name;
+    EXPECT_GE(info.kind, 0) << info.name;
+  }
+}
+
+TEST(CholeskyGraph, RecursionIsRejectedForRealGraphs) {
+  auto prob = test_problem(128);
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
+  GraphOptions all, potrf;
+  all.recursive_all = true;
+  potrf.recursive_potrf = true;
+  EXPECT_THROW(build_cholesky_graph(a, all), ptlr::Error);
+  EXPECT_THROW(build_cholesky_graph(a, potrf), ptlr::Error);
+}
+
+TEST(CholeskyGraph, RealGraphRunsTheTileAlgorithmUnsplit) {
+  // A sub-block size without a recursion flag is inert: the real graph is
+  // exactly the tile algorithm, with no split/merge structural tasks.
+  const int nt = 6;
+  auto prob = test_problem(nt * 32);
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
+  a.densify_band(3, &prob);
+  GraphOptions opt;
+  opt.recursive_block = 8;
+  auto g = build_cholesky_graph(a, opt);
+  EXPECT_EQ(g.size(), nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
+  for (rt::TaskId t = 0; t < g.size(); ++t) {
+    const std::string& name = g.info(t).name;
+    EXPECT_EQ(name.find("_split"), std::string::npos) << name;
+    EXPECT_EQ(name.find("_merge"), std::string::npos) << name;
+  }
+}
+
+TEST(CholeskyGraph, RealAndModelledGraphsAgreeWithoutRecursion) {
+  // One builder serves both modes: from the same formats and ranks, the
+  // real graph and the simulator's rank-map graph have the same shape.
+  auto prob = test_problem(256);
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
+  a.densify_band(2, &prob);
+  const RankMap map = RankMap::from_matrix(a);
+  CostModel cm({1e9, 3.3e8});
+  GraphOptions opt;
+  opt.cost = &cm;
+  GraphStats s_real, s_model;
+  auto g_real = build_cholesky_graph(a, opt, &s_real);
+  auto g_model = build_cholesky_graph(map, opt, &s_model);
+  EXPECT_EQ(g_real.size(), g_model.size());
+  EXPECT_EQ(g_real.critical_path_length(), g_model.critical_path_length());
+  EXPECT_EQ(s_real.tasks, s_model.tasks);
+  EXPECT_EQ(s_real.tasks_band, s_model.tasks_band);
+  EXPECT_DOUBLE_EQ(s_real.model_flops, s_model.model_flops);
+  EXPECT_DOUBLE_EQ(s_real.model_flops_dense, s_model.model_flops_dense);
+}
+
+TEST(CholeskyGraph, PotrfOnlyRecursionSplitsFewerTasks) {
+  // The simulator's two recursion modes (Prev: POTRF only; New: every
+  // dense band kernel) nest: each adds sub-tasks, never flops.
+  auto map = hard_map(8, 128);
+  map.set_band(3);
+  CostModel cm({1e9, 1e9});
+  GraphOptions plain, potrf, all;
+  plain.cost = potrf.cost = all.cost = &cm;
+  potrf.recursive_potrf = true;
+  all.recursive_all = true;
+  potrf.recursive_block = all.recursive_block = 32;
+  GraphStats sp, so, sa;
+  auto gp = build_cholesky_graph(map, plain, &sp);
+  auto go = build_cholesky_graph(map, potrf, &so);
+  auto ga = build_cholesky_graph(map, all, &sa);
+  EXPECT_GT(go.size(), gp.size());
+  EXPECT_GT(ga.size(), go.size());
+  EXPECT_NEAR(so.model_flops, sp.model_flops, 1e-9 * sp.model_flops);
+  EXPECT_NEAR(sa.model_flops, sp.model_flops, 1e-9 * sp.model_flops);
+}
+
 TEST(CholeskyGraph, EdgeClassificationDependsOnDistribution) {
   auto map = easy_map(12, 64);
   CostModel cm({1e9, 1e9});
@@ -259,7 +348,6 @@ double backward_error(const stars::CovarianceProblem& prob,
 
 struct FactorizeCase {
   int n, b, band, threads;
-  bool recursive;
   double tol;
 };
 
@@ -273,8 +361,6 @@ TEST_P(FactorizeTest, ParallelFactorizationIsAccurate) {
   CholeskyConfig cfg;
   cfg.acc = acc;
   cfg.band_size = p.band;
-  cfg.recursive_all = p.recursive;
-  cfg.recursive_block = 16;
   cfg.nthreads = p.threads;
   auto res = factorize(a, &prob, cfg);
   EXPECT_GE(res.band_size, 1);
@@ -285,12 +371,12 @@ TEST_P(FactorizeTest, ParallelFactorizationIsAccurate) {
 INSTANTIATE_TEST_SUITE_P(
     Configurations, FactorizeTest,
     ::testing::Values(
-        FactorizeCase{128, 32, 1, 1, false, 1e-6},
-        FactorizeCase{128, 32, 2, 2, false, 1e-6},
-        FactorizeCase{192, 48, 0, 2, false, 1e-6},   // auto-tuned band
-        FactorizeCase{192, 48, 2, 2, true, 1e-6},    // recursive kernels
-        FactorizeCase{200, 32, 0, 4, true, 1e-5},    // uneven tail + auto
-        FactorizeCase{256, 64, 3, 2, true, 1e-8}));
+        FactorizeCase{128, 32, 1, 1, 1e-6},
+        FactorizeCase{128, 32, 2, 2, 1e-6},
+        FactorizeCase{192, 48, 0, 2, 1e-6},   // auto-tuned band
+        FactorizeCase{192, 48, 2, 2, 1e-6},
+        FactorizeCase{200, 32, 0, 4, 1e-5},   // uneven tail + auto
+        FactorizeCase{256, 64, 3, 2, 1e-8}));
 
 TEST(Factorize, AutoTunerPopulatesTuningCurves) {
   auto prob = test_problem(192);
@@ -303,25 +389,6 @@ TEST(Factorize, AutoTunerPopulatesTuningCurves) {
   EXPECT_FALSE(res.tuning.total_by_band.empty());
   EXPECT_EQ(res.band_size, res.tuning.band_size);
   EXPECT_GE(a.band_size(), res.band_size);
-}
-
-TEST(Factorize, RecursiveAndPlainAgreeNumerically) {
-  auto prob = test_problem(160, 11);
-  compress::Accuracy acc{1e-7, 1 << 30};
-  auto a1 = tlr::TlrMatrix::from_problem(prob, 40, acc, 1);
-  auto a2 = tlr::TlrMatrix::from_problem(prob, 40, acc, 1);
-  CholeskyConfig c1, c2;
-  c1.acc = c2.acc = acc;
-  c1.band_size = c2.band_size = 2;
-  c1.recursive_all = false;
-  c2.recursive_all = true;
-  c2.recursive_block = 16;
-  c1.nthreads = c2.nthreads = 2;
-  factorize(a1, &prob, c1);
-  factorize(a2, &prob, c2);
-  Matrix l1 = assemble_lower(a1), l2 = assemble_lower(a2);
-  EXPECT_LT(dense::frob_diff(l1.view(), l2.view()),
-            1e-5 * dense::frob_norm(l1.view()));
 }
 
 TEST(Factorize, TraceCoversAllPanels) {
@@ -390,6 +457,26 @@ TEST(SimulateCholesky, RecursiveKernelsShortenMakespan) {
   const double tr = simulate_cholesky(map, rec).sim.makespan;
   const double tp = simulate_cholesky(map, plain).sim.makespan;
   EXPECT_LT(tr, tp);
+}
+
+TEST(SimulateCholesky, RecursiveModelMatchesGoldenValues) {
+  // The modelled recursion behind Table II and Figs. 9-12 is pinned: any
+  // change to the split/sub-kernel/merge sub-DAG must update these values
+  // on purpose.
+  auto map = hard_map(12, 256);
+  map.set_band(3);
+  VirtualClusterConfig cfg;  // recursive_all and recursive_potrf default on
+  cfg.rates = {1e9, 3.3e8};
+  cfg.nodes = 4;
+  cfg.cores_per_node = 4;
+  cfg.recursive_block = 64;
+  const auto res = simulate_cholesky(map, cfg);
+  EXPECT_EQ(res.stats.tasks, 2988);
+  EXPECT_EQ(res.stats.tasks_band, 199);
+  EXPECT_EQ(res.sim.messages, 155);
+  EXPECT_NEAR(res.stats.model_flops, 10263611471.0, 1e-12 * 1.1e10);
+  EXPECT_NEAR(res.stats.model_flops_dense, 1107296256.0, 1e-12 * 1.2e9);
+  EXPECT_NEAR(res.sim.makespan, 3.2625370667878766, 1e-12 * 3.3);
 }
 
 TEST(SimulateCholesky, NoTlrGemmIsSmallFlopsButLargeTime) {
@@ -725,53 +812,6 @@ TEST(AdaptiveDensify, DisabledPolicyKeepsTilesLowRank) {
   EXPECT_GT(lowrank, 0);
 }
 
-// ------------------------------------------- PTG Cholesky description ----
-
-TEST(CholeskyPtg, MatchesImperativeGraph) {
-  auto map = hard_map(12, 64);
-  map.set_band(3);
-  CostModel cm({1e9, 3.3e8});
-  rt::TwoDBlockCyclic dist(2, 2);
-  GraphOptions opt;
-  opt.cost = &cm;
-  opt.dist = &dist;
-  GraphStats s_imp, s_ptg;
-  auto g_imp = build_cholesky_graph(map, opt, &s_imp);
-  auto g_ptg = build_cholesky_graph_ptg(map, opt, &s_ptg);
-  EXPECT_EQ(g_ptg.size(), g_imp.size());
-  EXPECT_EQ(g_ptg.critical_path_length(), g_imp.critical_path_length());
-  EXPECT_NEAR(s_ptg.model_flops, s_imp.model_flops,
-              1e-9 * s_imp.model_flops);
-  EXPECT_EQ(s_ptg.tasks, s_imp.tasks);
-  EXPECT_EQ(s_ptg.tasks_band, s_imp.tasks_band);
-  // And the schedules are identical: same makespan on the same cluster.
-  rt::SimConfig sim{4, 4, {}, false};
-  EXPECT_NEAR(rt::simulate(g_ptg, sim).makespan,
-              rt::simulate(g_imp, sim).makespan, 1e-12);
-}
-
-TEST(CholeskyPtg, StrayDenseTilesFollowTheSamePlan) {
-  // A map with a stray dense tile off the band exercises the PTG format
-  // timeline (densify-on-demand precomputation).
-  auto map = hard_map(10, 64);
-  CostModel cm({1e9, 3.3e8});
-  GraphOptions opt;
-  opt.cost = &cm;
-  GraphStats s_imp, s_ptg;
-  auto g_imp = build_cholesky_graph(map, opt, &s_imp);
-  auto g_ptg = build_cholesky_graph_ptg(map, opt, &s_ptg);
-  EXPECT_EQ(g_ptg.size(), g_imp.size());
-  EXPECT_NEAR(s_ptg.model_flops, s_imp.model_flops,
-              1e-9 * s_imp.model_flops);
-}
-
-TEST(CholeskyPtg, RejectsRecursiveOptions) {
-  auto map = easy_map(6, 64);
-  GraphOptions opt;
-  opt.recursive_all = true;
-  EXPECT_THROW(build_cholesky_graph_ptg(map, opt), ptlr::Error);
-}
-
 // ---------------------------------------------- memory capacity model ----
 
 #include "core/memory_model.hpp"
@@ -853,11 +893,10 @@ TEST(DistributedCholesky, MatchesSharedMemoryFactorizationTileByTile) {
   auto shared_mem = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
   auto distributed = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
 
-  // Shared-memory reference: single thread, non-recursive, same kernels.
+  // Shared-memory reference: single thread, same kernels.
   CholeskyConfig cfg;
   cfg.acc = acc;
   cfg.band_size = 2;
-  cfg.recursive_all = false;
   cfg.nthreads = 1;
   factorize(shared_mem, &prob, cfg);
 

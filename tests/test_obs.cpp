@@ -43,7 +43,7 @@ struct RunSetup {
 // A fixed small band Cholesky (nt = n/b tiles per side, forced BAND_SIZE)
 // used by the trace and counter tests. No perturbation env dependence: the
 // suite asserts schedule-independent facts only.
-RunSetup setup_run(int n, int b, int band, bool recursive) {
+RunSetup setup_run(int n, int b, int band) {
   const compress::Accuracy acc{1e-6, 1 << 30};
   auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, n);
   auto mat = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
@@ -51,8 +51,6 @@ RunSetup setup_run(int n, int b, int band, bool recursive) {
   cfg.acc = acc;
   cfg.band_size = band;
   cfg.nthreads = 2;
-  cfg.recursive_all = recursive;
-  cfg.recursive_potrf = false;
   return {std::move(prob), std::move(mat), cfg};
 }
 
@@ -62,7 +60,7 @@ RunSetup setup_run(int n, int b, int band, bool recursive) {
 
 TEST_F(ObsTest, GoldenTraceIsSchemaValidAndComplete) {
   obs::enable(true);
-  auto r = setup_run(256, 64, 2, /*recursive=*/true);  // 4x4 tile grid
+  auto r = setup_run(256, 64, 2);  // 4x4 tile grid
   r.cfg.record_trace = true;
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
   const std::string path = ::testing::TempDir() + "ptlr_golden_trace.json";
@@ -116,13 +114,13 @@ TEST_F(ObsTest, GoldenTraceIsSchemaValidAndComplete) {
     last_ts[lane] = e.at("ts").number;
   }
   EXPECT_TRUE(saw_run_metadata);
-  // Exactly one span per task the graph executed (split/merge included).
+  // Exactly one span per task the graph executed.
   EXPECT_EQ(task_events, res.stats.tasks);
 }
 
 TEST_F(ObsTest, TraceCarriesMeasuredFlopsMatchingCounters) {
   obs::enable(true);
-  auto r = setup_run(256, 64, 2, /*recursive=*/false);
+  auto r = setup_run(256, 64, 2);
   core::factorize(r.mat, &r.prob, r.cfg);
   obs::enable(false);
 
@@ -139,12 +137,12 @@ TEST_F(ObsTest, TraceCarriesMeasuredFlopsMatchingCounters) {
 
 TEST_F(ObsTest, DenseKernelFlopsBitwiseEqualTableIModel) {
   obs::enable(true);
-  // Non-recursive, n divisible by b: every dense task of a class charges
+  // n divisible by b: every dense task of a class charges
   // the identical closed-form value, making the class sum bitwise exact
   // regardless of how the scheduler interleaved the CAS accumulation.
   // Band 3 on the 4x4 grid makes all four dense classes appear (a dense
   // GEMM needs its A, B and C tiles on the band at once).
-  auto r = setup_run(256, 64, 3, /*recursive=*/false);
+  auto r = setup_run(256, 64, 3);
   core::factorize(r.mat, &r.prob, r.cfg);
   obs::enable(false);
 
@@ -165,7 +163,7 @@ TEST_F(ObsTest, DenseKernelFlopsBitwiseEqualTableIModel) {
 
 TEST_F(ObsTest, LowRankKernelFlopsWithinRankDependentBounds) {
   obs::enable(true);
-  auto r = setup_run(256, 64, 1, /*recursive=*/false);  // thin band: LR work
+  auto r = setup_run(256, 64, 1);  // thin band: LR work
   core::factorize(r.mat, &r.prob, r.cfg);
   obs::enable(false);
 
@@ -201,7 +199,7 @@ TEST_F(ObsTest, LowRankKernelFlopsWithinRankDependentBounds) {
 
 TEST_F(ObsTest, DisabledLayerRecordsNothing) {
   ASSERT_FALSE(obs::enabled());
-  auto r = setup_run(128, 32, 1, /*recursive=*/false);
+  auto r = setup_run(128, 32, 1);
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
   EXPECT_GT(res.measured_flops, 0.0);  // the run itself did real work
 
@@ -239,7 +237,7 @@ TEST_F(ObsTest, MailboxDepositsBecomeCommEvents) {
 // ------------------------------------------------------------- reporters ----
 
 TEST_F(ObsTest, RankHistogramAccountsForEveryTile) {
-  auto r = setup_run(256, 64, 2, /*recursive=*/false);
+  auto r = setup_run(256, 64, 2);
   const auto h = obs::rank_histogram(r.mat);
   const long long nt = r.mat.nt();
   EXPECT_EQ(h.dense_diag, nt);
@@ -259,7 +257,7 @@ TEST_F(ObsTest, RankHistogramAccountsForEveryTile) {
 }
 
 TEST_F(ObsTest, MemoryReportRatiosAreConsistent) {
-  auto r = setup_run(256, 64, 2, /*recursive=*/false);
+  auto r = setup_run(256, 64, 2);
   const auto m = obs::memory_report(r.mat, /*static_maxrank=*/32);
   EXPECT_GT(m.exact_mb, 0.0);
   EXPECT_GT(m.static_mb, 0.0);
@@ -271,7 +269,7 @@ TEST_F(ObsTest, MemoryReportRatiosAreConsistent) {
 }
 
 TEST_F(ObsTest, CriticalPathBoundsTheMeasuredExecution) {
-  auto r = setup_run(256, 64, 2, /*recursive=*/true);
+  auto r = setup_run(256, 64, 2);
   r.cfg.record_trace = true;
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
   const auto cp = res.critical_path;
@@ -289,7 +287,7 @@ TEST_F(ObsTest, CriticalPathBoundsTheMeasuredExecution) {
 
 TEST_F(ObsTest, CountersJsonIsValidAndSumsRows) {
   obs::enable(true);
-  auto r = setup_run(256, 64, 2, /*recursive=*/false);
+  auto r = setup_run(256, 64, 2);
   core::factorize(r.mat, &r.prob, r.cfg);
   obs::enable(false);
 

@@ -170,8 +170,6 @@ TEST_P(PipelineSweep, FactorizationMeetsBackwardErrorEverywhere) {
   cfg.acc = {tol, 1 << 30};
   cfg.band_size = p.band;
   cfg.nthreads = p.threads;
-  cfg.recursive_all = (p.band != 1);
-  cfg.recursive_block = 16;
   auto res = core::factorize(a, &prob, cfg);
   EXPECT_GE(res.band_size, 1);
 
@@ -224,8 +222,6 @@ dense::Matrix factor_matern_once(const stars::CovarianceProblem& prob,
   cfg.acc = {tol, 1 << 30};
   cfg.band_size = 2;
   cfg.nthreads = threads;
-  cfg.recursive_all = true;
-  cfg.recursive_block = 16;
   cfg.perturb = perturb;
   core::factorize(a, &prob, cfg);
   return assemble_lower_factor(a);

@@ -537,7 +537,6 @@ core::CholeskyConfig quiet_cholesky(int band) {
   cfg.acc = {1e-6, 1 << 30};
   cfg.band_size = band;
   cfg.nthreads = 2;
-  cfg.recursive_potrf = false;
   cfg.faults = FaultConfig{};
   cfg.watchdog = resil::WatchdogConfig{};
   cfg.retry.backoff_us = 1;
@@ -575,7 +574,6 @@ TEST(CholeskyRecovery, FaultedFactorIsBitwiseIdentical) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   const tlr::TlrMatrix orig = problem_matrix(prob, 16);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;  // every task carries recovery hooks
 
   tlr::TlrMatrix baseline = orig;
   const auto base_result = core::factorize(baseline, &prob, cfg);
@@ -610,22 +608,73 @@ TEST(CholeskyRecovery, FaultedFactorIsBitwiseIdentical) {
   }
 }
 
-TEST(CholeskyRecovery, RecursiveGraphsRecoverBitwiseToo) {
-  // Recursive sub-tasks share one tile's storage and are never injected;
-  // the surrounding whole-tile tasks still are, and recovery must stay
-  // exact.
-  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
-  const tlr::TlrMatrix orig = problem_matrix(prob, 32);
-  auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = true;
+// One fault class at probability 1: every task that is an injection site
+// fails its first attempt exactly once.
+FaultConfig every_task(bool poison) {
+  FaultConfig f = FaultConfig::with_seed(5);
+  f.task_exception_probability = poison ? 0.0 : 1.0;
+  f.alloc_failure_probability = 0.0;
+  f.poison_probability = poison ? 1.0 : 0.0;
+  return f;
+}
 
+TEST(CholeskyRecovery, EveryTaskIsAnInjectionSite) {
+  // The default graph has no hook-less sub-tasks, so a certain transient
+  // fault hits every task of the factorization once.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
+  const tlr::TlrMatrix orig = problem_matrix(prob, 16);
+  auto cfg = quiet_cholesky(/*band=*/2);
   tlr::TlrMatrix baseline = orig;
   core::factorize(baseline, &prob, cfg);
 
   tlr::TlrMatrix a = orig;
-  cfg.faults = FaultConfig::with_seed(6);
-  cfg.faults.task_exception_probability = 0.25;
+  cfg.faults = every_task(/*poison=*/false);
   const auto result = core::factorize(a, &prob, cfg);
+  EXPECT_EQ(result.recovery.faults_injected(), result.stats.tasks);
+  EXPECT_EQ(result.recovery.retries(), result.stats.tasks);
+  EXPECT_EQ(result.recovery.tasks_recovered(), result.stats.tasks);
+  EXPECT_TRUE(bitwise_equal(a, baseline));
+}
+
+TEST(CholeskyRecovery, EveryTaskOutputRestoresBitwise) {
+  // Poison lands after the body ran, so each retry must first restore the
+  // tile snapshot: this exercises every task's save/restore hooks across
+  // the dense, low-rank and densified tile formats.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
+  const tlr::TlrMatrix orig = problem_matrix(prob, 16);
+  auto cfg = quiet_cholesky(/*band=*/2);
+  tlr::TlrMatrix baseline = orig;
+  core::factorize(baseline, &prob, cfg);
+
+  tlr::TlrMatrix a = orig;
+  cfg.faults = every_task(/*poison=*/true);
+  const auto result = core::factorize(a, &prob, cfg);
+  EXPECT_EQ(result.recovery.faults_injected(), result.stats.tasks);
+  EXPECT_EQ(result.recovery.faults_injected(), result.recovery.retries());
+  EXPECT_EQ(result.recovery.retries(), result.recovery.tasks_recovered());
+  EXPECT_TRUE(bitwise_equal(a, baseline));
+}
+
+TEST(CholeskyRecovery, NestedBandKernelsRecoverBitwise) {
+  // At b = 256 the dense band kernels fan out nested child tasks on the ws
+  // engine. Children are part of their parent's attempt: a poisoned
+  // parent restores its tile and re-runs the whole fork/join body, and
+  // the factor stays bitwise identical to the fault-free run's.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 768);
+  const tlr::TlrMatrix orig = problem_matrix(prob, 256);
+  auto cfg = quiet_cholesky(/*band=*/2);
+  cfg.nthreads = 4;
+  cfg.sched = rt::SchedulerKind::kWorkStealing;
+  tlr::TlrMatrix baseline = orig;
+  const auto base_result = core::factorize(baseline, &prob, cfg);
+  EXPECT_GT(base_result.exec.sched.nested_spawned, 0);
+
+  tlr::TlrMatrix a = orig;
+  cfg.faults = every_task(/*poison=*/true);
+  const auto result = core::factorize(a, &prob, cfg);
+  EXPECT_EQ(result.exec.sched.scheduler, rt::SchedulerKind::kWorkStealing);
+  EXPECT_GT(result.exec.sched.nested_spawned, 0);
+  EXPECT_EQ(result.recovery.faults_injected(), result.stats.tasks);
   EXPECT_EQ(result.recovery.faults_injected(), result.recovery.retries());
   EXPECT_EQ(result.recovery.retries(), result.recovery.tasks_recovered());
   EXPECT_TRUE(bitwise_equal(a, baseline));
@@ -647,7 +696,6 @@ TEST(Breakdown, FailPolicyReportsGlobalPivot) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = near_non_spd(prob, 16, /*tile=*/1, /*offset=*/3);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   try {
     core::factorize(a, nullptr, cfg);
     FAIL() << "expected a numerical breakdown";
@@ -660,18 +708,24 @@ TEST(Breakdown, FailPolicyReportsGlobalPivot) {
   }
 }
 
-TEST(Breakdown, RecursivePotrfRebasesPivot) {
-  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
-  tlr::TlrMatrix a = near_non_spd(prob, 32, /*tile=*/1, /*offset=*/5);
-  auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = true;  // b=32 > rb=16 → recursive sub-DAG POTRF
+TEST(Breakdown, NestedPotrfReportsGlobalPivot) {
+  // A 256-wide diagonal tile runs the recursive dense POTRF, whose
+  // panel/downdate calls spawn nested children on the ws engine. The
+  // breakdown sits in the second half of the tile, so the pivot is
+  // rebased through the dense recursion's offset and then the tile's.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 512);
+  tlr::TlrMatrix a = near_non_spd(prob, 256, /*tile=*/1, /*offset=*/200);
+  auto cfg = quiet_cholesky(/*band=*/2);
+  cfg.sched = rt::SchedulerKind::kWorkStealing;
   try {
     core::factorize(a, nullptr, cfg);
     FAIL() << "expected a numerical breakdown";
   } catch (const ptlr::NumericalError& e) {
-    // Entry (5,5) of tile (1,1): 1-based global pivot 32 + 6, rebased
-    // through the sub-block offset.
-    EXPECT_EQ(e.info(), 38);
+    // Entry (200,200) of tile (1,1): 1-based global pivot 256 + 201.
+    EXPECT_EQ(e.info(), 457);
+    EXPECT_NE(std::string(e.what()).find("global pivot 457"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -680,7 +734,6 @@ TEST(Breakdown, ShiftAndRestartCompletes) {
   const tlr::TlrMatrix poisoned = near_non_spd(prob, 16, 1, 3);
   tlr::TlrMatrix a = poisoned;
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   cfg.breakdown.action = resil::BreakdownPolicy::Action::kShiftAndRestart;
   cfg.breakdown.shift = 4.0;  // enough to dominate the -1 diagonal entry
   cfg.breakdown.max_restarts = 2;
@@ -697,7 +750,6 @@ TEST(Breakdown, ShiftAndRestartGivesUpAfterBudget) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = near_non_spd(prob, 16, 1, 3);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   cfg.breakdown.action = resil::BreakdownPolicy::Action::kShiftAndRestart;
   cfg.breakdown.shift = 1e-12;  // hopeless against a -1 diagonal entry
   cfg.breakdown.growth = 1.0;
@@ -740,7 +792,6 @@ TEST(DenseFallback, FactorizationSurvivesTinyMaxrank) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = problem_matrix(prob, 16);
   auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = false;
   cfg.acc = {1e-10, 3};  // rank growth past 3 must densify, not truncate
   const auto result = core::factorize(a, &prob, cfg);
   EXPECT_GT(result.recovery.dense_fallbacks(), 0);

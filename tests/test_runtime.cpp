@@ -518,65 +518,6 @@ TEST(Simulator, TreeBroadcastIncreasesWideBroadcastMakespan) {
   EXPECT_GT(simulate(g2, tree).makespan, simulate(g1, flat).makespan);
 }
 
-// ---------------------------------------------------- PTG front-end ----
-
-#include "runtime/ptg.hpp"
-
-TEST(Ptg, UnfoldsClassesInDeclarationOrderPerOuterStep) {
-  ptg::Program prog(3);
-  prog.task_class("A")
-      .instances([](int k) {
-        return std::vector<ptg::Params>{{k, 0, 0}};
-      })
-      .build([](const ptg::Params& p) {
-        TaskInfo t;
-        t.name = "A" + std::to_string(p.k);
-        return t;
-      });
-  prog.task_class("B")
-      .instances([](int k) {
-        std::vector<ptg::Params> out;
-        for (int i = 0; i < 2; ++i) out.push_back({k, i, 0});
-        return out;
-      })
-      .build([](const ptg::Params& p) {
-        TaskInfo t;
-        t.name = "B" + std::to_string(p.k) + "_" + std::to_string(p.i);
-        return t;
-      });
-  auto g = prog.unfold();
-  ASSERT_EQ(g.size(), 9);  // (1 A + 2 B) * 3 outer steps
-  EXPECT_EQ(g.info(0).name, "A0");
-  EXPECT_EQ(g.info(1).name, "B0_0");
-  EXPECT_EQ(g.info(3).name, "A1");
-}
-
-TEST(Ptg, DataflowIsDiscoveredAcrossClasses) {
-  ptg::Program prog(2);
-  const DataKey x = make_key(0, 5, 5);
-  prog.task_class("W")
-      .instances([](int k) {
-        return std::vector<ptg::Params>{{k, 0, 0}};
-      })
-      .writes([x](const ptg::Params&) { return std::vector<DataKey>{x}; })
-      .build([](const ptg::Params&) { return TaskInfo{}; });
-  prog.task_class("R")
-      .instances([](int k) {
-        return std::vector<ptg::Params>{{k, 0, 0}};
-      })
-      .reads([x](const ptg::Params&) { return std::vector<DataKey>{x}; })
-      .build([](const ptg::Params&) { return TaskInfo{}; });
-  auto g = prog.unfold();
-  // W0 -> R0 -> W1 -> R1: a serial chain through the shared datum.
-  EXPECT_EQ(g.critical_path_length(), 4);
-}
-
-TEST(Ptg, IncompleteClassThrows) {
-  ptg::Program prog(1);
-  prog.task_class("broken");
-  EXPECT_THROW(prog.unfold(), ptlr::Error);
-}
-
 // ------------------------------------------- heterogeneous simulation ----
 
 TEST(Simulator, AcceleratorSpeedsUpPreferringTasks) {

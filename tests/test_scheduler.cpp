@@ -421,8 +421,7 @@ TEST(WsScheduler, SerialChainRunsInlineWithoutWakeups) {
 TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
   // A graph task running a dense kernel above the 64^3 volume cutoff must
   // fan out child tasks on the ws engine, and the result must be bitwise
-  // identical to the fat serial call (branch-stable decomposition), with
-  // PTLR_NESTED=off restoring the serial path exactly.
+  // identical to the fat serial call (branch-stable decomposition).
   const int n = 256;
   dense::Matrix a(n, n), b(n, n);
   for (int j = 0; j < n; ++j)
@@ -453,26 +452,34 @@ TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
         ASSERT_EQ(std::memcmp(&c(i, j), &ref(i, j), sizeof(double)), 0)
             << what << " diverged at (" << i << "," << j << ")";
   };
-  {
-    dense::Matrix c(n, n);
-    const auto res = run_graph(c);
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
-    EXPECT_GT(res.sched.nested_spawned, 0);
-    expect_bitwise(c, "nested gemm");
-  }
-  {
-    ScopedEnv off("PTLR_NESTED", "off");
-    dense::Matrix c(n, n);
-    const auto res = run_graph(c);
-    EXPECT_EQ(res.sched.nested_spawned, 0);
-    expect_bitwise(c, "PTLR_NESTED=off gemm");
-  }
+  dense::Matrix c(n, n);
+  const auto res = run_graph(c);
+  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
+  EXPECT_GT(res.sched.nested_spawned, 0);
+  expect_bitwise(c, "nested gemm");
 }
 
-TEST(NestedEnv, RejectsTypos) {
-  // Same contract as PTLR_SCHED: a typo must not silently flip the mode.
-  ScopedEnv env("PTLR_NESTED", "offf");
-  EXPECT_THROW(rt::nested_enabled(), Error);
+TEST(WsScheduler, EveryWsRunInstallsTheChildSubstrate) {
+  // Nested children have no off switch: every ws run, at any worker count
+  // and whatever the environment says, accepts children from its tasks.
+  ScopedEnv legacy("PTLR_NESTED", "off");
+  for (const int threads : {2, 3, 4}) {
+    std::atomic<long long> spawned_inside{0};
+    rt::TaskGraph g;
+    rt::TaskInfo t;
+    t.name = "parent";
+    t.fn = [&spawned_inside] {
+      if (rt::nested_available()) spawned_inside.fetch_add(1);
+      rt::TaskGroup tg;
+      for (int c = 0; c < 4; ++c) tg.spawn([] {});
+      tg.sync();
+    };
+    g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
+    const auto res = rt::execute(g, threads, ws_options());
+    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
+    EXPECT_EQ(spawned_inside.load(), 1) << threads << " threads";
+    EXPECT_EQ(res.sched.nested_spawned, 4) << threads << " threads";
+  }
 }
 
 // --------------------------------------- resilience contracts under ws --
@@ -670,8 +677,6 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;
     cfg.nthreads = threads;
-    cfg.recursive_all = true;
-    cfg.recursive_block = 16;
     cfg.perturb = rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
     cfg.watchdog = resil::WatchdogConfig{};
@@ -693,13 +698,13 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
 }
 
 TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
-  // Flat (non-recursive) tile kernels at b = 192 put the dense-band
-  // macro-kernels above the 64^3 nested cutoff, so the ws runs exercise
-  // child-task fan-out from inside the task bodies. The factor must stay
-  // bitwise identical to the 1-thread sequential oracle — the nested
-  // decomposition is branch-stable by construction — with PTLR_NESTED=off
-  // (serial fat calls) and across an 8-seed chaos sweep (chaos downgrades
-  // to the central engine, where children run inline at the spawn point).
+  // Tile kernels at b = 192 put the dense-band macro-kernels above the
+  // 64^3 nested cutoff, so the ws runs exercise child-task fan-out from
+  // inside the task bodies. The factor must stay bitwise identical to the
+  // 1-thread sequential oracle (where children run inline) — the nested
+  // decomposition is branch-stable by construction — and across an 8-seed
+  // chaos sweep (chaos downgrades to the central engine, where children
+  // also run inline at the spawn point).
   const int n = 384;
   const int b = 192;
   const double tol = 1e-6;
@@ -713,7 +718,6 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;
     cfg.nthreads = threads;
-    cfg.recursive_all = false;  // fat tile kernels: nesting parallelizes
     cfg.perturb = chaos_seed != 0 ? rt::PerturbConfig::with_seed(chaos_seed)
                                   : rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
@@ -734,12 +738,31 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
   for (const int threads : {2, 4})
     expect_same(factor_once(threads, rt::SchedulerKind::kWorkStealing, 0),
                 "ws nested at " + std::to_string(threads) + " threads");
-  {
-    ScopedEnv off("PTLR_NESTED", "off");
-    expect_same(factor_once(2, rt::SchedulerKind::kWorkStealing, 0),
-                "PTLR_NESTED=off");
-  }
   for (std::uint64_t s = 1; s <= 8; ++s)
     expect_same(factor_once(4, rt::SchedulerKind::kWorkStealing, s),
                 "chaos seed " + std::to_string(s));
+}
+
+TEST(WsScheduler, DefaultFactorizeSplitsBandTilesOnlyThroughChildren) {
+  // The default configuration splits a large dense band tile one way: the
+  // graph stays the plain tile algorithm, and the tile kernels fan out
+  // nested children inside their task bodies.
+  const int nt = 3;
+  const int b = 256;
+  const double tol = 1e-6;
+  const auto prob =
+      stars::make_problem(stars::ProblemKind::kSt3DMatern, nt * b, 17, 1e-1);
+  auto a = tlr::TlrMatrix::from_problem(prob, b, {tol, 1 << 30}, 1);
+  core::CholeskyConfig cfg;
+  cfg.acc = {tol, 1 << 30};
+  cfg.band_size = 2;
+  cfg.nthreads = 4;
+  cfg.perturb = rt::PerturbConfig{};
+  cfg.faults = resil::FaultConfig{};
+  cfg.watchdog = resil::WatchdogConfig{};
+  cfg.sched = rt::SchedulerKind::kWorkStealing;
+  const auto res = core::factorize(a, &prob, cfg);
+  EXPECT_EQ(res.stats.tasks, nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
+  EXPECT_EQ(res.exec.sched.scheduler, rt::SchedulerKind::kWorkStealing);
+  EXPECT_GT(res.exec.sched.nested_spawned, 0);
 }
