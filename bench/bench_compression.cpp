@@ -14,14 +14,18 @@
 //                   CPQR+SVD vs adaptive at the paper's tighter thresholds.
 //                   obs counters report the recompression count, the
 //                   adaptive attempt/fallback rate and mean sketch width
-//                   alongside the wall time.
+//                   alongside the wall time, and the solve residual
+//                   ‖z − Σx‖/‖z‖ with Σ applied from the generator.
 //
 // Output: BENCH_compression.json (override with PTLR_BENCH_OUT or argv[1]).
 // PTLR_BENCH_SCALE=small shrinks sizes for CI smoke runs. Exits 1 (after
 // writing the JSON) when a Cholesky row's recompression count is not the
-// number of low-rank tiles with at least one update: each such tile is
-// compressed exactly once, by its last update.
+// number of low-rank tiles with at least one update (each such tile is
+// compressed exactly once, by its last update), when a compress row's
+// error exceeds its tol, or when a Cholesky row's residual exceeds 10·tol
+// — so a speedup cannot quietly trade away accuracy.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -31,6 +35,8 @@
 #include "bench_util.hpp"
 #include "compress/adaptive.hpp"
 #include "compress/methods.hpp"
+#include "core/solve.hpp"
+#include "dense/blas.hpp"
 #include "obs/trace.hpp"
 
 using namespace ptlr;
@@ -64,6 +70,7 @@ struct CholeskyRow {
   long long adaptive;
   long long fallbacks;
   double mean_sketch_cols;
+  double residual;  ///< ‖z − Σx‖/‖z‖ of the factor's solve
 };
 
 // Doubling [U | U]·[V/2 | V/2]ᵀ keeps the represented matrix bitwise
@@ -77,6 +84,30 @@ LowRankFactor inflate(const LowRankFactor& f) {
     for (int i = 0; i < n; ++i) v(i, j) = v(i, j + k) = 0.5 * f.v(i, j);
   }
   return {std::move(u), std::move(v)};
+}
+
+// ‖z − Σx‖/‖z‖ with Σ generated panel by panel from the problem, so the
+// check does not trust any compressed representation.
+double residual(const stars::CovarianceProblem& prob,
+                const std::vector<double>& x, const std::vector<double>& z) {
+  const int n = prob.n();
+  constexpr int kPanel = 128;
+  dense::Matrix panel(kPanel, n);
+  std::vector<double> y(kPanel);
+  double rr = 0.0, zz = 0.0;
+  for (int r0 = 0; r0 < n; r0 += kPanel) {
+    const int rows = std::min(kPanel, n - r0);
+    auto v = panel.block(0, 0, rows, n);
+    prob.fill_block(r0, 0, v);
+    dense::gemv(dense::Trans::N, 1.0, v, x.data(), 0.0, y.data());
+    for (int i = 0; i < rows; ++i) {
+      const double zi = z[static_cast<std::size_t>(r0 + i)];
+      const double d = zi - y[static_cast<std::size_t>(i)];
+      rr += d * d;
+      zz += zi * zi;
+    }
+  }
+  return std::sqrt(rr / zz);
 }
 
 double best_of(int reps, const std::function<double()>& run) {
@@ -175,9 +206,9 @@ int main(int argc, char** argv) {
   const int reps = scale == "small" ? 1 : 2;
   std::printf("\ncholesky (n=%d, b=%d, %d threads, hot-path engine via "
               "CompressPolicy)\n", sc.n, sc.b, sc.threads);
-  std::printf("%8s %-10s %10s %14s %10s %10s %12s\n", "tol", "engine",
+  std::printf("%8s %-10s %10s %14s %10s %10s %12s %10s\n", "tol", "engine",
               "seconds", "recompressions", "adaptive", "fallbacks",
-              "sketch/att");
+              "sketch/att", "residual");
   for (const double ctol : chol_tols) {
     struct Engine {
       const char* name;
@@ -188,6 +219,7 @@ int main(int argc, char** argv) {
       double best = 1e300;
       obs::CompressionCounters cc;
       long long updated = 0;
+      double resid = 0.0;
       for (int r = 0; r < reps; ++r) {
         auto p = bench::st3d_exp(sc.n);
         const Accuracy acc{ctol, 1 << 30};
@@ -209,6 +241,11 @@ int main(int argc, char** argv) {
           best = res.factor_seconds;
           cc = obs::Counters::compressions();
         }
+        if (r == 0) {  // every rep computes the same factor bit for bit
+          Rng zr(0);
+          const auto z = p.synthetic_observations(zr);
+          resid = residual(p, core::solve(sigma, z), z);
+        }
       }
       const double mean_sketch =
           cc.adaptive > 0
@@ -216,10 +253,11 @@ int main(int argc, char** argv) {
                     static_cast<double>(cc.adaptive)
               : 0.0;
       chol_rows.push_back({sc.n, sc.b, ctol, e.name, best, cc.count,
-                           updated, cc.adaptive, cc.fallbacks, mean_sketch});
-      std::printf("%8.0e %-10s %10.4f %14lld %10lld %10lld %12.1f\n", ctol,
-                  e.name, best, cc.count, cc.adaptive, cc.fallbacks,
-                  mean_sketch);
+                           updated, cc.adaptive, cc.fallbacks, mean_sketch,
+                           resid});
+      std::printf("%8.0e %-10s %10.4f %14lld %10lld %10lld %12.1f %10.3e\n",
+                  ctol, e.name, best, cc.count, cc.adaptive, cc.fallbacks,
+                  mean_sketch, resid);
       std::fflush(stdout);
     }
   }
@@ -258,10 +296,11 @@ int main(int argc, char** argv) {
         "    {\"n\": %d, \"b\": %d, \"tol\": %.0e, \"engine\": \"%s\", "
         "\"seconds\": %.4f, \"recompressions\": %lld, "
         "\"updated_lowrank_tiles\": %lld, \"adaptive\": %lld, "
-        "\"fallbacks\": %lld, \"mean_sketch_cols\": %.1f}%s\n",
+        "\"fallbacks\": %lld, \"mean_sketch_cols\": %.1f, "
+        "\"residual\": %.3e}%s\n",
         r.n, r.b, r.tol, r.engine, r.seconds, r.recompressions,
         r.updated_lowrank_tiles, r.adaptive, r.fallbacks, r.mean_sketch_cols,
-        i + 1 < chol_rows.size() ? "," : "");
+        r.residual, i + 1 < chol_rows.size() ? "," : "");
   }
   // adaptive/cpqr end-to-end speedup per threshold.
   std::fprintf(f, "  ],\n  \"speedup_adaptive_over_cpqr\": [\n");
@@ -281,7 +320,19 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s\n", out_path);
 
   int bad = 0;
+  for (const CompressRow& r : compress_rows) {
+    if (r.rank < 0 || r.error <= tol) continue;
+    std::fprintf(stderr, "FAIL: compress b=%d %s: error %.3e > tol %.0e\n",
+                 r.b, r.method, r.error, tol);
+    ++bad;
+  }
   for (const CholeskyRow& r : chol_rows) {
+    if (r.residual > 10.0 * r.tol) {
+      std::fprintf(stderr,
+                   "FAIL: cholesky tol %.0e %s: residual %.3e > 10*tol\n",
+                   r.tol, r.engine, r.residual);
+      ++bad;
+    }
     if (r.recompressions == r.updated_lowrank_tiles) continue;
     std::fprintf(stderr,
                  "FAIL: cholesky tol %.0e %s: %lld recompressions, expected "

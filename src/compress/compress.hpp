@@ -92,7 +92,9 @@ struct Accuracy {
 std::optional<LowRankFactor> compress(dense::ConstMatrixView a,
                                       const Accuracy& acc);
 
-/// Exact numerical rank of a block at threshold `acc` (no factor built).
+/// Numerical rank of a block at threshold `acc`: the rank compress()
+/// returns with the rank cap lifted. It runs compress(), so it builds U and
+/// V and discards them; the cost is that of one compression.
 int numerical_rank(dense::ConstMatrixView a, const Accuracy& acc);
 
 /// Round an existing factor down to minimal rank at `acc`, within the error

@@ -216,8 +216,17 @@ void trsm_body(Side side, Uplo uplo, Trans ta, Diag diag, ConstMatrixView a,
 }  // namespace
 
 double dot(int n, const double* x, const double* y) {
-  double s = 0.0;
-  for (int i = 0; i < n; ++i) s += x[i] * y[i];
+  // Eight independent partial sums, so the loop is bound by load/FMA
+  // throughput instead of the latency of one serial add chain; the
+  // remainder folds into the pairwise-combined total in index order.
+  constexpr int kLanes = 8;
+  double part[kLanes] = {};
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    for (int l = 0; l < kLanes; ++l) part[l] += x[i + l] * y[i + l];
+  double s = ((part[0] + part[1]) + (part[2] + part[3])) +
+             ((part[4] + part[5]) + (part[6] + part[7]));
+  for (; i < n; ++i) s += x[i] * y[i];
   return s;
 }
 

@@ -7,11 +7,34 @@
 
 namespace ptlr::dense {
 
+namespace {
+
+// Plane rotation of a column pair: (x, y) <- (cs*x - sn*y, sn*x + cs*y).
+// The two columns never alias, so the loop vectorizes without a runtime
+// overlap check.
+void rotate(int n, double cs, double sn, double* __restrict x,
+            double* __restrict y) {
+  for (int i = 0; i < n; ++i) {
+    const double xi = x[i], yi = y[i];
+    x[i] = cs * xi - sn * yi;
+    y[i] = sn * xi + cs * yi;
+  }
+}
+
+}  // namespace
+
 // One-sided Jacobi SVD (Hestenes). Rotations are applied to column pairs of
 // a working copy of A until all pairs are numerically orthogonal; singular
 // values are the resulting column norms. Robust and accurate for the small
 // (k-by-k to b-by-b) factors PTLR decomposes; asymptotically slower than
 // bidiagonalization but that is irrelevant at tile scale.
+//
+// The squared column norms are cached, so a pair costs one dot product
+// (apq) instead of three. They are recomputed exactly at the start of every
+// sweep; a rotation updates its two as app - t*apq and aqq + t*apq, and an
+// update that cancels below sqrt(eps) of the old value is recomputed
+// exactly instead (LAPACK dgesvj practice). A sweep without rotations — the
+// one that ends the iteration — therefore tests exact norms.
 Svd jacobi_svd(ConstMatrixView a) {
   PTLR_CHECK(a.rows() >= a.cols(),
              "jacobi_svd requires rows >= cols; transpose the input");
@@ -26,16 +49,23 @@ Svd jacobi_svd(ConstMatrixView a) {
   Matrix& w = out.u;
   constexpr int kMaxSweeps = 42;
   const double eps = 1e-15;
+  const double sqrt_eps = std::sqrt(eps);
   flops::Counter::add(8.0 * static_cast<double>(m) * n * n);  // ~few sweeps
 
+  auto wcol = [&](int j) { return w.data() + static_cast<std::size_t>(j) * m; };
+  auto vcol = [&](int j) {
+    return out.v.data() + static_cast<std::size_t>(j) * n;
+  };
+  std::vector<double> norms2(n);
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    for (int j = 0; j < n; ++j) norms2[j] = dot(m, wcol(j), wcol(j));
     bool rotated = false;
     for (int p = 0; p < n - 1; ++p) {
       for (int q = p + 1; q < n; ++q) {
-        double* wp = w.data() + static_cast<std::size_t>(p) * m;
-        double* wq = w.data() + static_cast<std::size_t>(q) * m;
-        const double app = dot(m, wp, wp);
-        const double aqq = dot(m, wq, wq);
+        double* wp = wcol(p);
+        double* wq = wcol(q);
+        const double app = norms2[p];
+        const double aqq = norms2[q];
         const double apq = dot(m, wp, wq);
         if (std::abs(apq) <= eps * std::sqrt(app * aqq)) continue;
         rotated = true;
@@ -46,18 +76,12 @@ Svd jacobi_svd(ConstMatrixView a) {
             (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double cs = 1.0 / std::sqrt(1.0 + t * t);
         const double sn = cs * t;
-        for (int i = 0; i < m; ++i) {
-          const double x = wp[i], y = wq[i];
-          wp[i] = cs * x - sn * y;
-          wq[i] = sn * x + cs * y;
-        }
-        double* vp = out.v.data() + static_cast<std::size_t>(p) * n;
-        double* vq = out.v.data() + static_cast<std::size_t>(q) * n;
-        for (int i = 0; i < n; ++i) {
-          const double x = vp[i], y = vq[i];
-          vp[i] = cs * x - sn * y;
-          vq[i] = sn * x + cs * y;
-        }
+        rotate(m, cs, sn, wp, wq);
+        rotate(n, cs, sn, vcol(p), vcol(q));
+        const double npp = app - t * apq;
+        const double nqq = aqq + t * apq;
+        norms2[p] = npp < sqrt_eps * app ? dot(m, wp, wp) : npp;
+        norms2[q] = nqq < sqrt_eps * aqq ? dot(m, wq, wq) : nqq;
       }
     }
     if (!rotated) break;

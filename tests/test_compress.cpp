@@ -1,6 +1,7 @@
 // Unit tests for ptlr::compress — ε-truncated compression & recompression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "compress/compress.hpp"
@@ -8,6 +9,7 @@
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
 #include "stars/problem.hpp"
+#include "tlr/tlr_matrix.hpp"
 
 using namespace ptlr::compress;
 using namespace ptlr::dense;
@@ -91,6 +93,39 @@ TEST(Compress, NumericalRankMatchesSpectrum) {
   Rng rng(6);
   Matrix a = random_lowrank(48, 48, 12, 1.0, rng);
   EXPECT_EQ(numerical_rank(a.view(), {1e-9, 1 << 30}), 12);
+}
+
+// A faster SVD polish must not move a single truncation decision: the
+// off-diagonal rank sum and maximum of the st-3D-exp TLR matrix (seed 42,
+// b = 128) are pinned to the values the uncached three-dot Jacobi sweep
+// produced. One rank flipping by one changes the sum.
+TEST(Compress, St3dExpRanksMatchParent) {
+  struct Pin {
+    int n;
+    double tol;
+    long long rank_sum;
+    int rank_max;
+  };
+  const Pin pins[] = {{1024, 1e-6, 2007, 111},
+                      {1024, 1e-8, 2581, 123},
+                      {2048, 1e-6, 6856, 115},
+                      {2048, 1e-8, 9388, 127}};
+  for (const Pin& pin : pins) {
+    const auto prob = ptlr::stars::make_problem(
+        ptlr::stars::ProblemKind::kSt3DExp, pin.n, 42);
+    const auto a =
+        ptlr::tlr::TlrMatrix::from_problem(prob, 128, {pin.tol, 1 << 30});
+    long long sum = 0;
+    int max = 0;
+    for (int i = 0; i < a.nt(); ++i)
+      for (int j = 0; j < i; ++j) {
+        ASSERT_TRUE(a.at(i, j).is_lowrank());
+        sum += a.at(i, j).rank();
+        max = std::max(max, a.at(i, j).rank());
+      }
+    EXPECT_EQ(sum, pin.rank_sum) << "n=" << pin.n << " tol=" << pin.tol;
+    EXPECT_EQ(max, pin.rank_max) << "n=" << pin.n << " tol=" << pin.tol;
+  }
 }
 
 // ---------------------------------------------------------- recompress ----

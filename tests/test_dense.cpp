@@ -664,6 +664,99 @@ TEST(Svd, RankDeficientTailIsZero) {
   for (std::size_t i = 4; i < s.size(); ++i) EXPECT_LT(s[i], 1e-12);
 }
 
+// The sweep caches squared column norms and updates them per rotation; an
+// update that cancels (the rotation moves nearly all of a column's mass
+// into its partner) is recomputed exactly. Three inputs with a known
+// spectrum: a dense spectrum down to 1e-14 (~20 sweeps), columns graded
+// 1..1e-12, and near-parallel column pairs (columns j and j+n/2 differ by
+// σⱼ₊ₙ/₂ ≪ σⱼ), whose first rotations cancel and take the recompute. Each
+// must keep the normwise backward error, the orthogonality of both factors
+// and the singular values at the c·n·eps level.
+TEST(Svd, CachedNormsStayAccurateOnGradedInput) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  const int m = 48, n = 40;
+  const double bound = 10.0 * n * eps;
+  auto orth_error = [](const Matrix& q) {
+    const int k = q.cols();
+    Matrix g(k, k);
+    gemm(Trans::T, Trans::N, 1.0, q.view(), q.view(), 0.0, g.view());
+    for (int j = 0; j < k; ++j) g(j, j) -= 1.0;
+    return frob_norm(g.view());
+  };
+  auto random_orthogonal = [](int rows, int cols, Rng& rng) {
+    Matrix q(rows, cols);
+    std::vector<double> tau;
+    fill_gaussian(q.view(), rng);
+    geqrf(q.view(), tau);
+    orgqr(q.view(), tau, cols);
+    return q;
+  };
+  enum class Mix { kRandom, kNeighbourChain, kParallelPairs };
+  struct Case {
+    const char* name;
+    double smin;  ///< smallest constructed singular value (σ₁ = 1)
+    Mix mix;
+  };
+  const Case cases[] = {
+      {"spectrum to 1e-14", 1e-14, Mix::kRandom},
+      {"columns graded 1..1e-12", 1e-12, Mix::kNeighbourChain},
+      {"near-parallel pairs", 1e-14, Mix::kParallelPairs}};
+  Rng rng(45);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A = Q·diag(σ)·Wᵀ with orthogonal Q, W and σⱼ = smin^(j/(n−1)).
+    Matrix q = random_orthogonal(m, n, rng);
+    Matrix w(n, n);
+    if (c.mix == Mix::kRandom) {
+      w = random_orthogonal(n, n, rng);
+    } else if (c.mix == Mix::kNeighbourChain) {
+      // Rotations of neighbouring directions keep column j's norm near σⱼ.
+      w = identity(n);
+      for (int j = 0; j + 1 < n; ++j) {
+        const double th = rng.uniform(-0.6, 0.6);
+        const double cs = std::cos(th), sn = std::sin(th);
+        for (int i = 0; i < n; ++i) {
+          const double x = w(i, j), y = w(i, j + 1);
+          w(i, j) = cs * x - sn * y;
+          w(i, j + 1) = sn * x + cs * y;
+        }
+      }
+    } else {
+      // Directions j and j+h mixed at 45°.
+      const int h = n / 2;
+      const double r = std::sqrt(0.5);
+      for (int j = 0; j < h; ++j) {
+        w(j, j) = w(j + h, j) = w(j, j + h) = r;
+        w(j + h, j + h) = -r;
+      }
+    }
+    std::vector<double> sigma(n);
+    for (int j = 0; j < n; ++j) {
+      sigma[j] = std::pow(c.smin, static_cast<double>(j) / (n - 1));
+      for (int i = 0; i < m; ++i) q(i, j) *= sigma[j];
+    }
+    Matrix a(m, n);
+    gemm(Trans::N, Trans::T, 1.0, q.view(), w.view(), 0.0, a.view());
+    if (c.mix == Mix::kNeighbourChain) {
+      const double* last = a.data() + static_cast<std::size_t>(n - 1) * m;
+      ASSERT_LT(nrm2(m, last), 1e-11 * nrm2(m, a.data()))
+          << "columns are not graded";
+    }
+
+    const Svd svd = jacobi_svd(a.view());
+    Matrix us = svd.u;
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < m; ++i) us(i, j) *= svd.s[j];
+    Matrix rec(m, n);
+    gemm(Trans::N, Trans::T, 1.0, us.view(), svd.v.view(), 0.0, rec.view());
+    EXPECT_LE(frob_diff(rec.view(), a.view()), bound * frob_norm(a.view()));
+    EXPECT_LE(orth_error(svd.u), bound);
+    EXPECT_LE(orth_error(svd.v), bound);
+    for (int j = 0; j < n; ++j)
+      EXPECT_NEAR(svd.s[j], sigma[j], bound * sigma[0]) << "j=" << j;
+  }
+}
+
 // ------------------------------------------------------------- utility ----
 
 TEST(Util, RandomLowRankHasRequestedSpectrum) {
@@ -688,6 +781,55 @@ TEST(Util, BlockViewsAliasParent) {
   auto blk = a.block(2, 3, 2, 2);
   blk(0, 0) = 9.0;
   EXPECT_DOUBLE_EQ(a(2, 3), 9.0);
+}
+
+// ------------------------------------------------------------- level-1 ----
+
+// dot sums in eight partial sums plus a scalar remainder; every remainder
+// length 0..7 and several full-lane counts must agree with an extended-
+// precision reference within the classical n·eps·Σ|xᵢyᵢ| bound, and a NaN
+// or Inf in any lane or in the remainder must reach the result.
+TEST(Blas, DotMatchesReferenceAcrossRemainders) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  std::vector<int> sizes;
+  for (int n = 0; n <= 37; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  Rng rng(46);
+  for (const int n : sizes) {
+    std::vector<double> x(n), y(n);
+    long double ref = 0.0L;
+    double mag = 0.0;
+    for (int i = 0; i < n; ++i) {
+      x[i] = rng.uniform(-1.0, 1.0);
+      y[i] = rng.uniform(-1.0, 1.0);
+      ref += static_cast<long double>(x[i]) * y[i];
+      mag += std::abs(x[i] * y[i]);
+    }
+    EXPECT_LE(std::abs(dot(n, x.data(), y.data()) - static_cast<double>(ref)),
+              n * eps * mag)
+        << "n=" << n;
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int n : {1, 7, 8, 13, 37}) {
+    for (const int pos : {0, n / 2, n - 1}) {
+      std::vector<double> x(n, 1.0), y(n, 1.0);
+      x[pos] = nan;
+      EXPECT_TRUE(std::isnan(dot(n, x.data(), y.data())))
+          << "n=" << n << " pos=" << pos;
+      x[pos] = inf;
+      EXPECT_EQ(dot(n, x.data(), y.data()), inf) << "n=" << n << " pos=" << pos;
+      y[pos] = 0.0;  // Inf * 0 = NaN, no zero-skip
+      EXPECT_TRUE(std::isnan(dot(n, x.data(), y.data())))
+          << "n=" << n << " pos=" << pos;
+    }
+  }
+  // Opposite infinities in different partial sums still meet as NaN.
+  std::vector<double> x(37, 1.0), y(37, 1.0);
+  x[3] = inf;
+  x[34] = -inf;
+  EXPECT_TRUE(std::isnan(dot(37, x.data(), y.data())));
 }
 
 TEST(Util, Nrm2HandlesExtremeValues) {
