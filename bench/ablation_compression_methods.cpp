@@ -41,8 +41,10 @@ int main() {
   }
   t.print(std::cout);
   std::printf("\nReading: CPQR+SVD yields the minimal rank at this scale; "
-              "ACA is cheapest at\nlarge b (it touches O(b·k) entries); "
-              "RSVD pays for the Jacobi SVD of its\nsketch here — with an "
+              "ACA on a dense tile keeps\nits residual explicitly (O(b²k) "
+              "work) so that it meets the threshold, and\nlands within a "
+              "column or two of that rank; RSVD pays for the Jacobi SVD of "
+              "its\nsketch here — with an "
               "optimized bidiagonal SVD it would lead at large b, the\n"
               "regime HiCMA uses it in. ADAPTIVE-RSVD sizes its sketch from "
               "the stochastic\nresidual estimate instead of a fixed "

@@ -10,10 +10,13 @@
 //              power iteration, small SVD; O(b²(k+p)) with tiny constants,
 //              the method of choice for large tiles,
 //   kAca     — adaptive cross approximation with partial pivoting: builds
-//              the factors from matrix *entries* only (rank-1 updates from
-//              selected rows/columns); the classical H-matrix compressor,
-//              cheapest when entry evaluation is cheap, heuristic error
-//              control (a recompression pass restores minimal rank).
+//              the factors from selected rows/columns (rank-1 updates);
+//              the classical H-matrix compressor. On an explicit block
+//              (compress_aca) it keeps the residual in full, so its stop
+//              test is the exact ‖A − UVᵀ‖_F and the result meets tol like
+//              CPQR+SVD's; the entry-oracle form reads matrix *entries*
+//              only and keeps the heuristic ‖u‖·‖v‖ stop. A recompression
+//              pass restores minimal rank in both.
 //
 // A fourth, kAdaptiveRsvd, lives in compress/adaptive.hpp: H2OPUS-TLR-style
 // incremental randomized range sampling with a stochastic error estimator
@@ -45,14 +48,19 @@ std::optional<LowRankFactor> compress_rsvd(dense::ConstMatrixView a,
                                            int power_iters = 1);
 
 /// ACA with partial pivoting on an explicit matrix, followed by a
-/// recompression pass to minimal rank. Returns std::nullopt if the rank
-/// cap is exceeded before the residual estimate meets the threshold.
+/// recompression pass to minimal rank, with ‖A − UVᵀ‖_F ≤ tol guaranteed:
+/// the cross runs until the exact residual is at most tol/10, and the
+/// rounding gets the rest of tol. A cross that does not get there within
+/// 2·maxrank terms, or a rounded rank above maxrank, falls back to
+/// compress(), which returns std::nullopt when the rank cap is exceeded.
 std::optional<LowRankFactor> compress_aca(dense::ConstMatrixView a,
                                           const Accuracy& acc);
 
 /// Entry-oracle ACA: compresses the block whose (i, j) entry is
 /// `entry(i, j)` without ever materializing it — how hierarchical-matrix
-/// libraries compress kernel matrices directly from the kernel.
+/// libraries compress kernel matrices directly from the kernel. Its stop
+/// test is the heuristic ‖u‖·‖v‖ ≤ tol, so unlike compress_aca the error
+/// can exceed tol (by up to ~2× on st-3D-exp tiles).
 std::optional<LowRankFactor> compress_aca_oracle(
     int rows, int cols, const std::function<double(int, int)>& entry,
     const Accuracy& acc);

@@ -305,6 +305,82 @@ TEST(AdaptiveRsvd, RecompressReducesInflatedRankInProductForm) {
   EXPECT_TRUE(st.attempted);
 }
 
+// ------------------------------------------------ certified tolerance ----
+
+namespace {
+
+// The first sub-diagonal tile of the st-3D-exp problem bench_compression
+// times at default scale (N = 4096, seed 42, nugget 1e-2).
+Matrix st3d_tile(int b) {
+  const auto prob =
+      stars::make_problem(stars::ProblemKind::kSt3DExp, 4096, 42, 1e-2);
+  return prob.block(b, 0, b, b);
+}
+
+}  // namespace
+
+TEST(Aca, DenseBlockMeetsToleranceOnCovarianceTiles) {
+  // On these tiles a ‖u‖·‖v‖ stop followed by a rounding at the full tol
+  // ends at 1.06 and 1.38·tol (1e-6); the explicit residual must certify
+  // the bound at the price of at most a column or two of rank.
+  for (const int b : {128, 256}) {
+    const Matrix a = st3d_tile(b);
+    for (const double tol : {1e-6, 1e-8}) {
+      const Accuracy acc{tol, 1 << 30};
+      const auto f = compress_aca(a.view(), acc);
+      const auto ref = compress(a.view(), acc);
+      ASSERT_TRUE(f && ref);
+      EXPECT_LE(approximation_error(a.view(), *f), tol)
+          << "b=" << b << " tol=" << tol;
+      EXPECT_LE(f->rank(), ref->rank() + 2) << "b=" << b << " tol=" << tol;
+    }
+  }
+}
+
+TEST(Aca, UncertifiedCrossFallsBackToCpqr) {
+  // A full-rank block at a tight tol: the cross stops at 2·maxrank terms
+  // with the residual above tol/10, and compress() decides — here that
+  // the tile stays dense; with the cap lifted, the certified factor.
+  Rng rng(47);
+  Matrix a(48, 48);
+  fill_uniform(a.view(), rng);
+  EXPECT_FALSE(compress_aca(a.view(), {1e-10, 10}).has_value());
+  const auto f = compress_aca(a.view(), {1e-10, 1 << 30});
+  ASSERT_TRUE(f);
+  EXPECT_LE(approximation_error(a.view(), *f), 1e-10);
+}
+
+TEST(AdaptiveRsvd, ChargedEstimateMeetsToleranceAcrossSeeds) {
+  // Charged at 1×, the estimate lets 16 of 200 seeds end above tol on
+  // this tile (by up to 5.4%); charged at 2×, none of 64 may.
+  const Matrix a = st3d_tile(128);
+  const Accuracy acc{1e-6, 1 << 30};
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    const auto f = compress_adaptive_rsvd(a.view(), acc, rng);
+    ASSERT_TRUE(f);
+    EXPECT_LE(approximation_error(a.view(), *f), acc.tol) << "seed " << seed;
+  }
+}
+
+TEST(AdaptiveRsvd, ProductFormMeetsToleranceAcrossSeeds) {
+  // The same charge bounds recompress_adaptive: rounding a rank-inflated
+  // factor stays within tol of the matrix the factor represents.
+  const Matrix a = st3d_tile(128);
+  const auto exact = compress(a.view(), {1e-12, 1 << 30});
+  ASSERT_TRUE(exact);
+  const LowRankFactor inflated = inflate_factor(*exact);
+  const Matrix represented = inflated.to_dense();
+  const Accuracy acc{1e-6, 1 << 30};
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    LowRankFactor f = inflated;
+    Rng rng(seed);
+    ASSERT_GE(recompress_adaptive(f, acc, rng), 0) << "seed " << seed;
+    EXPECT_LE(approximation_error(represented.view(), f), acc.tol)
+        << "seed " << seed;
+  }
+}
+
 TEST(AdaptiveRsvd, RecompressWithPolicyFollowsGates) {
   Rng rng(46);
   Matrix a = random_lowrank(72, 64, 6, 1.0, rng);
