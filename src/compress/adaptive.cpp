@@ -139,19 +139,12 @@ std::optional<LowRankFactor> polish(int m, int n, int r, double est,
   double* btbuf = ws.get(static_cast<std::size_t>(n) * r);
   MatrixView bt(btbuf, n, r, n);
   apply_t(ConstMatrixView(qbuf, m, r, m), bt);
-  auto svd = dense::jacobi_svd(bt);  // Bᵀ = W S Zᵀ → B = Z S Wᵀ
+  const dense::Svd svd = dense::jacobi_svd(bt);
   const double charged = kEstimatorSafety * est;  // ≤ tol·kEstimatorShare
   const double budget = std::sqrt(tol * tol - charged * charged);
   const int k = truncation_rank(svd.s, budget);
   if (k > maxrank) return std::nullopt;
-  Matrix u(m, k), v(n, k);
-  if (k > 0) {
-    dense::gemm(Trans::N, Trans::N, 1.0, ConstMatrixView(qbuf, m, r, m),
-                svd.v.block(0, 0, r, k), 0.0, u.view());
-    for (int j = 0; j < k; ++j)
-      for (int i = 0; i < n; ++i) v(i, j) = svd.u(i, j) * svd.s[j];
-  }
-  return LowRankFactor{std::move(u), std::move(v)};
+  return truncated_factor(ConstMatrixView(qbuf, m, r, m), bt, svd.u, k);
 }
 
 }  // namespace

@@ -31,6 +31,21 @@ int truncation_rank(const std::vector<double>& s, double tol) {
   return k;
 }
 
+LowRankFactor truncated_factor(dense::ConstMatrixView q,
+                               dense::ConstMatrixView x,
+                               const dense::Matrix& z, int k) {
+  const int m = q.rows(), n = x.rows(), r = x.cols();
+  Matrix u(m, k), v(n, k);
+  if (k > 0) {
+    Matrix ws(r, k);  // Xᵀ·Z_k = W_k·S_k
+    dense::gemm(Trans::T, Trans::N, 1.0, x, z.block(0, 0, n, k), 0.0,
+                ws.view());
+    dense::gemm(Trans::N, Trans::N, 1.0, q, ws.view(), 0.0, u.view());
+    dense::copy(z.block(0, 0, n, k), v.view());
+  }
+  return LowRankFactor{std::move(u), std::move(v)};
+}
+
 std::optional<LowRankFactor> compress(dense::ConstMatrixView a,
                                       const Accuracy& acc) {
   PTLR_CHECK(dense::all_finite(a), "compress: non-finite input block");
@@ -57,26 +72,18 @@ std::optional<LowRankFactor> compress(dense::ConstMatrixView a,
     const int rows_in_col = std::min(j + 1, kq);
     for (int i = 0; i < rows_in_col; ++i) b(orig, i) = w(i, j);
   }
-  auto svd = dense::jacobi_svd(b.view());  // B = Ub * diag(s) * Wb^T
+  const dense::Svd svd = dense::jacobi_svd(b.view());
 
   // The polish gets the budget the CPQR tail left, so the two truncations
   // together meet ‖A − UVᵀ‖²_F = tail² + dropped² ≤ tol².
   const double budget = std::sqrt(std::max(
       0.0, acc.tol * acc.tol - piv.tail_frob * piv.tail_frob));
-  int k = truncation_rank(svd.s, budget);
+  const int k = truncation_rank(svd.s, budget);
   if (k > acc.maxrank) return std::nullopt;
 
-  // U = Q * Wb(:, :k),  V = Ub(:, :k) * diag(s).
-  Matrix q = w;  // reflectors live in w
-  dense::orgqr(q.view(), piv.tau, kq);
-  Matrix u(m, k), v(n, k);
-  if (k > 0) {
-    dense::gemm(Trans::N, Trans::N, 1.0, q.block(0, 0, m, kq),
-                svd.v.block(0, 0, kq, k), 0.0, u.view());
-    for (int j = 0; j < k; ++j)
-      for (int i = 0; i < n; ++i) v(i, j) = svd.u(i, j) * svd.s[j];
-  }
-  return LowRankFactor{std::move(u), std::move(v)};
+  // B is read out, so Q can be formed over the reflectors in place.
+  dense::orgqr(w.view(), piv.tau, kq);
+  return truncated_factor(w.block(0, 0, m, kq), b.view(), svd.u, k);
 }
 
 int numerical_rank(dense::ConstMatrixView a, const Accuracy& acc) {
@@ -117,7 +124,7 @@ int recompress(LowRankFactor& f, const Accuracy& acc) {
   const int knew = mc->rank();
   if (knew >= k) return k;  // no reduction; keep the existing factor
 
-  // Unew = Qu * Um; Vnew = Qv * Vm (Vm carries the singular values).
+  // Unew = Qu * Um (Um carries the singular values); Vnew = Qv * Vm.
   dense::orgqr(qu.view(), tau_u, ku);
   dense::orgqr(qv.view(), tau_v, kv);
   Matrix unew(m, knew), vnew(n, knew);

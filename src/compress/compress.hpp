@@ -111,4 +111,14 @@ double approximation_error(dense::ConstMatrixView a, const LowRankFactor& f);
 /// accuracy-threshold truncation rule, shared by all backends.
 int truncation_rank(const std::vector<double>& s, double tol);
 
+/// Rank-k factor of A ≈ Q·Xᵀ, the last step of every backend's SVD polish.
+/// Q (m×r) has orthonormal columns, X (n×r) is tall and `z` holds its left
+/// singular vectors, descending (dense::jacobi_svd(X).u). With X = Z·S·Wᵀ
+/// the best rank-k approximation Q·W_k·S_k·Z_kᵀ needs no W:
+/// U = Q·(Xᵀ·Z(:, :k)) carries the singular values and V = Z(:, :k) has
+/// orthonormal columns.
+LowRankFactor truncated_factor(dense::ConstMatrixView q,
+                               dense::ConstMatrixView x,
+                               const dense::Matrix& z, int k);
+
 }  // namespace ptlr::compress

@@ -31,8 +31,8 @@ namespace {
 constexpr double kAcaShare = 0.1;
 
 // One fixed-width randomized sketch pass; returns nullopt when the sketch
-// width l was too small to certify the tolerance (rank did not converge
-// inside the sketch).
+// width l was too small to certify the tolerance (its range residual leaves
+// no budget, or the rank did not converge inside the sketch).
 std::optional<LowRankFactor> rsvd_fixed(dense::ConstMatrixView a,
                                         const Accuracy& acc, Rng& rng,
                                         int l, int oversample,
@@ -59,24 +59,28 @@ std::optional<LowRankFactor> rsvd_fixed(dense::ConstMatrixView a,
   dense::geqrf(y.view(), tau);
   dense::orgqr(y.view(), tau, l);
 
-  // B = Q^T A (l-by-n); SVD via the tall transpose B^T = W S Z^T.
+  // B = Q^T A (l-by-n), decomposed through its tall transpose B^T.
   Matrix bt(n, l);
   dense::gemm(Trans::T, Trans::N, 1.0, a, y.view(), 0.0, bt.view());
-  auto svd = dense::jacobi_svd(bt.view());  // B^T = W S Z^T -> B = Z S W^T
 
-  const int k = truncation_rank(svd.s, acc.tol);
+  // The sketch's range residual ‖A − Q·B‖_F, exactly: A is dense, so it
+  // costs one GEMM. It is orthogonal to the truncation error of Q·B, so
+  // the truncation gets only what it leaves of tol.
+  const bool full = l == std::min(m, n);
+  Matrix res = dense::to_matrix(a);
+  dense::gemm(Trans::N, Trans::T, -1.0, y.view(), bt.view(), 1.0,
+              res.view());
+  const double range = dense::frob_norm(res.view());
+  if (range >= acc.tol && !full) return std::nullopt;
+  const double budget =
+      std::sqrt(std::max(0.0, acc.tol * acc.tol - range * range));
+
+  const dense::Svd svd = dense::jacobi_svd(bt.view());
+  const int k = truncation_rank(svd.s, budget);
   // Not converged inside the sketch (no slack columns left below the
   // threshold) and the sketch was not already the full width.
-  if (k > l - oversample / 2 && l < std::min(m, n)) return std::nullopt;
-  // A ≈ Q B = (Q Z) S W^T.
-  Matrix u(m, k), v(n, k);
-  if (k > 0) {
-    dense::gemm(Trans::N, Trans::N, 1.0, y.view(), svd.v.block(0, 0, l, k),
-                0.0, u.view());
-    for (int j = 0; j < k; ++j)
-      for (int i = 0; i < n; ++i) v(i, j) = svd.u(i, j) * svd.s[j];
-  }
-  return LowRankFactor{std::move(u), std::move(v)};
+  if (k > l - oversample / 2 && !full) return std::nullopt;
+  return truncated_factor(y.view(), bt.view(), svd.u, k);
 }
 
 }  // namespace

@@ -30,10 +30,11 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
   }
 
   // Step 2: roll the band back to dense (regenerating exactly when the
-  // problem generator is available — the paper's regeneration step).
+  // problem generator is available — the paper's regeneration step), one
+  // tile per task on the factorization's workers.
   if (result.band_size > a.band_size()) {
     WallTimer t;
-    a.densify_band(result.band_size, regen);
+    a.densify_band(result.band_size, regen, cfg.nthreads);
     result.regen_seconds = t.seconds();
   }
 

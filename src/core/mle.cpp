@@ -26,7 +26,8 @@ MleEvaluation evaluate_mle(const stars::CovarianceProblem& prob,
   MleEvaluation out;
 
   WallTimer t;
-  auto sigma = tlr::TlrMatrix::from_problem(prob, tile_size, cfg.acc, 1);
+  auto sigma = tlr::TlrMatrix::from_problem_parallel(prob, tile_size, cfg.acc,
+                                                      cfg.nthreads);
   out.compress_seconds = t.seconds();
 
   out.cholesky = factorize(sigma, &prob, cfg);

@@ -24,8 +24,9 @@ struct MleEvaluation {
 double log_likelihood(const tlr::TlrMatrix& chol,
                       const std::vector<double>& z);
 
-/// Full pipeline: compress Σ(θ) at `tile_size`, factorize with `cfg`,
-/// evaluate ℓ(θ) for the measurement vector `z`.
+/// Full pipeline: compress Σ(θ) at `tile_size` on cfg.nthreads workers,
+/// factorize with `cfg`, evaluate ℓ(θ) for the measurement vector `z`. The
+/// result is bitwise independent of cfg.nthreads.
 MleEvaluation evaluate_mle(const stars::CovarianceProblem& prob,
                            const std::vector<double>& z, int tile_size,
                            const CholeskyConfig& cfg);

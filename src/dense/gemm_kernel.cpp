@@ -4,7 +4,7 @@
 #include "dense/gemm_kernel.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <memory>
 
 #include "runtime/nested.hpp"
 
@@ -75,17 +75,22 @@ void micro_kernel(int kc, const double* PTLR_RESTRICT ap,
 
 // Reusable per-thread packing workspace. Sized once to the largest block
 // (kMC/kNC rounded up to full micro-panels), so task-parallel tile updates
-// stop allocating per GEMM call after their first.
+// stop allocating per GEMM call after their first. Left uninitialized: the
+// packing routines write every element the microkernel reads, zero padding
+// included, so a thread makes resident only the pages its blocks pack
+// (~0.25 MB for a 128-tile, not the full 4.7 MB).
 struct PackBuffers {
-  std::vector<double> a, b;
+  std::unique_ptr<double[]> a, b;
 };
 
 PackBuffers& pack_buffers() {
   constexpr int mc_round = (kMC + kMR - 1) / kMR * kMR;
   constexpr int nc_round = (kNC + kNR - 1) / kNR * kNR;
   thread_local PackBuffers bufs{
-      std::vector<double>(static_cast<std::size_t>(mc_round) * kKC),
-      std::vector<double>(static_cast<std::size_t>(nc_round) * kKC)};
+      std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(mc_round) * kKC),
+      std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(nc_round) * kKC)};
   return bufs;
 }
 
@@ -102,8 +107,8 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   const int k = ta == Trans::N ? a.cols() : a.rows();
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
   PackBuffers& bufs = pack_buffers();
-  double* apack = bufs.a.data();
-  double* bpack = bufs.b.data();
+  double* apack = bufs.a.get();
+  double* bpack = bufs.b.get();
   const int ldc = c.ld();
 
   for (int jc = 0; jc < n; jc += kNC) {

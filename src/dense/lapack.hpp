@@ -45,13 +45,14 @@ struct PivotedQr {
 /// reflectors).
 PivotedQr geqp3_trunc(MatrixView a, double tol, int maxrank);
 
-/// Singular value decomposition A = U * diag(s) * V^T via one-sided Jacobi.
-/// Requires rows >= cols (callers transpose if needed). U is m-by-n with
-/// orthonormal columns, V is n-by-n orthogonal, s is descending.
+/// Singular values and left singular vectors of A = U * diag(s) * V^T via
+/// one-sided Jacobi. Requires rows >= cols (callers transpose if needed).
+/// U is m-by-n with orthonormal columns, s is descending. V is not formed:
+/// the best rank-k approximation is U_k * (U_k^T * A), and a caller that
+/// needs V_k * diag(s_k) forms it as A^T * U_k.
 struct Svd {
   Matrix u;
   std::vector<double> s;
-  Matrix v;
 };
 Svd jacobi_svd(ConstMatrixView a);
 

@@ -27,7 +27,9 @@ void rotate(int n, double cs, double sn, double* __restrict x,
 // a working copy of A until all pairs are numerically orthogonal; singular
 // values are the resulting column norms. Robust and accurate for the small
 // (k-by-k to b-by-b) factors PTLR decomposes; asymptotically slower than
-// bidiagonalization but that is irrelevant at tile scale.
+// bidiagonalization but that is irrelevant at tile scale. The rotations are
+// not accumulated: every caller needs only the leading left singular
+// vectors (see lapack.hpp).
 //
 // The squared column norms are cached, so a pair costs one dot product
 // (apq) instead of three. They are recomputed exactly at the start of every
@@ -41,8 +43,6 @@ Svd jacobi_svd(ConstMatrixView a) {
   const int m = a.rows(), n = a.cols();
   Svd out;
   out.u = to_matrix(a);
-  out.v = Matrix(n, n);
-  for (int j = 0; j < n; ++j) out.v(j, j) = 1.0;
   out.s.assign(n, 0.0);
   if (n == 0) return out;
 
@@ -53,9 +53,6 @@ Svd jacobi_svd(ConstMatrixView a) {
   flops::Counter::add(8.0 * static_cast<double>(m) * n * n);  // ~few sweeps
 
   auto wcol = [&](int j) { return w.data() + static_cast<std::size_t>(j) * m; };
-  auto vcol = [&](int j) {
-    return out.v.data() + static_cast<std::size_t>(j) * n;
-  };
   std::vector<double> norms2(n);
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     for (int j = 0; j < n; ++j) norms2[j] = dot(m, wcol(j), wcol(j));
@@ -77,7 +74,6 @@ Svd jacobi_svd(ConstMatrixView a) {
         const double cs = 1.0 / std::sqrt(1.0 + t * t);
         const double sn = cs * t;
         rotate(m, cs, sn, wp, wq);
-        rotate(n, cs, sn, vcol(p), vcol(q));
         const double npp = app - t * apq;
         const double nqq = aqq + t * apq;
         norms2[p] = npp < sqrt_eps * app ? dot(m, wp, wp) : npp;
@@ -95,22 +91,19 @@ Svd jacobi_svd(ConstMatrixView a) {
     if (sj > 0.0) scal(m, 1.0 / sj, wj);
   }
 
-  // Sort descending, permuting U and V consistently.
+  // Sort descending.
   std::vector<int> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
   std::stable_sort(perm.begin(), perm.end(),
                    [&](int x, int y) { return out.s[x] > out.s[y]; });
-  Matrix us(m, n), vs(n, n);
+  Matrix us(m, n);
   std::vector<double> ss(n);
   for (int j = 0; j < n; ++j) {
     ss[j] = out.s[perm[j]];
     std::copy_n(w.data() + static_cast<std::size_t>(perm[j]) * m, m,
                 us.data() + static_cast<std::size_t>(j) * m);
-    std::copy_n(out.v.data() + static_cast<std::size_t>(perm[j]) * n, n,
-                vs.data() + static_cast<std::size_t>(j) * n);
   }
   out.u = std::move(us);
-  out.v = std::move(vs);
   out.s = std::move(ss);
   return out;
 }

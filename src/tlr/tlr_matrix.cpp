@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 namespace ptlr::tlr {
@@ -28,6 +30,43 @@ Tile& TlrMatrix::at(int i, int j) { return tiles_[index(i, j)]; }
 const Tile& TlrMatrix::at(int i, int j) const { return tiles_[index(i, j)]; }
 
 namespace {
+
+// Runs fn(t) for every t in [0, count) on `nthreads` workers claiming
+// indices from a shared counter (inline when one worker suffices). Each
+// index writes only its own tile, so the result is independent of the
+// order and the thread count. The first exception stops the other workers
+// from claiming more and is rethrown on the calling thread.
+template <class Fn>
+void parallel_for(int count, int nthreads, const Fn& fn) {
+  PTLR_CHECK(nthreads >= 1, "need at least one worker");
+  const int workers = std::min(nthreads, count);
+  if (workers <= 1) {
+    for (int t = 0; t < count; ++t) fn(t);
+    return;
+  }
+  std::atomic<int> next{0};
+  std::exception_ptr error;
+  std::mutex error_mu;
+  auto worker = [&] {
+    for (;;) {
+      const int t = next.fetch_add(1, std::memory_order_relaxed);
+      if (t >= count) return;
+      try {
+        fn(t);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        next.store(count, std::memory_order_relaxed);
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
+  for (auto& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
+}
 
 // Generate-and-compress one tile; shared by the sequential and parallel
 // builders. Per-tile RNG seeding keeps results independent of the build
@@ -82,46 +121,41 @@ TlrMatrix TlrMatrix::from_problem_parallel(
     const stars::CovarianceProblem& prob, int tile_size,
     const compress::Accuracy& acc, int nthreads, int band_size,
     compress::Method method, std::uint64_t method_seed) {
-  PTLR_CHECK(nthreads >= 1, "need at least one worker");
   TlrMatrix m(prob.n(), tile_size);
   m.acc_ = acc;
   m.band_size_ = band_size;
-  const int total = m.nt_ * (m.nt_ + 1) / 2;
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= total) return;
-      // Unpack the packed lower-triangle index.
-      int i = static_cast<int>((std::sqrt(8.0 * t + 1.0) - 1.0) / 2.0);
-      while ((i + 1) * (i + 2) / 2 <= t) ++i;
-      const int j = t - i * (i + 1) / 2;
-      m.at(i, j) =
-          build_tile(prob, m, i, j, acc, band_size, method, method_seed);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(nthreads));
-  for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
+  parallel_for(m.nt_ * (m.nt_ + 1) / 2, nthreads, [&](int t) {
+    // Unpack the packed lower-triangle index.
+    int i = static_cast<int>((std::sqrt(8.0 * t + 1.0) - 1.0) / 2.0);
+    while ((i + 1) * (i + 2) / 2 <= t) ++i;
+    const int j = t - i * (i + 1) / 2;
+    m.at(i, j) =
+        build_tile(prob, m, i, j, acc, band_size, method, method_seed);
+  });
   return m;
 }
 
 void TlrMatrix::densify_band(int band_size,
-                             const stars::CovarianceProblem* regen) {
+                             const stars::CovarianceProblem* regen,
+                             int nthreads) {
   PTLR_CHECK(band_size >= 1, "band size must include the diagonal");
+  std::vector<std::pair<int, int>> where;
   for (int i = 0; i < nt_; ++i) {
     for (int j = std::max(0, i - band_size + 1); j <= i; ++j) {
-      Tile& t = at(i, j);
-      if (t.is_dense()) continue;
-      if (regen != nullptr) {
-        t = Tile::make_dense(regen->block(row_offset(i), row_offset(j),
-                                          tile_rows(i), tile_rows(j)));
-      } else {
-        t.densify();
-      }
+      if (at(i, j).is_dense()) continue;
+      where.emplace_back(i, j);
     }
   }
+  parallel_for(static_cast<int>(where.size()), nthreads, [&](int t) {
+    const auto [i, j] = where[static_cast<std::size_t>(t)];
+    Tile& tile = at(i, j);
+    if (regen != nullptr) {
+      tile = Tile::make_dense(regen->block(row_offset(i), row_offset(j),
+                                           tile_rows(i), tile_rows(j)));
+    } else {
+      tile.densify();
+    }
+  });
   band_size_ = std::max(band_size_, band_size);
 }
 

@@ -43,8 +43,8 @@ class TlrMatrix {
 
   /// Parallel variant: generation + compression of the tiles as one task
   /// per tile on `nthreads` workers (how PaRSEC parallelizes the paper's
-  /// matrix-generation and regeneration steps). Deterministic: equals the
-  /// sequential from_problem for the same inputs.
+  /// matrix-generation and regeneration steps). Deterministic: bitwise
+  /// equal to the sequential from_problem for the same inputs.
   static TlrMatrix from_problem_parallel(
       const stars::CovarianceProblem& prob, int tile_size,
       const compress::Accuracy& acc, int nthreads, int band_size = 1,
@@ -78,9 +78,11 @@ class TlrMatrix {
   /// Densify every tile with i-j < band_size. When `regen` is non-null the
   /// band tiles are regenerated exactly from the problem (the paper's
   /// "matrix regeneration" step after BAND_SIZE tuning); otherwise the
-  /// existing low-rank factors are expanded.
+  /// existing low-rank factors are expanded. One task per tile on
+  /// `nthreads` workers; the tiles are bitwise independent of the count.
   void densify_band(int band_size,
-                    const stars::CovarianceProblem* regen = nullptr);
+                    const stars::CovarianceProblem* regen = nullptr,
+                    int nthreads = 1);
 
   /// Sparsify-on-demand (the flip side of the paper's Section IX adaptive
   /// policy): try to compress every dense *off-diagonal* tile at `acc`

@@ -258,6 +258,25 @@ TEST(Rsvd, MeetsToleranceOnDecayingSpectrum) {
   }
 }
 
+// The sketch's own range residual r = ‖A − Q·QᵀA‖_F is measured exactly
+// and the SVD truncation gets only √(tol² − r²), so plain RSVD meets tol on
+// real covariance tiles: the first sub-diagonal st-3D-exp tile at each b,
+// at the paper's tolerances.
+TEST(Rsvd, MeetsToleranceOnSt3dExpTiles) {
+  const auto prob = ptlr::stars::make_problem(
+      ptlr::stars::ProblemKind::kSt3DExp, 2048, 42, 1e-2);
+  for (const int b : {128, 256, 512}) {
+    const Matrix tile = prob.block(b, 0, b, b);
+    for (const double tol : {1e-4, 1e-6, 1e-8}) {
+      Rng rng(9);
+      const auto f = compress_rsvd(tile.view(), {tol, 1 << 30}, rng);
+      ASSERT_TRUE(f) << "b=" << b << " tol=" << tol;
+      EXPECT_LE(approximation_error(tile.view(), *f), tol)
+          << "b=" << b << " tol=" << tol << " rank " << f->rank();
+    }
+  }
+}
+
 TEST(Rsvd, FailsOnIncompressibleBlock) {
   Rng rng(23);
   Matrix a(40, 40);

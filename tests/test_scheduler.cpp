@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -20,12 +21,14 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cholesky.hpp"
+#include "core/mle.hpp"
 #include "dense/blas.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/nested.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/ws_deque.hpp"
 #include "support/fuzz.hpp"
+#include "tlr/io.hpp"
 
 using namespace ptlr;
 using namespace ptlr::testing;
@@ -765,4 +768,66 @@ TEST(WsScheduler, DefaultFactorizeSplitsBandTilesOnlyThroughChildren) {
   EXPECT_EQ(res.stats.tasks, nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
   EXPECT_EQ(res.exec.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_GT(res.exec.sched.nested_spawned, 0);
+}
+
+// ---------------------------------------------------- parallel tile phases
+// Compression (from_problem_parallel, as evaluate_mle runs it) and band
+// regeneration (densify_band, as factorize runs it) hand each tile to one
+// task of a thread pool. Both must be bitwise independent of the thread
+// count; the "scheduler" label runs the pools under TSan.
+
+TEST(ParallelTiles, EvaluateMleBitwiseIndependentOfThreads) {
+  const int n = 320;
+  const auto prob = stars::make_st3d_matern(n, 1.0, 0.1, 0.5, 42, 1e-2);
+  Rng rng(23);
+  std::vector<double> z(static_cast<std::size_t>(n));
+  for (double& v : z) v = rng.gaussian();
+  core::CholeskyConfig cfg;
+  cfg.acc = {1e-6, 1 << 30};
+  cfg.band_size = 2;  // forces a regeneration inside factorize
+  auto evaluate = [&](int threads) {
+    cfg.nthreads = threads;
+    return core::evaluate_mle(prob, z, 40, cfg);
+  };
+  const core::MleEvaluation one = evaluate(1);
+  const core::MleEvaluation two = evaluate(2);
+  ASSERT_EQ(one.cholesky.band_size, 2);
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(one.log_likelihood), bits(two.log_likelihood));
+  EXPECT_EQ(bits(one.logdet), bits(two.logdet));
+  EXPECT_EQ(bits(one.quadratic), bits(two.quadratic));
+}
+
+TEST(ParallelTiles, BandRegenerationBitwiseIndependentOfThreads) {
+  const int n = 480;
+  const int b = 48;
+  const auto prob =
+      stars::make_problem(stars::ProblemKind::kSt3DMatern, n, 19, 1e-1);
+  const auto base = tlr::TlrMatrix::from_problem(prob, b, {1e-6, 1 << 30});
+  const stars::CovarianceProblem* regens[] = {&prob, nullptr};
+  for (const stars::CovarianceProblem* regen : regens) {
+    auto one = base, four = base;
+    one.densify_band(4, regen, 1);
+    four.densify_band(4, regen, 4);
+    EXPECT_EQ(four.band_size(), 4);
+    for (int i = 0; i < base.nt(); ++i)
+      for (int j = 0; j <= i; ++j) {
+        EXPECT_EQ(four.at(i, j).is_dense(), i - j < 4);
+        EXPECT_EQ(tlr::tile_to_bytes(one.at(i, j)),
+                  tlr::tile_to_bytes(four.at(i, j)))
+            << "tile (" << i << ", " << j << ")"
+            << (regen != nullptr ? " regenerated" : " expanded");
+      }
+  }
+}
+
+TEST(ParallelTiles, WorkerErrorReachesTheCaller) {
+  // An infinite variance makes every off-diagonal tile non-finite, which
+  // compress() rejects; the error must surface on the calling thread, not
+  // end the program from a worker.
+  const auto prob = stars::make_st3d_matern(
+      256, std::numeric_limits<double>::infinity(), 0.5, 0.5, 7, 1e-1);
+  EXPECT_THROW(
+      tlr::TlrMatrix::from_problem_parallel(prob, 32, {1e-4, 1 << 30}, 4),
+      Error);
 }
