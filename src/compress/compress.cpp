@@ -31,6 +31,13 @@ int truncation_rank(const std::vector<double>& s, double tol) {
   return k;
 }
 
+namespace {
+
+// Rank-k factor of A ≈ Q·Xᵀ, the last step of the SVD polish. Q (m×r) has
+// orthonormal columns, X (n×r) is tall and `z` holds its left singular
+// vectors, descending (dense::jacobi_svd(X).u). With X = Z·S·Wᵀ the best
+// rank-k approximation Q·W_k·S_k·Z_kᵀ needs no W: U = Q·(Xᵀ·Z(:, :k))
+// carries the singular values and V = Z(:, :k) has orthonormal columns.
 LowRankFactor truncated_factor(dense::ConstMatrixView q,
                                dense::ConstMatrixView x,
                                const dense::Matrix& z, int k) {
@@ -45,6 +52,8 @@ LowRankFactor truncated_factor(dense::ConstMatrixView q,
   }
   return LowRankFactor{std::move(u), std::move(v)};
 }
+
+}  // namespace
 
 std::optional<LowRankFactor> compress(dense::ConstMatrixView a,
                                       const Accuracy& acc) {

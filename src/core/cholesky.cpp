@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/timer.hpp"
-#include "compress/methods.hpp"
 #include "obs/trace.hpp"
 
 namespace ptlr::core {
@@ -41,7 +40,6 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
   // Step 3: build and execute the dataflow graph.
   GraphOptions opt;
   opt.acc = cfg.acc;
-  opt.acc.policy = cfg.compress;
   rt::TaskGraph g = build_cholesky_graph(a, opt, &result.stats);
   result.model_flops = result.stats.model_flops;
 
@@ -53,8 +51,6 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
     obs::set_metadata("band_size", std::to_string(result.band_size));
     obs::set_metadata("nthreads", std::to_string(cfg.nthreads));
     obs::set_metadata("tolerance", std::to_string(cfg.acc.tol));
-    obs::set_metadata("compress_method",
-                      compress::to_string(cfg.compress.method));
     obs::set_metadata("tasks", std::to_string(result.stats.tasks));
   }
 

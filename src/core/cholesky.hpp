@@ -24,10 +24,6 @@ namespace ptlr::core {
 /// Configuration of a shared-memory factorization.
 struct CholeskyConfig {
   compress::Accuracy acc{1e-8, 1 << 30};  ///< recompression accuracy
-  /// Hot-path compression engine (PTLR_COMPRESS; see docs/compression.md).
-  /// Copied into acc.policy by factorize(); the graph builder then derives
-  /// a schedule-invariant per-tile seed for the randomized engines.
-  compress::CompressPolicy compress = compress::CompressPolicy::from_env();
   /// Dense band width; 0 runs the Algorithm 1 auto-tuner.
   int band_size = 0;
   double fluctuation_lo = 0.67;   ///< auto-tuner box bound (Section V-B)

@@ -306,19 +306,7 @@ class Builder {
                     : static_cast<std::size_t>(rows_of(i)) * rows_of(j) * 8;
     if (mat_ != nullptr) {
       auto* m = mat_;
-      auto acc = opt_.acc;
-      if (round) {
-        // Schedule-invariant seed for the randomized compression engines:
-        // a pure hash of (base seed, target tile, step), fixed at graph
-        // construction, so the sketch the tile's one compression draws
-        // does not depend on which worker runs it.
-        acc.policy.seed = compress::site_seed(
-            acc.policy.seed,
-            static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(nt_) +
-                static_cast<std::uint64_t>(j),
-            static_cast<std::uint64_t>(k));
-      }
-      t.fn = [m, k, i, j, acc, round] {
+      t.fn = [m, k, i, j, acc = opt_.acc, round] {
         hcore::gemm(m->at(i, k), m->at(j, k), m->at(i, j), acc, round);
       };
       attach_output(t, i, j);

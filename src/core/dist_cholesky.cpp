@@ -326,22 +326,14 @@ class RankProgram {
   /// The low-rank tile (m, n) takes all of its updates at once at step
   /// n-1, from the final panel pairs (m, k), (n, k) in ascending k: the
   /// kernel sequence the shared-memory graph runs one step at a time
-  /// (dense accumulation, then one compression with the graph's per-site
-  /// seed at k = n-1), so the factors agree bit for bit.
+  /// (dense accumulation, then one compression at k = n-1), so the factors
+  /// agree bit for bit.
   void flush(int m, int n) {
     const int k_last = n - 1;
-    compress::Accuracy round_acc = acc_;
-    round_acc.policy.seed = compress::site_seed(
-        round_acc.policy.seed,
-        static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(nt_) +
-            static_cast<std::uint64_t>(n),
-        static_cast<std::uint64_t>(k_last));
     traced("flush", k_last, m, n, [&] {
-      for (int k = 0; k < n; ++k) {
-        const bool round = k == k_last;
-        hcore::gemm(panel(m, k), panel(n, k), local(m, n),
-                    round ? round_acc : acc_, round);
-      }
+      for (int k = 0; k < n; ++k)
+        hcore::gemm(panel(m, k), panel(n, k), local(m, n), acc_,
+                    k == k_last);
     });
   }
 

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "compress/adaptive.hpp"
 #include "dense/blas.hpp"
 #include "dense/lapack.hpp"
 #include "hcore/scratch.hpp"
@@ -181,14 +180,8 @@ flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
   const Kernel kernel = amk.is_dense() || ank.is_dense() ? Kernel::kGemm5
                                                          : Kernel::kGemm6;
   const int full = std::min(amn.rows(), amn.cols());
-  const ScratchArena::Frame frame(ar);
-  compress::AdaptiveStats astats;
-  std::optional<compress::LowRankFactor> f = compress::compress_with_policy(
-      amn.dense_data().view(), acc, &astats,
-      [&ar](std::size_t len) { return ar.alloc(len); });
-  if (astats.attempted)
-    obs::record_adaptive(astats.sketch_cols, astats.fell_back,
-                         astats.est_residual);
+  std::optional<compress::LowRankFactor> f =
+      compress::compress(amn.dense_data().view(), acc);
   if (!f) {
     // Numerical rank past maxrank: keep the exact sum as a dense tile — no
     // accuracy loss, and every later kernel dispatches on the format.

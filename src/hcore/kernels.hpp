@@ -49,8 +49,8 @@ flops::Kernel syrk(const Tile& amk, Tile& amm);
 /// flavors. A dense A[m][n] that `round` does not mark is a plain dense-
 /// output (1)/(2)/(3)-GEMM. A low-rank A[m][n] is first expanded into a
 /// dense accumulator. With `round` set — the tile's last update — the
-/// accumulated tile is then compressed once at `acc` with the engine
-/// acc.policy selects ((5)-GEMM if an operand is dense, else (6)-GEMM; the
+/// accumulated tile is then compressed once at `acc` by compress::compress
+/// ((5)-GEMM if an operand is dense, else (6)-GEMM; the
 /// span reports rank_in = min(m, n), the dense block's rank bound, and the
 /// rank it rounded to). A rank past acc.maxrank, or past
 /// acc.densify_ratio · min(m, n), keeps the exact sum dense; so does a

@@ -77,10 +77,6 @@ struct State {
   std::atomic<long long> compress_count{0};
   std::atomic<long long> compress_rank_in{0};
   std::atomic<long long> compress_rank_out{0};
-  std::atomic<long long> adaptive_count{0};
-  std::atomic<long long> adaptive_fallbacks{0};
-  std::atomic<long long> adaptive_sketch_cols{0};
-  std::atomic<double> adaptive_est_residual{0.0};
   std::atomic<long long> resilience[kNumResilienceEvents] = {};
 };
 
@@ -166,15 +162,6 @@ void Counters::record_compression(int rank_in, int rank_out) noexcept {
   s.compress_rank_out.fetch_add(rank_out, std::memory_order_relaxed);
 }
 
-void Counters::record_adaptive(int sketch_cols, bool fallback,
-                               double est_residual) noexcept {
-  State& s = state();
-  s.adaptive_count.fetch_add(1, std::memory_order_relaxed);
-  if (fallback) s.adaptive_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  s.adaptive_sketch_cols.fetch_add(sketch_cols, std::memory_order_relaxed);
-  atomic_add(s.adaptive_est_residual, est_residual);
-}
-
 void Counters::record_resilience(ResilienceEvent ev) noexcept {
   const int i = static_cast<int>(ev);
   if (i < 0 || i >= kNumResilienceEvents) return;
@@ -213,11 +200,7 @@ CompressionCounters Counters::compressions() {
   const State& s = state();
   return {s.compress_count.load(std::memory_order_relaxed),
           s.compress_rank_in.load(std::memory_order_relaxed),
-          s.compress_rank_out.load(std::memory_order_relaxed),
-          s.adaptive_count.load(std::memory_order_relaxed),
-          s.adaptive_fallbacks.load(std::memory_order_relaxed),
-          s.adaptive_sketch_cols.load(std::memory_order_relaxed),
-          s.adaptive_est_residual.load(std::memory_order_relaxed)};
+          s.compress_rank_out.load(std::memory_order_relaxed)};
 }
 
 ResilienceCounters Counters::resilience() {
@@ -248,10 +231,6 @@ void Counters::reset() noexcept {
   s.compress_count.store(0, std::memory_order_relaxed);
   s.compress_rank_in.store(0, std::memory_order_relaxed);
   s.compress_rank_out.store(0, std::memory_order_relaxed);
-  s.adaptive_count.store(0, std::memory_order_relaxed);
-  s.adaptive_fallbacks.store(0, std::memory_order_relaxed);
-  s.adaptive_sketch_cols.store(0, std::memory_order_relaxed);
-  s.adaptive_est_residual.store(0.0, std::memory_order_relaxed);
   for (auto& c : s.resilience) c.store(0, std::memory_order_relaxed);
 }
 
@@ -336,13 +315,6 @@ std::string counters_ascii() {
        << " -> "
        << static_cast<double>(cp.rank_out_sum) / static_cast<double>(cp.count)
        << ")\n";
-  if (cp.adaptive > 0)
-    os << "adaptive: " << cp.adaptive << " attempts, " << cp.fallbacks
-       << " fallbacks, mean sketch "
-       << static_cast<double>(cp.sketch_cols_sum) /
-              static_cast<double>(cp.adaptive)
-       << " cols, mean est "
-       << cp.est_residual_sum / static_cast<double>(cp.adaptive) << "\n";
   if (rs.total() > 0) {
     os << "resilience:";
     for (int i = 0; i < kNumResilienceEvents; ++i) {
@@ -389,10 +361,6 @@ std::string counters_json() {
   os << ", \"compressions\": {\"count\": " << cp.count
      << ", \"rank_in_sum\": " << cp.rank_in_sum
      << ", \"rank_out_sum\": " << cp.rank_out_sum
-     << ", \"adaptive\": " << cp.adaptive
-     << ", \"fallbacks\": " << cp.fallbacks
-     << ", \"sketch_cols_sum\": " << cp.sketch_cols_sum
-     << ", \"est_residual_sum\": " << cp.est_residual_sum
      << "}, \"resilience\": {";
   for (int i = 0; i < kNumResilienceEvents; ++i) {
     if (i > 0) os << ", ";

@@ -62,19 +62,16 @@ struct NetCounters {
   long long retransmits = 0;
 };
 
-/// Recompression channel totals. The adaptive_* slots track the adaptive
-/// randomized engine (compress/adaptive.hpp): how often it ran, how often
-/// its estimator failed and the deterministic fallback decided, how many
-/// Gaussian sketch columns it drew, and the sum of its final stochastic
-/// residual estimates (mean = est_residual_sum / adaptive).
+/// Recompression channel totals.
 struct CompressionCounters {
   long long count = 0;           ///< recompressions performed
   long long rank_in_sum = 0;     ///< concatenated ranks entering
   long long rank_out_sum = 0;    ///< rounded ranks leaving
-  long long adaptive = 0;        ///< adaptive engine attempts
-  long long fallbacks = 0;       ///< attempts that fell back to CPQR+SVD
-  long long sketch_cols_sum = 0; ///< Gaussian columns drawn in total
-  double est_residual_sum = 0.0; ///< sum of final residual estimates
+  /// Always zero; nothing writes them. Kept only because bench/ptlr_bench
+  /// reads them, and they go at the next change to the benchmark.
+  long long adaptive = 0;
+  long long fallbacks = 0;
+  long long sketch_cols_sum = 0;
 };
 
 /// Vocabulary of recovery events the resilience layer (src/resilience)
@@ -131,9 +128,6 @@ class Counters {
   /// sides; `retransmit` marks an RTO resend (counted on the send side).
   static void record_net(long long bytes, bool sent, bool retransmit) noexcept;
   static void record_compression(int rank_in, int rank_out) noexcept;
-  /// Charge one adaptive-engine attempt (see CompressionCounters).
-  static void record_adaptive(int sketch_cols, bool fallback,
-                              double est_residual) noexcept;
   static void record_resilience(ResilienceEvent ev) noexcept;
 
   /// Rows of every class with at least one recorded task, ordered by kind

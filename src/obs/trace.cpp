@@ -253,11 +253,6 @@ void record_compression(int rank_in, int rank_out) {
   Counters::record_compression(rank_in, rank_out);
 }
 
-void record_adaptive(int sketch_cols, bool fallback, double est_residual) {
-  if (!enabled()) return;
-  Counters::record_adaptive(sketch_cols, fallback, est_residual);
-}
-
 void record_resilience(ResilienceEvent ev, const std::string& detail) {
   if (!enabled()) return;
   Span s;

@@ -143,11 +143,6 @@ void record_net(NetEvent ev, int from, int to, long long bytes);
 /// `rank_out` after rounding. Counter-only. No-op when disabled.
 void record_compression(int rank_in, int rank_out);
 
-/// Record one adaptive-engine recompression attempt: sketch columns drawn,
-/// whether the deterministic fallback decided, and the final stochastic
-/// residual estimate. Counter-only. No-op when disabled.
-void record_adaptive(int sketch_cols, bool fallback, double est_residual);
-
 /// Record one recovery event (counters.hpp vocabulary): an instant span in
 /// the resilience lane (pid 2, one tid per recording thread so lane
 /// timestamps stay monotone) plus the resilience counter channel. `detail`

@@ -449,7 +449,14 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
         std::lock_guard<std::mutex> lock(err_mu);
         if (!first_error) first_error = err;
       }
-      cancelled.store(true, std::memory_order_release);
+      {
+        // Under `mu`, like every other change to what the workers' wait
+        // predicate reads: a worker that has just found the predicate
+        // false is then either still holding `mu` (and sees the flag) or
+        // already waiting (and gets the notify), never in between.
+        std::lock_guard<std::mutex> lock(mu);
+        cancelled.store(true, std::memory_order_release);
+      }
       cv.notify_all();
     };
 

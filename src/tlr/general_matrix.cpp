@@ -36,33 +36,15 @@ const Tile& TlrGeneralMatrix::at(int i, int j) const {
 
 TlrGeneralMatrix TlrGeneralMatrix::from_cross_covariance(
     const stars::CrossCovariance& op, int tile_size,
-    const compress::Accuracy& acc, compress::Method method) {
+    const compress::Accuracy& acc) {
   TlrGeneralMatrix out(op.rows(), op.cols(), tile_size);
-  Rng rng(11);
   for (int i = 0; i < out.mt_; ++i)
     for (int j = 0; j < out.nt_; ++j) {
-      const int r0 = out.row_offset(i), c0 = out.col_offset(j);
-      const int rows = out.tile_rows(i), cols = out.tile_cols(j);
-      std::optional<compress::LowRankFactor> f;
-      if (method == compress::Method::kAca) {
-        f = compress::compress_aca_oracle(
-            rows, cols,
-            [&op, r0, c0](int r, int c) { return op.entry(r0 + r, c0 + c); },
-            acc);
-        if (f) {
-          out.at(i, j) = Tile::make_lowrank(std::move(*f));
-          continue;
-        }
-        out.at(i, j) = Tile::make_dense(op.block(r0, c0, rows, cols));
-        continue;
-      }
-      dense::Matrix blk = op.block(r0, c0, rows, cols);
-      f = compress::compress_with(method, blk.view(), acc, rng);
-      if (f) {
-        out.at(i, j) = Tile::make_lowrank(std::move(*f));
-      } else {
-        out.at(i, j) = Tile::make_dense(std::move(blk));
-      }
+      dense::Matrix blk = op.block(out.row_offset(i), out.col_offset(j),
+                                   out.tile_rows(i), out.tile_cols(j));
+      auto f = compress::compress(blk.view(), acc);
+      out.at(i, j) = f ? Tile::make_lowrank(std::move(*f))
+                       : Tile::make_dense(std::move(blk));
     }
   return out;
 }

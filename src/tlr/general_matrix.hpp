@@ -7,7 +7,7 @@
 // tiles may independently be dense or U·Vᵀ.
 #pragma once
 
-#include "compress/methods.hpp"
+#include "compress/compress.hpp"
 #include "stars/problem.hpp"
 #include "tlr/tile.hpp"
 
@@ -22,8 +22,7 @@ class TlrGeneralMatrix {
   /// exceed acc.maxrank stay dense.
   static TlrGeneralMatrix from_cross_covariance(
       const stars::CrossCovariance& op, int tile_size,
-      const compress::Accuracy& acc,
-      compress::Method method = compress::Method::kCpqrSvd);
+      const compress::Accuracy& acc);
 
   [[nodiscard]] int m() const { return m_; }
   [[nodiscard]] int n() const { return n_; }

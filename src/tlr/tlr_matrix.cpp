@@ -69,30 +69,16 @@ void parallel_for(int count, int nthreads, const Fn& fn) {
 }
 
 // Generate-and-compress one tile; shared by the sequential and parallel
-// builders. Per-tile RNG seeding keeps results independent of the build
-// order/thread count.
+// builders. A tile is a pure function of (i, j), so the result does not
+// depend on the build order or the thread count.
 Tile build_tile(const stars::CovarianceProblem& prob, const TlrMatrix& m,
-                int i, int j, const compress::Accuracy& acc, int band_size,
-                compress::Method method, std::uint64_t method_seed) {
+                int i, int j, const compress::Accuracy& acc, int band_size) {
   const int r0 = m.row_offset(i), c0 = m.row_offset(j);
   const int rows = m.tile_rows(i), cols = m.tile_rows(j);
-  if (TlrMatrix::on_band(i, j, band_size)) {
-    return Tile::make_dense(prob.block(r0, c0, rows, cols));
-  }
-  if (method == compress::Method::kAca) {
-    // Entry-oracle path: the dense tile is never materialized unless the
-    // compression fails and the tile must stay dense.
-    auto f = compress::compress_aca_oracle(
-        rows, cols,
-        [&prob, r0, c0](int r, int c) { return prob.entry(r0 + r, c0 + c); },
-        acc);
-    if (f) return Tile::make_lowrank(std::move(*f));
-    return Tile::make_dense(prob.block(r0, c0, rows, cols));
-  }
-  Rng rng(method_seed ^
-          (static_cast<std::uint64_t>(i) * m.nt() + j) * 0x9E3779B9ull);
   dense::Matrix blk = prob.block(r0, c0, rows, cols);
-  auto f = compress::compress_with(method, blk.view(), acc, rng);
+  if (TlrMatrix::on_band(i, j, band_size))
+    return Tile::make_dense(std::move(blk));
+  auto f = compress::compress(blk.view(), acc);
   if (f) return Tile::make_lowrank(std::move(*f));
   // Rank above the admissible cap: stay dense (densify-by-need).
   return Tile::make_dense(std::move(blk));
@@ -103,15 +89,13 @@ Tile build_tile(const stars::CovarianceProblem& prob, const TlrMatrix& m,
 TlrMatrix TlrMatrix::from_problem(const stars::CovarianceProblem& prob,
                                   int tile_size,
                                   const compress::Accuracy& acc,
-                                  int band_size, compress::Method method,
-                                  std::uint64_t method_seed) {
+                                  int band_size) {
   TlrMatrix m(prob.n(), tile_size);
   m.acc_ = acc;
   m.band_size_ = band_size;
   for (int i = 0; i < m.nt_; ++i) {
     for (int j = 0; j <= i; ++j) {
-      m.at(i, j) =
-          build_tile(prob, m, i, j, acc, band_size, method, method_seed);
+      m.at(i, j) = build_tile(prob, m, i, j, acc, band_size);
     }
   }
   return m;
@@ -119,8 +103,7 @@ TlrMatrix TlrMatrix::from_problem(const stars::CovarianceProblem& prob,
 
 TlrMatrix TlrMatrix::from_problem_parallel(
     const stars::CovarianceProblem& prob, int tile_size,
-    const compress::Accuracy& acc, int nthreads, int band_size,
-    compress::Method method, std::uint64_t method_seed) {
+    const compress::Accuracy& acc, int nthreads, int band_size) {
   TlrMatrix m(prob.n(), tile_size);
   m.acc_ = acc;
   m.band_size_ = band_size;
@@ -129,8 +112,7 @@ TlrMatrix TlrMatrix::from_problem_parallel(
     int i = static_cast<int>((std::sqrt(8.0 * t + 1.0) - 1.0) / 2.0);
     while ((i + 1) * (i + 2) / 2 <= t) ++i;
     const int j = t - i * (i + 1) / 2;
-    m.at(i, j) =
-        build_tile(prob, m, i, j, acc, band_size, method, method_seed);
+    m.at(i, j) = build_tile(prob, m, i, j, acc, band_size);
   });
   return m;
 }

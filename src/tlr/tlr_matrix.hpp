@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "compress/compress.hpp"
-#include "compress/methods.hpp"
 #include "stars/problem.hpp"
 #include "tlr/tile.hpp"
 
@@ -33,13 +32,9 @@ class TlrMatrix {
   /// Compress a covariance operator: diagonal tiles (and the first
   /// `band_size` sub-diagonals) stay dense, the rest compress at `acc`;
   /// tiles whose rank would exceed acc.maxrank also stay dense.
-  /// `method` selects the compression backend; ACA compresses straight
-  /// from the kernel entry oracle without materializing off-band tiles.
-  static TlrMatrix from_problem(
-      const stars::CovarianceProblem& prob, int tile_size,
-      const compress::Accuracy& acc, int band_size = 1,
-      compress::Method method = compress::Method::kCpqrSvd,
-      std::uint64_t method_seed = 7);
+  static TlrMatrix from_problem(const stars::CovarianceProblem& prob,
+                                int tile_size, const compress::Accuracy& acc,
+                                int band_size = 1);
 
   /// Parallel variant: generation + compression of the tiles as one task
   /// per tile on `nthreads` workers (how PaRSEC parallelizes the paper's
@@ -47,9 +42,7 @@ class TlrMatrix {
   /// equal to the sequential from_problem for the same inputs.
   static TlrMatrix from_problem_parallel(
       const stars::CovarianceProblem& prob, int tile_size,
-      const compress::Accuracy& acc, int nthreads, int band_size = 1,
-      compress::Method method = compress::Method::kCpqrSvd,
-      std::uint64_t method_seed = 7);
+      const compress::Accuracy& acc, int nthreads, int band_size = 1);
 
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] int tile_size() const { return b_; }

@@ -1,11 +1,14 @@
 // Unit tests for ptlr::common — Morton codes, flop models, table output,
-// wall-clock timing.
+// wall-clock timing — and the CLI tools' flag parser built on it.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "args.hpp"
 #include "common/error.hpp"
 #include "common/flops.hpp"
 #include "common/morton.hpp"
@@ -210,4 +213,44 @@ TEST(Error, CheckMacroThrowsWithMessage) {
 TEST(Error, NumericalErrorCarriesInfo) {
   ptlr::NumericalError e("potrf failed", 3);
   EXPECT_EQ(e.info(), 3);
+}
+
+// ---------------------------------------------- tool flag parsing ----
+
+namespace {
+
+// Parses argv as a tool that reads --n and --tol.
+ptlr::tools::Args parse(std::vector<std::string> argv) {
+  argv.insert(argv.begin(), "tool");
+  std::vector<char*> ptrs;
+  for (auto& a : argv) ptrs.push_back(a.data());
+  return {static_cast<int>(ptrs.size()), ptrs.data(), {"n", "tol"}};
+}
+
+}  // namespace
+
+TEST(ToolArgs, UnknownFlagThrowsNamingIt) {
+  try {
+    parse({"--n", "4", "--methd", "rsvd"});
+    FAIL() << "a misspelt flag was accepted";
+  } catch (const ptlr::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--methd"), std::string::npos);
+  }
+}
+
+TEST(ToolArgs, MalformedNumberThrowsNamingIt) {
+  const auto ok = parse({"--n", "1024", "--tol", "1e-6"});
+  EXPECT_EQ(ok.integer("n", 0), 1024);
+  EXPECT_DOUBLE_EQ(ok.real("tol", 0.0), 1e-6);
+  EXPECT_THROW((void)parse({"--n", "4k"}).integer("n", 0), ptlr::Error);
+  EXPECT_THROW((void)parse({"--n", ""}).integer("n", 0), ptlr::Error);
+  EXPECT_THROW((void)parse({"--n", "99999999999"}).integer("n", 0),
+               ptlr::Error);
+  EXPECT_THROW((void)parse({"--tol", "1e-6x"}).real("tol", 0.0),
+               ptlr::Error);
+  try {
+    (void)parse({"--n", "4k"}).integer("n", 0);
+  } catch (const ptlr::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("4k"), std::string::npos);
+  }
 }

@@ -232,141 +232,11 @@ TEST_P(CompressSweep, ErrorAlwaysWithinTolerance) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CompressSweep,
                          ::testing::Range(1, 13));
 
-// ------------------------------------------- alternative backends ----
-
-#include "compress/methods.hpp"
-
-TEST(Rsvd, RecoversExactLowRank) {
-  Rng rng(21);
-  Matrix a = random_lowrank(80, 60, 9, 1.0, rng);
-  Rng mrng(1);
-  auto f = compress_rsvd(a.view(), {1e-9, 1 << 30}, mrng);
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->rank(), 9);
-  EXPECT_LT(approximation_error(a.view(), *f), 1e-8);
-}
-
-TEST(Rsvd, MeetsToleranceOnDecayingSpectrum) {
-  Rng rng(22);
-  Matrix a = random_lowrank(64, 64, 32, 1e-10, rng);
-  for (double tol : {1e-3, 1e-6}) {
-    Rng mrng(2);
-    auto f = compress_rsvd(a.view(), {tol, 1 << 30}, mrng);
-    ASSERT_TRUE(f);
-    // RSVD error can exceed the truncation target by the sketch slack.
-    EXPECT_LE(approximation_error(a.view(), *f), tol * 5) << tol;
-  }
-}
-
-// The sketch's own range residual r = ‖A − Q·QᵀA‖_F is measured exactly
-// and the SVD truncation gets only √(tol² − r²), so plain RSVD meets tol on
-// real covariance tiles: the first sub-diagonal st-3D-exp tile at each b,
-// at the paper's tolerances.
-TEST(Rsvd, MeetsToleranceOnSt3dExpTiles) {
-  const auto prob = ptlr::stars::make_problem(
-      ptlr::stars::ProblemKind::kSt3DExp, 2048, 42, 1e-2);
-  for (const int b : {128, 256, 512}) {
-    const Matrix tile = prob.block(b, 0, b, b);
-    for (const double tol : {1e-4, 1e-6, 1e-8}) {
-      Rng rng(9);
-      const auto f = compress_rsvd(tile.view(), {tol, 1 << 30}, rng);
-      ASSERT_TRUE(f) << "b=" << b << " tol=" << tol;
-      EXPECT_LE(approximation_error(tile.view(), *f), tol)
-          << "b=" << b << " tol=" << tol << " rank " << f->rank();
-    }
-  }
-}
-
-TEST(Rsvd, FailsOnIncompressibleBlock) {
-  Rng rng(23);
-  Matrix a(40, 40);
-  fill_uniform(a.view(), rng);
-  Rng mrng(3);
-  auto f = compress_rsvd(a.view(), {1e-12, 8}, mrng);
-  EXPECT_FALSE(f.has_value());
-}
-
-TEST(Rsvd, PowerIterationsImproveAccuracyAtFixedRank) {
-  Rng rng(24);
-  // Slowly decaying spectrum: the hard case for sketching.
-  Matrix a = random_lowrank(96, 96, 48, 1e-3, rng);
-  Rng r1(7), r2(7);
-  auto f0 = compress_rsvd(a.view(), {1e-2, 12}, r1, 2, 0);
-  auto f2 = compress_rsvd(a.view(), {1e-2, 12}, r2, 2, 2);
-  if (f0 && f2) {
-    EXPECT_LE(approximation_error(a.view(), *f2),
-              approximation_error(a.view(), *f0) * 1.5);
-  }
-}
-
-TEST(Aca, RecoversExactLowRank) {
-  Rng rng(25);
-  Matrix a = random_lowrank(70, 50, 7, 1.0, rng);
-  auto f = compress_aca(a.view(), {1e-9, 1 << 30});
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->rank(), 7);
-  EXPECT_LT(approximation_error(a.view(), *f), 1e-7);
-}
-
-TEST(Aca, OracleNeverMaterializesTheBlock) {
-  // Compress a kernel block straight from the entry oracle.
-  auto prob = ptlr::stars::make_st3d_matern(512, 1.0, 0.5, 0.5, 31);
-  const int r0 = 384, c0 = 0, m = 128, n = 128;
-  long long evals = 0;
-  auto f = compress_aca_oracle(
-      m, n,
-      [&](int i, int j) {
-        ++evals;
-        return prob.entry(r0 + i, c0 + j);
-      },
-      {1e-4, 64});
-  ASSERT_TRUE(f);
-  auto exact = prob.block(r0, c0, m, n);
-  EXPECT_LE(approximation_error(exact.view(), *f), 1e-3);
-  // Far fewer evaluations than the m*n of full materialization + SVD.
-  EXPECT_LT(evals, static_cast<long long>(m) * n);
-}
-
-TEST(Aca, ZeroBlockGivesRankZero) {
-  Matrix a(20, 30);
-  auto f = compress_aca(a.view(), {1e-12, 1 << 30});
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->rank(), 0);
-}
-
-TEST(Aca, RespectsRankCap) {
-  Rng rng(26);
-  Matrix a(40, 40);
-  fill_uniform(a.view(), rng);
-  auto f = compress_aca(a.view(), {1e-12, 6});
-  EXPECT_FALSE(f.has_value());
-}
-
-class MethodSweep
-    : public ::testing::TestWithParam<ptlr::compress::Method> {};
-
-TEST_P(MethodSweep, AllBackendsMeetLooseToleranceOnCovarianceTile) {
+TEST(Compress, MeetsLooseToleranceOnCovarianceTileUnderRankCap) {
   auto prob = ptlr::stars::make_st3d_matern(512, 1.0, 0.5, 0.5, 37);
   auto tile = prob.block(384, 0, 128, 128);
-  Rng mrng(11);
-  auto f = compress_with(GetParam(), tile.view(), {1e-3, 96}, mrng);
-  ASSERT_TRUE(f) << to_string(GetParam());
-  EXPECT_LE(approximation_error(tile.view(), *f), 1e-2)
-      << to_string(GetParam());
+  auto f = compress(tile.view(), {1e-3, 96});
+  ASSERT_TRUE(f);
+  EXPECT_LE(approximation_error(tile.view(), *f), 1e-3);
   EXPECT_LT(f->rank(), 96);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, MethodSweep,
-    ::testing::Values(ptlr::compress::Method::kCpqrSvd,
-                      ptlr::compress::Method::kRsvd,
-                      ptlr::compress::Method::kAca,
-                      ptlr::compress::Method::kAdaptiveRsvd));
-
-TEST(Methods, NamesAreStable) {
-  EXPECT_STREQ(to_string(ptlr::compress::Method::kCpqrSvd), "CPQR+SVD");
-  EXPECT_STREQ(to_string(ptlr::compress::Method::kRsvd), "RSVD");
-  EXPECT_STREQ(to_string(ptlr::compress::Method::kAca), "ACA");
-  EXPECT_STREQ(to_string(ptlr::compress::Method::kAdaptiveRsvd),
-               "ADAPTIVE-RSVD");
 }

@@ -136,7 +136,6 @@ namespace {
 
 struct PipelineCase {
   stars::ProblemKind kind;
-  compress::Method method;
   int band;     // 0 = auto
   int threads;
 };
@@ -165,7 +164,7 @@ TEST_P(PipelineSweep, FactorizationMeetsBackwardErrorEverywhere) {
   const double tol = 1e-5;
   auto prob = stars::make_problem(p.kind, n, 17, 1e-1);
   auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
-                                                 p.threads, 1, p.method);
+                                                 p.threads, 1);
   core::CholeskyConfig cfg;
   cfg.acc = {tol, 1 << 30};
   cfg.band_size = p.band;
@@ -184,24 +183,15 @@ TEST_P(PipelineSweep, FactorizationMeetsBackwardErrorEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KindsMethodsBands, PipelineSweep,
-    ::testing::Values(
-        PipelineCase{stars::ProblemKind::kSt3DExp,
-                     compress::Method::kCpqrSvd, 0, 2},
-        PipelineCase{stars::ProblemKind::kSt3DExp, compress::Method::kRsvd,
-                     2, 2},
-        PipelineCase{stars::ProblemKind::kSt3DExp, compress::Method::kAca,
-                     0, 4},
-        PipelineCase{stars::ProblemKind::kSt2DExp,
-                     compress::Method::kCpqrSvd, 0, 2},
-        PipelineCase{stars::ProblemKind::kSt2DExp, compress::Method::kAca,
-                     1, 2},
-        PipelineCase{stars::ProblemKind::kSt3DSqExp,
-                     compress::Method::kCpqrSvd, 2, 2},
-        PipelineCase{stars::ProblemKind::kSt3DMatern,
-                     compress::Method::kRsvd, 0, 2},
-        PipelineCase{stars::ProblemKind::kSt3DMatern,
-                     compress::Method::kCpqrSvd, 3, 1}));
+    KindsBandsThreads, PipelineSweep,
+    ::testing::Values(PipelineCase{stars::ProblemKind::kSt3DExp, 0, 2},
+                      PipelineCase{stars::ProblemKind::kSt3DExp, 2, 2},
+                      PipelineCase{stars::ProblemKind::kSt3DExp, 0, 4},
+                      PipelineCase{stars::ProblemKind::kSt2DExp, 0, 2},
+                      PipelineCase{stars::ProblemKind::kSt2DExp, 1, 2},
+                      PipelineCase{stars::ProblemKind::kSt3DSqExp, 2, 2},
+                      PipelineCase{stars::ProblemKind::kSt3DMatern, 0, 2},
+                      PipelineCase{stars::ProblemKind::kSt3DMatern, 3, 1}));
 
 // --------------------- schedule independence of the factorization ----
 
@@ -210,14 +200,14 @@ namespace {
 // One full BAND-DENSE-TLR factorization of the same Matérn problem,
 // returning the assembled lower factor. The band is fixed (the auto-tuner
 // measures wall-clock and is deliberately schedule-dependent) and the
-// compression method is deterministic, so the only degree of freedom left
+// compression is deterministic, so the only degree of freedom left
 // is the executor's schedule.
 dense::Matrix factor_matern_once(const stars::CovarianceProblem& prob,
                                  int threads, rt::PerturbConfig perturb) {
   const int b = 48;
   const double tol = 1e-6;
-  auto a = tlr::TlrMatrix::from_problem_parallel(
-      prob, b, {tol, 1 << 30}, threads, 1, compress::Method::kCpqrSvd);
+  auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
+                                                 threads, 1);
   core::CholeskyConfig cfg;
   cfg.acc = {tol, 1 << 30};
   cfg.band_size = 2;

@@ -694,6 +694,8 @@ TEST(CholeskyRecovery, NestedBandKernelsRecoverBitwise) {
   auto cfg = quiet_cholesky(/*band=*/2);
   cfg.nthreads = 4;
   cfg.sched = rt::SchedulerKind::kWorkStealing;
+  // Chaos mode always runs the central queue, which spawns no children.
+  cfg.perturb = rt::PerturbConfig{};
   tlr::TlrMatrix baseline = orig;
   const auto base_result = core::factorize(baseline, &prob, cfg);
   EXPECT_GT(base_result.exec.sched.nested_spawned, 0);

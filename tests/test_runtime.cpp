@@ -178,7 +178,10 @@ TEST(Executor, PriorityOrdersReadyTasksOnOneWorker) {
     t.fn = [&log, i] { log.push_back(i); };
     g.add_task(std::move(t), {}, {});
   }
-  execute(g, 1);
+  // Chaos mode inverts priorities on purpose; this checks the plain order.
+  ExecOptions opts;
+  opts.perturb = PerturbConfig{};
+  execute(g, 1, opts);
   ASSERT_EQ(log.size(), 5u);
   EXPECT_EQ(log[0], 4);  // highest priority first
   EXPECT_EQ(log[4], 0);

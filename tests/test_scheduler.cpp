@@ -674,8 +674,8 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
   const auto prob =
       stars::make_problem(stars::ProblemKind::kSt3DMatern, n, 17, 1e-1);
   auto factor_once = [&](int threads, rt::SchedulerKind sched) {
-    auto a = tlr::TlrMatrix::from_problem_parallel(
-        prob, b, {tol, 1 << 30}, threads, 1, compress::Method::kCpqrSvd);
+    auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
+                                                   threads, 1);
     core::CholeskyConfig cfg;
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;
@@ -715,8 +715,8 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
       stars::make_problem(stars::ProblemKind::kSt3DMatern, n, 17, 1e-1);
   auto factor_once = [&](int threads, rt::SchedulerKind sched,
                          std::uint64_t chaos_seed) {
-    auto a = tlr::TlrMatrix::from_problem_parallel(
-        prob, b, {tol, 1 << 30}, threads, 1, compress::Method::kCpqrSvd);
+    auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
+                                                   threads, 1);
     core::CholeskyConfig cfg;
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;

@@ -246,42 +246,6 @@ TEST(TlrMatrix, UnevenTailTilesCompressToo) {
   EXPECT_EQ(full.rows(), 150);
 }
 
-// ------------------------------------------ compression backends ----
-
-TEST(TlrMatrix, RsvdBackendMatchesOperator) {
-  auto prob = test_problem(192, 51);
-  auto m = TlrMatrix::from_problem(prob, 48, {1e-5, 1 << 30}, 1,
-                                   compress::Method::kRsvd);
-  auto full = m.to_dense();
-  auto exact = prob.block(0, 0, 192, 192);
-  EXPECT_LT(dense::frob_diff(full.view(), exact.view()),
-            1e-3 * dense::frob_norm(exact.view()));
-}
-
-TEST(TlrMatrix, AcaOracleBackendMatchesOperator) {
-  auto prob = test_problem(192, 53);
-  auto m = TlrMatrix::from_problem(prob, 48, {1e-5, 1 << 30}, 1,
-                                   compress::Method::kAca);
-  auto full = m.to_dense();
-  auto exact = prob.block(0, 0, 192, 192);
-  EXPECT_LT(dense::frob_diff(full.view(), exact.view()),
-            1e-3 * dense::frob_norm(exact.view()));
-}
-
-TEST(TlrMatrix, BackendsAgreeOnRankWithinSlack) {
-  auto prob = test_problem(160, 57);
-  auto cp = TlrMatrix::from_problem(prob, 40, {1e-4, 1 << 30}, 1,
-                                    compress::Method::kCpqrSvd);
-  auto rs = TlrMatrix::from_problem(prob, 40, {1e-4, 1 << 30}, 1,
-                                    compress::Method::kRsvd);
-  auto ac = TlrMatrix::from_problem(prob, 40, {1e-4, 1 << 30}, 1,
-                                    compress::Method::kAca);
-  EXPECT_NEAR(rs.rank_stats().avg, cp.rank_stats().avg,
-              0.15 * cp.rank_stats().avg + 2);
-  EXPECT_NEAR(ac.rank_stats().avg, cp.rank_stats().avg,
-              0.15 * cp.rank_stats().avg + 2);
-}
-
 TEST(TlrMatrix, ParallelBuildMatchesSequential) {
   auto prob = test_problem(256, 59);
   auto seq = TlrMatrix::from_problem(prob, 32, {1e-4, 1 << 30}, 2);
@@ -583,15 +547,6 @@ TEST(TlrGeneralMatrix, ApplyTransposeMatchesDenseGemv) {
     nrm += want[i] * want[i];
   }
   EXPECT_LT(std::sqrt(d / nrm), 1e-6);
-}
-
-TEST(TlrGeneralMatrix, AcaOracleBackendWorks) {
-  auto op = test_cross(100, 100, 11);
-  auto a = TlrGeneralMatrix::from_cross_covariance(
-      op, 50, {1e-5, 1 << 30}, compress::Method::kAca);
-  auto exact = op.block(0, 0, 100, 100);
-  EXPECT_LT(dense::frob_diff(a.to_dense().view(), exact.view()),
-            1e-3 * dense::frob_norm(exact.view()));
 }
 
 TEST(TlrGeneralMatrix, SizeMismatchThrows) {

@@ -1,9 +1,15 @@
 // Minimal command-line flag parsing shared by the PTLR tools:
-// --name value pairs with typed accessors and defaults.
+// --name value pairs with typed accessors and defaults. Each tool names
+// the flags it reads, so a misspelt flag or a malformed number throws
+// ptlr::Error instead of silently running on a default.
 #pragma once
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/error.hpp"
@@ -12,11 +18,14 @@ namespace ptlr::tools {
 
 class Args {
  public:
-  Args(int argc, char** argv) {
+  /// `known` lists every flag (without "--") the tool reads.
+  Args(int argc, char** argv, std::initializer_list<const char*> known) {
+    const std::set<std::string> allowed(known.begin(), known.end());
     for (int i = 1; i < argc; ++i) {
       std::string key = argv[i];
       PTLR_CHECK(key.rfind("--", 0) == 0, "expected --flag, got: " + key);
       key = key.substr(2);
+      if (allowed.count(key) == 0) throw Error("unknown flag --" + key);
       PTLR_CHECK(i + 1 < argc, "missing value for --" + key);
       values_[key] = argv[++i];
     }
@@ -32,11 +41,26 @@ class Args {
   }
   [[nodiscard]] int integer(const std::string& key, int def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoi(it->second.c_str());
+    if (it == values_.end()) return def;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+        v > INT_MAX)
+      throw Error("--" + key + ": not an integer: " + it->second);
+    return static_cast<int>(v);
   }
   [[nodiscard]] double real(const std::string& key, double def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    if (it == values_.end()) return def;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE)
+      throw Error("--" + key + ": not a number: " + it->second);
+    return v;
   }
 
  private:

@@ -2,8 +2,7 @@
 // in parallel, and save it for later runs.
 //
 //   ptlr_compress --n 4096 --b 256 --tol 1e-4 [--kind st-3D-exp]
-//                 [--method cpqr|rsvd|aca|adaptive] [--threads 2] [--band 1]
-//                 [--out sigma.ptlr] [--seed 42]
+//                 [--threads 2] [--band 1] [--out sigma.ptlr] [--seed 42]
 #include <cstdio>
 #include <string>
 
@@ -26,26 +25,18 @@ stars::ProblemKind parse_kind(const std::string& s) {
   throw Error("unknown problem kind: " + s);
 }
 
-compress::Method parse_method(const std::string& s) {
-  if (s == "cpqr") return compress::Method::kCpqrSvd;
-  if (s == "rsvd") return compress::Method::kRsvd;
-  if (s == "aca") return compress::Method::kAca;
-  if (s == "adaptive") return compress::Method::kAdaptiveRsvd;
-  throw Error("unknown compression method: " + s);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    tools::Args args(argc, argv);
+    const tools::Args args(
+        argc, argv, {"n", "b", "tol", "threads", "band", "kind", "out", "seed"});
     const int n = args.integer("n", 4096);
     const int b = args.integer("b", 256);
     const double tol = args.real("tol", 1e-4);
     const int threads = args.integer("threads", 2);
     const int band = args.integer("band", 1);
     const auto kind = parse_kind(args.str("kind", "st-3D-exp"));
-    const auto method = parse_method(args.str("method", "cpqr"));
     const auto out = args.str("out", "sigma.ptlr");
     const auto seed = static_cast<std::uint64_t>(args.integer("seed", 42));
 
@@ -54,13 +45,12 @@ int main(int argc, char** argv) {
     auto prob = stars::make_problem(kind, n, seed);
     WallTimer t;
     auto m = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
-                                                   threads, band, method);
+                                                   threads, band);
     const double secs = t.seconds();
     const auto s = m.rank_stats();
-    std::printf("compressed in %.2f s (%d threads, %s): NT = %d, ranks "
+    std::printf("compressed in %.2f s (%d threads): NT = %d, ranks "
                 "min/avg/max = %d/%.1f/%d\n",
-                secs, threads, args.str("method", "cpqr").c_str(), m.nt(),
-                s.min, s.avg, s.max);
+                secs, threads, m.nt(), s.min, s.avg, s.max);
     std::printf("footprint %.1f MB (dense would be %.1f MB)\n",
                 static_cast<double>(m.footprint_elements()) * 8 / 1e6,
                 static_cast<double>(n) * n * 8 / 1e6);

@@ -63,7 +63,8 @@ double mean_offband_rank(const tlr::TlrMatrix& a, int band) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv,
+                         {"n", "b", "tol", "dist", "band", "verify"});
   const int n = args.integer("n", 192);
   const int b = args.integer("b", 32);
   const double tol = args.real("tol", 1e-6);

@@ -14,7 +14,7 @@ using namespace ptlr;
 
 int main(int argc, char** argv) {
   try {
-    tools::Args args(argc, argv);
+    const tools::Args args(argc, argv, {"in", "heatmap"});
     const auto path = args.str("in", "sigma.ptlr");
     auto m = tlr::load(path);
     std::printf("%s: N = %d, tile size = %d, NT = %d, band = %d, "

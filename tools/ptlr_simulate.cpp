@@ -20,7 +20,9 @@ using namespace ptlr::core;
 
 int main(int argc, char** argv) {
   try {
-    tools::Args args(argc, argv);
+    const tools::Args args(argc, argv, {"in", "cores", "accel",
+                                        "accel-speedup", "nodes", "sweep",
+                                        "trace"});
     auto m = tlr::load(args.str("in", "sigma.ptlr"));
     auto ranks = RankMap::from_matrix(m);
     if (m.band_size() == 1) {
