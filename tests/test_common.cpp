@@ -254,3 +254,39 @@ TEST(ToolArgs, MalformedNumberThrowsNamingIt) {
     EXPECT_NE(std::string(e.what()).find("4k"), std::string::npos);
   }
 }
+
+TEST(ToolArgs, MissingValueThrowsNamingTheFlag) {
+  try {
+    parse({"--tol", "1e-6", "--n"});
+    FAIL() << "a flag without a value was accepted";
+  } catch (const ptlr::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos);
+  }
+}
+
+TEST(ToolArgs, BareValueThrows) {
+  EXPECT_THROW(parse({"1024"}), ptlr::Error);
+  EXPECT_THROW(parse({"-n", "1024"}), ptlr::Error);
+}
+
+TEST(ToolArgs, AbsentFlagsTakeDefaults) {
+  const auto args = parse({});
+  EXPECT_FALSE(args.has("n"));
+  EXPECT_EQ(args.integer("n", 7), 7);
+  EXPECT_DOUBLE_EQ(args.real("tol", 0.5), 0.5);
+  EXPECT_EQ(args.str("n", "none"), "none");
+}
+
+TEST(ToolArgs, IntegerRejectsFractionalValue) {
+  EXPECT_THROW((void)parse({"--n", "4.5"}).integer("n", 0), ptlr::Error);
+  EXPECT_THROW((void)parse({"--n", "1e3"}).integer("n", 0), ptlr::Error);
+  EXPECT_THROW((void)parse({"--tol", "1e999"}).real("tol", 0.0),
+               ptlr::Error);
+}
+
+TEST(ToolArgs, SignedAndExponentValuesParse) {
+  const auto args = parse({"--n", "-3", "--tol", "2.5E-3"});
+  EXPECT_EQ(args.integer("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.real("tol", 0.0), 2.5e-3);
+  EXPECT_EQ(parse({"--n", "+12"}).integer("n", 0), 12);
+}

@@ -128,6 +128,32 @@ TEST(Compress, St3dExpRanksMatchParent) {
   }
 }
 
+// ------------------------------------------------------ truncation rule ----
+
+TEST(TruncationRank, EmptySpectrumIsRankZero) {
+  EXPECT_EQ(truncation_rank({}, 1e-8), 0);
+}
+
+TEST(TruncationRank, ToleranceAtTheNormDropsEverything) {
+  // ‖(3, 4)‖ = 5: a tolerance of 5 admits rank 0, anything below keeps
+  // the leading value.
+  EXPECT_EQ(truncation_rank({4.0, 3.0}, 5.0), 0);
+  EXPECT_EQ(truncation_rank({4.0, 3.0}, 4.999), 1);
+}
+
+TEST(TruncationRank, TailIsMeasuredInFrobeniusNorm) {
+  // At 0.6 both 0.5 and 0.375 are below tol on their own, but the tail
+  // (0.5, 0.375) has norm 0.625, so only one goes; at exactly 0.625 both
+  // do. The values are exact in binary, so the boundary is too.
+  EXPECT_EQ(truncation_rank({1.0, 0.5, 0.375}, 0.6), 2);
+  EXPECT_EQ(truncation_rank({1.0, 0.5, 0.375}, 0.625), 1);
+}
+
+TEST(TruncationRank, ExactZerosAreDroppedAtZeroTolerance) {
+  EXPECT_EQ(truncation_rank({2.0, 1.0, 0.0, 0.0}, 0.0), 2);
+  EXPECT_EQ(truncation_rank({2.0, 1.0, 1e-100}, 0.0), 3);
+}
+
 // ---------------------------------------------------------- recompress ----
 
 TEST(Recompress, ReducesInflatedRank) {

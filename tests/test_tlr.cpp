@@ -4,7 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "dense/util.hpp"
 #include "tlr/allocator.hpp"
@@ -263,6 +265,69 @@ TEST(TlrMatrix, ParallelBuildSingleThreadWorks) {
   auto m = TlrMatrix::from_problem_parallel(prob, 40, {1e-3, 20}, 1);
   EXPECT_EQ(m.nt(), 3);
 }
+
+// Every off-band tile of every problem preset meets the per-tile bound
+// compress() documents, ‖A_ij − U·Vᵀ‖_F ≤ tol, against the operator's own
+// block; band tiles hold the operator exactly.
+class FromProblemSweep
+    : public ::testing::TestWithParam<std::tuple<stars::ProblemKind, double>> {
+};
+
+TEST_P(FromProblemSweep, EveryTileMeetsToleranceAgainstOperator) {
+  const auto [kind, tol] = GetParam();
+  const int n = 200, b = 48;  // uneven: tail tile of 8 rows
+  const auto prob = stars::make_problem(kind, n, 61);
+  const auto m = TlrMatrix::from_problem(prob, b, {tol, 1 << 30}, 1);
+  int lowrank = 0;
+  for (int i = 0; i < m.nt(); ++i)
+    for (int j = 0; j <= i; ++j) {
+      const auto exact = prob.block(m.row_offset(i), m.row_offset(j),
+                                    m.tile_rows(i), m.tile_rows(j));
+      const auto& t = m.at(i, j);
+      const double err =
+          dense::frob_diff(t.to_dense().view(), exact.view());
+      if (t.is_lowrank()) {
+        ++lowrank;
+        EXPECT_LE(err, tol) << stars::to_string(kind) << " tile " << i
+                            << "," << j << " rank " << t.rank();
+      } else {
+        EXPECT_EQ(err, 0.0) << stars::to_string(kind) << " tile " << i
+                            << "," << j;
+      }
+    }
+  EXPECT_EQ(lowrank, m.nt() * (m.nt() - 1) / 2) << stars::to_string(kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsTolerances, FromProblemSweep,
+    ::testing::Combine(::testing::Values(stars::ProblemKind::kSt3DExp,
+                                         stars::ProblemKind::kSt2DExp,
+                                         stars::ProblemKind::kSt3DSqExp,
+                                         stars::ProblemKind::kSt3DMatern,
+                                         stars::ProblemKind::kElectrostatics3D,
+                                         stars::ProblemKind::kElectrodynamics3D),
+                       ::testing::Values(1e-4, 1e-8)));
+
+// The parallel build is bitwise equal to the sequential one at every
+// thread count, uneven tail tile and wider band included.
+class ParallelBuildSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelBuildSweep, BitwiseEqualsSequential) {
+  const int threads = GetParam();
+  auto prob = test_problem(250, 63);  // 7 tiles of 32 + a tail of 26
+  auto seq = TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 2);
+  auto par = TlrMatrix::from_problem_parallel(prob, 32, {1e-6, 1 << 30},
+                                              threads, 2);
+  ASSERT_EQ(seq.nt(), par.nt());
+  EXPECT_EQ(par.band_size(), 2);
+  for (int i = 0; i < seq.nt(); ++i)
+    for (int j = 0; j <= i; ++j)
+      EXPECT_EQ(tile_to_bytes(seq.at(i, j)), tile_to_bytes(par.at(i, j)))
+          << threads << " threads, tile " << i << "," << j;
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelBuildSweep,
+                         ::testing::Values(1, 2, 3, 4));
 
 // -------------------------------------------------- serialization ----
 
@@ -548,6 +613,48 @@ TEST(TlrGeneralMatrix, ApplyTransposeMatchesDenseGemv) {
   }
   EXPECT_LT(std::sqrt(d / nrm), 1e-6);
 }
+
+// Cross-covariance grids of every orientation, uneven edges included:
+// each tile meets the per-tile bound against the operator's block.
+struct CrossShape {
+  int m, n, b;
+};
+
+class CrossCovarianceSweep : public ::testing::TestWithParam<CrossShape> {};
+
+TEST_P(CrossCovarianceSweep, EveryTileMeetsToleranceAgainstOperator) {
+  const auto [m, n, b] = GetParam();
+  const double tol = 1e-6;
+  auto op = test_cross(m, n, 17);
+  auto a = TlrGeneralMatrix::from_cross_covariance(op, b, {tol, 1 << 30});
+  EXPECT_EQ(a.mt(), (m + b - 1) / b);
+  EXPECT_EQ(a.nt(), (n + b - 1) / b);
+  for (int i = 0; i < a.mt(); ++i)
+    for (int j = 0; j < a.nt(); ++j) {
+      const auto exact = op.block(a.row_offset(i), a.col_offset(j),
+                                  a.tile_rows(i), a.tile_cols(j));
+      EXPECT_LE(dense::frob_diff(a.at(i, j).to_dense().view(), exact.view()),
+                tol)
+          << "tile " << i << "," << j << " of " << m << "x" << n;
+    }
+}
+
+namespace {
+
+std::string cross_shape_case_name(
+    const ::testing::TestParamInfo<CrossShape>& p) {
+  return std::to_string(p.param.m) + "x" + std::to_string(p.param.n) + "_b" +
+         std::to_string(p.param.b);
+}
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(Shapes, CrossCovarianceSweep,
+                         ::testing::Values(CrossShape{100, 100, 50},
+                                           CrossShape{120, 80, 40},
+                                           CrossShape{80, 120, 40},
+                                           CrossShape{97, 61, 32}),
+                         cross_shape_case_name);
 
 TEST(TlrGeneralMatrix, SizeMismatchThrows) {
   auto op = test_cross(60, 60, 13);
