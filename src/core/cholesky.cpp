@@ -61,7 +61,6 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
   exec_opts.faults = cfg.faults;
   exec_opts.retry = cfg.retry;
   exec_opts.watchdog = cfg.watchdog;
-  exec_opts.sched = cfg.sched;
 
   // Shift-and-restart needs a pristine copy to refactorize from (an
   // aborted attempt leaves `a` partially overwritten) and the diagonal

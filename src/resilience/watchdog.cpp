@@ -1,6 +1,10 @@
 #include "resilience/watchdog.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ptlr::resil {
 
@@ -9,8 +13,12 @@ WatchdogConfig WatchdogConfig::from_env() {
   const char* v = std::getenv("PTLR_WATCHDOG_MS");
   if (v == nullptr || v[0] == '\0') return cfg;
   char* end = nullptr;
+  errno = 0;
   const long long ms = std::strtoll(v, &end, 10);
-  if (end != nullptr && *end == '\0' && ms > 0) cfg.deadline_ms = ms;
+  PTLR_CHECK(*v >= '0' && *v <= '9' && *end == '\0' && errno != ERANGE,
+             "PTLR_WATCHDOG_MS: expected a non-negative integer, got '" +
+                 std::string(v) + "'");
+  cfg.deadline_ms = ms;
   return cfg;
 }
 

@@ -29,7 +29,9 @@ struct WatchdogConfig {
     return std::chrono::milliseconds(deadline_ms);
   }
 
-  /// Reads PTLR_WATCHDOG_MS. Unset/empty/unparsable or <= 0 → disabled.
+  /// Reads PTLR_WATCHDOG_MS. Unset, empty or 0 → disabled. A value that
+  /// is not entirely a non-negative decimal integer ("500ms", "-1")
+  /// throws ptlr::Error naming the variable.
   static WatchdogConfig from_env();
 };
 

@@ -23,8 +23,7 @@ struct ExecResult {
   /// Recovery events observed while this run executed (process-global
   /// snapshot diff: injected faults, retries, recoveries, watchdog fires).
   resil::RecoveryStats recovery;
-  /// Which engine ran, plus its steal/divert/wakeup/park counters (all
-  /// zero on the central engine).
+  /// The work-stealing engine's steal/divert/wakeup/park counters.
   SchedStats sched;
 };
 
@@ -35,9 +34,10 @@ struct ExecOptions {
   /// graph (cycle, dangling successor, inconsistent predecessor counts)
   /// throws a descriptive ptlr::Error instead of deadlocking the pool.
   bool validate = true;
-  /// Chaos mode (see perturb.hpp): seeded random tie-breaking, forced
-  /// priority inversions and worker stalls. Defaults honour
-  /// PTLR_PERTURB_SEED so failing seeds replay without a recompile.
+  /// Chaos mode (see perturb.hpp): seeded random pop order, steal order
+  /// and chain breaks, forced priority inversions and worker stalls.
+  /// Defaults honour PTLR_PERTURB_SEED so failing seeds replay without a
+  /// recompile.
   PerturbConfig perturb = PerturbConfig::from_env();
   /// Fault injection (see resilience/fault.hpp): transient task-body
   /// exceptions, simulated allocation failures, NaN output poisoning.
@@ -56,19 +56,16 @@ struct ExecOptions {
   /// workers to exit. Wire this to whatever can unblock stuck task bodies —
   /// e.g. Communicator::abort() when bodies block on mailbox receives.
   std::function<void()> on_stall;
-  /// Scheduler engine (see scheduler.hpp). kAuto consults PTLR_SCHED and
-  /// defaults to work-stealing; chaos mode and 1-thread runs always fall
-  /// back to the central queue regardless of this setting.
-  SchedulerKind sched = SchedulerKind::kAuto;
 };
 
 /// Execute every task in `g` respecting its dependencies, using `nthreads`
-/// worker threads. Among ready tasks, higher TaskInfo::priority runs first
-/// (unless perturbation inverts it). ptlr::TransientError failures of
-/// tasks with declared outputs are recovered by snapshot-restore + retry
-/// (opts.retry); any other exception cancels the run — pending tasks are
-/// skipped, the pool drains promptly, and the first error is rethrown on
-/// the calling thread.
+/// worker threads on the work-stealing engine (see scheduler.hpp). Each
+/// worker runs its higher priority bands (TaskInfo::priority, binned into
+/// kSchedBands) first, unless perturbation inverts them.
+/// ptlr::TransientError failures of tasks with declared outputs are
+/// recovered by snapshot-restore + retry (opts.retry); any other exception
+/// cancels the run — pending tasks are skipped, the pool drains promptly,
+/// and the first error is rethrown on the calling thread.
 ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts);
 
 /// Back-compat convenience overload.

@@ -153,7 +153,14 @@ TaggedMessage Mailbox::recv_any(const std::vector<std::uint64_t>& tags,
 }
 
 void Mailbox::abort() {
-  aborted_.store(true, std::memory_order_release);
+  {
+    // Under mu_, like every other change to what recv_any's wait reads: a
+    // receiver that has just seen the flag clear is then either still
+    // holding mu_ (and sees the store) or already waiting (and gets the
+    // notify), never in between.
+    std::lock_guard<std::mutex> lock(mu_);
+    aborted_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
 }
 

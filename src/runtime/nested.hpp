@@ -19,9 +19,9 @@
 //     models on the calling (parent) thread before spawning, and children
 //     only run the internal uncharged bodies — so obs span attribution is
 //     unchanged by where children execute.
-//   * Spawning is advisory: on a non-worker thread (serial contexts, the
-//     central engine, chaos mode) spawn() runs the body at the spawn point,
-//     so a nested kernel is *the same program* serially and in parallel.
+//   * Spawning is advisory: on a non-worker thread (serial contexts
+//     outside execute()) spawn() runs the body at the spawn point, so a
+//     nested kernel is *the same program* serially and in parallel.
 //     The decomposition itself must not depend on whether a context is
 //     present — callers gate chunking on problem shape only, which is what
 //     keeps nested-parallel results bitwise-identical to the serial oracle.
@@ -138,8 +138,8 @@ class TaskGroup {
 
   /// Submit one child. On a ws worker the body is pushed onto the
   /// caller's child deque (stealable, LIFO for the owner); anywhere else
-  /// — serial contexts, the central engine, a dry slot pool — it runs
-  /// right here, exceptions propagating directly.
+  /// — serial contexts, a dry slot pool — it runs right here, exceptions
+  /// propagating directly.
   void spawn(std::function<void()> fn);
 
   /// Wait until every spawned child finished, helping: the caller pops

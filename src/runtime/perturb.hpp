@@ -1,14 +1,16 @@
 // Schedule perturbation ("chaos mode") for the runtime layer.
 //
 // Interleaving-dependent bugs — races, lost wakeups, schedule-dependent
-// numerical divergence — hide behind the executor's deterministic
-// priority/insertion-order scheduling and the mailbox's FIFO delivery.
-// PerturbConfig injects seeded adversarial scheduling decisions (random
-// ready-queue tie-breaking, forced priority inversions, random worker
-// stalls, delayed message delivery) so any existing test can be replayed
-// across N seeded schedules. A failing seed reproduces the same *stream*
-// of perturbation decisions, which in practice re-triggers the same class
-// of interleaving.
+// numerical divergence — hide behind the executor's usual schedule and
+// the mailbox's FIFO delivery. PerturbConfig injects seeded adversarial
+// decisions at the work-stealing engine's own decision points (which end
+// of a band a pop takes, where a steal scan starts, whether an inline
+// chain breaks, forced priority inversions, random worker stalls) and
+// delays message delivery, so any existing test can be replayed across N
+// seeded schedules. A failing seed reproduces the same *stream* of
+// perturbation decisions, which in practice re-triggers the same class
+// of interleaving; on one worker every draw happens in program order, so
+// a seed replays the exact task order.
 #pragma once
 
 #include <atomic>
@@ -22,13 +24,15 @@ struct PerturbConfig {
   bool enabled = false;
   std::uint64_t seed = 0;
 
-  /// Probability that a worker stalls (sleeps) before running a task,
-  /// widening the window for releases to race with steals/wakeups.
+  /// Probability that a worker stalls (sleeps) before running a task and
+  /// again before releasing its successors, widening the window for
+  /// releases to race with steals/wakeups.
   double stall_probability = 0.15;
   int max_stall_us = 200;  ///< stall duration drawn uniformly in [0, max]
 
-  /// Probability that a pop ignores priorities entirely and dequeues a
-  /// uniformly random ready task — a forced priority inversion.
+  /// Probability that a released or seeded task is filed in a uniformly
+  /// random priority band instead of its own — a forced priority
+  /// inversion — and that a run-on-finisher chain breaks at a hop.
   double inversion_probability = 0.25;
 
   /// Probability that a mailbox deposit is delayed before it becomes
@@ -47,7 +51,9 @@ struct PerturbConfig {
   /// Reads PTLR_PERTURB_SEED from the environment: unset/empty returns a
   /// disabled config, otherwise an enabled one seeded with its value.
   /// Lets any test binary be replayed under a failing seed without a
-  /// recompile: PTLR_PERTURB_SEED=7 ./test_runtime.
+  /// recompile: PTLR_PERTURB_SEED=7 ./test_runtime. A value that is not
+  /// entirely an unsigned 64-bit decimal throws ptlr::Error naming the
+  /// variable.
   static PerturbConfig from_env();
 };
 
@@ -68,7 +74,7 @@ class Perturber {
   /// True with probability `p` (always false when disabled).
   bool decide(double p);
 
-  /// Uniform draw in [0, 1) — used as a random ready-queue tie-break.
+  /// Uniform draw in [0, 1).
   double uniform();
 
   /// Uniform integer in [0, n) for n >= 1.

@@ -1,46 +1,8 @@
 #include "runtime/scheduler.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "common/error.hpp"
 #include "runtime/taskgraph.hpp"
 
 namespace ptlr::rt {
-
-SchedulerKind scheduler_from_env() {
-  const char* s = std::getenv("PTLR_SCHED");
-  if (s == nullptr || *s == '\0') return SchedulerKind::kWorkStealing;
-  const std::string v(s);
-  if (v == "ws") return SchedulerKind::kWorkStealing;
-  if (v == "central") return SchedulerKind::kCentral;
-  throw Error("PTLR_SCHED must be 'central' or 'ws', got '" + v + "'");
-}
-
-SchedulerKind resolve_scheduler(SchedulerKind requested, int nthreads,
-                                bool perturb_enabled) {
-  SchedulerKind k =
-      requested == SchedulerKind::kAuto ? scheduler_from_env() : requested;
-  // Chaos mode steers the schedule through the central ReadyPool (seeded
-  // inversions, randomized tie-breaks); the lock-free deques have no
-  // deterministic decision point to perturb, so seeded replays would be
-  // meaningless there. One worker gets central too: stealing is moot and
-  // the exact priority order is worth keeping.
-  if (perturb_enabled || nthreads <= 1) k = SchedulerKind::kCentral;
-  return k;
-}
-
-const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kCentral:
-      return "central";
-    case SchedulerKind::kWorkStealing:
-      return "ws";
-    case SchedulerKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
 
 BandMap BandMap::from_graph(const TaskGraph& g) {
   BandMap m;

@@ -1,18 +1,10 @@
-// Scheduler selection and shared policy pieces for the shared-memory
-// executor (see executor.cpp for the engines themselves).
+// Shared policy pieces of the shared-memory executor's work-stealing
+// engine (see executor.cpp): priority banding and the per-run counters.
 //
-// Two schedulers coexist:
-//
-//   * central — the original single-lock central priority queue. Exact
-//     priority order, sequentially consistent, and the only engine the
-//     Perturber can steer deterministically, so chaos mode (and therefore
-//     the seeded TSan perturbation sweeps) always runs on it.
-//   * ws — per-worker Chase–Lev deques with lock-free dependency release,
-//     priority bands, locality-directed placement and targeted wakeups.
-//     The default: task throughput no longer serializes on one mutex.
-//
-// PTLR_SCHED=central|ws selects the engine process-wide (A/B benchmarking
-// without a recompile); ExecOptions::sched overrides it per run.
+// There is one engine: per-worker Chase–Lev deques with lock-free
+// dependency release, priority bands, locality-directed placement,
+// targeted wakeups, run-on-finisher chains and nested child tasks. It
+// runs every execute() call, at any worker count and in chaos mode.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +13,14 @@ namespace ptlr::rt {
 
 class TaskGraph;
 
-/// Which ready-task engine execute() uses.
-enum class SchedulerKind : std::uint8_t {
-  kAuto = 0,         ///< resolve from PTLR_SCHED (unset → work-stealing)
-  kCentral = 1,      ///< single-lock central priority queue
-  kWorkStealing = 2, ///< per-worker lock-free deques
-};
-
-/// Reads PTLR_SCHED: "central" or "ws"; unset/empty defaults to
-/// work-stealing. Any other value throws ptlr::Error (a typo silently
-/// changing the scheduler would invalidate an A/B experiment).
-SchedulerKind scheduler_from_env();
-
-/// The engine a run will actually use: kAuto consults PTLR_SCHED, then
-/// chaos mode and single-worker runs fall back to central — the Perturber
-/// owns the schedule there (seeded replays stay valid), and one worker
-/// has nobody to steal from but still wants exact priority order.
-SchedulerKind resolve_scheduler(SchedulerKind requested, int nthreads,
-                                bool perturb_enabled);
-
-/// Human-readable engine name ("central" / "ws") for reports and JSON.
-const char* scheduler_name(SchedulerKind k);
+// Remnant of the old engine selector, kept header-only because
+// bench/ptlr_bench names the engine in its run manifest. Goes at the next
+// change to the benchmark.
+enum class SchedulerKind : std::uint8_t { kAuto, kWorkStealing };
+inline SchedulerKind resolve_scheduler(SchedulerKind, int, bool) {
+  return SchedulerKind::kWorkStealing;
+}
+inline const char* scheduler_name(SchedulerKind) { return "ws"; }
 
 /// Number of priority bands per worker deque. Tasks are binned by
 /// TaskInfo::priority; workers drain higher bands first, so critical-path
@@ -74,10 +53,8 @@ class BandMap {
   bool flat_ = true;
 };
 
-/// Work-stealing engine counters, reported per run in ExecResult. All
-/// zero on the central engine.
+/// Work-stealing engine counters, reported per run in ExecResult.
 struct SchedStats {
-  SchedulerKind scheduler = SchedulerKind::kCentral;  ///< engine used
   long long steals = 0;            ///< tasks taken from another worker
   long long diverted = 0;          ///< releases routed to the locality hint
   long long wakeups = 0;           ///< targeted single-worker wakeups
@@ -87,9 +64,9 @@ struct SchedStats {
   /// chain should show ~every non-root task here.
   long long inline_runs = 0;
   /// Ready pushes that skipped the locality-divert heuristic because they
-  /// broke an inline chain (depth cap / cancellation): scattering a chain
-  /// task to another worker's inbox would just resume the ping-pong the
-  /// inline path exists to kill.
+  /// broke an inline chain (depth cap / cancellation / chaos): scattering
+  /// a chain task to another worker's inbox would just resume the
+  /// ping-pong the inline path exists to kill.
   long long divert_suppressed = 0;
   /// Child tasks pushed into worker deques by running parents (nested
   /// task parallelism; pool-dry inline fallbacks are not counted).

@@ -75,9 +75,8 @@ struct TaskInfo {
 /// (priority banding, the tile-locality table, root seeding, dependency
 /// counter init); sweeping this array instead of the ~200-byte Node
 /// records turns each pass into a streamed read of `24 * size()` bytes —
-/// at 10^6 tasks the difference between ~50 ms and ~2 ms of setup, which
-/// is larger than the steady-state throughput gap between the two
-/// scheduler engines. Fields are captured at add_task: the scheduler
+/// at 10^6 tasks the difference between ~50 ms and ~2 ms of setup.
+/// Fields are captured at add_task: the scheduler
 /// treats priority/ti/tj/owner as insertion-time properties, so later
 /// writes through the mutable info() accessor are not reflected here.
 struct TaskMeta {

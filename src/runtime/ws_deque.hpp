@@ -10,8 +10,7 @@
 // ThreadSanitizer models atomic operations exactly but has incomplete
 // support for atomic_thread_fence, so the fence-based formulation would
 // report false races under the sanitizer presets. The cost is one
-// store-load barrier in push/pop, still far below the central scheduler's
-// mutex round-trip.
+// store-load barrier in push/pop.
 //
 // The ring grows geometrically when full (the owner never overwrites an
 // unconsumed slot); retired rings are kept alive until the deque is

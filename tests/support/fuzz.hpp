@@ -50,7 +50,7 @@ class FuzzProgram {
   /// read cells the parent's graph footprint pins stable and write
   /// dedicated private cells, so their effects are schedule-independent
   /// and the insertion-order oracle stays exact whether spawns run
-  /// inline (serial/central contexts) or on stolen workers (ws engine).
+  /// inline (serial contexts), on the spawning worker or on thieves.
   /// The parent declares every descendant's footprint in its own graph
   /// keys, so no other graph task can race the children.
   static FuzzProgram nested(Rng& rng, int ntasks, int nkeys,

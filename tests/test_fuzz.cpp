@@ -83,10 +83,9 @@ TEST_P(PerturbFuzz, BandCholeskyShapeMatchesOracle) {
 }
 
 TEST_P(PerturbFuzz, NestedShapeMatchesOracle) {
-  // Tasks spawning child subgraphs through rt::TaskGroup: chaos mode runs
-  // on the central engine, where no worker context is installed and every
-  // spawn degrades to an inline call — the oracle and the exactly-once
-  // contract must hold there just as on the ws deques.
+  // Tasks spawning child subgraphs through rt::TaskGroup: under chaos the
+  // children are pushed, stolen and drained at perturbed points — the
+  // oracle and the exactly-once contract must still hold.
   Rng rng(seed());
   auto p = FuzzProgram::nested(rng, 100, 10, 4);
   for (const int nthreads : {1, 2, 4}) {

@@ -169,6 +169,54 @@ TEST(WatchdogConfig, FromEnvParsesMilliseconds) {
     ScopedEnv env("PTLR_WATCHDOG_MS", "0");
     EXPECT_FALSE(resil::WatchdogConfig::from_env().enabled());
   }
+  // A malformed value must not silently disable the watchdog: it throws,
+  // naming the variable.
+  for (const char* bad :
+       {"500ms", "abc", "-1", " 5", "99999999999999999999"}) {
+    ScopedEnv env("PTLR_WATCHDOG_MS", bad);
+    try {
+      (void)resil::WatchdogConfig::from_env();
+      ADD_FAILURE() << "accepted PTLR_WATCHDOG_MS=" << bad;
+    } catch (const ptlr::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("PTLR_WATCHDOG_MS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PerturbConfig, FromEnvParsesSeed) {
+  {
+    ScopedEnv env("PTLR_PERTURB_SEED", nullptr);
+    EXPECT_FALSE(rt::PerturbConfig::from_env().enabled);
+  }
+  {
+    ScopedEnv env("PTLR_PERTURB_SEED", "");
+    EXPECT_FALSE(rt::PerturbConfig::from_env().enabled);
+  }
+  {
+    ScopedEnv env("PTLR_PERTURB_SEED", "7");
+    const auto c = rt::PerturbConfig::from_env();
+    EXPECT_TRUE(c.enabled);
+    EXPECT_EQ(c.seed, 7u);
+  }
+  {
+    ScopedEnv env("PTLR_PERTURB_SEED", "18446744073709551615");
+    EXPECT_EQ(rt::PerturbConfig::from_env().seed, 18446744073709551615u);
+  }
+  // strtoull alone would read "7x" as 7, "abc" as 0 and wrap "-1".
+  for (const char* bad :
+       {"7x", "abc", "-1", "+3", " 5", "18446744073709551616"}) {
+    ScopedEnv env("PTLR_PERTURB_SEED", bad);
+    try {
+      (void)rt::PerturbConfig::from_env();
+      ADD_FAILURE() << "accepted PTLR_PERTURB_SEED=" << bad;
+    } catch (const ptlr::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("PTLR_PERTURB_SEED"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------- executor ----
@@ -693,9 +741,6 @@ TEST(CholeskyRecovery, NestedBandKernelsRecoverBitwise) {
   const tlr::TlrMatrix orig = problem_matrix(prob, 256);
   auto cfg = quiet_cholesky(/*band=*/2);
   cfg.nthreads = 4;
-  cfg.sched = rt::SchedulerKind::kWorkStealing;
-  // Chaos mode always runs the central queue, which spawns no children.
-  cfg.perturb = rt::PerturbConfig{};
   tlr::TlrMatrix baseline = orig;
   const auto base_result = core::factorize(baseline, &prob, cfg);
   EXPECT_GT(base_result.exec.sched.nested_spawned, 0);
@@ -703,7 +748,6 @@ TEST(CholeskyRecovery, NestedBandKernelsRecoverBitwise) {
   tlr::TlrMatrix a = orig;
   cfg.faults = every_task(/*poison=*/true);
   const auto result = core::factorize(a, &prob, cfg);
-  EXPECT_EQ(result.exec.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_GT(result.exec.sched.nested_spawned, 0);
   EXPECT_EQ(result.recovery.faults_injected(), result.stats.tasks);
   EXPECT_EQ(result.recovery.faults_injected(), result.recovery.retries());
@@ -747,7 +791,6 @@ TEST(Breakdown, NestedPotrfReportsGlobalPivot) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 512);
   tlr::TlrMatrix a = near_non_spd(prob, 256, /*tile=*/1, /*offset=*/200);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.sched = rt::SchedulerKind::kWorkStealing;
   try {
     core::factorize(a, nullptr, cfg);
     FAIL() << "expected a numerical breakdown";

@@ -1,8 +1,8 @@
-// Work-stealing scheduler suite: engine selection (PTLR_SCHED, fallback
-// rules), the Chase–Lev deque, and the full fuzz-invariant battery run
-// against the lock-free engine — every shape the perturbation suite throws
-// at the central queue must also hold on per-worker deques with lock-free
-// release, plus a steal-heavy stress shape. CI runs this binary under
+// Work-stealing scheduler suite: priority banding, the Chase–Lev deque,
+// and the full fuzz-invariant battery run against the lock-free engine
+// with chaos mode off — every shape the perturbation suite throws at the
+// engine must also hold on its production schedule — plus steal-heavy,
+// inline-chain and nested-child shapes. CI runs this binary under
 // ThreadSanitizer and AddressSanitizer via the preset label filters.
 #include <gtest/gtest.h>
 
@@ -67,8 +67,7 @@ class ScopedEnv {
 rt::ExecOptions ws_options() {
   rt::ExecOptions opts;
   opts.record_trace = true;
-  opts.sched = rt::SchedulerKind::kWorkStealing;
-  opts.perturb = rt::PerturbConfig{};        // chaos off: ws stays ws
+  opts.perturb = rt::PerturbConfig{};        // chaos off
   opts.faults = resil::FaultConfig{};        // no injection
   opts.watchdog = resil::WatchdogConfig{};   // no deadline
   return opts;
@@ -84,84 +83,9 @@ void run_and_check(FuzzProgram& p, int nthreads,
   EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "");
   EXPECT_EQ(check_happens_before(p.graph(), res.trace), "");
   EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
-  if (nthreads > 1) {
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
-  }
 }
 
 }  // namespace
-
-// ------------------------------------------------------ engine selection --
-
-TEST(SchedulerEnv, DefaultsToWorkStealing) {
-  ScopedEnv env("PTLR_SCHED", nullptr);
-  EXPECT_EQ(rt::scheduler_from_env(), rt::SchedulerKind::kWorkStealing);
-}
-
-TEST(SchedulerEnv, ParsesBothEngines) {
-  {
-    ScopedEnv env("PTLR_SCHED", "ws");
-    EXPECT_EQ(rt::scheduler_from_env(), rt::SchedulerKind::kWorkStealing);
-  }
-  {
-    ScopedEnv env("PTLR_SCHED", "central");
-    EXPECT_EQ(rt::scheduler_from_env(), rt::SchedulerKind::kCentral);
-  }
-}
-
-TEST(SchedulerEnv, RejectsTypos) {
-  // A typo silently changing the engine would invalidate an A/B
-  // experiment; it must be loud.
-  ScopedEnv env("PTLR_SCHED", "work-stealing");
-  EXPECT_THROW(rt::scheduler_from_env(), Error);
-}
-
-TEST(SchedulerResolve, ChaosModeAlwaysGetsCentral) {
-  // The Perturber steers the schedule through the central ReadyPool;
-  // seeded replays are meaningless on the lock-free deques.
-  EXPECT_EQ(rt::resolve_scheduler(rt::SchedulerKind::kWorkStealing, 4,
-                                  /*perturb_enabled=*/true),
-            rt::SchedulerKind::kCentral);
-}
-
-TEST(SchedulerResolve, SingleWorkerGetsCentral) {
-  EXPECT_EQ(rt::resolve_scheduler(rt::SchedulerKind::kWorkStealing, 1,
-                                  /*perturb_enabled=*/false),
-            rt::SchedulerKind::kCentral);
-}
-
-TEST(SchedulerResolve, ExplicitRequestWins) {
-  EXPECT_EQ(rt::resolve_scheduler(rt::SchedulerKind::kCentral, 4, false),
-            rt::SchedulerKind::kCentral);
-  EXPECT_EQ(
-      rt::resolve_scheduler(rt::SchedulerKind::kWorkStealing, 4, false),
-      rt::SchedulerKind::kWorkStealing);
-}
-
-TEST(SchedulerResolve, ExecReportsEngineUsed) {
-  auto p = FuzzProgram::diamond(3, 4);
-  {
-    auto opts = ws_options();
-    const auto res = rt::execute(p.graph(), 2, opts);
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
-  }
-  p.reset();
-  {
-    auto opts = ws_options();
-    opts.sched = rt::SchedulerKind::kCentral;
-    const auto res = rt::execute(p.graph(), 2, opts);
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kCentral);
-    EXPECT_EQ(res.sched.steals, 0);
-  }
-  p.reset();
-  {
-    // chaos mode downgrades a ws request
-    auto opts = ws_options();
-    opts.perturb = rt::PerturbConfig::with_seed(3);
-    const auto res = rt::execute(p.graph(), 2, opts);
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kCentral);
-  }
-}
 
 // ------------------------------------------------------------ band map --
 
@@ -378,7 +302,6 @@ TEST(WsScheduler, StealHeavyStressStealsAndStaysCorrect) {
   const auto res = rt::execute(g, 4, opts);
   EXPECT_EQ(ran.load(), kWidth + 4);
   EXPECT_EQ(check_happens_before(g, res.trace), "");
-  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_GT(res.sched.steals, 0);
   for (int i = 0; i < kWidth; ++i)
     EXPECT_GT(out[static_cast<std::size_t>(i)], 0.0) << "spinner " << i;
@@ -413,10 +336,23 @@ TEST(WsScheduler, SerialChainRunsInlineWithoutWakeups) {
   const auto res = rt::execute(g, 2, ws_options());
   EXPECT_EQ(ran.load(), kN);
   EXPECT_EQ(check_happens_before(g, res.trace), "");
-  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_EQ(res.sched.inline_runs, 996);
   EXPECT_EQ(res.sched.divert_suppressed, 3);
   EXPECT_EQ(res.sched.wakeups, 0);
+}
+
+TEST(WsScheduler, ForkJoinReleasesBarriersInline) {
+  // The last task of a stage to finish releases the stage's barrier as
+  // its sole successor and runs it inline; the barrier then fans out to
+  // the next stage. So S stages make exactly S inline runs, whichever
+  // worker ran which task.
+  constexpr int kStages = 40;
+  auto p = FuzzProgram::fork_join(kStages, 6);
+  const std::vector<double> oracle = p.run_reference();
+  p.reset();
+  const auto res = rt::execute(p.graph(), 2, ws_options());
+  EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
+  EXPECT_EQ(res.sched.inline_runs, kStages);
 }
 
 // ------------------------------------------------ nested child tasks --
@@ -457,7 +393,6 @@ TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
   };
   dense::Matrix c(n, n);
   const auto res = run_graph(c);
-  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_GT(res.sched.nested_spawned, 0);
   expect_bitwise(c, "nested gemm");
 }
@@ -479,8 +414,7 @@ TEST(WsScheduler, EveryWsRunInstallsTheChildSubstrate) {
     };
     g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
     const auto res = rt::execute(g, threads, ws_options());
-    EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
-    EXPECT_EQ(spawned_inside.load(), 1) << threads << " threads";
+      EXPECT_EQ(spawned_inside.load(), 1) << threads << " threads";
     EXPECT_EQ(res.sched.nested_spawned, 4) << threads << " threads";
   }
 }
@@ -526,8 +460,8 @@ struct SlotGraph {
 }  // namespace
 
 TEST(WsScheduler, FaultRecoveryAccountingIsExact) {
-  // injected == retries == recovered must hold on the lock-free release
-  // path exactly as on the central queue, and the output must match.
+  // injected == retries == recovered must hold exactly on the lock-free
+  // release path, and the output must match.
   const int n = 48;
   SlotGraph sg(n, 2.0);
   auto opts = ws_options();
@@ -537,7 +471,6 @@ TEST(WsScheduler, FaultRecoveryAccountingIsExact) {
   opts.faults.poison_probability = 0.0;
   opts.retry.backoff_us = 1;
   const auto res = rt::execute(sg.g, 4, opts);
-  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_EQ(res.recovery.faults_injected(), n);
   EXPECT_EQ(res.recovery.faults_injected(), res.recovery.retries());
   EXPECT_EQ(res.recovery.retries(), res.recovery.tasks_recovered());
@@ -607,7 +540,6 @@ TEST(WsScheduler, ChildFaultRollupAccountingIsExact) {
   opts.faults.poison_probability = 1.0;
   opts.retry.backoff_us = 1;
   const auto res = rt::execute(g, 4, opts);
-  EXPECT_EQ(res.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_EQ(res.recovery.faults_injected(), kN);
   EXPECT_EQ(res.recovery.faults_injected(), res.recovery.retries());
   EXPECT_EQ(res.recovery.retries(), res.recovery.tasks_recovered());
@@ -665,15 +597,15 @@ dense::Matrix assemble_lower_factor(const tlr::TlrMatrix& m) {
 }  // namespace
 
 TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
-  // The full BAND-DENSE-TLR factorization on the ws engine must produce
-  // the same factor, bit for bit, as the 1-thread sequential run — the
-  // same contract the perturbation sweep enforces for the central queue.
+  // The full BAND-DENSE-TLR factorization at 2 and 4 workers must produce
+  // the same factor, bit for bit, as a 1-worker run — the same contract
+  // the perturbation sweep enforces under chaos.
   const int n = 160;
   const int b = 40;
   const double tol = 1e-6;
   const auto prob =
       stars::make_problem(stars::ProblemKind::kSt3DMatern, n, 17, 1e-1);
-  auto factor_once = [&](int threads, rt::SchedulerKind sched) {
+  auto factor_once = [&](int threads) {
     auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
                                                    threads, 1);
     core::CholeskyConfig cfg;
@@ -683,14 +615,12 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
     cfg.perturb = rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
     cfg.watchdog = resil::WatchdogConfig{};
-    cfg.sched = sched;
     core::factorize(a, &prob, cfg);
     return assemble_lower_factor(a);
   };
-  const dense::Matrix ref = factor_once(1, rt::SchedulerKind::kCentral);
+  const dense::Matrix ref = factor_once(1);
   for (const int threads : {2, 4}) {
-    const dense::Matrix got =
-        factor_once(threads, rt::SchedulerKind::kWorkStealing);
+    const dense::Matrix got = factor_once(threads);
     double max_diff = 0.0;
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < n; ++i)
@@ -702,19 +632,17 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
 
 TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
   // Tile kernels at b = 192 put the dense-band macro-kernels above the
-  // 64^3 nested cutoff, so the ws runs exercise child-task fan-out from
-  // inside the task bodies. The factor must stay bitwise identical to the
-  // 1-thread sequential oracle (where children run inline) — the nested
-  // decomposition is branch-stable by construction — and across an 8-seed
-  // chaos sweep (chaos downgrades to the central engine, where children
-  // also run inline at the spawn point).
+  // 64^3 nested cutoff, so the runs exercise child-task fan-out from
+  // inside the task bodies. The factor must stay bitwise identical to a
+  // 1-worker run (where the spawning worker drains its own children) —
+  // the nested decomposition is branch-stable by construction — and
+  // across an 8-seed chaos sweep, whose children get stolen too.
   const int n = 384;
   const int b = 192;
   const double tol = 1e-6;
   const auto prob =
       stars::make_problem(stars::ProblemKind::kSt3DMatern, n, 17, 1e-1);
-  auto factor_once = [&](int threads, rt::SchedulerKind sched,
-                         std::uint64_t chaos_seed) {
+  auto factor_once = [&](int threads, std::uint64_t chaos_seed) {
     auto a = tlr::TlrMatrix::from_problem_parallel(prob, b, {tol, 1 << 30},
                                                    threads, 1);
     core::CholeskyConfig cfg;
@@ -725,11 +653,10 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
                                   : rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
     cfg.watchdog = resil::WatchdogConfig{};
-    cfg.sched = sched;
     core::factorize(a, &prob, cfg);
     return assemble_lower_factor(a);
   };
-  const dense::Matrix ref = factor_once(1, rt::SchedulerKind::kCentral, 0);
+  const dense::Matrix ref = factor_once(1, 0);
   const auto expect_same = [&](const dense::Matrix& got,
                                const std::string& what) {
     double max_diff = 0.0;
@@ -739,11 +666,10 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
     EXPECT_EQ(max_diff, 0.0) << what << " diverged from the oracle";
   };
   for (const int threads : {2, 4})
-    expect_same(factor_once(threads, rt::SchedulerKind::kWorkStealing, 0),
-                "ws nested at " + std::to_string(threads) + " threads");
+    expect_same(factor_once(threads, 0),
+                "nested at " + std::to_string(threads) + " threads");
   for (std::uint64_t s = 1; s <= 8; ++s)
-    expect_same(factor_once(4, rt::SchedulerKind::kWorkStealing, s),
-                "chaos seed " + std::to_string(s));
+    expect_same(factor_once(4, s), "chaos seed " + std::to_string(s));
 }
 
 TEST(WsScheduler, DefaultFactorizeSplitsBandTilesOnlyThroughChildren) {
@@ -763,10 +689,8 @@ TEST(WsScheduler, DefaultFactorizeSplitsBandTilesOnlyThroughChildren) {
   cfg.perturb = rt::PerturbConfig{};
   cfg.faults = resil::FaultConfig{};
   cfg.watchdog = resil::WatchdogConfig{};
-  cfg.sched = rt::SchedulerKind::kWorkStealing;
   const auto res = core::factorize(a, &prob, cfg);
   EXPECT_EQ(res.stats.tasks, nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
-  EXPECT_EQ(res.exec.sched.scheduler, rt::SchedulerKind::kWorkStealing);
   EXPECT_GT(res.exec.sched.nested_spawned, 0);
 }
 

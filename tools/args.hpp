@@ -16,6 +16,30 @@
 
 namespace ptlr::tools {
 
+/// `text` as a whole base-10 int; throws ptlr::Error naming `flag`
+/// ("--n") and the text otherwise.
+inline int parse_int(const std::string& flag, const std::string& text) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+      v > INT_MAX)
+    throw Error(flag + ": not an integer: " + text);
+  return static_cast<int>(v);
+}
+
+/// `text` as a whole floating-point number; throws like parse_int.
+inline double parse_real(const std::string& flag, const std::string& text) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE)
+    throw Error(flag + ": not a number: " + text);
+  return v;
+}
+
 class Args {
  public:
   /// `known` lists every flag (without "--") the tool reads.
@@ -41,26 +65,11 @@ class Args {
   }
   [[nodiscard]] int integer(const std::string& key, int def) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) return def;
-    const char* s = it->second.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-        v > INT_MAX)
-      throw Error("--" + key + ": not an integer: " + it->second);
-    return static_cast<int>(v);
+    return it == values_.end() ? def : parse_int("--" + key, it->second);
   }
   [[nodiscard]] double real(const std::string& key, double def) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) return def;
-    const char* s = it->second.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE)
-      throw Error("--" + key + ": not a number: " + it->second);
-    return v;
+    return it == values_.end() ? def : parse_real("--" + key, it->second);
   }
 
  private:

@@ -50,6 +50,8 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
+
 extern char** environ;
 
 namespace {
@@ -137,32 +139,40 @@ int main(int argc, char** argv) {
   long long respawn_backoff_ms = 250;
   int cmd_start = -1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--") {
-      cmd_start = i + 1;
-      break;
+  // Not tools::Args: this loop must stop at "--". Numbers go through the
+  // same strict parsing, so "--n 2x" is an error, not 2.
+  using ptlr::tools::parse_int;
+  using ptlr::tools::parse_real;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--") {
+        cmd_start = i + 1;
+        break;
+      }
+      if (i + 1 >= argc) usage_error("missing value for " + a);
+      const std::string v = argv[++i];
+      if (a == "--n")
+        nranks = parse_int(a, v);
+      else if (a == "--net")
+        net = v;
+      else if (a == "--log-dir")
+        log_dir = v;
+      else if (a == "--report")
+        report = v;
+      else if (a == "--timeout")
+        timeout_sec = parse_real(a, v);
+      else if (a == "--grace-ms")
+        grace_ms = parse_int(a, v);
+      else if (a == "--respawn")
+        respawn_budget = parse_int(a, v);
+      else if (a == "--respawn-backoff-ms")
+        respawn_backoff_ms = parse_int(a, v);
+      else
+        usage_error("unknown flag " + a);
     }
-    if (i + 1 >= argc) usage_error("missing value for " + a);
-    const std::string v = argv[++i];
-    if (a == "--n")
-      nranks = std::atoi(v.c_str());
-    else if (a == "--net")
-      net = v;
-    else if (a == "--log-dir")
-      log_dir = v;
-    else if (a == "--report")
-      report = v;
-    else if (a == "--timeout")
-      timeout_sec = std::atof(v.c_str());
-    else if (a == "--grace-ms")
-      grace_ms = std::atoll(v.c_str());
-    else if (a == "--respawn")
-      respawn_budget = std::atoi(v.c_str());
-    else if (a == "--respawn-backoff-ms")
-      respawn_backoff_ms = std::atoll(v.c_str());
-    else
-      usage_error("unknown flag " + a);
+  } catch (const ptlr::Error& e) {
+    usage_error(e.what());
   }
   if (nranks < 1) usage_error("--n must be >= 1");
   if (respawn_budget < 0) usage_error("--respawn must be >= 0");
