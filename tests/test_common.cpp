@@ -2,10 +2,14 @@
 // wall-clock timing — and the CLI tools' flag parser built on it.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "args.hpp"
@@ -289,4 +293,43 @@ TEST(ToolArgs, SignedAndExponentValuesParse) {
   EXPECT_EQ(args.integer("n", 0), -3);
   EXPECT_DOUBLE_EQ(args.real("tol", 0.0), 2.5e-3);
   EXPECT_EQ(parse({"--n", "+12"}).integer("n", 0), 12);
+}
+
+TEST(ToolArgs, FreeParsersNameTheCallersFlag) {
+  // ptlr-launch keeps its own flag loop (it stops at "--") and calls the
+  // free parsers with the flag it is reading; the error must name that
+  // flag and the offending text.
+  EXPECT_EQ(ptlr::tools::parse_int("--respawn", "3"), 3);
+  EXPECT_DOUBLE_EQ(ptlr::tools::parse_real("--timeout", "2.5"), 2.5);
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"--n", "2x"},         {"--grace-ms", ""},
+      {"--respawn", "1.5"},  {"--respawn-backoff-ms", "4294967296"},
+      {"--timeout", "12s"},  {"--timeout", "1e999"}};
+  for (const auto& [flag, text] : bad) {
+    try {
+      if (flag == "--timeout")
+        (void)ptlr::tools::parse_real(flag, text);
+      else
+        (void)ptlr::tools::parse_int(flag, text);
+      ADD_FAILURE() << flag << " accepted '" << text << "'";
+    } catch (const ptlr::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(flag), std::string::npos) << what;
+      EXPECT_NE(what.find(text), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ToolArgs, ParseRealReadsToCharsOutputExactly) {
+  // Callers hand the launcher a --timeout written by std::to_chars
+  // (shortest round-trip form); reading it back must give the same double.
+  for (const double v : {12.0, 0.1, 150.25, 1.0 / 3.0, 2.5e-7, 1e300,
+                         123456789.125}) {
+    char buf[64];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    ASSERT_EQ(r.ec, std::errc{});
+    const std::string text(buf, r.ptr);
+    const double back = ptlr::tools::parse_real("--timeout", text);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(double)), 0) << text;
+  }
 }

@@ -645,6 +645,39 @@ TEST(Mailbox, AbortWakesBlockedReceiver) {
   }
 }
 
+TEST(Mailbox, FailWakesBlockedReceiverWithItsReason) {
+  // The socket transport fails its inbox when a peer is lost; a rank
+  // blocked in recv() must then wake with the reason, not hang. fail()
+  // races the receiver like abort() above, with no watchdog to rescue a
+  // lost wakeup.
+  const std::string reason = "connection to rank 0 lost";
+  const std::uint64_t tag = dist::make_tag(0, 1, 2, 3);
+  for (int round = 0; round < 10000; ++round) {
+    dist::Mailbox box(1, ptlr::resil::WatchdogConfig{});
+    std::string what;
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    std::thread receiver([&] {
+      try {
+        box.recv(tag, 0);
+      } catch (const ptlr::Error& e) {
+        what = e.what();
+      }
+      done.set_value();
+    });
+    box.fail(reason);
+    if (finished.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      box.abort();  // wake the stranded receiver to join it
+      receiver.join();
+      FAIL() << "fail() lost its wakeup in round " << round;
+    }
+    receiver.join();
+    ASSERT_NE(what.find(reason), std::string::npos)
+        << "round " << round << ": " << what;
+  }
+}
+
 // ------------------------------------------------- work stealing ----
 
 TEST(Simulator, WorkStealingBalancesSkewedLoad) {

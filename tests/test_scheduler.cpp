@@ -2,10 +2,12 @@
 // and the full fuzz-invariant battery run against the lock-free engine
 // with chaos mode off — every shape the perturbation suite throws at the
 // engine must also hold on its production schedule — plus steal-heavy,
-// inline-chain and nested-child shapes. CI runs this binary under
-// ThreadSanitizer and AddressSanitizer via the preset label filters.
+// inline-chain and nested-child shapes, and each chaos-mode decision
+// point. CI runs this binary under ThreadSanitizer and AddressSanitizer
+// via the preset label filters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -83,6 +85,46 @@ void run_and_check(FuzzProgram& p, int nthreads,
   EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "");
   EXPECT_EQ(check_happens_before(p.graph(), res.trace), "");
   EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
+}
+
+// Chaos mode without stalls: only the schedule decisions are perturbed.
+rt::ExecOptions chaos_options(std::uint64_t seed, double inversion_p) {
+  rt::ExecOptions opts = ws_options();
+  opts.perturb = rt::PerturbConfig::with_seed(seed);
+  opts.perturb.stall_probability = 0.0;
+  opts.perturb.inversion_probability = inversion_p;
+  return opts;
+}
+
+// A pure single-successor chain of `n` tasks counting into `ran`.
+rt::TaskGraph serial_chain(int n, std::atomic<long long>& ran) {
+  rt::TaskGraph g;
+  std::vector<rt::DataKey> prev;
+  for (int i = 0; i < n; ++i) {
+    rt::TaskInfo t;
+    t.name = "c";
+    t.fn = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
+    const std::vector<rt::DataKey> out{
+        rt::make_key(1, static_cast<std::uint32_t>(i), 0)};
+    g.add_task(std::move(t), prev, out);
+    prev = out;
+  }
+  return g;
+}
+
+// Independent tasks logging their index; meant for one worker, so the
+// log needs no lock. priority(i) sets task i's priority.
+template <class Priority>
+rt::TaskGraph logging_roots(int n, std::vector<int>& log, Priority priority) {
+  rt::TaskGraph g;
+  for (int i = 0; i < n; ++i) {
+    rt::TaskInfo t;
+    t.name = "t";
+    t.priority = priority(i);
+    t.fn = [&log, i] { log.push_back(i); };
+    g.add_task(std::move(t), {}, {});
+  }
+  return g;
 }
 
 }  // namespace
@@ -321,18 +363,8 @@ TEST(WsScheduler, SerialChainRunsInlineWithoutWakeups) {
   // successor is either inlined or (at a break) pushed for the same
   // worker to pop back.
   constexpr int kN = 1000;
-  rt::TaskGraph g;
   std::atomic<long long> ran{0};
-  std::vector<rt::DataKey> prev;
-  for (int i = 0; i < kN; ++i) {
-    rt::TaskInfo t;
-    t.name = "c";
-    t.fn = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
-    const std::vector<rt::DataKey> out{
-        rt::make_key(1, static_cast<std::uint32_t>(i), 0)};
-    g.add_task(std::move(t), prev, out);
-    prev = out;
-  }
+  rt::TaskGraph g = serial_chain(kN, ran);
   const auto res = rt::execute(g, 2, ws_options());
   EXPECT_EQ(ran.load(), kN);
   EXPECT_EQ(check_happens_before(g, res.trace), "");
@@ -355,26 +387,125 @@ TEST(WsScheduler, ForkJoinReleasesBarriersInline) {
   EXPECT_EQ(res.sched.inline_runs, kStages);
 }
 
+// ------------------------------------------------------------ chaos mode --
+// Chaos mode perturbs the engine's own decisions. With stalls off, each
+// decision shows up exactly in one worker's task order or in the counters.
+
+TEST(WsScheduler, ChaosPopsTakeEitherEndOfABand) {
+  // Roots are seeded so that a plain pop runs equal-priority tasks in
+  // insertion order. A chaos pop takes the band's oldest entry instead
+  // half of the time: every task run is then the lowest or the highest
+  // index still queued, and some seed must take the high end.
+  constexpr int kN = 64;
+  const auto flat = [](int) { return 0.0; };
+  std::vector<int> log;
+  rt::TaskGraph plain = logging_roots(kN, log, flat);
+  rt::execute(plain, 1, ws_options());
+  std::vector<int> in_order(kN);
+  for (int i = 0; i < kN; ++i) in_order[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(log, in_order);
+
+  int reordered = 0;
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    log.clear();
+    rt::TaskGraph g = logging_roots(kN, log, flat);
+    rt::execute(g, 1, chaos_options(s, /*inversion_p=*/0.0));
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(kN)) << "seed " << s;
+    int lo = 0;
+    int hi = kN - 1;
+    for (const int t : log) {
+      if (t == lo) {
+        ++lo;
+      } else {
+        ASSERT_EQ(t, hi) << "seed " << s << " ran from mid-band";
+        --hi;
+      }
+    }
+    if (log != in_order) ++reordered;
+  }
+  EXPECT_GT(reordered, 0);
+}
+
+TEST(WsScheduler, ChaosInversionsFileTasksInRandomBands) {
+  // Priorities 0..3 take one band each, so one worker runs them 3, 2, 1, 0
+  // — under chaos too while inversions are off. At inversion probability 1
+  // every task lands in a random band, and some seed must run a lower
+  // priority first.
+  const auto by_index = [](int i) { return static_cast<double>(i); };
+  const std::vector<int> band_order{3, 2, 1, 0};
+  int inverted = 0;
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    std::vector<int> log;
+    rt::TaskGraph g = logging_roots(4, log, by_index);
+    rt::execute(g, 1, chaos_options(s, /*inversion_p=*/0.0));
+    EXPECT_EQ(log, band_order) << "seed " << s;
+
+    log.clear();
+    rt::TaskGraph h = logging_roots(4, log, by_index);
+    rt::execute(h, 1, chaos_options(s, /*inversion_p=*/1.0));
+    std::vector<int> sorted = log;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3})) << "seed " << s;
+    if (log != band_order) ++inverted;
+  }
+  EXPECT_GT(inverted, 0);
+}
+
+TEST(WsScheduler, ChaosBreaksInlineChainsWithTheInversionProbability) {
+  // An inline chain breaks at a hop with the inversion probability. At 0
+  // the 1000-task chain keeps SerialChainRunsInlineWithoutWakeups' counts
+  // (996 inline runs, 3 breaks at the depth cap); at 1 every hop breaks,
+  // so nothing runs inline and all 999 releases are pushed undiverted.
+  constexpr int kN = 1000;
+  for (const int threads : {1, 2}) {
+    for (std::uint64_t s = 1; s <= 3; ++s) {
+      std::atomic<long long> ran{0};
+      rt::TaskGraph g = serial_chain(kN, ran);
+      const auto kept =
+          rt::execute(g, threads, chaos_options(s, /*inversion_p=*/0.0));
+      EXPECT_EQ(ran.load(), kN);
+      EXPECT_EQ(check_happens_before(g, kept.trace), "");
+      EXPECT_EQ(kept.sched.inline_runs, 996)
+          << threads << " workers, seed " << s;
+      EXPECT_EQ(kept.sched.divert_suppressed, 3)
+          << threads << " workers, seed " << s;
+
+      ran.store(0);
+      rt::TaskGraph h = serial_chain(kN, ran);
+      const auto broken =
+          rt::execute(h, threads, chaos_options(s, /*inversion_p=*/1.0));
+      EXPECT_EQ(ran.load(), kN);
+      EXPECT_EQ(check_happens_before(h, broken.trace), "");
+      EXPECT_EQ(broken.sched.inline_runs, 0)
+          << threads << " workers, seed " << s;
+      EXPECT_EQ(broken.sched.divert_suppressed, kN - 1)
+          << threads << " workers, seed " << s;
+    }
+  }
+}
+
 // ------------------------------------------------ nested child tasks --
 
-TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
-  // A graph task running a dense kernel above the 64^3 volume cutoff must
-  // fan out child tasks on the ws engine, and the result must be bitwise
-  // identical to the fat serial call (branch-stable decomposition).
-  const int n = 256;
-  dense::Matrix a(n, n), b(n, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) {
-      a(i, j) = 1.0 + 0.25 * std::sin(0.01 * i + 0.02 * j);
-      b(i, j) = 0.5 + 0.125 * std::cos(0.015 * i - 0.01 * j);
-    }
-  // Serial oracle: no worker context on this thread, so gemm takes the
-  // fat single-call branch.
-  dense::Matrix ref(n, n);
-  dense::gemm(dense::Trans::N, dense::Trans::N, 1.0, a.view(), b.view(),
-              0.0, ref.view());
+namespace {
 
-  auto run_graph = [&](dense::Matrix& c) {
+// C = A·B at n = 256, above the 64^3 volume cutoff, as one graph task.
+// The reference is the fat single call: no worker context on the test
+// thread, so gemm does not fan out there.
+struct NestedGemm {
+  static constexpr int n = 256;
+  dense::Matrix a{n, n}, b{n, n}, ref{n, n};
+
+  NestedGemm() {
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i) {
+        a(i, j) = 1.0 + 0.25 * std::sin(0.01 * i + 0.02 * j);
+        b(i, j) = 0.5 + 0.125 * std::cos(0.015 * i - 0.01 * j);
+      }
+    dense::gemm(dense::Trans::N, dense::Trans::N, 1.0, a.view(), b.view(),
+                0.0, ref.view());
+  }
+
+  rt::ExecResult run(dense::Matrix& c, const rt::ExecOptions& opts) {
     rt::TaskGraph g;
     rt::TaskInfo t;
     t.name = "gemm";
@@ -383,18 +514,46 @@ TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
                   0.0, c.view());
     };
     g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
-    return rt::execute(g, 2, ws_options());
-  };
-  const auto expect_bitwise = [&](const dense::Matrix& c, const char* what) {
+    return rt::execute(g, 2, opts);
+  }
+
+  // Empty when `c` equals the reference bit for bit, else where it differs.
+  [[nodiscard]] std::string mismatch(const dense::Matrix& c) const {
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < n; ++i)
-        ASSERT_EQ(std::memcmp(&c(i, j), &ref(i, j), sizeof(double)), 0)
-            << what << " diverged at (" << i << "," << j << ")";
-  };
-  dense::Matrix c(n, n);
-  const auto res = run_graph(c);
+        if (std::memcmp(&c(i, j), &ref(i, j), sizeof(double)) != 0)
+          return "diverged at (" + std::to_string(i) + "," +
+                 std::to_string(j) + ")";
+    return "";
+  }
+};
+
+}  // namespace
+
+TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
+  // A graph task running a dense kernel above the 64^3 volume cutoff must
+  // fan out child tasks on the ws engine, and the result must be bitwise
+  // identical to the fat serial call (branch-stable decomposition).
+  NestedGemm gemm;
+  dense::Matrix c(NestedGemm::n, NestedGemm::n);
+  const auto res = gemm.run(c, ws_options());
   EXPECT_GT(res.sched.nested_spawned, 0);
-  expect_bitwise(c, "nested gemm");
+  EXPECT_EQ(gemm.mismatch(c), "");
+}
+
+TEST(WsScheduler, ChaosRunsSpawnChildrenAndStayBitwise) {
+  // Chaos mode perturbs the production engine, so a seeded sweep races
+  // nested children too: thieves start at random victims and the parent
+  // may stall before it runs. The product stays bitwise.
+  NestedGemm gemm;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    dense::Matrix c(NestedGemm::n, NestedGemm::n);
+    auto opts = ws_options();
+    opts.perturb = rt::PerturbConfig::with_seed(s);
+    const auto res = gemm.run(c, opts);
+    EXPECT_GT(res.sched.nested_spawned, 0) << "seed " << s;
+    EXPECT_EQ(gemm.mismatch(c), "") << "seed " << s;
+  }
 }
 
 TEST(WsScheduler, EveryWsRunInstallsTheChildSubstrate) {
@@ -414,7 +573,7 @@ TEST(WsScheduler, EveryWsRunInstallsTheChildSubstrate) {
     };
     g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
     const auto res = rt::execute(g, threads, ws_options());
-      EXPECT_EQ(spawned_inside.load(), 1) << threads << " threads";
+    EXPECT_EQ(spawned_inside.load(), 1) << threads << " threads";
     EXPECT_EQ(res.sched.nested_spawned, 4) << threads << " threads";
   }
 }
