@@ -2,7 +2,8 @@
 // column is the paper's closed form; the measured column is the flop count
 // the kernels actually charge (dense BLAS flops incl. recompression), at a
 // representative (b, k). Dense kernels match exactly; low-rank kernels
-// match to the constants of the QR+SVD recompression implementation.
+// match to the constants of the implementation, whose (5)/(6)-GEMM sums
+// into a dense accumulator and recompresses it by a truncated CPQR.
 #include <functional>
 #include <iostream>
 
@@ -101,7 +102,7 @@ int main() {
   t.print(std::cout);
   std::printf("\nShape check vs paper: the dense kernels (1)-* match the "
               "model exactly; the\nO(b·k²)+O(k³) low-rank kernels match to "
-              "the implementation constants of the\nQR+SVD recompression "
+              "the implementation constants of the\nCPQR recompression "
               "(the paper's 34–36·b·k² + 157·k³ were likewise measured\n"
               "constants of HCORE's implementation).\n");
   return 0;

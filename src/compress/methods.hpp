@@ -7,12 +7,12 @@
 
 namespace ptlr::compress {
 
-enum class Method { kCpqrSvd };
+enum class Method { kCpqr };
 
-inline const char* to_string(Method) { return "CPQR+SVD"; }
+inline const char* to_string(Method) { return "CPQR"; }
 
 struct CompressPolicy {
-  Method method = Method::kCpqrSvd;
+  Method method = Method::kCpqr;
   /// The default; no environment variable selects another engine.
   static CompressPolicy from_env() { return {}; }
 };

@@ -1,5 +1,6 @@
 // LAPACK-subset dense factorizations used by PTLR: Cholesky, Householder QR,
-// truncated rank-revealing (column-pivoted) QR, and one-sided Jacobi SVD.
+// truncated rank-revealing (column-pivoted) QR, and one-sided Jacobi SVD
+// (the tests' reference SVD).
 //
 // These are reference-quality implementations replacing the MKL routines the
 // paper ran on; semantics match the LAPACK equivalents noted on each entry.
@@ -49,14 +50,16 @@ PivotedQr geqp3_trunc(MatrixView a, double tol, int maxrank);
 /// one-sided Jacobi. Requires rows >= cols (callers transpose if needed).
 /// U is m-by-n with orthonormal columns, s is descending. V is not formed:
 /// the best rank-k approximation is U_k * (U_k^T * A), and a caller that
-/// needs V_k * diag(s_k) forms it as A^T * U_k.
+/// needs V_k * diag(s_k) forms it as A^T * U_k. No library code calls it
+/// (compression is a truncated CPQR); it is the reference SVD that
+/// test_dense and test_stars compare against.
 struct Svd {
   Matrix u;
   std::vector<double> s;
 };
 Svd jacobi_svd(ConstMatrixView a);
 
-/// Singular values only (convenience for accuracy checks).
+/// Singular values only: the tests' reference spectrum.
 std::vector<double> singular_values(ConstMatrixView a);
 
 }  // namespace ptlr::dense

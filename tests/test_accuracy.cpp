@@ -16,6 +16,12 @@ using namespace ptlr;
 using dense::Matrix;
 using dense::Trans;
 
+// gtest prints a parameter through PrintTo (and ctest names each case by
+// that text); without one an enum class prints as its raw bytes.
+namespace ptlr::stars {
+void PrintTo(ProblemKind kind, std::ostream* os) { *os << to_string(kind); }
+}  // namespace ptlr::stars
+
 namespace {
 
 constexpr int kN = 512;

@@ -95,10 +95,10 @@ TEST(Compress, NumericalRankMatchesSpectrum) {
   EXPECT_EQ(numerical_rank(a.view(), {1e-9, 1 << 30}), 12);
 }
 
-// A faster SVD polish must not move a single truncation decision: the
+// A faster CPQR must not move a single truncation decision: the
 // off-diagonal rank sum and maximum of the st-3D-exp TLR matrix (seed 42,
-// b = 128) are pinned to the values the uncached three-dot Jacobi sweep
-// produced. One rank flipping by one changes the sum.
+// b = 128) are pinned to the values the one-reflector-at-a-time CPQR
+// truncated at tol produces. One rank flipping by one changes the sum.
 TEST(Compress, St3dExpRanksMatchParent) {
   struct Pin {
     int n;
@@ -106,10 +106,10 @@ TEST(Compress, St3dExpRanksMatchParent) {
     long long rank_sum;
     int rank_max;
   };
-  const Pin pins[] = {{1024, 1e-6, 2007, 111},
-                      {1024, 1e-8, 2581, 123},
-                      {2048, 1e-6, 6856, 115},
-                      {2048, 1e-8, 9388, 127}};
+  const Pin pins[] = {{1024, 1e-6, 2086, 113},
+                      {1024, 1e-8, 2652, 124},
+                      {2048, 1e-6, 7248, 117},
+                      {2048, 1e-8, 9767, 127}};
   for (const Pin& pin : pins) {
     const auto prob = ptlr::stars::make_problem(
         ptlr::stars::ProblemKind::kSt3DExp, pin.n, 42);
@@ -202,7 +202,7 @@ TEST(Recompress, RespectsLooserTolerance) {
 TEST(Recompress, StaysWithinCompressErrorBound) {
   // recompress() rounds its QR-rotated core with compress() itself, so the
   // rounded factor meets the bound compress() meets on the dense block:
-  // the CPQR tail plus what the SVD polish drops stays within tol.
+  // the CPQR tail it drops stays within tol.
   Rng rng(10);
   const double tol = 1e-6;
   for (const auto& [m, n] : {std::pair{64, 64}, std::pair{48, 30}}) {
@@ -217,7 +217,7 @@ TEST(Recompress, StaysWithinCompressErrorBound) {
     const int k = recompress(f, {tol, 1 << 30});
     EXPECT_LT(k, exact->rank());
     EXPECT_LE(approximation_error(a.view(), f), bound);
-    EXPECT_LE(k, direct->rank() + 1);  // minimal rank, like compress()
+    EXPECT_LE(k, direct->rank() + 1);  // the CPQR rank compress() finds
   }
 }
 

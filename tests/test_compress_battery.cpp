@@ -8,10 +8,12 @@
 // compresses every updated low-rank tile, is schedule-invariant end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/compress.hpp"
@@ -67,6 +69,10 @@ const char* spectrum_name(Spectrum s) {
   return "?";
 }
 
+// gtest prints a parameter through PrintTo (and ctest names each case by
+// that text); without one an enum class prints as its raw bytes.
+void PrintTo(Spectrum s, std::ostream* os) { *os << spectrum_name(s); }
+
 std::vector<double> make_spectrum(Spectrum kind, int full) {
   std::vector<double> s;
   switch (kind) {
@@ -103,8 +109,8 @@ std::vector<double> make_spectrum(Spectrum kind, int full) {
 namespace {
 
 // Rank bound against the spectrum oracle: no fewer columns than an error
-// ≤ tol admits, no more than truncating at the CPQR's internal budget
-// (tol/2) plus a few columns of pivoting slack could keep.
+// ≤ tol admits, no more than an SVD truncation at tol/2 plus a few columns
+// of pivoting slack would keep.
 void expect_rank_near_minimal(int rank, const std::vector<double>& s,
                               double tol, const std::string& what) {
   EXPECT_GE(rank, truncation_rank(s, tol)) << what;
@@ -156,6 +162,60 @@ INSTANTIATE_TEST_SUITE_P(
                           Spectrum::kSlowDecay, Spectrum::kNoiseFloor),
         ::testing::Values(1e-3, 1e-5, 1e-7, 1e-8)));
 
+// ------------------------------------------------- the factor contract ----
+
+namespace {
+
+// compress()'s factor is the CPQR's own: U = Q with orthonormal columns,
+// V = Aᵀ·U (so U·Vᵀ = U·Uᵀ·A, the orthogonal projection of A onto
+// span(U)), at the rank the CPQR truncated at tol stops on.
+void expect_projection_factor(const Matrix& a, double tol,
+                              const std::string& what) {
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  const int m = a.rows(), n = a.cols();
+  auto f = compress(a.view(), {tol, 1 << 30});
+  ASSERT_TRUE(f) << what;
+  const int k = f->rank();
+
+  Matrix copy = a;
+  EXPECT_EQ(k, geqp3_trunc(copy.view(), tol, std::min(m, n)).rank) << what;
+
+  Matrix utu(k, k);
+  gemm(Trans::T, Trans::N, 1.0, f->u.view(), f->u.view(), 0.0, utu.view());
+  for (int i = 0; i < k; ++i) utu(i, i) -= 1.0;
+  EXPECT_LE(frob_norm(utu.view()), 256 * eps) << what << " ‖UᵀU − I‖_F";
+
+  Matrix atu(n, k);
+  gemm(Trans::T, Trans::N, 1.0, a.view(), f->u.view(), 0.0, atu.view());
+  EXPECT_LE(frob_diff(f->v.view(), atu.view()),
+            64 * eps * frob_norm(a.view()))
+      << what << " ‖V − AᵀU‖_F";
+}
+
+}  // namespace
+
+TEST(CompressContract, UIsOrthonormalAndVIsAtransposeU) {
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 512, 21);
+  for (const auto& [tol, label] :
+       {std::pair{1e-4, "1e-4"}, std::pair{1e-8, "1e-8"}}) {
+    const std::string at = std::string(" tol=") + label;
+    for (auto [i, j] : {std::pair{128, 0}, std::pair{384, 0},
+                        std::pair{384, 256}}) {
+      const Matrix tile = prob.block(i, j, 128, 128);
+      expect_projection_factor(tile, tol,
+                               "st-3D-exp tile (" + std::to_string(i) + "," +
+                                   std::to_string(j) + ")" + at);
+    }
+    for (Spectrum kind : {Spectrum::kExactLowRank, Spectrum::kPlateau,
+                          Spectrum::kSlowDecay, Spectrum::kNoiseFloor}) {
+      Rng rng(301 + static_cast<int>(kind) * 7);
+      const Matrix a =
+          matrix_with_spectrum(64, 48, make_spectrum(kind, 48), rng);
+      expect_projection_factor(a, tol, spectrum_name(kind) + at);
+    }
+  }
+}
+
 // Tile shapes of a TLR matrix other than the battery's tall 64×48: square
 // interior tiles, wide ones (the orientation the CPQR pivots across the
 // long side), and the short tail tiles of an N that is not a multiple of
@@ -163,6 +223,10 @@ INSTANTIATE_TEST_SUITE_P(
 struct TileShape {
   int m, n;
 };
+
+void PrintTo(const TileShape& s, std::ostream* os) {
+  *os << s.m << "x" << s.n;
+}
 
 class TileShapeFuzz
     : public ::testing::TestWithParam<std::tuple<Spectrum, TileShape>> {};
@@ -218,8 +282,8 @@ LowRankFactor inflate_factor(const LowRankFactor& f) {
 }  // namespace
 
 // recompress() rounds its QR core with compress(), so a rank-inflated
-// factor must come back within the same bound and near the same minimal
-// rank as compressing the matrix it represents.
+// factor must come back within the same bound and the same rank window
+// (against the spectrum oracle) as compressing the matrix it represents.
 class RecompressFuzz
     : public ::testing::TestWithParam<std::tuple<Spectrum, double>> {};
 

@@ -403,6 +403,13 @@ struct FactorizeCase {
   double tol;
 };
 
+// gtest prints a case through PrintTo (and ctest names it by that text);
+// without one a struct prints as its raw bytes.
+void PrintTo(const FactorizeCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " b=" << c.b << " band=" << c.band
+      << " threads=" << c.threads << " tol=" << c.tol;
+}
+
 class FactorizeTest : public ::testing::TestWithParam<FactorizeCase> {};
 
 TEST_P(FactorizeTest, ParallelFactorizationIsAccurate) {

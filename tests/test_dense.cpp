@@ -79,6 +79,15 @@ struct GemmCase {
   double alpha, beta;
 };
 
+// gtest (and the ctest names gtest_discover_tests derives) prints each
+// case through PrintTo; without one a struct prints as its raw bytes,
+// uninitialised padding included.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << (c.ta == Trans::N ? "N" : "T") << (c.tb == Trans::N ? "N" : "T")
+      << " " << c.m << "x" << c.n << "x" << c.k << " alpha=" << c.alpha
+      << " beta=" << c.beta;
+}
+
 class GemmTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmTest, MatchesReference) {
@@ -461,6 +470,13 @@ struct TrsmCase {
   Trans trans;
   Diag diag;
 };
+
+void PrintTo(const TrsmCase& c, std::ostream* os) {
+  *os << (c.side == Side::Left ? "Left" : "Right") << " "
+      << (c.uplo == Uplo::Lower ? "Lower" : "Upper") << " "
+      << (c.trans == Trans::N ? "N" : "T") << " "
+      << (c.diag == Diag::Unit ? "Unit" : "NonUnit");
+}
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
 

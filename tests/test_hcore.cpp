@@ -528,6 +528,13 @@ struct CholeskyCase {
   double tol;
 };
 
+// gtest prints a case through PrintTo (and ctest names it by that text);
+// without one a struct prints as its raw bytes.
+void PrintTo(const CholeskyCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " b=" << c.b << " band=" << c.band
+      << " tol=" << c.tol;
+}
+
 class TlrCholeskyTest : public ::testing::TestWithParam<CholeskyCase> {};
 
 TEST_P(TlrCholeskyTest, BackwardErrorMeetsThreshold) {

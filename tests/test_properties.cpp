@@ -140,6 +140,13 @@ struct PipelineCase {
   int threads;
 };
 
+// gtest prints a case through PrintTo (and ctest names it by that text);
+// without one a struct prints as its raw bytes.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << stars::to_string(c.kind) << " band=" << c.band
+      << " threads=" << c.threads;
+}
+
 dense::Matrix assemble_lower_factor(const tlr::TlrMatrix& m) {
   dense::Matrix l(m.n(), m.n());
   for (int i = 0; i < m.nt(); ++i)

@@ -17,6 +17,12 @@
 using namespace ptlr;
 using namespace ptlr::tlr;
 
+// gtest prints a parameter through PrintTo (and ctest names each case by
+// that text); without one an enum class prints as its raw bytes.
+namespace ptlr::stars {
+void PrintTo(ProblemKind kind, std::ostream* os) { *os << to_string(kind); }
+}  // namespace ptlr::stars
+
 // ---------------------------------------------------------- MemoryPool ----
 
 TEST(MemoryPool, ReusesReleasedBuffers) {
@@ -619,6 +625,10 @@ TEST(TlrGeneralMatrix, ApplyTransposeMatchesDenseGemv) {
 struct CrossShape {
   int m, n, b;
 };
+
+void PrintTo(const CrossShape& s, std::ostream* os) {
+  *os << s.m << "x" << s.n << " b=" << s.b;
+}
 
 class CrossCovarianceSweep : public ::testing::TestWithParam<CrossShape> {};
 
