@@ -4,15 +4,24 @@
 // kernel paths — `naive` (the seed's unblocked reference loops, forced via
 // KernelPath::kUnblocked) and `blocked` (the packed BLIS-style engine) —
 // single-threaded, so the numbers track single-tile kernel efficiency, the
-// quantity that gates TLR factorization throughput.
+// quantity that gates TLR factorization throughput. Two TRSM shapes run:
+// `trsm` solves L X = B (Left/Lower/N, the (4)-TRSM's shape) and
+// `trsm_right` solves X L^T = B (Right/Lower/T, the (1)-TRSM's and POTRF's
+// panel solve), both with m = n. At n <= 64 both paths of `trsm_right` run
+// the same tiled substitution leaf.
 //
 // Output: BENCH_dense_kernels.json (override with PTLR_BENCH_OUT), one
 // record per (kernel, variant, n) with seconds and gflops, plus a summary
-// of the blocked/naive speedup per kernel and size. PTLR_BENCH_SCALE=small
-// caps the sweep at 512 for CI smoke runs; default sweeps 64..2048.
+// of the blocked/naive speedup per kernel and size. Every blocked record
+// carries max_rel_err = max|X_blocked - X_naive| / max|X_naive| against the
+// naive run on the same inputs; the process exits 1, after writing the
+// JSON, when one exceeds kMaxRelErr. PTLR_BENCH_SCALE=small caps the sweep
+// at 512 for CI smoke runs; default sweeps 64..2048.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,17 +34,35 @@ using namespace ptlr::dense;
 
 namespace {
 
+// Blocked and naive differ only in summation order (docs/numerics.md), by
+// O(n * eps) relative to the operands' scale on these well-conditioned
+// inputs: measured at most 6.2e-15 up to n = 2048. A blocked result
+// further off than this is a wrong result, not rounding.
+constexpr double kMaxRelErr = 1e-12;
+
 struct Result {
   const char* kernel;
   const char* variant;
   int n;
   double seconds;
   double gflops;
+  double max_rel_err;  // blocked rows only; negative on naive rows
 };
+
+// max|x - ref| / max|ref| over all entries.
+double max_rel_err(ConstMatrixView x, ConstMatrixView ref) {
+  double diff = 0.0, scale = 0.0;
+  for (int j = 0; j < ref.cols(); ++j)
+    for (int i = 0; i < ref.rows(); ++i) {
+      diff = std::max(diff, std::abs(x(i, j) - ref(i, j)));
+      scale = std::max(scale, std::abs(ref(i, j)));
+    }
+  return diff / scale;
+}
 
 // Best-of-reps wall time for one kernel invocation at size n.
 template <typename Setup, typename Run>
-double time_best(Setup setup, Run run, double flops) {
+double time_best(Setup setup, Run run) {
   // Repeat until ~0.2 s of accumulated runtime (at least twice) and keep
   // the fastest rep; big slow cases run exactly twice.
   double best = 1e300, total = 0.0;
@@ -50,7 +77,6 @@ double time_best(Setup setup, Run run, double flops) {
     ++reps;
     if (s > 5.0) break;  // one rep is plenty past this point
   }
-  (void)flops;
   return best;
 }
 
@@ -70,65 +96,72 @@ int main(int argc, char** argv) {
   ptlr::Rng rng(1234);
   std::vector<Result> results;
 
-  std::printf("%-6s %-8s %6s %12s %10s\n", "kernel", "variant", "n",
-              "seconds", "gflops");
+  std::printf("%-10s %-8s %6s %12s %10s %11s\n", "kernel", "variant", "n",
+              "seconds", "gflops", "max_rel_err");
   for (const int n : sizes) {
     // Shared operands per size; each timed rep restores its inputs.
-    Matrix a(n, n), b(n, n), c(n, n);
+    Matrix a(n, n), b(n, n);
     fill_uniform(a.view(), rng);
     fill_uniform(b.view(), rng);
     Matrix spd = random_spd(n, rng);
     Matrix tri = spd;  // well-conditioned lower-triangular factor for TRSM
     potrf(Uplo::Lower, tri.view());
-    Matrix work(n, n);
+    Matrix work(n, n), naive_out(n, n);
 
-    for (const KernelPath path : {KernelPath::kUnblocked, KernelPath::kAuto}) {
-      set_kernel_path(path);
-      const char* variant = path == KernelPath::kUnblocked ? "naive" : "blocked";
-
-      struct Case {
-        const char* kernel;
-        double flops;
-      };
-      const double dn = n;
-      const Case cases[] = {
-          {"gemm", 2.0 * dn * dn * dn},
-          {"syrk", dn * dn * dn},
-          {"trsm", dn * dn * dn},
-          {"potrf", dn * dn * dn / 3.0},
-      };
-      for (const Case& kc : cases) {
-        double secs = 0.0;
-        const std::string name = kc.kernel;
-        if (name == "gemm") {
-          secs = time_best([] {},
-                           [&] {
-                             gemm(Trans::N, Trans::N, 1.0, a.view(), b.view(),
-                                  0.0, c.view());
-                           },
-                           kc.flops);
-        } else if (name == "syrk") {
-          secs = time_best([] {},
-                           [&] {
-                             syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 0.0,
-                                  c.view());
-                           },
-                           kc.flops);
-        } else if (name == "trsm") {
-          secs = time_best([&] { copy(b.view(), work.view()); },
-                           [&] {
-                             trsm(Side::Left, Uplo::Lower, Trans::N,
-                                  Diag::NonUnit, 1.0, tri.view(), work.view());
-                           },
-                           kc.flops);
-        } else {  // potrf
-          secs = time_best([&] { copy(spd.view(), work.view()); },
-                           [&] { potrf(Uplo::Lower, work.view()); }, kc.flops);
-        }
+    struct Case {
+      const char* kernel;
+      double flops;
+      std::function<void()> setup;  // restores work's inputs, untimed
+      std::function<void()> run;    // leaves the result in work
+    };
+    const double dn = n;
+    const Case cases[] = {
+        {"gemm", 2.0 * dn * dn * dn, [] {},
+         [&] {
+           gemm(Trans::N, Trans::N, 1.0, a.view(), b.view(), 0.0,
+                work.view());
+         }},
+        // beta = 0 writes only the lower triangle; zero the rest so both
+        // variants compare over the whole matrix.
+        {"syrk", dn * dn * dn, [&] { work.fill(0.0); },
+         [&] {
+           syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 0.0, work.view());
+         }},
+        {"trsm", dn * dn * dn, [&] { copy(b.view(), work.view()); },
+         [&] {
+           trsm(Side::Left, Uplo::Lower, Trans::N, Diag::NonUnit, 1.0,
+                tri.view(), work.view());
+         }},
+        {"trsm_right", dn * dn * dn, [&] { copy(b.view(), work.view()); },
+         [&] {
+           trsm(Side::Right, Uplo::Lower, Trans::T, Diag::NonUnit, 1.0,
+                tri.view(), work.view());
+         }},
+        {"potrf", dn * dn * dn / 3.0, [&] { copy(spd.view(), work.view()); },
+         [&] { potrf(Uplo::Lower, work.view()); }},
+    };
+    for (const Case& kc : cases) {
+      for (const KernelPath path :
+           {KernelPath::kUnblocked, KernelPath::kAuto}) {
+        set_kernel_path(path);
+        const bool naive = path == KernelPath::kUnblocked;
+        const double secs = time_best(kc.setup, kc.run);
         const double gflops = kc.flops / secs / 1e9;
-        results.push_back({kc.kernel, variant, n, secs, gflops});
-        std::printf("%-6s %-8s %6d %12.6f %10.2f\n", kc.kernel, variant, n,
-                    secs, gflops);
+        double err = -1.0;
+        if (naive) {
+          copy(work.view(), naive_out.view());
+        } else {
+          err = max_rel_err(work.view(), naive_out.view());
+        }
+        results.push_back(
+            {kc.kernel, naive ? "naive" : "blocked", n, secs, gflops, err});
+        std::printf("%-10s %-8s %6d %12.6f %10.2f", kc.kernel,
+                    naive ? "naive" : "blocked", n, secs, gflops);
+        if (naive) {
+          std::printf("\n");
+        } else {
+          std::printf(" %11.2e\n", err);
+        }
         std::fflush(stdout);
       }
     }
@@ -142,14 +175,18 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"dense_kernels\",\n");
   std::fprintf(f, "  \"scale\": \"%s\",\n", scale.c_str());
-  std::fprintf(f, "  \"threads\": 1,\n  \"results\": [\n");
+  std::fprintf(f, "  \"threads\": 1,\n  \"max_rel_err_bound\": %.0e,\n",
+               kMaxRelErr);
+  std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, "
-                 "\"seconds\": %.6e, \"gflops\": %.4f}%s\n",
-                 r.kernel, r.variant, r.n, r.seconds, r.gflops,
-                 i + 1 < results.size() ? "," : "");
+                 "\"seconds\": %.6e, \"gflops\": %.4f",
+                 r.kernel, r.variant, r.n, r.seconds, r.gflops);
+    if (r.max_rel_err >= 0.0)
+      std::fprintf(f, ", \"max_rel_err\": %.3e", r.max_rel_err);
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"speedup\": [\n");
   bool first = true;
@@ -169,5 +206,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return 0;
+
+  int bad = 0;
+  for (const Result& r : results) {
+    // !(err <= bound) also fails a NaN.
+    if (r.max_rel_err < 0.0 || r.max_rel_err <= kMaxRelErr) continue;
+    std::fprintf(stderr, "FAIL: %s n=%d: max_rel_err %.3e > %.0e\n",
+                 r.kernel, r.n, r.max_rel_err, kMaxRelErr);
+    ++bad;
+  }
+  return bad == 0 ? 0 : 1;
 }

@@ -76,6 +76,56 @@ void syrk_unblocked(Uplo uplo, Trans ta, double alpha, ConstMatrixView a,
   }
 }
 
+// X * L^T = B on whole 32-row strips of B: the Right/Lower/T substitution
+// of the (1)-TRSM and of POTRF's panel solve at the recursion leaf. A strip
+// of X(:, j) stays in four vector accumulators while the solved columns
+// p < j fold in, then is scaled once, so each column is read and written
+// once per strip instead of once per p. Every element runs the axpy form's
+// sequence: one multiply-add by -A(j, p) for p = 0 .. j-1 in order, then
+// one multiply by 1 / A(j, j). Returns the rows solved; the caller's axpy
+// form solves the rest, and a row computes the same bits in either. Only
+// the recursion leaf's n <= kOuterNB columns are tiled: a wider strip falls
+// out of L1, where its strided column loads alias at power-of-two leading
+// dimensions, so the forced-unblocked path's wide solves keep the axpy form.
+int trsm_rlt_strips(ConstMatrixView a, MatrixView b, bool unit) {
+#ifdef PTLR_HAVE_VEC_EXT
+  using detail::kVecLen;
+  using detail::vec_d;
+  constexpr int kSV = 4;
+  constexpr int kStrip = kSV * kVecLen;
+  const int m = b.rows(), n = b.cols();
+  if (n > detail::kOuterNB) return 0;
+  int i0 = 0;
+  for (; i0 + kStrip <= m; i0 += kStrip) {
+    for (int j = 0; j < n; ++j) {
+      double* bj = b.col(j) + i0;
+      vec_d acc[kSV];
+      for (int v = 0; v < kSV; ++v)
+        __builtin_memcpy(&acc[v], bj + v * kVecLen, sizeof(vec_d));
+      for (int p = 0; p < j; ++p) {
+        const double w = -a(j, p);
+        const double* xp = b.col(p) + i0;
+        for (int v = 0; v < kSV; ++v) {
+          vec_d x;
+          __builtin_memcpy(&x, xp + v * kVecLen, sizeof x);
+          acc[v] += w * x;
+        }
+      }
+      if (!unit) {
+        const double r = 1.0 / a(j, j);
+        for (int v = 0; v < kSV; ++v) acc[v] *= r;
+      }
+      for (int v = 0; v < kSV; ++v)
+        __builtin_memcpy(bj + v * kVecLen, &acc[v], sizeof(vec_d));
+    }
+  }
+  return i0;
+#else
+  (void)a, (void)b, (void)unit;
+  return 0;
+#endif
+}
+
 // Unblocked triangular solve (alpha already applied, flops already
 // charged): the seed's substitution loops, kept as the reference path and
 // as the diagonal-block solver of the blocked form.
@@ -119,10 +169,12 @@ void trsm_unblocked(Side side, Uplo uplo, Trans ta, Diag diag,
     // No `w == 0` shortcuts here (reference BLAS propagates 0 * NaN).
     if (uplo == Uplo::Lower && ta == Trans::T) {
       // Forward over columns: X(:,j) = (B(:,j) - sum_{p<j} X(:,p)A(j,p))/A(j,j).
+      // Whole strips in registers, the leftover rows i0.. in axpy form.
+      const int i0 = trsm_rlt_strips(a, b, unit);
       for (int j = 0; j < n; ++j) {
-        double* bj = b.col(j);
-        for (int p = 0; p < j; ++p) axpy(m, -a(j, p), b.col(p), bj);
-        if (!unit) scal(m, 1.0 / a(j, j), bj);
+        double* bj = b.col(j) + i0;
+        for (int p = 0; p < j; ++p) axpy(m - i0, -a(j, p), b.col(p) + i0, bj);
+        if (!unit) scal(m - i0, 1.0 / a(j, j), bj);
       }
     } else if (uplo == Uplo::Lower && ta == Trans::N) {
       // Backward: X(:,j) = (B(:,j) - sum_{p>j} X(:,p)A(p,j))/A(j,j).

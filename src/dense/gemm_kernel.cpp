@@ -4,6 +4,7 @@
 #include "dense/gemm_kernel.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "runtime/nested.hpp"
@@ -23,37 +24,42 @@ namespace {
 // zero-padded, so the hot loop is always full-width; mr/nr only mask the
 // write-back.
 //
-// The accumulators are spelled with GNU vector extensions: one kMR-wide
-// vector per microtile column, updated with a broadcast multiply-add per
-// packed B element. This pins the vectorization axis to the M dimension
-// (kNR accumulator vectors + one A vector stay resident in the register
-// file); left to its own devices GCC vectorizes the scalar form across the
-// N axis and drowns the FMAs in cross-lane shuffles.
-#if defined(__GNUC__) || defined(__clang__)
-#define PTLR_HAVE_VEC_EXT 1
-using v8d = double __attribute__((vector_size(kMR * sizeof(double))));
-#endif
-
+// The accumulators are kMV = kMR / kVecLen vectors per microtile column,
+// each updated with a broadcast multiply-add per packed B element. This pins
+// the vectorization axis to the M dimension (kNR * kMV accumulators + kMV A
+// vectors stay resident in the register file); left to its own devices GCC
+// vectorizes the scalar form across the N axis and drowns the FMAs in
+// cross-lane shuffles. Every lane runs the same multiply-add chain over p,
+// so the footprint never enters a result.
 void micro_kernel(int kc, const double* PTLR_RESTRICT ap,
                   const double* PTLR_RESTRICT bp, double* PTLR_RESTRICT c,
                   int ldc, int mr, int nr) {
 #ifdef PTLR_HAVE_VEC_EXT
-  v8d acc[kNR] = {};
+  constexpr int kMV = kMR / kVecLen;
+  vec_d acc[kNR][kMV] = {};
   for (int p = 0; p < kc; ++p) {
-    v8d av;
-    __builtin_memcpy(&av, ap + static_cast<std::size_t>(p) * kMR, sizeof av);
+    const double* PTLR_RESTRICT arow = ap + static_cast<std::size_t>(p) * kMR;
+    vec_d av[kMV];
+    for (int v = 0; v < kMV; ++v)
+      __builtin_memcpy(&av[v], arow + v * kVecLen, sizeof(vec_d));
     const double* PTLR_RESTRICT brow = bp + static_cast<std::size_t>(p) * kNR;
-    for (int j = 0; j < kNR; ++j) acc[j] += av * brow[j];
+    for (int j = 0; j < kNR; ++j)
+      for (int v = 0; v < kMV; ++v) acc[j][v] += av[v] * brow[j];
   }
   if (mr == kMR && nr == kNR) {
     for (int j = 0; j < kNR; ++j) {
       double* cj = c + static_cast<std::size_t>(j) * ldc;
-      for (int i = 0; i < kMR; ++i) cj[i] += acc[j][i];
+      for (int v = 0; v < kMV; ++v) {
+        vec_d cv;
+        __builtin_memcpy(&cv, cj + v * kVecLen, sizeof cv);
+        cv += acc[j][v];
+        __builtin_memcpy(cj + v * kVecLen, &cv, sizeof cv);
+      }
     }
   } else {
     for (int j = 0; j < nr; ++j) {
       double* cj = c + static_cast<std::size_t>(j) * ldc;
-      for (int i = 0; i < mr; ++i) cj[i] += acc[j][i];
+      for (int i = 0; i < mr; ++i) cj[i] += acc[j][i / kVecLen][i % kVecLen];
     }
   }
 #else
@@ -78,7 +84,13 @@ void micro_kernel(int kc, const double* PTLR_RESTRICT ap,
 // stop allocating per GEMM call after their first. Left uninitialized: the
 // packing routines write every element the microkernel reads, zero padding
 // included, so a thread makes resident only the pages its blocks pack
-// (~0.25 MB for a 128-tile, not the full 4.7 MB).
+// (~0.25 MB for a 128-tile, not the full 4.7 MB). Each buffer has one
+// cache line of slack so gemm_blocked can start its panels on a line
+// boundary: the microkernel's vector loads of packed A then never straddle
+// two lines (a large allocation otherwise sits 16 bytes past a page).
+constexpr std::size_t kLineBytes = 64;
+constexpr std::size_t kLineDoubles = kLineBytes / sizeof(double);
+
 struct PackBuffers {
   std::unique_ptr<double[]> a, b;
 };
@@ -88,10 +100,15 @@ PackBuffers& pack_buffers() {
   constexpr int nc_round = (kNC + kNR - 1) / kNR * kNR;
   thread_local PackBuffers bufs{
       std::make_unique_for_overwrite<double[]>(
-          static_cast<std::size_t>(mc_round) * kKC),
+          static_cast<std::size_t>(mc_round) * kKC + kLineDoubles),
       std::make_unique_for_overwrite<double[]>(
-          static_cast<std::size_t>(nc_round) * kKC)};
+          static_cast<std::size_t>(nc_round) * kKC + kLineDoubles)};
   return bufs;
+}
+
+double* line_aligned(double* p) {
+  const std::size_t off = reinterpret_cast<std::uintptr_t>(p) % kLineBytes;
+  return off == 0 ? p : p + (kLineBytes - off) / sizeof(double);
 }
 
 KernelPath& kernel_path_state() {
@@ -107,8 +124,8 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   const int k = ta == Trans::N ? a.cols() : a.rows();
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
   PackBuffers& bufs = pack_buffers();
-  double* apack = bufs.a.get();
-  double* bpack = bufs.b.get();
+  double* apack = line_aligned(bufs.a.get());
+  double* bpack = line_aligned(bufs.b.get());
   const int ldc = c.ld();
 
   for (int jc = 0; jc < n; jc += kNC) {

@@ -19,15 +19,40 @@
 
 namespace ptlr::dense::detail {
 
-// Register microkernel footprint. kMR * kNR accumulators must fit in the
-// vector register file (8 + 6 doubles -> 6 full-width FMA rows on AVX2,
-// 6 zmm accumulators + broadcast on AVX-512).
+// Register microkernel footprint, fixed by the ISA the dense sources compile
+// for: kNR columns of kMR / kVecLen vectors each, B elements broadcast from
+// memory.
+//   AVX-512 (32 zmm): 16 x 8 -> 16 accumulators, enough independent FMA
+//     chains to keep both FMA ports busy, plus 2 A vectors.
+//   Other ISAs: 8 x 6 -> 6 accumulators (12 of 16 ymm on AVX2).
+// The footprint never changes a result bit: each element of C sums the same
+// alpha-folded packed products in the same k order in any microtile, edge or
+// interior. Only sources compiled with the dense native-ISA flag
+// (CMakeLists.txt) include this header, so packing and microkernel agree on
+// one footprint.
+inline constexpr int kVecLen = 8;
+#ifdef __AVX512F__
+inline constexpr int kMR = 16;
+inline constexpr int kNR = 8;
+#else
 inline constexpr int kMR = 8;
 inline constexpr int kNR = 6;
+#endif
+static_assert(kMR % kVecLen == 0, "microtile columns are whole vectors");
 
-// Cache blocks: an MR x KC sliver of packed A stays in L1 (8*256*8B = 16 KiB
-// of 48 KiB); the MC x KC packed A block stays in L2 (256*256*8B = 512 KiB
-// of 2 MiB); the KC x NC packed B block streams from L3.
+#if defined(__GNUC__) || defined(__clang__)
+#define PTLR_HAVE_VEC_EXT 1
+// kVecLen doubles spelled with GNU vector extensions: one zmm on AVX-512,
+// two ymm halves on AVX2. Used by the GEMM microkernel and the TRSM leaf to
+// pin vectorization to the row axis.
+using vec_d = double __attribute__((vector_size(kVecLen * sizeof(double))));
+#endif
+
+// Cache blocks: an MR x KC sliver of packed A plus a KC x NR sliver of packed
+// B stay in L1 (16*256*8B = 32 KiB plus 8*256*8B = 16 KiB fill a 48 KiB L1d
+// at 16 x 8; 16 + 12 KiB at 8 x 6); the MC x KC packed A block stays in L2
+// (256*256*8B = 512 KiB of 2 MiB); the KC x NC packed B block streams from
+// L3.
 inline constexpr int kMC = 256;
 inline constexpr int kKC = 256;
 inline constexpr int kNC = 2048;

@@ -1,7 +1,9 @@
 // Unit tests for ptlr::dense — the BLAS/LAPACK substrate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <thread>
@@ -178,14 +180,17 @@ TEST(Gemm, FreshThreadMakesOnlyPackedPagesResident) {
 // sizes exercise packing, microtile edges, and write-back masking.
 TEST(GemmOracle, BlockedMatchesNaiveAcrossBlockingEdges) {
   KernelPathGuard guard;
-  // (m, n, k) triples: microkernel edges around MR=8 / NR=6, cache-block
-  // edges around MC=256 / KC=256, primes, and degenerate slivers.
+  // (m, n, k) triples: microkernel edges around kMR / kNR (8 x 6, or
+  // 16 x 8 on AVX-512), cache-block edges around kMC = 256 / kKC = 256,
+  // primes, and degenerate slivers.
   const int cases[][3] = {
       {1, 1, 1},    {8, 6, 4},     {9, 7, 5},    {7, 5, 3},
       {16, 12, 8},  {17, 13, 9},   {63, 47, 31}, {64, 48, 32},
       {65, 49, 33}, {97, 101, 103}, {129, 6, 129}, {257, 7, 9},
       {7, 259, 9},  {13, 11, 257}, {255, 255, 31}, {256, 12, 256},
       {33, 65, 130}, {1, 259, 257},
+      {15, 7, 3},   {16, 8, 4},    {17, 9, 5},   {33, 17, 9},
+      {48, 24, 16},
   };
   const double alphas[] = {0.0, 1.0, -1.0, 0.5};
   const double betas[] = {0.0, 1.0, -1.0, 0.5};
@@ -372,6 +377,95 @@ TEST(BlockedPath, TrsmMatchesUnblockedAllVariants) {
           const double scale = frob_norm(bu.view());
           EXPECT_LT(frob_diff(b.view(), bu.view()), 1e-10 * (1.0 + scale));
         }
+      }
+    }
+  }
+}
+
+// Nested child chunks move a row of C (or of a TRSM's X) between an
+// interior microtile or strip and an edge one, so factors stay bitwise
+// identical across thread counts only if both compute a row alike. A row
+// duplicated into the last, partial microtile / strip must come out bit
+// for bit equal to its original. m = 53, n = 29 leave partial edges for
+// kMR = 8 or 16 and kNR = 6, 8 or 12; m = 69 is two 32-row TRSM strips
+// plus 5 rows.
+TEST(BlockedPath, DuplicatedRowsStayBitwiseEqualAcrossEdges) {
+  KernelPathGuard guard;
+  Rng rng(65);
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  set_kernel_path(KernelPath::kBlocked);
+
+  const int m = 53, n = 29, k = 37;
+  for (const Trans ta : {Trans::N, Trans::T}) {
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      Matrix a(ta == Trans::N ? m : k, ta == Trans::N ? k : m);
+      Matrix b(tb == Trans::N ? k : n, tb == Trans::N ? n : k);
+      Matrix c(m, n);
+      fill_uniform(a.view(), rng);
+      fill_uniform(b.view(), rng);
+      fill_uniform(c.view(), rng);
+      for (int p = 0; p < k; ++p) {
+        if (ta == Trans::N) {
+          a(52, p) = a(2, p);
+        } else {
+          a(p, 52) = a(p, 2);
+        }
+      }
+      for (int j = 0; j < n; ++j) c(52, j) = c(2, j);
+      gemm(ta, tb, -0.75, a.view(), b.view(), 0.5, c.view());
+      for (int j = 0; j < n; ++j)
+        ASSERT_TRUE(same_bits(c(2, j), c(52, j)))
+            << "gemm ta=" << (ta == Trans::N ? "N" : "T")
+            << " tb=" << (tb == Trans::N ? "N" : "T") << " col " << j;
+    }
+  }
+
+  // SYRK-lower: rows 2 and 52 both own columns 0..2; row 2's microtile
+  // straddles the diagonal (masked scratch tile), row 52's is a partial
+  // edge tile below it.
+  for (const Trans ta : {Trans::N, Trans::T}) {
+    Matrix a(ta == Trans::N ? m : k, ta == Trans::N ? k : m);
+    Matrix c(m, m);
+    fill_uniform(a.view(), rng);
+    fill_uniform(c.view(), rng);
+    for (int p = 0; p < k; ++p) {
+      if (ta == Trans::N) {
+        a(52, p) = a(2, p);
+      } else {
+        a(p, 52) = a(p, 2);
+      }
+    }
+    for (int j = 0; j <= 2; ++j) c(52, j) = c(2, j);
+    syrk(Uplo::Lower, ta, -1.0, a.view(), 1.0, c.view());
+    for (int j = 0; j <= 2; ++j)
+      ASSERT_TRUE(same_bits(c(2, j), c(52, j)))
+          << "syrk ta=" << (ta == Trans::N ? "N" : "T") << " col " << j;
+  }
+
+  // Right/Lower/T TRSM: row 3 sits in the first 32-row strip, row 68 in
+  // the axpy-form leftover. na = 40 is one leaf; on the blocked path
+  // na = 150 recurses, with GEMM folds whose microtile edges also separate
+  // the two rows.
+  const int mt = 69;
+  for (const KernelPath path : {KernelPath::kBlocked, KernelPath::kUnblocked}) {
+    set_kernel_path(path);
+    for (const int na : {40, 150}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        Matrix l(na, na);
+        fill_uniform(l.view(), rng, -0.5, 0.5);
+        for (int j = 0; j < na; ++j) l(j, j) = 2.0 + 0.01 * j;
+        Matrix x(mt, na);
+        fill_uniform(x.view(), rng);
+        for (int j = 0; j < na; ++j) x(68, j) = x(3, j);
+        trsm(Side::Right, Uplo::Lower, Trans::T, diag, 1.5, l.view(),
+             x.view());
+        for (int j = 0; j < na; ++j)
+          ASSERT_TRUE(same_bits(x(3, j), x(68, j)))
+              << "trsm na=" << na << " col " << j
+              << (path == KernelPath::kBlocked ? " blocked" : " unblocked")
+              << (diag == Diag::Unit ? " unit" : " non-unit");
       }
     }
   }
