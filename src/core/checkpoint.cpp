@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,7 +18,7 @@ namespace ptlr::core {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x31504B43524C5450ull;  // "PTLRCKP1" LE
-constexpr std::uint64_t kVersion = 2;
+constexpr std::uint64_t kVersion = 3;
 
 void write_u64(std::FILE* f, std::uint64_t v) {
   PTLR_CHECK(std::fwrite(&v, sizeof(v), 1, f) == 1, "checkpoint write failed");
@@ -94,8 +95,7 @@ CheckpointPolicy CheckpointPolicy::from_env() {
 
 void save_rank_checkpoint(const std::string& path, const tlr::TlrMatrix& a,
                           const rt::Distribution& dist, int rank,
-                          std::uint64_t frontier,
-                          const std::vector<std::pair<int, int>>& retained) {
+                          std::uint64_t frontier) {
   const std::string tmp = path + ".tmp";
   File f(std::fopen(tmp.c_str(), "wb"));
   PTLR_CHECK(f != nullptr, "cannot open for writing: " + tmp);
@@ -104,12 +104,6 @@ void save_rank_checkpoint(const std::string& path, const tlr::TlrMatrix& a,
     for (int i = 0; i < a.nt(); ++i)
       for (int j = 0; j <= i; ++j)
         if (dist.owner(i, j) == rank) tiles.emplace_back(i, j);
-    for (const auto& [i, j] : retained) {
-      PTLR_CHECK(dist.owner(i, j) != rank && j < i &&
-                     static_cast<std::uint64_t>(j) < frontier,
-                 "retained tile must be a received panel before the frontier");
-      tiles.emplace_back(i, j);
-    }
     const auto ntiles = static_cast<std::uint64_t>(tiles.size());
 
     write_u64(f.get(), kMagic);
@@ -145,8 +139,7 @@ void save_rank_checkpoint(const std::string& path, const tlr::TlrMatrix& a,
 }
 
 std::uint64_t load_rank_checkpoint(const std::string& path, tlr::TlrMatrix& a,
-                                   const rt::Distribution& dist, int rank,
-                                   std::vector<std::pair<int, int>>* retained) {
+                                   const rt::Distribution& dist, int rank) {
   File f(std::fopen(path.c_str(), "rb"));
   PTLR_CHECK(f != nullptr, "cannot open for reading: " + path);
   PTLR_CHECK(std::fseek(f.get(), 0, SEEK_END) == 0, "cannot seek: " + path);
@@ -167,11 +160,7 @@ std::uint64_t load_rank_checkpoint(const std::string& path, tlr::TlrMatrix& a,
     const std::uint64_t j = read_u64(f.get(), path);
     const std::uint64_t nbytes = read_u64(f.get(), path);
     PTLR_CHECK(i < h.nt && j <= i, "corrupt checkpoint tile index: " + path);
-    // A tile of another rank is legal only as a retained panel: strictly
-    // below the diagonal and factored before the frontier.
-    const bool owned =
-        dist.owner(static_cast<int>(i), static_cast<int>(j)) == rank;
-    PTLR_CHECK(owned || (j < i && j < h.frontier),
+    PTLR_CHECK(dist.owner(static_cast<int>(i), static_cast<int>(j)) == rank,
                "checkpoint tile not owned by this rank: " + path);
     // Bound the declared payload by the file BEFORE allocating it.
     const auto pos = static_cast<std::uint64_t>(std::ftell(f.get()));
@@ -184,8 +173,6 @@ std::uint64_t load_rank_checkpoint(const std::string& path, tlr::TlrMatrix& a,
                "truncated checkpoint: " + path);
     a.at(static_cast<int>(i), static_cast<int>(j)) =
         tlr::tile_from_bytes(bytes);
-    if (!owned && retained != nullptr)
-      retained->emplace_back(static_cast<int>(i), static_cast<int>(j));
   }
   return h.frontier;
 }

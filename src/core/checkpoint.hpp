@@ -2,12 +2,13 @@
 //
 // The rank_kill fault class (whole-process SIGKILL, resilience/fault.hpp)
 // cannot be recovered by retry or retransmission: the dead rank's address
-// space is gone. Recovery instead goes through this module — each rank
-// periodically serializes its OWNED tiles, the received panel tiles its
-// unflushed low-rank tiles still need (no peer re-sends a panel from before
-// the frontier), and the task frontier (the first k-step not yet fully
-// applied to them) to a private file; when the
-// launcher respawns the rank, the new process loads the checkpoint and
+// space is gone. Recovery instead goes through this module — a ckpt(k)
+// task of the rank's slice (core/cholesky_graph.hpp) serializes the rank's
+// OWNED tiles in their state after step k, and the task frontier k + 1
+// (the first step not yet applied to them), to a private file. A low-rank
+// tile between its first and last update is stored as its dense
+// accumulator, so no panel from before the frontier is needed again. When
+// the launcher respawns the rank, the new process loads the checkpoint and
 // replays the factorization from the frontier instead of from scratch.
 //
 // The write is crash-consistent: serialize to "<path>.tmp", fsync, then
@@ -21,8 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "runtime/distribution.hpp"
 #include "tlr/tlr_matrix.hpp"
@@ -51,26 +50,22 @@ struct CheckpointPolicy {
   static CheckpointPolicy from_env();
 };
 
-/// Write rank `rank`'s checkpoint: every tile `dist` assigns to it (in its
-/// current, possibly partially-updated state), the `retained` received
-/// panel tiles (i, j) — other ranks' tiles with j < i and j < frontier —
-/// plus `frontier`, the first k-step the replay must re-run.
-/// Crash-consistent (tmp + fsync + rename); throws ptlr::Error on I/O
-/// failure after unlinking the tmp file.
-void save_rank_checkpoint(
-    const std::string& path, const tlr::TlrMatrix& a,
-    const rt::Distribution& dist, int rank, std::uint64_t frontier,
-    const std::vector<std::pair<int, int>>& retained = {});
+/// Write rank `rank`'s checkpoint (format v3): every tile `dist` assigns
+/// to it, in its current, possibly partially-updated state, plus
+/// `frontier`, the first k-step the replay must re-run. Crash-consistent
+/// (tmp + fsync + rename); throws ptlr::Error on I/O failure after
+/// unlinking the tmp file.
+void save_rank_checkpoint(const std::string& path, const tlr::TlrMatrix& a,
+                          const rt::Distribution& dist, int rank,
+                          std::uint64_t frontier);
 
-/// Load `path` into the owned and retained tiles of `a`, validating that
-/// the checkpoint was written by this (rank, nranks, nt) configuration and
-/// that every stored tile is owned by `rank` under `dist` or is a panel
-/// tile from before the frontier. The coordinates of the retained panels
-/// are appended to `retained` when non-null. Returns the stored frontier.
-/// Throws ptlr::Error on any mismatch or corruption.
-std::uint64_t load_rank_checkpoint(
-    const std::string& path, tlr::TlrMatrix& a, const rt::Distribution& dist,
-    int rank, std::vector<std::pair<int, int>>* retained = nullptr);
+/// Load `path` into the owned tiles of `a`, validating that the checkpoint
+/// was written by this (rank, nranks, nt) configuration and that every
+/// stored tile is owned by `rank` under `dist`. Returns the stored
+/// frontier. Throws ptlr::Error on any mismatch or corruption.
+std::uint64_t load_rank_checkpoint(const std::string& path,
+                                   tlr::TlrMatrix& a,
+                                   const rt::Distribution& dist, int rank);
 
 /// The frontier stored in `path` without loading tiles — what a respawned
 /// rank announces in its REJOIN frame before the factorization starts.

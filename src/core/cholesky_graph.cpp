@@ -30,7 +30,8 @@ class Builder {
  public:
   Builder(tlr::TlrMatrix* mat, const RankMap* ranks, const GraphOptions& opt,
           bool skip_tlr_gemm)
-      : mat_(mat), opt_(opt), skip_tlr_gemm_(skip_tlr_gemm) {
+      : mat_(mat), opt_(opt), slice_(opt.slice),
+        skip_tlr_gemm_(skip_tlr_gemm) {
     if (mat_ != nullptr) {
       nt_ = mat_->nt();
       b_ = mat_->tile_size();
@@ -57,16 +58,24 @@ class Builder {
       }
     rb_ = opt_.recursive_block > 0 ? opt_.recursive_block
                                    : std::max(b_ / 4, 16);
+    if (slice_ != nullptr) received_.assign(fmt_.size(), 0);
   }
 
   rt::TaskGraph build(GraphStats* stats) {
     for (int k = 0; k < nt_; ++k) {
+      if (slice_ != nullptr && k == slice_->kill_step &&
+          k >= slice_->frontier)
+        add_barrier("kill", k, slice_->kill);
       add_potrf(k);
       for (int i = k + 1; i < nt_; ++i) add_trsm(k, i);
       for (int i = k + 1; i < nt_; ++i) {
         add_syrk(k, i);
         for (int j = k + 1; j < i; ++j) add_gemm(k, i, j);
       }
+      if (slice_ != nullptr && slice_->ckpt_every > 0 &&
+          (k + 1) % slice_->ckpt_every == 0 && k + 1 < nt_ &&
+          k >= slice_->frontier)
+        add_barrier("ckpt", k, slice_->ckpt);
     }
     if (stats != nullptr) *stats = stats_;
     return std::move(g_);
@@ -84,6 +93,12 @@ class Builder {
   [[nodiscard]] int rows_of(int i) const { return std::min(b_, n_ - i * b_); }
   [[nodiscard]] int owner(int i, int j) const {
     return opt_.dist != nullptr ? opt_.dist->owner(i, j) : 0;
+  }
+  /// False for a task a rank slice leaves out: another rank's, or one of a
+  /// step before the frontier.
+  [[nodiscard]] bool kept(int i, int j, int k) const {
+    return slice_ == nullptr ||
+           (owner(i, j) == slice_->rank && k >= slice_->frontier);
   }
   [[nodiscard]] std::size_t tile_bytes(int i, int j) const {
     if (is_dense(i, j))
@@ -154,8 +169,71 @@ class Builder {
     return g_.add_task(std::move(info), reads, writes);
   }
 
+  // ------------------------------------------------- rank-slice tasks --
+  // recv(i, k) before the first kept reader of a remote tile (i, k). It
+  // declares no output: a retry would need the consumed bytes again.
+  void need(int i, int k) {
+    if (slice_ == nullptr || owner(i, k) == slice_->rank) return;
+    char& done = received_[tri(i, k)];
+    if (done != 0) return;
+    done = 1;
+    TaskInfo t;
+    t.name = "recv(" + std::to_string(i) + "," + std::to_string(k) + ")";
+    t.kind = -1;
+    t.panel = k;
+    t.ti = i;
+    t.tj = k;
+    t.priority = prio(k, 14.0);
+    t.owner = slice_->rank;
+    t.fn = [recv = slice_->recv, i, k] { recv(i, k); };
+    g_.add_gate(add(std::move(t), {}, {tile_key(i, k)}));
+  }
+
+  // send(i, k) after the kept POTRF/TRSM that factored tile (i, k).
+  void add_send(int i, int k) {
+    if (slice_ == nullptr) return;
+    std::set<int> dests = tile_readers(*opt_.dist, nt_, i, k);
+    dests.erase(slice_->rank);
+    if (dests.empty()) return;
+    TaskInfo t;
+    t.name = "send(" + std::to_string(i) + "," + std::to_string(k) + ")";
+    t.kind = -1;
+    t.panel = k;
+    t.ti = i;
+    t.tj = k;
+    t.priority = prio(k, 15.0);
+    t.owner = slice_->rank;
+    t.fn = [send = slice_->send, i, k, dests = std::move(dests)] {
+      send(i, k, dests);
+    };
+    sends_.push_back(add(std::move(t), {tile_key(i, k)}, {}));
+  }
+
+  // ckpt(k) / kill(k): reads every owned tile, waits for every send so
+  // far and for the barrier before it.
+  void add_barrier(const char* what, int k,
+                   const std::function<void(int)>& body) {
+    TaskInfo t;
+    t.name = std::string(what) + "(" + std::to_string(k) + ")";
+    t.kind = -1;
+    t.panel = k;
+    t.priority = prio(k, 16.0);
+    t.owner = slice_->rank;
+    t.fn = [body, k] { body(k); };
+    std::vector<DataKey> reads;
+    for (int i = 0; i < nt_; ++i)
+      for (int j = 0; j <= i; ++j)
+        if (owner(i, j) == slice_->rank) reads.push_back(tile_key(i, j));
+    const rt::TaskId id = addv(std::move(t), reads, {});
+    for (const rt::TaskId s : sends_) g_.add_dependency(s, id);
+    sends_.clear();
+    if (last_barrier_ >= 0) g_.add_dependency(last_barrier_, id);
+    last_barrier_ = id;
+  }
+
   // ------------------------------------------------------ whole kernels --
   void add_potrf(int k) {
+    if (!kept(k, k, k)) return;
     const int bk = rows_of(k);
     charge(Kernel::kPotrf1, bk, 0);
     const bool recurse = (opt_.recursive_all || opt_.recursive_potrf) &&
@@ -196,9 +274,11 @@ class Builder {
     }
     add(std::move(t), {}, {tile_key(k, k)});
     stats_.tasks_band++;
+    add_send(k, k);
   }
 
   void add_trsm(int k, int i) {
+    if (!kept(i, k, k)) return;
     const bool dense_tile = is_dense(i, k);
     const Kernel kernel = dense_tile ? Kernel::kTrsm1 : Kernel::kTrsm4;
     const int kk = dense_tile ? 0 : rank_of(i, k);
@@ -223,11 +303,14 @@ class Builder {
       t.fn = [m, k, i] { hcore::trsm(m->at(k, k), m->at(i, k)); };
       attach_output(t, i, k);
     }
+    need(k, k);
     add(std::move(t), {tile_key(k, k)}, {tile_key(i, k)});
     if (dense_tile) stats_.tasks_band++;
+    add_send(i, k);
   }
 
   void add_syrk(int k, int i) {
+    if (!kept(i, i, k)) return;
     const bool dense_a = is_dense(i, k);
     const Kernel kernel = dense_a ? Kernel::kSyrk1 : Kernel::kSyrk3;
     const int kk = dense_a ? 0 : rank_of(i, k);
@@ -252,6 +335,7 @@ class Builder {
       t.fn = [m, k, i] { hcore::syrk(m->at(i, k), m->at(i, i)); };
       attach_output(t, i, i);
     }
+    need(i, k);
     add(std::move(t), {tile_key(i, k)}, {tile_key(i, i)});
     stats_.tasks_band++;
   }
@@ -281,6 +365,7 @@ class Builder {
       rank_[tri(i, j)] = std::min(rows_of(i), rows_of(j));
       table = Kernel::kGemm1;
     }
+    if (!kept(i, j, k)) return;
     if (skip_tlr_gemm_ && !cd) return;  // Fig. 10 "No_TLR_GEMM" variant
     charge(table, b_, kk);
     const Kernel kernel = round ? table : dense_out;
@@ -311,6 +396,8 @@ class Builder {
       };
       attach_output(t, i, j);
     }
+    need(i, k);
+    need(j, k);
     add(std::move(t), {tile_key(i, k), tile_key(j, k)}, {tile_key(i, j)});
     if (cd || kernel == Kernel::kGemm1) stats_.tasks_band++;
   }
@@ -470,7 +557,11 @@ class Builder {
 
   tlr::TlrMatrix* mat_;
   GraphOptions opt_;
+  const RankSlice* slice_;
   bool skip_tlr_gemm_;
+  std::vector<char> received_;  ///< per tile: recv task emitted (slice)
+  std::vector<rt::TaskId> sends_;  ///< sends since the last barrier
+  rt::TaskId last_barrier_ = -1;
   int nt_ = 0, b_ = 0, n_ = 0, rb_ = 0;
   std::vector<char> fmt_;
   std::vector<int> rank_;
@@ -481,12 +572,27 @@ class Builder {
 
 }  // namespace
 
+std::set<int> tile_readers(const rt::Distribution& dist, int nt, int i,
+                           int k) {
+  std::set<int> dests;
+  if (i == k) {
+    for (int m = k + 1; m < nt; ++m) dests.insert(dist.owner(m, k));
+    return dests;
+  }
+  dests.insert(dist.owner(i, i));
+  for (int j = k + 1; j < i; ++j) dests.insert(dist.owner(i, j));
+  for (int m = i + 1; m < nt; ++m) dests.insert(dist.owner(m, i));
+  return dests;
+}
+
 rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
                                    const GraphOptions& opt,
                                    GraphStats* stats) {
   PTLR_CHECK(!opt.recursive_all && !opt.recursive_potrf,
              "recursive kernels are modelled only: real band tiles split "
              "through nested child tasks");
+  PTLR_CHECK(opt.slice == nullptr || opt.dist != nullptr,
+             "a rank slice needs a distribution");
   Builder b(&mat, nullptr, opt, false);
   return b.build(stats);
 }

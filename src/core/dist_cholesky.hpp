@@ -1,32 +1,30 @@
 // Distributed-memory BAND-DENSE-TLR Cholesky over the transport seam:
-// N ranks with private tile storage run the right-looking factorization
-// owner-computes, exchanging factored tiles as serialized messages (the
-// REMOTE dataflow of Section VII-A made concrete):
+// each of N ranks with private tile storage runs its slice of the one
+// task graph (core/cholesky_graph.hpp, RankSlice) on the shared-memory
+// executor with one worker — the PTG execution of the paper, with the
+// REMOTE dataflow edges of Section VII-A made concrete:
 //
-//   POTRF(k)   on owner(k,k), then L(k,k)  → ranks owning panel k tiles;
-//   TRSM(i,k)  on owner(i,k), then A(i,k)  → ranks owning the trailing
-//              tiles it updates;
-//   SYRK/GEMM  on the owner of a dense updated tile, one per step;
-//   FLUSH(i,j) on the owner of a low-rank tile, once at step j-1: all of
-//              its updates from the panel pairs (i,k), (j,k), k < j.
+//   * the slice keeps the POTRF/TRSM/SYRK/GEMM tasks `dist` assigns to
+//     the rank, with the shared graph's bodies and priorities, so every
+//     tile runs the shared-memory kernel sequence and the factors match
+//     the shared-memory factorization bit for bit by construction;
+//   * a send task after each owned POTRF/TRSM whose tile other ranks read
+//     serializes the tile once and sends ONE copy down its binomial
+//     broadcast tree (core/bcast_tree.hpp);
+//   * a gated recv task per remote tile the slice reads: the receive
+//     thread (core/tile_flow.hpp) forwards each arrival to its tree
+//     children, hands the bytes to the recv task and opens its gate
+//     (rt::ExecOptions::open_gates); the task decodes them into the
+//     rank's replica slot, so updates run as soon as their operands
+//     arrive;
+//   * with checkpointing on, a ckpt(k) task writes the owned tiles —
+//     dense accumulators included — after step k (checkpoint format v3),
+//     and a seeded rank kill is a kill(k) task of the same shape.
 //
-// A rank keeps each received panel tile in its own replica slot from its
-// arrival step until the last flush that reads it, so rank checkpoints
-// carry those retained panels next to the owned tiles.
-//
-// Broadcasts travel binomial trees by default (core/bcast_tree.hpp): the
-// origin serializes the tile once into a refcounted buffer and sends ONE
-// copy; receivers forward down deterministic trees via the lookahead
-// prefetcher (core/tile_flow.hpp), which also posts expected receives for
-// the next PTLR_LOOKAHEAD panels so updates rarely block in recv.
-// PTLR_BCAST=flat restores the one-unicast-per-destination PTG pattern.
-//
-// Numerically identical to the shared-memory factorization (same kernel
-// sequence per tile), which the tests assert tile-by-tile. The rank
-// program is written against rt::dist::Transport only, so the same code
-// runs over the in-process Communicator (distributed_factorize, N rank
-// threads) and over the real socket mesh (distributed_factorize_rank, one
-// OS process per rank, see src/net and tools/ptlr-launch).
+// The driver is written against rt::dist::Transport only, so the same
+// code runs over the in-process Communicator (distributed_factorize, N
+// rank threads) and over the real socket mesh (distributed_factorize_rank,
+// one OS process per rank, see src/net and tools/ptlr-launch).
 #pragma once
 
 #include <vector>
@@ -37,7 +35,6 @@
 #include "resilience/fault.hpp"
 #include "resilience/stats.hpp"
 #include "runtime/distribution.hpp"
-#include "runtime/mailbox.hpp"
 #include "runtime/transport.hpp"
 #include "tlr/tlr_matrix.hpp"
 
@@ -51,24 +48,21 @@ struct DistCholeskyResult {
   /// the communicator's fault config, and their recoveries).
   resil::RecoveryStats recovery;
   /// Per-rank communication-path counters (broadcast egress, tree
-  /// forwards, lookahead hits, blocked-receive time). One entry per rank
-  /// for the in-process driver; exactly one entry — this endpoint's — for
+  /// forwards, blocked-receive time). One entry per rank for the
+  /// in-process driver; exactly one entry — this endpoint's — for
   /// distributed_factorize_rank.
   std::vector<RankCommStats> rank_comm;
 };
 
-/// Factorize `a` in place with `nranks` ranks (one thread each) owning
-/// tiles per `dist`, over the in-process transport. Each rank thread works
-/// on a private replica holding its owned tiles (plus the panels it
-/// receives); the owned tiles move back into `a` at the end. Kernels are
-/// the hcore set of the shared-memory path; `acc` controls low-rank
-/// compression as in the shared-memory path. `opts` selects the
-/// communication path (broadcast trees, panel lookahead); the default
-/// reads PTLR_BCAST / PTLR_LOOKAHEAD.
-DistCholeskyResult distributed_factorize(
-    tlr::TlrMatrix& a, const rt::Distribution& dist,
-    const compress::Accuracy& acc,
-    const DistCommOptions& opts = DistCommOptions::from_env());
+/// Factorize `a` in place with dist.nproc() ranks owning tiles per `dist`,
+/// over the in-process transport. Each rank thread runs its slice on a
+/// private copy of `a`, exactly as a rank process of the socket backend
+/// does; the owned tiles move back into `a` at the end. Kernels are the
+/// hcore set of the shared-memory path; `acc` controls low-rank
+/// compression as in the shared-memory path.
+DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
+                                         const rt::Distribution& dist,
+                                         const compress::Accuracy& acc);
 
 /// Rank-death recovery knobs for one rank process of the socket backend.
 /// Default-constructed = no checkpointing, first incarnation, no faults —
@@ -83,33 +77,34 @@ struct RankRecoveryOptions {
   int epoch = 0;
   /// Fault plan for the rank_kill class (PTLR_FAULTS "kill=<p>"). Message
   /// and task faults stay where they were (transport / executor); the
-  /// whole-process kill is decided here because only the rank program
-  /// knows the k-step boundaries the plan is keyed on.
+  /// whole-process kill is decided here because the plan is keyed on the
+  /// k-steps of the slice.
   resil::FaultConfig faults;
 
   static RankRecoveryOptions from_env();
 };
 
 /// Run ONE rank of the factorization over `transport` — the entry point a
-/// rank process of the socket backend calls. `a` is this process's replica
-/// of the matrix: only the tiles `dist` assigns to transport.rank() are
-/// read as inputs and factored in place. The slot of a tile another rank
-/// owns is never read as input: it holds a received panel copy while a
-/// flush still needs it and is then emptied; otherwise it is left as it
-/// was (the factored value lives in the owning process). Completes the
-/// transport's drain barrier before returning, so wire-level stats are
-/// final. Comm stats in the result are this endpoint's own sends.
+/// rank process of the socket backend calls. `a` is this process's freshly
+/// compressed replica of the matrix: the slice is built from its tile
+/// formats, and only the tiles `dist` assigns to transport.rank() are
+/// factored in place. The slot of a tile another rank owns is overwritten
+/// with the received factored tile when the slice reads it, and is left
+/// as it was otherwise. Completes the transport's drain barrier before
+/// returning, so wire-level stats are final. Comm stats in the result are
+/// this endpoint's own sends.
 ///
-/// With `recovery` enabled the rank checkpoints its tiles (and retained
-/// panels) every ckpt.every steps, and — when running as a respawn
-/// (epoch > 0) — restores them, re-broadcasts the factored tiles peers may
-/// have lost with the old process, and resumes at the checkpointed
-/// frontier. The deterministic per-site compression seeds make the replay
-/// bitwise identical to an uninterrupted run.
+/// With `recovery` enabled the rank checkpoints its owned tiles every
+/// ckpt.every steps, and — when running as a respawn (epoch > 0) —
+/// restores them, re-broadcasts the factored tiles peers may have lost
+/// with the old process, and resumes at the checkpointed frontier. The
+/// replay runs the same kernels on the same data, so it is bitwise
+/// identical to an uninterrupted run. The last parameter is unused; it
+/// stays until bench/ptlr_bench stops passing it.
 DistCholeskyResult distributed_factorize_rank(
     tlr::TlrMatrix& a, const rt::Distribution& dist,
     const compress::Accuracy& acc, rt::dist::Transport& transport,
     const RankRecoveryOptions& recovery = {},
-    const DistCommOptions& opts = DistCommOptions::from_env());
+    const DistCommOptions& = {});
 
 }  // namespace ptlr::core

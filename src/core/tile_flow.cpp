@@ -1,90 +1,53 @@
 #include "core/tile_flow.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "common/error.hpp"
-#include "common/timer.hpp"
+#include "core/bcast_tree.hpp"
+#include "core/cholesky_graph.hpp"
 
 namespace ptlr::core {
 
-DistCommOptions DistCommOptions::from_env() {
-  DistCommOptions opts;
-  if (const char* e = std::getenv("PTLR_BCAST")) {
-    const std::string v(e);
-    if (v == "tree") {
-      opts.tree = true;
-    } else if (v == "flat") {
-      opts.tree = false;
-    } else {
-      throw Error("PTLR_BCAST must be tree or flat, got: " + v);
-    }
-  }
-  if (const char* e = std::getenv("PTLR_LOOKAHEAD")) {
-    char* end = nullptr;
-    const long v = std::strtol(e, &end, 10);
-    PTLR_CHECK(end != nullptr && *end == '\0' && v >= 0 && v <= 1000,
-               "PTLR_LOOKAHEAD: expected 0..1000, got '" + std::string(e) +
-                   "'");
-    opts.lookahead = static_cast<int>(v);
-  }
-  return opts;
+std::uint64_t tile_tag(int i, int k) {
+  const auto uk = static_cast<std::uint32_t>(k);
+  return i == k ? rt::dist::make_tag(0, uk, uk, uk)
+                : rt::dist::make_tag(1, uk, static_cast<std::uint32_t>(i),
+                                     uk);
 }
 
-void TileFlow::expect(std::uint64_t tag, std::vector<int> children) {
-  if (!seen_.insert(tag).second) return;
-  pending_.emplace(tag, std::move(children));
+TileFlow::TileFlow(rt::dist::Transport& t, const rt::Distribution& dist,
+                   int nt, const rt::TaskGraph& slice)
+    : t_(t) {
+  for (rt::TaskId task = 0; task < slice.size(); ++task) {
+    if (!slice.gated(task)) continue;
+    const rt::TaskInfo& info = slice.info(task);
+    const int i = info.ti, k = info.tj;
+    const std::uint64_t tag = tile_tag(i, k);
+    expected_.emplace(
+        tag, Expected{task,
+                      bcast::children(tag, dist.owner(i, k),
+                                      tile_readers(dist, nt, i, k), t.rank()),
+                      {}});
+    outstanding_.insert(tag);
+  }
 }
 
-void TileFlow::note_arrival(std::uint64_t tag, Bytes payload) {
-  const auto it = pending_.find(tag);
-  PTLR_CHECK(it != pending_.end(),
-             "TileFlow: arrival of a tag that was never expected");
-  // Forward FIRST, consume later: the children's progress must not wait
-  // for this rank to get around to its own update.
-  for (const int child : it->second) {
-    t_.send(child, tag, payload);  // shares the buffer, no copy
-    stats_.messages += 1;
-    stats_.bytes += static_cast<long long>(payload.size());
-    stats_.forwards += 1;
-    stats_.forward_bytes += static_cast<long long>(payload.size());
-  }
-  pending_.erase(it);
-  arrived_.emplace(tag, std::move(payload));
-}
-
-Bytes TileFlow::get(std::uint64_t tag) {
-  if (const auto it = arrived_.find(tag); it != arrived_.end()) {
-    Bytes out = std::move(it->second);
-    arrived_.erase(it);
-    stats_.prefetch_hits += 1;
-    return out;
-  }
-  PTLR_CHECK(seen_.count(tag) != 0,
-             "TileFlow::get of a tag that was never expected");
-  PTLR_CHECK(pending_.count(tag) != 0,
-             "TileFlow::get of a tag that was already consumed");
-  stats_.prefetch_misses += 1;
-  WallTimer blocked;
+void TileFlow::run(const std::function<void(rt::TaskId)>& open) {
   std::vector<std::uint64_t> tags;
-  for (;;) {
-    // The wanted tag first (recv_any checks in order), then every other
-    // outstanding registration — whatever lands gets forwarded right away.
-    tags.clear();
-    tags.push_back(tag);
-    for (const auto& [other, children] : pending_) {
-      (void)children;
-      if (other != tag) tags.push_back(other);
-    }
+  while (!outstanding_.empty()) {
+    tags.assign(outstanding_.begin(), outstanding_.end());
     rt::dist::TaggedMessage msg = t_.recv_any(tags);
-    note_arrival(msg.tag, std::move(msg.payload));
-    if (const auto it = arrived_.find(tag); it != arrived_.end()) {
-      Bytes out = std::move(it->second);
-      arrived_.erase(it);
-      stats_.blocked_recv_seconds += blocked.seconds();
-      return out;
+    Expected& e = expected_.at(msg.tag);
+    for (const int child : e.children) {
+      t_.send(child, msg.tag, msg.payload);  // shares the buffer, no copy
+      forwards_ += 1;
+      forward_bytes_ += static_cast<long long>(msg.payload.size());
     }
+    outstanding_.erase(msg.tag);
+    e.payload = std::move(msg.payload);
+    open(e.task);
   }
+}
+
+Bytes TileFlow::take(int i, int k) {
+  return std::move(expected_.at(tile_tag(i, k)).payload);
 }
 
 }  // namespace ptlr::core

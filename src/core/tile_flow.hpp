@@ -1,18 +1,21 @@
-// Receiver-side tile flow of the distributed Cholesky: broadcast-tree
-// forwarding and panel lookahead, behind one consume-by-tag interface.
+// Receive side of one rank's slice of the distributed Cholesky.
 //
-// The rank program registers every broadcast it will receive for the next
-// PTLR_LOOKAHEAD panels (expect), then consumes payloads by tag (get).
-// While get() blocks for one tile it keeps receiving — via the
-// transport's recv_any — every *other* registered tag, so:
+// Every remote tile a rank's slice reads enters through a gated recv task
+// (core/cholesky_graph.hpp, RankSlice). TileFlow::run is the executor's
+// gate opener (rt::ExecOptions::open_gates) on its own thread: it loops on
+// the transport's recv_any over the tags still outstanding, and for each
+// arrival
 //
-//   * a tile whose bytes already arrived is handed over without touching
-//     the transport (the lookahead hit: TRSM/GEMM/SYRK never block in
-//     recv for data that is already here);
-//   * a tile this rank must forward down its broadcast tree is forwarded
-//     the moment it arrives — even while the rank is still computing an
-//     earlier panel — which is what moves the tree's latency off the
-//     critical path.
+//   * forwards the payload to the rank's children in the tile's broadcast
+//     tree (core/bcast_tree.hpp) FIRST — the children's progress must not
+//     wait for this rank's own work;
+//   * hands the bytes to the recv task (take()), whose body decodes them
+//     into the rank's replica slot on the worker;
+//   * opens the recv task's gate, releasing it to the worker.
+//
+// It returns once every expected tag has arrived, or throws when the
+// transport aborts — which the executor triggers through on_stall on any
+// cancellation.
 //
 // Forward-on-first-arrival is also the recovery invariant: every edge of
 // a broadcast tree is an ordinary transport send, so acks, retransmission
@@ -23,30 +26,29 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "runtime/distribution.hpp"
+#include "runtime/taskgraph.hpp"
 #include "runtime/transport.hpp"
 
 namespace ptlr::core {
 
-/// Communication-path knobs of a distributed factorization.
+/// Remnant of the removed broadcast and lookahead knobs, kept header-only
+/// because bench/ptlr_bench still reads it. Broadcasts always travel
+/// binomial trees and receives are never prefetched. Goes at the next
+/// change to the benchmark.
 struct DistCommOptions {
-  /// Broadcast factored tiles over binomial trees (core/bcast_tree.hpp)
-  /// instead of one unicast per destination. PTLR_BCAST=tree|flat.
   bool tree = true;
-  /// How many panels ahead of the current one to post expected receives
-  /// for (0 = only the current panel). PTLR_LOOKAHEAD.
   int lookahead = 2;
-
-  /// Strict parse of PTLR_BCAST / PTLR_LOOKAHEAD; a typo throws.
-  static DistCommOptions from_env();
+  static DistCommOptions from_env() { return {}; }
 };
 
-/// One rank's communication counters over a factorization, the numbers
-/// BENCH_dist.json reports per rank.
+/// One rank's communication counters over a factorization.
 struct RankCommStats {
   int rank = -1;
   long long messages = 0;      ///< tile messages this rank put on the wire
@@ -56,41 +58,50 @@ struct RankCommStats {
   long long root_egress_bytes = 0;
   long long forwards = 0;        ///< tree forwards performed
   long long forward_bytes = 0;   ///< payload bytes of those forwards
-  long long prefetch_hits = 0;   ///< get() served from already-arrived bytes
-  long long prefetch_misses = 0; ///< get() had to block on the transport
-  double blocked_recv_seconds = 0.0;  ///< wall time spent blocked in recv
+  /// Always zero: receives are no longer prefetched. Kept for
+  /// bench/ptlr_bench until the next change to the benchmark.
+  long long prefetch_hits = 0;
+  long long prefetch_misses = 0;
+  /// Seconds the rank's worker sat parked with nothing ready — waiting
+  /// for remote tiles (rt::SchedStats::parked_seconds).
+  double blocked_recv_seconds = 0.0;
 };
 
-/// The per-rank prefetch/forward engine. Not thread-safe: one rank
-/// program drives it from its own thread, like the transport beneath it.
+/// The message tag of factored tile (i, k): make_tag(0, k, k, k) for the
+/// diagonal, make_tag(1, k, i, k) for a panel tile.
+std::uint64_t tile_tag(int i, int k);
+
+/// The receive thread of one rank's slice. run() is called once, from the
+/// executor's gate-opener thread; take() from the recv task bodies, each
+/// after its gate opened (which orders it after run()'s hand-over).
 class TileFlow {
  public:
-  TileFlow(rt::dist::Transport& t, RankCommStats& stats)
-      : t_(t), stats_(stats) {}
+  /// Expect the tile of every gated recv task in `slice`, the graph of
+  /// rank t.rank() for matrices of `nt` tile rows.
+  TileFlow(rt::dist::Transport& t, const rt::Distribution& dist, int nt,
+           const rt::TaskGraph& slice);
 
-  /// Register an expected broadcast delivery: `tag` will arrive from this
-  /// rank's tree parent (or, flat mode, from the owner) and must be
-  /// forwarded to `children` on first arrival (empty = leaf / flat).
-  /// Idempotent per tag — lookahead windows overlap across steps.
-  void expect(std::uint64_t tag, std::vector<int> children);
+  /// Receive, forward, hand over and open until every expected tile is in.
+  void run(const std::function<void(rt::TaskId)>& open);
 
-  /// Consume the payload for `tag`, which must have been expect()ed.
-  /// Returns immediately when the bytes already arrived while this rank
-  /// was busy elsewhere; otherwise blocks in recv_any over every still-
-  /// outstanding registered tag, forwarding each arrival to its children,
-  /// until `tag` lands. Each tag is consumable exactly once.
-  Bytes get(std::uint64_t tag);
+  /// The received bytes of tile (i, k), moved out.
+  Bytes take(int i, int k);
+
+  [[nodiscard]] long long forwards() const { return forwards_; }
+  [[nodiscard]] long long forward_bytes() const { return forward_bytes_; }
 
  private:
-  /// Forward to the tag's registered children (sharing the one payload
-  /// buffer) and stash the payload for its consumer.
-  void note_arrival(std::uint64_t tag, Bytes payload);
+  struct Expected {
+    rt::TaskId task;
+    std::vector<int> children;  ///< this rank's broadcast-tree children
+    Bytes payload;              ///< from arrival until take()
+  };
 
   rt::dist::Transport& t_;
-  RankCommStats& stats_;
-  std::map<std::uint64_t, std::vector<int>> pending_;  ///< expected, not arrived
-  std::map<std::uint64_t, Bytes> arrived_;  ///< arrived, not yet consumed
-  std::set<std::uint64_t> seen_;            ///< every tag ever expect()ed
+  std::map<std::uint64_t, Expected> expected_;  ///< by tag, fixed keys
+  std::set<std::uint64_t> outstanding_;  ///< not yet arrived (run() only)
+  long long forwards_ = 0;
+  long long forward_bytes_ = 0;
 };
 
 }  // namespace ptlr::core

@@ -76,9 +76,18 @@ NetConfig NetConfig::from_env() {
                    colon + 1 < rest.size(),
                "PTLR_NET=tcp: expects tcp:<host>:<base_port>, got: " + spec);
     cfg.host = rest.substr(0, colon);
-    cfg.port = std::atoi(rest.c_str() + colon + 1);
-    PTLR_CHECK(cfg.port > 0 && cfg.port < 65000,
-               "PTLR_NET tcp base port out of range: " + spec);
+    // Strict: every character a digit, and no overflow (std::atoi read
+    // "9x" as 9 and an over-long number as undefined behaviour).
+    const std::string port = rest.substr(colon + 1);
+    char* end = nullptr;
+    errno = 0;
+    const long long p = std::strtoll(port.c_str(), &end, 10);
+    PTLR_CHECK(port.find_first_not_of("0123456789") == std::string::npos &&
+                   end == port.c_str() + port.size() && errno == 0 &&
+                   p >= 1 && p <= 65535,
+               "PTLR_NET tcp base port must be an integer in 1..65535, "
+               "got: " + spec);
+    cfg.port = static_cast<int>(p);
   } else {
     throw Error("PTLR_NET must start with uds: or tcp:, got: " + spec);
   }
@@ -87,6 +96,13 @@ NetConfig NetConfig::from_env() {
   PTLR_CHECK(cfg.nranks >= 1, "PTLR_NRANKS must be >= 1");
   PTLR_CHECK(cfg.rank >= 0 && cfg.rank < cfg.nranks,
              "PTLR_RANK out of range for PTLR_NRANKS");
+  // Rank r listens on base_port + r.
+  PTLR_CHECK(cfg.kind != Kind::kTcp ||
+                 static_cast<long long>(cfg.port) + cfg.nranks - 1 <= 65535,
+             "PTLR_NET tcp base port " + std::to_string(cfg.port) +
+                 " leaves no port for rank " +
+                 std::to_string(cfg.nranks - 1) + " (base + " +
+                 std::to_string(cfg.nranks - 1) + " > 65535)");
   cfg.connect_timeout_ms = env_ll("PTLR_NET_TIMEOUT_MS", 15000);
   cfg.rto_ms = env_ll("PTLR_NET_RTO_MS", 25);
   // An explicit PTLR_NET_RTO_MS pins the timeout (the pre-adaptive

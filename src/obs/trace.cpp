@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -282,7 +283,12 @@ std::vector<Span> snapshot_spans() {
 }
 
 void write_chrome_trace(const std::string& path) {
-  const std::vector<Span> spans = snapshot_spans();
+  // Several threads can record into one lane (a distributed rank's worker
+  // and its receive thread both send in the rank's comm lane), so write in
+  // start-time order: every (pid, tid) lane is then monotone.
+  std::vector<Span> spans = snapshot_spans();
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const Span& a, const Span& b) { return a.t0 < b.t0; });
   std::map<std::string, std::string> meta;
   {
     Registry& r = registry();

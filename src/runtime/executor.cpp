@@ -23,12 +23,14 @@ namespace ptlr::rt {
 
 namespace {
 
-// Per-task lifecycle for the watchdog's state dump.
+// Per-task lifecycle for the watchdog's state dump. A gated task stays
+// kStateGated until its gate opens.
 enum TaskState : std::uint8_t {
   kStatePending = 0,
   kStateReady = 1,
   kStateRunning = 2,
   kStateDone = 3,
+  kStateGated = 4,
 };
 
 // ------------------------------------------------ work-stealing pieces --
@@ -54,6 +56,7 @@ struct alignas(64) WsWorker {
   long long diverted = 0;
   long long wakeups = 0;
   long long parks = 0;
+  double parked_seconds = 0.0;
   long long inline_runs = 0;
   long long divert_suppressed = 0;
 };
@@ -133,6 +136,9 @@ constexpr std::uint64_t tile_key64(int i, int j) {
 
 ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   PTLR_CHECK(nthreads >= 1, "need at least one worker");
+  PTLR_CHECK(g.gates() == 0 || (opts.open_gates && opts.on_stall),
+             "a graph with gated tasks needs ExecOptions::open_gates and "
+             "on_stall");
   if (opts.validate) g.validate();
   const int n = g.size();
   ExecResult result;
@@ -156,8 +162,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     pending[static_cast<std::size_t>(t)].store(
         meta[static_cast<std::size_t>(t)].npred, std::memory_order_relaxed);
     if (wd_on)
-      state[static_cast<std::size_t>(t)].store(kStatePending,
-                                               std::memory_order_relaxed);
+      state[static_cast<std::size_t>(t)].store(
+          g.gated(t) ? kStateGated : kStatePending, std::memory_order_relaxed);
   }
 
   std::vector<TraceEvent> trace;
@@ -247,6 +253,9 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
 
   // Records the error, cancels the run, wakes every worker. A parked
   // worker cannot miss it: signal() sets its flag under its sleep mutex.
+  // The first cancellation also calls on_stall, which unblocks task
+  // bodies and the gate opener waiting on something outside the pool.
+  std::atomic<bool> stall_called{false};
   auto fail = [&](std::exception_ptr err) {
     {
       std::lock_guard<std::mutex> lock(err_mu);
@@ -254,6 +263,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     }
     cancelled.store(true, std::memory_order_release);
     wake_all();
+    if (opts.on_stall && !stall_called.exchange(true)) opts.on_stall();
   };
 
   // Run one task's body: perturbation stall, fault injection with
@@ -407,9 +417,12 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
         std::ostringstream os;
         os << "watchdog: no task completed for " << opts.watchdog.deadline_ms
            << " ms (" << done << "/" << n << " tasks done)";
-        const char* labels[] = {"pending", "ready", "running"};
-        for (const std::uint8_t st :
-             {kStateRunning, kStateReady, kStatePending}) {
+        const std::pair<std::uint8_t, const char*> groups[] = {
+            {kStateRunning, "running"},
+            {kStateReady, "ready"},
+            {kStateGated, "pending on gate"},
+            {kStatePending, "pending"}};
+        for (const auto& [st, label] : groups) {
           long long count = 0;
           std::string names;
           for (TaskId t = 0; t < n; ++t) {
@@ -422,14 +435,13 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
               names += g.info(t).name;
             }
           }
-          os << "; " << labels[st] << " (" << count << ")";
+          os << "; " << label << " (" << count << ")";
           if (count > 0) os << ": " << names;
           if (count > 16) os << ", ...";
         }
         resil::note(resil::ResilienceEvent::kWatchdogFire, os.str());
         watchdog_fired.store(true, std::memory_order_release);
         fail(std::make_exception_ptr(Error(os.str())));
-        if (opts.on_stall) opts.on_stall();
         return;
       }
     });
@@ -503,6 +515,43 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     }
     for (const auto& [band, s] : batch)
       me.bands[static_cast<std::size_t>(band)].push(s);
+  };
+
+  // Gate hook: open(t) is the one release that comes from outside the
+  // pool. When it is the task's last missing predecessor, the task goes
+  // to an idle worker (any worker when none is idle) through the inbox-
+  // and-signal path locality diverts use; signal() sets the flag under
+  // the sleep mutex, so a worker about to park cannot miss it.
+  std::vector<std::atomic<bool>> opened(
+      g.gates() > 0 ? static_cast<std::size_t>(n) : 0);
+  std::atomic<int> closed_gates{g.gates()};
+  const std::function<void(TaskId)> open_gate = [&](TaskId t) {
+    PTLR_CHECK(t >= 0 && t < n && g.gated(t),
+               "open_gates: task " + std::to_string(t) + " has no gate");
+    PTLR_CHECK(!opened[static_cast<std::size_t>(t)].exchange(
+                   true, std::memory_order_acq_rel),
+               "open_gates: gate of \"" + g.info(t).name +
+                   "\" opened twice");
+    closed_gates.fetch_sub(1, std::memory_order_acq_rel);
+    if (wd_on)
+      state[static_cast<std::size_t>(t)].store(kStatePending,
+                                               std::memory_order_relaxed);
+    if (pending[static_cast<std::size_t>(t)].fetch_sub(
+            1, std::memory_order_acq_rel) != 1)
+      return;
+    if (wd_on)
+      state[static_cast<std::size_t>(t)].store(kStateReady,
+                                               std::memory_order_relaxed);
+    int w = idle.pick(-1);
+    if (w < 0) w = t % nthreads;
+    WsWorker& target = *ws[static_cast<std::size_t>(w)];
+    {
+      std::lock_guard<std::mutex> lk(target.inbox_mu);
+      target.inbox.emplace_back(
+          band_of(meta[static_cast<std::size_t>(t)].priority), t);
+    }
+    target.inbox_nonempty.store(true, std::memory_order_release);
+    signal(w);
   };
 
   // Children first in both scans: a child is a piece of an *already
@@ -659,6 +708,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
           task = find_work(self);
           if (task < 0) {
             me.parks++;
+            const auto park0 = std::chrono::steady_clock::now();
             std::unique_lock<std::mutex> lk(me.sleep_mu);
             me.sleep_cv.wait(lk, [&] {
               return me.signalled ||
@@ -667,6 +717,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
             });
             me.signalled = false;
             lk.unlock();
+            me.parked_seconds += std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - park0).count();
             idle.clear(self);
             probing = true;
             continue;
@@ -682,6 +734,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
           // rescan below finds it and starts decaying the backoff.
           me.parks++;
           const int shift = std::min(futile - kFutileWakeLimit, 6);
+          const auto park0 = std::chrono::steady_clock::now();
           std::unique_lock<std::mutex> lk(me.sleep_mu);
           me.sleep_cv.wait_for(
               lk, std::chrono::microseconds(kNapBaseUs << shift), [&] {
@@ -691,6 +744,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
               });
           me.signalled = false;
           lk.unlock();
+          me.parked_seconds += std::chrono::duration<double>(
+              std::chrono::steady_clock::now() - park0).count();
           probing = true;
           continue;
         }
@@ -778,15 +833,41 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   };
 
   start_watchdog();
+  // A gated graph runs worker 0 on the calling thread, beside the opener:
+  // the tiles its tasks allocate then come from the caller's malloc arena.
+  // A distributed rank's slice allocates where its replica lives that way;
+  // on a pool thread, whose arena kept each replaced tile's memory apart,
+  // a mesh rank's peak RSS grew by half.
+  const int first_pooled = g.gates() > 0 ? 1 : 0;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(nthreads));
-  for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker, w);
+  for (int w = first_pooled; w < nthreads; ++w) pool.emplace_back(worker, w);
+  // The gate opener runs beside the pool. A run that completes has seen
+  // every gate open; a cancelled one has called on_stall, which unblocks
+  // the opener — so both joins below return.
+  std::thread opener;
+  if (opts.open_gates) {
+    opener = std::thread([&] {
+      try {
+        opts.open_gates(open_gate);
+        const int left = closed_gates.load(std::memory_order_acquire);
+        PTLR_CHECK(left == 0 || cancelled.load(std::memory_order_acquire),
+                   "open_gates returned with " + std::to_string(left) +
+                       " gates still closed");
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    });
+  }
+  if (first_pooled == 1) worker(0);
   for (auto& th : pool) th.join();
+  if (opener.joinable()) opener.join();
   for (const auto& w : ws) {
     result.sched.steals += w->steals;
     result.sched.diverted += w->diverted;
     result.sched.wakeups += w->wakeups;
     result.sched.parks += w->parks;
+    result.sched.parked_seconds += w->parked_seconds;
     result.sched.inline_runs += w->inline_runs;
     result.sched.divert_suppressed += w->divert_suppressed;
   }

@@ -52,10 +52,22 @@ struct ExecOptions {
   /// ready/running/pending task names is thrown (after flushing the obs
   /// trace, when enabled). Defaults honour PTLR_WATCHDOG_MS.
   resil::WatchdogConfig watchdog = resil::WatchdogConfig::from_env();
-  /// Invoked (once, off-lock) when the watchdog fires, before waiting for
-  /// workers to exit. Wire this to whatever can unblock stuck task bodies —
-  /// e.g. Communicator::abort() when bodies block on mailbox receives.
+  /// Invoked (once, off-lock) when the run is cancelled — a task error,
+  /// the watchdog, or an exception from open_gates — before waiting for
+  /// workers and the gate opener to exit. Wire this to whatever can
+  /// unblock stuck task bodies and the opener, e.g. Transport::abort()
+  /// when they block on receives.
   std::function<void()> on_stall;
+  /// Gate hook (see TaskGraph::add_gate). Required iff the graph has
+  /// gates, together with on_stall. execute() runs it on one thread
+  /// outside the pool, passing `open`: each call opens one task's gate,
+  /// and opening the last missing predecessor releases the task to the
+  /// workers. It must open every gate once and then return; an exception
+  /// it throws (or a return with gates still closed) fails the run.
+  /// on_stall must unblock it when the run is cancelled. The thread is
+  /// joined before execute() returns. A gated graph runs worker 0 on the
+  /// calling thread, so its tasks allocate from the caller's malloc arena.
+  std::function<void(const std::function<void(TaskId)>& open)> open_gates;
 };
 
 /// Execute every task in `g` respecting its dependencies, using `nthreads`

@@ -59,6 +59,7 @@ struct SchedStats {
   long long diverted = 0;          ///< releases routed to the locality hint
   long long wakeups = 0;           ///< targeted single-worker wakeups
   long long parks = 0;             ///< times a worker went to sleep
+  double parked_seconds = 0.0;     ///< worker-seconds spent asleep
   /// Run-on-finisher: sole-released successors executed inline on the
   /// finishing worker instead of round-tripping through a deque. A serial
   /// chain should show ~every non-root task here.

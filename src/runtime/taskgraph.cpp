@@ -21,7 +21,7 @@ TaskId TaskGraph::add_task(TaskInfo info, std::span<const DataKey> reads,
   const auto id = static_cast<TaskId>(nodes_.size());
   meta_.push_back(TaskMeta{info.priority, info.ti, info.tj, info.owner, 0});
   if (info.ti >= 0 && info.tj >= 0) ++ntiled_;
-  nodes_.push_back(Node{std::move(info), {}});
+  nodes_.push_back(Node{std::move(info), {}, false});
 
   for (const DataKey k : reads) {
     LastAccess& la = last_[k];
@@ -51,6 +51,17 @@ void TaskGraph::add_dependency(TaskId from, TaskId to) {
   add_edge(from, to);
 }
 
+void TaskGraph::add_gate(TaskId t) {
+  PTLR_CHECK(t >= 0 && t < static_cast<TaskId>(nodes_.size()),
+             "add_gate: not a task");
+  Node& node = nodes_[static_cast<std::size_t>(t)];
+  PTLR_CHECK(!node.gated, "add_gate: task \"" + node.info.name +
+                              "\" already has a gate");
+  node.gated = true;
+  meta_[static_cast<std::size_t>(t)].npred++;
+  ++ngates_;
+}
+
 void TaskGraph::validate() const {
   const auto n = static_cast<TaskId>(nodes_.size());
   std::vector<int> indegree(nodes_.size(), 0);
@@ -66,6 +77,8 @@ void TaskGraph::validate() const {
     }
   }
   for (std::size_t t = 0; t < nodes_.size(); ++t) {
+    // A gate counts as one predecessor that no edge carries.
+    if (nodes_[t].gated) indegree[t]++;
     PTLR_CHECK(indegree[t] == meta_[t].npred,
                "task \"" + nodes_[t].info.name + "\" (id " +
                    std::to_string(t) + ") expects " +
@@ -75,9 +88,13 @@ void TaskGraph::validate() const {
   }
   // Kahn's algorithm: if a topological order does not cover every task the
   // leftover tasks form (or hang off) a cycle and the pool would deadlock.
+  // Gates open from outside, so they do not hold a task back here.
   std::vector<TaskId> stack;
-  for (TaskId t = 0; t < n; ++t)
+  for (TaskId t = 0; t < n; ++t) {
+    if (nodes_[static_cast<std::size_t>(t)].gated)
+      indegree[static_cast<std::size_t>(t)]--;
     if (indegree[static_cast<std::size_t>(t)] == 0) stack.push_back(t);
+  }
   std::size_t seen = 0;
   while (!stack.empty()) {
     const TaskId t = stack.back();

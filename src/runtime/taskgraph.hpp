@@ -101,9 +101,22 @@ class TaskGraph {
   /// by the executor before launching workers) rejects such graphs.
   void add_dependency(TaskId from, TaskId to);
 
+  /// Give task `t` one extra predecessor that no task satisfies: a gate,
+  /// opened during execute() by a thread outside the worker pool (see
+  /// ExecOptions::open_gates). The distributed driver gates each task that
+  /// receives a remote tile, and its receive thread opens the gate when
+  /// the bytes arrive. At most one gate per task.
+  void add_gate(TaskId t);
+  [[nodiscard]] bool gated(TaskId t) const {
+    return nodes_[static_cast<std::size_t>(t)].gated;
+  }
+  /// Number of gated tasks.
+  [[nodiscard]] int gates() const { return ngates_; }
+
   /// Structural sanity check: every successor id in range, predecessor
-  /// counts consistent with the edges, and no dependency cycle. Throws
-  /// ptlr::Error describing the first violation. Cost O(V + E).
+  /// counts consistent with the edges (plus one per gate), and no
+  /// dependency cycle among the edges. Throws ptlr::Error describing the
+  /// first violation. Cost O(V + E).
   void validate() const;
 
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
@@ -144,6 +157,7 @@ class TaskGraph {
   struct Node {
     TaskInfo info;
     std::vector<TaskId> succ;
+    bool gated = false;
   };
   struct LastAccess {
     TaskId writer = -1;
@@ -155,6 +169,7 @@ class TaskGraph {
   std::vector<Node> nodes_;
   std::vector<TaskMeta> meta_;  ///< parallel to nodes_
   int ntiled_ = 0;
+  int ngates_ = 0;
   std::unordered_map<DataKey, LastAccess> last_;
 };
 

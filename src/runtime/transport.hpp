@@ -40,9 +40,9 @@ class Transport {
   virtual Bytes recv(std::uint64_t tag, int from) = 0;
 
   /// Block until a fresh message with ANY of `tags` arrives; pop the
-  /// first. The lookahead prefetcher (core/tile_flow.hpp) lives on this:
-  /// while blocked for one tile it keeps receiving — and tree-forwarding —
-  /// whatever else lands.
+  /// first. A rank's receive thread (core/tile_flow.hpp) lives on this:
+  /// it waits on every tile still outstanding and forwards whatever
+  /// lands down its broadcast tree.
   virtual TaggedMessage recv_any(const std::vector<std::uint64_t>& tags) = 0;
 
   /// Wake every local blocked receiver with an error and tear the mesh
@@ -58,7 +58,7 @@ class Transport {
   /// this rank queued has been written AND acknowledged (or a peer failed
   /// terminally — then throws ptlr::Error). Unlike drain() it sends no
   /// BYE and requires nothing of the peers' progress, so it is safe
-  /// mid-factorization. The rank program calls it before writing a
+  /// mid-factorization. A rank's ckpt task calls it before writing a
   /// checkpoint: a tree-forwarded tile must be *delivered*, not merely
   /// queued, before the frontier that assumes it advances. No-op on the
   /// in-process transport (deposits are synchronous).

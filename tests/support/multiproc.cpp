@@ -141,7 +141,8 @@ std::string LaunchResult::rank_output(int rank) const {
 
 LaunchResult launch_ranks(const std::string& name, int nranks,
                           const EnvList& env, const std::string& args,
-                          double timeout_sec, int respawn) {
+                          double timeout_sec, int respawn,
+                          const std::string& net) {
   PTLR_CHECK(nranks >= 1, "launch_ranks: need at least one rank");
 
   char tmpl[] = "/tmp/ptlr-mp-XXXXXX";
@@ -164,6 +165,7 @@ LaunchResult launch_ranks(const std::string& name, int nranks,
       << shell_quote(report) << " --timeout " << timeout_sec
       << " --grace-ms 15000";
   if (respawn > 0) cmd << " --respawn " << respawn;
+  if (!net.empty()) cmd << " --net " << shell_quote(net);
   cmd << " -- " << shell_quote(self_exe()) << " > " << shell_quote(out_file)
       << " 2>&1";
   const int raw = std::system(cmd.str().c_str());

@@ -62,7 +62,8 @@ struct LaunchResult {
 };
 
 /// Launch `nranks` processes of THIS test binary running rank case `name`
-/// via ptlr-launch (UDS mesh in a private directory). `env` is set for
+/// via ptlr-launch (UDS mesh in a private directory, or the `net` spec —
+/// e.g. "tcp:127.0.0.1:<base_port>" — passed as --net). `env` is set for
 /// the children (and restored in the parent); `args` are forwarded to the
 /// rank case via PTLR_MP_ARGS. `respawn` > 0 passes --respawn to the
 /// launcher, so signal deaths are restarted instead of failing the run.
@@ -71,7 +72,8 @@ struct LaunchResult {
 LaunchResult launch_ranks(const std::string& name, int nranks,
                           const EnvList& env = {},
                           const std::string& args = "",
-                          double timeout_sec = 120.0, int respawn = 0);
+                          double timeout_sec = 120.0, int respawn = 0,
+                          const std::string& net = "");
 
 /// PTLR_MP_ARGS value of this rank process ("" when absent): the `args`
 /// string the launching test passed.

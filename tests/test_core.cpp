@@ -1195,40 +1195,6 @@ TEST(Placement, EnvParamsMustComeTogether) {
   }
 }
 
-TEST(DistCommOptions, EnvParsingIsStrict) {
-  {
-    const ScopedEnv b("PTLR_BCAST", nullptr);
-    const ScopedEnv l("PTLR_LOOKAHEAD", nullptr);
-    const auto opts = core::DistCommOptions::from_env();
-    EXPECT_TRUE(opts.tree);
-    EXPECT_EQ(opts.lookahead, 2);
-  }
-  {
-    const ScopedEnv b("PTLR_BCAST", "flat");
-    EXPECT_FALSE(core::DistCommOptions::from_env().tree);
-  }
-  {
-    const ScopedEnv b("PTLR_BCAST", "tree");
-    EXPECT_TRUE(core::DistCommOptions::from_env().tree);
-  }
-  {
-    const ScopedEnv b("PTLR_BCAST", "bogus");
-    EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "0");
-    EXPECT_EQ(core::DistCommOptions::from_env().lookahead, 0);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "-1");
-    EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "1001");
-    EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
-  }
-}
-
 // Four in-process ranks negotiate: the probe measures the (near-zero)
 // in-process α/β, rank 0 decides, and every rank must come back with the
 // identical choice and parameters.
@@ -1269,52 +1235,53 @@ TEST(Placement, NegotiationAgreesAcrossRanks) {
   EXPECT_GT(choices[0].params.beta_seconds_per_byte, 0.0);
 }
 
-// Tree and flat broadcasts, with and without lookahead, must factor the
-// matrix bit-for-bit identically — the communication path is invisible to
-// the numerics. The comm-path counters must meanwhile show the tree doing
-// its job: origin egress shrinks, forwards appear.
-TEST(DistributedCholesky, TreeAndFlatBroadcastsMatchBitwise) {
-  auto prob = test_problem(224, 91);
+// The broadcast trees on the in-process mesh (4 ranks, n = 512, b = 32,
+// band placement of width 2): the origins' egress stays well under the
+// unicast equivalent (every payload byte sent once per destination),
+// forwards appear, the message count is the simulator's exactly (one
+// message per producer tile and consumer process), and the factor is
+// bitwise the shared-memory graph's.
+TEST(DistributedCholesky, TreeBroadcastCutsRootEgressBitwise) {
+  const auto prob =
+      stars::make_problem(stars::ProblemKind::kSt3DExp, 512, 42, 1e-2);
   const compress::Accuracy acc{1e-6, 1 << 30};
   const rt::BandDistribution dist(2, 2, 2);
 
-  struct Config {
-    bool tree;
-    int lookahead;
-  };
-  const Config configs[] = {{true, 2}, {true, 0}, {false, 2}};
-  std::vector<tlr::TlrMatrix> factors;
-  std::vector<core::DistCholeskyResult> results;
-  for (const Config& c : configs) {
-    core::DistCommOptions opts;
-    opts.tree = c.tree;
-    opts.lookahead = c.lookahead;
-    auto a = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
-    results.push_back(core::distributed_factorize(a, dist, acc, opts));
-    factors.push_back(std::move(a));
-  }
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, acc, 1);
+  auto shared = a;
+  const RankMap map = RankMap::from_matrix(a);
+  const auto res = core::distributed_factorize(a, dist, acc);
 
-  for (std::size_t v = 1; v < factors.size(); ++v)
-    for (int i = 0; i < factors[0].nt(); ++i)
-      for (int j = 0; j <= i; ++j)
-        EXPECT_EQ(tlr::tile_to_bytes(factors[0].at(i, j)),
-                  tlr::tile_to_bytes(factors[v].at(i, j)))
-            << "variant " << v << " tile (" << i << "," << j << ")";
+  GraphOptions gopt;
+  gopt.acc = acc;
+  rt::TaskGraph g = build_cholesky_graph(shared, gopt);
+  rt::execute(g, 2);
+  for (int i = 0; i < a.nt(); ++i)
+    for (int j = 0; j <= i; ++j)
+      EXPECT_EQ(tlr::tile_to_bytes(a.at(i, j)),
+                tlr::tile_to_bytes(shared.at(i, j)))
+          << "tile (" << i << "," << j << ")";
 
-  long long tree_egress = 0, flat_egress = 0;
-  long long tree_forwards = 0, flat_forwards = 0;
-  ASSERT_EQ(results[0].rank_comm.size(), 4u);
-  for (const auto& cs : results[0].rank_comm) {
-    tree_egress += cs.root_egress_bytes;
-    tree_forwards += cs.forwards;
+  long long egress = 0, payload = 0, forwards = 0;
+  ASSERT_EQ(res.rank_comm.size(), 4u);
+  for (const auto& cs : res.rank_comm) {
+    egress += cs.root_egress_bytes;
+    payload += cs.bytes;
+    forwards += cs.forwards;
   }
-  for (const auto& cs : results[2].rank_comm) {
-    flat_egress += cs.root_egress_bytes;
-    flat_forwards += cs.forwards;
-  }
-  EXPECT_EQ(flat_forwards, 0);
-  EXPECT_GT(tree_forwards, 0);
-  EXPECT_LT(tree_egress, flat_egress);
+  EXPECT_EQ(payload, res.comm.bytes);
+  EXPECT_LT(static_cast<double>(egress), 0.75 * static_cast<double>(payload))
+      << "egress " << egress << " B vs unicast " << payload << " B";
+  EXPECT_GT(forwards, 0);
+
+  VirtualClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.cores_per_node = 1;
+  cfg.rates = {1e9, 3.3e8};
+  cfg.recursive_all = false;
+  cfg.recursive_potrf = false;
+  cfg.band_dist_width = 2;
+  EXPECT_EQ(res.comm.messages, simulate_cholesky(map, cfg).sim.messages);
 }
 
 // ----------------------------------------------------------- kriging ----

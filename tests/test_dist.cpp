@@ -1,6 +1,6 @@
 // Socket transport suite (src/net), multi-process half: every rank is a
 // REAL OS process launched through tools/ptlr-launch, talking over a UDS
-// mesh. The tests/support/multiproc.hpp harness re-executes this binary
+// (or, in one test, TCP loopback) mesh. The tests/support/multiproc.hpp harness re-executes this binary
 // per rank (PTLR_MP_CASE selects the rank program below), collects exit
 // codes and multiplexed output, and the gtest wrappers assert on both.
 //
@@ -202,22 +202,27 @@ PTLR_RANK_CASE(dist_kill_recover) {
 
   net::SocketTransport t(cfg);
   const auto dist = make_dist(kind, t.nranks());
-  // A respawn resuming past a checkpoint: count the received panel tiles
-  // the checkpoint carries for the unflushed low-rank tiles.
-  std::size_t retained = 0;
+  // A respawn resuming past a checkpoint: count the dense accumulators it
+  // carries — owned low-rank tiles updated before the frontier whose last
+  // update, at step j-1, lies at or past it.
+  int accumulators = 0;
   if (cfg.rejoin_frontier > 0) {
-    tlr::TlrMatrix scratch = replica(acc);
-    std::vector<std::pair<int, int>> panels;
-    core::load_rank_checkpoint(rec.ckpt.path_of(cfg.rank), scratch, *dist,
-                               t.rank(), &panels);
-    retained = panels.size();
+    tlr::TlrMatrix loaded = replica(acc);
+    core::load_rank_checkpoint(rec.ckpt.path_of(cfg.rank), loaded, *dist,
+                               t.rank());
+    const auto frontier = static_cast<int>(cfg.rejoin_frontier);
+    for (int i = 0; i < a.nt(); ++i)
+      for (int j = frontier + 1; j < i; ++j)
+        if (dist->owner(i, j) == t.rank() && a.at(i, j).is_lowrank() &&
+            loaded.at(i, j).is_dense())
+          ++accumulators;
   }
   const auto res = core::distributed_factorize_rank(a, *dist, acc, t, rec);
   std::cout << "RESTARTS=" << res.recovery.rank_restarts()
             << " CKPT_WRITES=" << res.recovery.checkpoint_writes()
             << " CKPT_LOADS=" << res.recovery.checkpoint_loads()
             << " REJOINS=" << t.wire_stats().rejoins
-            << " RETAINED=" << retained << std::endl;
+            << " ACCUMULATORS=" << accumulators << std::endl;
 
   const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
   const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
@@ -298,9 +303,8 @@ TEST(DistSocket, BandDistributionMatchesOracle) {
 
 // The acceptance sweep: 8 fault seeds × {2, 4} rank processes, every rank
 // bitwise identical to the oracle, every injected drop recovered by a real
-// retransmission on the wire. PTLR_BCAST=tree is explicit (it is also the
-// default): drops and duplicates land on tree-forwarded edges too, and
-// recovery must still deliver exactly once.
+// retransmission on the wire. Drops and duplicates land on tree-forwarded
+// edges too, and recovery must still deliver exactly once.
 TEST(DistSocket, EightSeedBitwiseSweepUnderFaults) {
   long long drops_total = 0;
   long long retransmits_total = 0;
@@ -308,8 +312,7 @@ TEST(DistSocket, EightSeedBitwiseSweepUnderFaults) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const auto r = mp::launch_ranks(
           "dist_bitwise", nranks,
-          {{"PTLR_FAULTS", faults_spec(seed)}, {"PTLR_BCAST", "tree"}},
-          "2d");
+          {{"PTLR_FAULTS", faults_spec(seed)}}, "2d");
       ASSERT_TRUE(r.ok()) << "nranks=" << nranks << " seed=" << seed << "\n"
                           << r.output;
       const long long drops = sum_metric(r.output, "DROPS");
@@ -326,22 +329,37 @@ TEST(DistSocket, EightSeedBitwiseSweepUnderFaults) {
   EXPECT_GE(retransmits_total, drops_total);
 }
 
-// The flat-broadcast escape hatch keeps working under the same fault
-// pressure: PTLR_BCAST=flat restores per-destination unicast, and the
-// recovery accounting must balance exactly as it does with trees.
-TEST(DistSocket, FlatBroadcastSweepUnderFaults) {
-  for (const int nranks : {2, 4}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const auto r = mp::launch_ranks(
-          "dist_bitwise", nranks,
-          {{"PTLR_FAULTS", faults_spec(seed)}, {"PTLR_BCAST", "flat"}},
-          "band");
-      ASSERT_TRUE(r.ok()) << "nranks=" << nranks << " seed=" << seed << "\n"
-                          << r.output;
-      EXPECT_EQ(sum_metric(r.output, "DROPS"),
-                sum_metric(r.output, "RECOVERED"))
-          << "nranks=" << nranks << " seed=" << seed << "\n" << r.output;
+// The rank slices over TCP loopback instead of UDS: the same bitwise
+// contract at 2 and 4 rank processes, once clean and once under injected
+// drops and duplicates. Each launch takes its base port from the test's
+// pid, so parallel ctest runs do not collide; a launch whose bind failed
+// retries once on another base.
+TEST(DistSocket, TcpMeshMatchesOracleCleanAndUnderFaults) {
+  int launches = 0;
+  const auto launch_tcp = [&](int nranks, const mp::EnvList& env) {
+    for (int attempt = 0;; ++attempt) {
+      const int base =
+          20000 + static_cast<int>((static_cast<long long>(getpid()) * 131 +
+                                    64LL * launches++) %
+                                   30000);
+      auto r = mp::launch_ranks("dist_bitwise", nranks, env, "2d", 120.0, 0,
+                                "tcp:127.0.0.1:" + std::to_string(base));
+      if (r.ok() || attempt > 0 ||
+          r.output.find("bind(") == std::string::npos)
+        return r;
     }
+  };
+  for (const int nranks : {2, 4}) {
+    const auto clean = launch_tcp(nranks, {});
+    ASSERT_TRUE(clean.ok()) << "nranks=" << nranks << "\n" << clean.output;
+    EXPECT_EQ(sum_metric(clean.output, "DROPS"), 0) << clean.output;
+
+    const auto faulted = launch_tcp(nranks, {{"PTLR_FAULTS", faults_spec(3)}});
+    ASSERT_TRUE(faulted.ok()) << "nranks=" << nranks << "\n"
+                              << faulted.output;
+    EXPECT_EQ(sum_metric(faulted.output, "DROPS"),
+              sum_metric(faulted.output, "RECOVERED"))
+        << faulted.output;
   }
 }
 
@@ -362,10 +380,7 @@ TEST(DistSocket, RankDeathRecoverySweep) {
           "dist_kill_recover", nranks,
           {{"PTLR_FAULTS", kill_spec(seed)},
            {"PTLR_CKPT", "every:2"},
-           {"PTLR_CKPT_DIR", ckpt_dir.path()},
-           // Explicitly tree: a killed rank may be a mid-tree forwarder,
-           // and the respawn's replayed forwards must stay exactly-once.
-           {"PTLR_BCAST", "tree"}},
+           {"PTLR_CKPT_DIR", ckpt_dir.path()}},
           kind, /*timeout_sec=*/120.0, /*respawn=*/2);
       ASSERT_TRUE(r.ok()) << "nranks=" << nranks << " seed=" << seed
                           << " dist=" << kind << "\n" << r.output;
@@ -383,15 +398,15 @@ TEST(DistSocket, RankDeathRecoverySweep) {
   }
 }
 
-// Rank death after a checkpoint that holds unflushed low-rank tiles: the
-// seeds are picked so the kill lands at step 2 or 3, past the first
-// checkpoint (every:2, frontier 2) and before the second (frontier 4, when
-// the 6x6 grid has no unflushed tile left). The victim's tiles (m, n) with
-// n >= 3 are not flushed yet and read panels of steps 0 and 1, which no
-// survivor re-sends after the restart — the respawn must flush them from
-// the retained panels loaded with its checkpoint and still match the
-// oracle bitwise.
-TEST(DistSocket, RankDeathAfterCheckpointFlushesFromRetainedPanels) {
+// Rank death after a checkpoint that holds dense accumulators: the seeds
+// are picked so the kill lands at step 2 or 3, past the first checkpoint
+// (every:2, frontier 2) and before the second (frontier 4). The victim's
+// low-rank tiles (m, n) with n >= 3 have taken the updates of steps 0 and
+// 1 in their dense accumulators but not their rounding update at step
+// n-1; no survivor re-sends the panels of steps 0 and 1 after the
+// restart, so the respawn must resume from the accumulators its
+// checkpoint holds and still match the oracle bitwise.
+TEST(DistSocket, RankDeathAfterCheckpointResumesFromDenseAccumulators) {
   const int nt = kN / kB;
   int runs = 0;
   for (std::uint64_t seed = 1; runs < 8 && seed < 200; ++seed) {
@@ -418,8 +433,8 @@ TEST(DistSocket, RankDeathAfterCheckpointFlushesFromRetainedPanels) {
                                                    << r.output;
     EXPECT_GE(sum_metric(r.output, "CKPT_LOADS"), 1) << where << "\n"
                                                      << r.output;
-    EXPECT_GT(sum_metric(r.output, "RETAINED"), 0) << where << "\n"
-                                                   << r.output;
+    EXPECT_GT(sum_metric(r.output, "ACCUMULATORS"), 0) << where << "\n"
+                                                       << r.output;
   }
   EXPECT_EQ(runs, 8);
 }

@@ -935,3 +935,78 @@ TEST(SocketMesh, FixedRtoOverridesTheEstimator) {
   }
   remove_mesh_dir(dir, 2);
 }
+
+// ----------------------------------------------- PTLR_NET port parsing ----
+
+namespace {
+
+// Sets PTLR_NET / PTLR_RANK / PTLR_NRANKS for one from_env() call and
+// restores the previous values afterwards.
+class ScopedNetEnv {
+ public:
+  ScopedNetEnv(const std::string& net, int nranks) {
+    for (const char* name : {"PTLR_NET", "PTLR_RANK", "PTLR_NRANKS"}) {
+      const char* old = std::getenv(name);
+      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
+    }
+    setenv("PTLR_NET", net.c_str(), 1);
+    setenv("PTLR_RANK", "0", 1);
+    setenv("PTLR_NRANKS", std::to_string(nranks).c_str(), 1);
+  }
+  ~ScopedNetEnv() {
+    for (const Saved& s : saved_) {
+      if (s.had)
+        setenv(s.name, s.value.c_str(), 1);
+      else
+        unsetenv(s.name);
+    }
+  }
+  ScopedNetEnv(const ScopedNetEnv&) = delete;
+  ScopedNetEnv& operator=(const ScopedNetEnv&) = delete;
+
+ private:
+  struct Saved {
+    const char* name;
+    bool had;
+    std::string value;
+  };
+  std::vector<Saved> saved_;
+};
+
+// from_env() must throw a ptlr::Error whose message names PTLR_NET.
+std::string net_config_error(const std::string& net, int nranks) {
+  const ScopedNetEnv env(net, nranks);
+  try {
+    (void)net::NetConfig::from_env();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(NetConfig, TcpSpecParsesHostAndBasePort) {
+  const ScopedNetEnv env("tcp:127.0.0.1:39310", 4);
+  const net::NetConfig cfg = net::NetConfig::from_env();
+  EXPECT_EQ(cfg.kind, net::NetConfig::Kind::kTcp);
+  EXPECT_EQ(cfg.host, "127.0.0.1");
+  EXPECT_EQ(cfg.port, 39310);
+  EXPECT_EQ(cfg.endpoint_of(3), "127.0.0.1:39313");
+}
+
+TEST(NetConfig, TcpPortMustBeAWholeNumberInRange) {
+  for (const char* spec :
+       {"tcp:127.0.0.1:9x", "tcp:127.0.0.1:", "tcp:127.0.0.1:99999999999",
+        "tcp:127.0.0.1:0", "tcp:127.0.0.1:-5", "tcp:127.0.0.1: 80"}) {
+    const std::string what = net_config_error(spec, 2);
+    EXPECT_NE(what.find("PTLR_NET"), std::string::npos)
+        << spec << " -> '" << what << "'";
+  }
+}
+
+TEST(NetConfig, TcpBasePortMustLeaveAPortForEveryRank) {
+  EXPECT_EQ(net_config_error("tcp:127.0.0.1:65532", 4), "");
+  const std::string what = net_config_error("tcp:127.0.0.1:65533", 4);
+  EXPECT_NE(what.find("PTLR_NET"), std::string::npos) << what;
+}

@@ -905,6 +905,40 @@ TEST(DistRecovery, DropsAndDuplicatesRecoverBitwise) {
   EXPECT_GT(faulted_total, 0);
 }
 
+// Rank slices run on the shared-memory executor, so the task-level fault
+// classes (task exception, allocation failure, output poisoning) fire on
+// distributed ranks too, and snapshot/restore retry recovers them: every
+// seed's factor is bitwise the fault-free one, with exact accounting.
+TEST(DistRecovery, TaskFaultsOnRankSlicesRecoverBitwise) {
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  const tlr::TlrMatrix orig = problem_matrix(prob, 16);
+  const rt::TwoDBlockCyclic dist(2, 2);
+
+  tlr::TlrMatrix baseline = orig;
+  {
+    ScopedEnv env("PTLR_FAULTS", nullptr);
+    core::distributed_factorize(baseline, dist, acc);
+  }
+
+  long long injected_total = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string spec = "seed=" + std::to_string(seed) +
+                             ",task=0.1,alloc=0.05,poison=0.1,drop=0,dup=0";
+    ScopedEnv env("PTLR_FAULTS", spec.c_str());
+    tlr::TlrMatrix a = orig;
+    const auto result = core::distributed_factorize(a, dist, acc);
+    EXPECT_EQ(result.recovery.faults_injected(), result.recovery.retries())
+        << "seed " << seed;
+    EXPECT_EQ(result.recovery.retries(), result.recovery.tasks_recovered())
+        << "seed " << seed;
+    EXPECT_EQ(result.recovery.messages_dropped(), 0) << "seed " << seed;
+    EXPECT_TRUE(bitwise_equal(a, baseline)) << "seed " << seed;
+    injected_total += result.recovery.faults_injected();
+  }
+  EXPECT_GT(injected_total, 0);
+}
+
 // ------------------------------------------------ rank-kill fault class ----
 
 TEST(FaultConfig, KillKeyParsesAndValidates) {

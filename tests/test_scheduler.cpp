@@ -15,9 +15,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -733,6 +735,144 @@ TEST(WsScheduler, WatchdogConvertsStallIntoError) {
     EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("stuck"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------- gate hook --
+// A gated task (TaskGraph::add_gate) has one predecessor that a thread
+// outside the pool opens through ExecOptions::open_gates — the receive
+// thread of a distributed rank. Chaos mode follows PTLR_PERTURB_SEED here,
+// so CI's perturb loop drives these tests through the perturbed engine.
+
+namespace {
+
+rt::ExecOptions gate_options() {
+  rt::ExecOptions opts = ws_options();
+  opts.perturb = rt::PerturbConfig::from_env();
+  return opts;
+}
+
+}  // namespace
+
+TEST(GateHook, ForeignThreadOpensGatesInAnyOrder) {
+  for (const int nthreads : {1, 2}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      auto p = FuzzProgram::random(rng, 200, 16);
+      std::vector<rt::TaskId> gated;
+      for (rt::TaskId t = 0; t < p.size(); ++t) {
+        if (rng.uniform() >= 0.1) continue;
+        p.graph().add_gate(t);
+        gated.push_back(t);
+      }
+      ASSERT_FALSE(gated.empty());
+      EXPECT_EQ(p.graph().gates(), static_cast<int>(gated.size()));
+      for (std::size_t i = gated.size(); i > 1; --i)
+        std::swap(gated[i - 1], gated[static_cast<std::size_t>(
+                                    rng.integer(0, static_cast<int>(i) - 1))]);
+
+      const std::vector<double> oracle = p.run_reference();
+      p.reset();
+      auto opts = gate_options();
+      opts.on_stall = [] {};
+      opts.open_gates = [&](const std::function<void(rt::TaskId)>& open) {
+        for (const rt::TaskId t : gated) {
+          if (rng.uniform() < 0.3) std::this_thread::yield();
+          open(t);
+        }
+      };
+      const auto res = rt::execute(p.graph(), nthreads, opts);
+      const std::string where = "nthreads=" + std::to_string(nthreads) +
+                                " seed=" + std::to_string(seed);
+      EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "") << where;
+      EXPECT_EQ(check_happens_before(p.graph(), res.trace), "") << where;
+      EXPECT_EQ(check_cells_match(p.cells(), oracle), "") << where;
+    }
+  }
+}
+
+TEST(GateHook, TaskErrorEndsTheRunAndUnblocksTheOpener) {
+  rt::TaskGraph g;
+  {
+    rt::TaskInfo t;
+    t.name = "boom";
+    t.fn = [] { throw Error("boom in a task body"); };
+    g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
+  }
+  {
+    rt::TaskInfo t;
+    t.name = "recv(1,0)";
+    g.add_gate(g.add_task(std::move(t), {}, {{rt::make_key(0, 1, 0)}}));
+  }
+  std::promise<void> stalled;
+  std::shared_future<void> on_stall_called(stalled.get_future());
+  std::atomic<bool> opener_done{false};
+  auto opts = gate_options();
+  opts.on_stall = [&stalled] { stalled.set_value(); };
+  opts.open_gates = [&](const std::function<void(rt::TaskId)>&) {
+    // Blocks like a receive thread until the cancellation aborts it.
+    on_stall_called.wait();
+    opener_done.store(true);
+    throw Error("receive aborted");
+  };
+  try {
+    rt::execute(g, 2, opts);
+    FAIL() << "expected the task's error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("boom in a task body"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(opener_done.load());  // joined before execute() returned
+}
+
+TEST(GateHook, UnopenedGateEndsInWatchdogErrorNamingTheTask) {
+  rt::TaskGraph g;
+  {
+    rt::TaskInfo t;
+    t.name = "potrf(0)";
+    t.fn = [] {};
+    g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
+  }
+  {
+    rt::TaskInfo t;
+    t.name = "recv(3,1)";
+    g.add_gate(g.add_task(std::move(t), {}, {{rt::make_key(0, 3, 1)}}));
+  }
+  {
+    rt::TaskInfo t;
+    t.name = "syrk(3,1)";
+    t.fn = [] {};
+    g.add_task(std::move(t), {{rt::make_key(0, 3, 1)}},
+               {{rt::make_key(0, 3, 3)}});
+  }
+  std::promise<void> stalled;
+  std::shared_future<void> on_stall_called(stalled.get_future());
+  auto opts = gate_options();
+  opts.watchdog.deadline_ms = 100;
+  opts.on_stall = [&stalled] { stalled.set_value(); };
+  opts.open_gates = [&](const std::function<void(rt::TaskId)>&) {
+    on_stall_called.wait();  // never opens its gate
+  };
+  try {
+    rt::execute(g, 1, opts);
+    FAIL() << "expected the watchdog error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
+    EXPECT_NE(what.find("pending on gate (1): recv(3,1)"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(GateHook, GatedGraphNeedsAnOpener) {
+  rt::TaskGraph g;
+  rt::TaskInfo t;
+  t.name = "recv(0,0)";
+  const rt::TaskId id = g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
+  g.add_gate(id);
+  EXPECT_THROW(g.add_gate(id), Error);  // one gate per task
+  EXPECT_NO_THROW(g.validate());
+  EXPECT_THROW(rt::execute(g, 1, gate_options()), Error);
 }
 
 // --------------------------------- end-to-end Cholesky bitwise identity --

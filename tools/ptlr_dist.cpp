@@ -4,7 +4,7 @@
 //   ptlr-launch --n 2 -- ./ptlr-dist --n 192 --b 32 --dist auto --band 2
 //
 // Every rank builds the same synthetic covariance problem (same seed),
-// compresses its replica, and runs the owner-computes rank program
+// compresses its replica, and runs its slice of the task graph
 // (core::distributed_factorize_rank) over net::SocketTransport; tiles move
 // as real bytes on the wire. --dist auto (the default) measures the mesh's
 // (α, β) by ping-ponging rank 1 and lets core::negotiate_placement pick
@@ -94,7 +94,6 @@ int main(int argc, char** argv) try {
 
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, n);
   tlr::TlrMatrix a = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
-  const auto opts = core::DistCommOptions::from_env();
 
   core::DistCholeskyResult res;
   net::PeerWireStats wire;
@@ -115,7 +114,6 @@ int main(int argc, char** argv) try {
       pp.band = band;
       pp.avg_offband_rank = mean_offband_rank(a, band);
       pp.nranks = cfg.nranks;
-      pp.tree = opts.tree;
       const core::PlacementChoice choice =
           core::negotiate_placement(transport, pp);
       chosen = core::placement_name(choice.kind);
@@ -132,8 +130,7 @@ int main(int argc, char** argv) try {
     }
     PTLR_CHECK(dist->nproc() == cfg.nranks,
                "distribution grid does not match PTLR_NRANKS");
-    res = core::distributed_factorize_rank(a, *dist, acc, transport, rec,
-                                           opts);
+    res = core::distributed_factorize_rank(a, *dist, acc, transport, rec);
     wire = transport.wire_stats();
   }
 
@@ -145,12 +142,9 @@ int main(int argc, char** argv) try {
             << " retransmits, " << wire.rejoins << " rejoins\n";
   if (!res.rank_comm.empty()) {
     const auto& cs = res.rank_comm.front();
-    std::cout << "rank " << cfg.rank << ": comm path "
-              << (opts.tree ? "tree" : "flat") << " la=" << opts.lookahead
-              << ", root egress " << cs.root_egress_bytes << " B, "
-              << cs.forwards << " forwards (" << cs.forward_bytes
-              << " B), prefetch " << cs.prefetch_hits << " hit/"
-              << cs.prefetch_misses << " miss, blocked recv "
+    std::cout << "rank " << cfg.rank << ": root egress "
+              << cs.root_egress_bytes << " B, " << cs.forwards
+              << " forwards (" << cs.forward_bytes << " B), blocked recv "
               << cs.blocked_recv_seconds << " s\n";
   }
   if (res.recovery.rank_restarts() > 0 || res.recovery.checkpoint_writes() > 0)
