@@ -1,7 +1,13 @@
 // Machine-readable compression benchmark (BENCH_compression.json).
 //
-// Three sections, all on real st-3D-exp covariance blocks:
+// Four sections, all on real st-3D-exp covariance blocks:
 //
+//   * generate    — the tile generator: fill_block() over the lower
+//                   triangle at b = 128, N = 2048 and 4096, one thread:
+//                   seconds, entries/s, and the largest relative
+//                   difference of an entry from the same entry built with
+//                   the scalar libm std::exp (the generator has its own
+//                   exp; every other operation is the same).
 //   * compress    — initial dense→U·Vᵀ throughput of compress() per tile
 //                   size at a fixed threshold: time, resulting rank,
 //                   achieved error.
@@ -20,7 +26,8 @@
 // number of low-rank tiles with at least one update (each such tile is
 // compressed exactly once, by its last update), when a compress row's
 // error exceeds its tol, or when a Cholesky row's residual exceeds 10·tol
-// — so a speedup cannot quietly trade away accuracy.
+// or when a generate row's relative difference exceeds kGenerateBound —
+// so a speedup cannot quietly trade away accuracy.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -38,6 +45,17 @@ using namespace ptlr;
 using namespace ptlr::compress;
 
 namespace {
+
+struct GenerateRow {
+  int n, b;
+  long long entries;
+  double seconds;
+  double max_rel_diff;  ///< against θ1·std::exp(−r/θ2) (+ nugget)
+};
+
+// One ULP of a double is at most 2^-52 ≈ 2.22e-16 of its value: the
+// generator's exp and libm's may differ in the last bit, no more.
+constexpr double kGenerateBound = 2.3e-16;
 
 struct CompressRow {
   int b;
@@ -105,6 +123,46 @@ double best_of(int reps, const std::function<double()>& run) {
   return best;
 }
 
+// fill_block() over the lower-triangle tiles of st-3D-exp (θ = (1, 0.1,
+// 0.5)) at tile size b, best of `reps`; then, untimed, every generated
+// entry against its scalar-libm value.
+GenerateRow generate(int n, int b, int reps) {
+  const auto prob = bench::st3d_exp(n);
+  const int nt = (n + b - 1) / b;
+  const auto extent = [&](int t) { return std::min(b, n - t * b); };
+  dense::Matrix tile(b, b);
+  const auto fill = [&](int i, int j) {
+    auto v = tile.block(0, 0, extent(i), extent(j));
+    prob.fill_block(i * b, j * b, v);
+    return v;
+  };
+  const double seconds = best_of(reps, [&] {
+    WallTimer w;
+    for (int i = 0; i < nt; ++i)
+      for (int j = 0; j <= i; ++j) fill(i, j);
+    return w.seconds();
+  });
+  const auto& pts = prob.points();
+  long long entries = 0;
+  double worst = 0.0;
+  for (int i = 0; i < nt; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      const auto v = fill(i, j);
+      entries += static_cast<long long>(v.rows()) * v.cols();
+      for (int c = 0; c < v.cols(); ++c) {
+        for (int r = 0; r < v.rows(); ++r) {
+          const std::size_t gi = static_cast<std::size_t>(i * b + r);
+          const std::size_t gj = static_cast<std::size_t>(j * b + c);
+          double want = std::exp(-(stars::distance(pts[gi], pts[gj]) / 0.1));
+          if (gi == gj) want += prob.nugget();
+          worst = std::max(worst, std::abs(v(r, c) - want) / want);
+        }
+      }
+    }
+  }
+  return {n, b, entries, seconds, worst};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,6 +179,18 @@ int main(int argc, char** argv) {
 
   bench::header("bench_compression", "compress() on covariance tiles");
   auto prob = bench::st3d_exp(std::max(sc.n, 2 * tile_sizes.back()));
+
+  // ------------------------------------------------- generate (STARS-H) ----
+  std::vector<GenerateRow> gen_rows;
+  std::printf("\ngenerate (st-3D-exp lower triangle, b = 128, 1 thread)\n");
+  std::printf("%6s %10s %12s %14s\n", "n", "seconds", "Mentries/s",
+              "max_rel_diff");
+  for (const int n : {2048, 4096}) {
+    const GenerateRow row = generate(n, 128, 5);
+    gen_rows.push_back(row);
+    std::printf("%6d %10.4f %12.1f %14.3e\n", row.n, row.seconds,
+                row.entries / row.seconds / 1e6, row.max_rel_diff);
+  }
 
   // ---------------------------------------------------- compress micro ----
   const double tol = 1e-6;
@@ -220,7 +290,18 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"compression\",\n");
   std::fprintf(f, "  \"scale\": \"%s\",\n", scale.c_str());
-  std::fprintf(f, "  \"compress\": [\n");
+  std::fprintf(f, "  \"generate\": [\n");
+  for (std::size_t i = 0; i < gen_rows.size(); ++i) {
+    const GenerateRow& r = gen_rows[i];
+    std::fprintf(f,
+                 "    {\"n\": %d, \"b\": %d, \"entries\": %lld, "
+                 "\"seconds\": %.4f, \"entries_per_s\": %.4e, "
+                 "\"max_rel_diff\": %.3e, \"bound\": %.1e}%s\n",
+                 r.n, r.b, r.entries, r.seconds, r.entries / r.seconds,
+                 r.max_rel_diff, kGenerateBound,
+                 i + 1 < gen_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"compress\": [\n");
   for (std::size_t i = 0; i < compress_rows.size(); ++i) {
     const CompressRow& r = compress_rows[i];
     std::fprintf(f,
@@ -254,6 +335,13 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s\n", out_path);
 
   int bad = 0;
+  for (const GenerateRow& r : gen_rows) {
+    if (r.max_rel_diff <= kGenerateBound) continue;
+    std::fprintf(stderr,
+                 "FAIL: generate n=%d: max relative difference %.3e > %.1e\n",
+                 r.n, r.max_rel_diff, kGenerateBound);
+    ++bad;
+  }
   for (const CompressRow& r : compress_rows) {
     if (r.rank < 0 || r.error <= tol) continue;
     std::fprintf(stderr, "FAIL: compress b=%d: error %.3e > tol %.0e\n",

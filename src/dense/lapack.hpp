@@ -1,6 +1,5 @@
-// LAPACK-subset dense factorizations used by PTLR: Cholesky, Householder QR,
-// truncated rank-revealing (column-pivoted) QR, and one-sided Jacobi SVD
-// (the tests' reference SVD).
+// LAPACK-subset dense factorizations used by PTLR: Cholesky, Householder QR
+// and truncated rank-revealing (column-pivoted) QR.
 //
 // These are reference-quality implementations replacing the MKL routines the
 // paper ran on; semantics match the LAPACK equivalents noted on each entry.
@@ -26,11 +25,6 @@ void geqrf(MatrixView a, std::vector<double>& tau);
 /// `a` is the geqrf output with m rows; on exit columns [0,k) hold Q.
 void orgqr(MatrixView a, const std::vector<double>& tau, int k);
 
-/// Apply Q^T (trans==T) or Q (trans==N) from the left to `c`, where Q is
-/// encoded in `a`/`tau` as produced by geqrf (DORMQR, side=Left).
-void ormqr(Trans trans, ConstMatrixView a, const std::vector<double>& tau,
-           MatrixView c);
-
 /// Result of a truncated column-pivoted QR.
 struct PivotedQr {
   int rank = 0;                ///< numerical rank detected at `tol`
@@ -45,21 +39,5 @@ struct PivotedQr {
 /// of the permuted matrix in geqrf layout (valid for the leading `rank`
 /// reflectors).
 PivotedQr geqp3_trunc(MatrixView a, double tol, int maxrank);
-
-/// Singular values and left singular vectors of A = U * diag(s) * V^T via
-/// one-sided Jacobi. Requires rows >= cols (callers transpose if needed).
-/// U is m-by-n with orthonormal columns, s is descending. V is not formed:
-/// the best rank-k approximation is U_k * (U_k^T * A), and a caller that
-/// needs V_k * diag(s_k) forms it as A^T * U_k. No library code calls it
-/// (compression is a truncated CPQR); it is the reference SVD that
-/// test_dense and test_stars compare against.
-struct Svd {
-  Matrix u;
-  std::vector<double> s;
-};
-Svd jacobi_svd(ConstMatrixView a);
-
-/// Singular values only: the tests' reference spectrum.
-std::vector<double> singular_values(ConstMatrixView a);
 
 }  // namespace ptlr::dense

@@ -66,26 +66,6 @@ void orgqr(MatrixView a, const std::vector<double>& tau, int k) {
   }
 }
 
-void ormqr(Trans trans, ConstMatrixView a, const std::vector<double>& tau,
-           MatrixView c) {
-  const int m = c.rows();
-  const int k = static_cast<int>(tau.size());
-  PTLR_CHECK(a.rows() == m, "ormqr: Q/C row mismatch");
-  flops::Counter::add(4.0 * static_cast<double>(m) * c.cols() * k);
-  if (trans == Trans::T) {
-    // Q^T = H_{k-1} ... H_1 H_0 applied left-to-right.
-    for (int j = 0; j < k; ++j) {
-      larf_left(m - j, c.cols(), a.col(j) + j + 1, tau[j], c.data() + j,
-                c.ld());
-    }
-  } else {
-    for (int j = k - 1; j >= 0; --j) {
-      larf_left(m - j, c.cols(), a.col(j) + j + 1, tau[j], c.data() + j,
-                c.ld());
-    }
-  }
-}
-
 PivotedQr geqp3_trunc(MatrixView a, double tol, int maxrank) {
   const int m = a.rows(), n = a.cols();
   const int kmax = std::min({m, n, maxrank});

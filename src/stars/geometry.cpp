@@ -8,11 +8,6 @@
 
 namespace ptlr::stars {
 
-double distance(const Point& a, const Point& b) {
-  const double dx = a.x - b.x, dy = a.y - b.y, dz = a.z - b.z;
-  return std::sqrt(dx * dx + dy * dy + dz * dz);
-}
-
 std::uint64_t morton_key(const Point& p, int dim) {
   constexpr int kBits = 16;
   const auto qx = morton::quantize(p.x, kBits);

@@ -6,6 +6,7 @@
 // off-diagonal compression ratios the paper exploits (Section IV, [31]).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -20,8 +21,12 @@ struct Point {
   double z = 0.0;
 };
 
-/// Euclidean distance between two points.
-double distance(const Point& a, const Point& b);
+/// Euclidean distance between two points. Inline, so the tile generator's
+/// column loop (problem.cpp) vectorizes over it.
+inline double distance(const Point& a, const Point& b) {
+  const double dx = a.x - b.x, dy = a.y - b.y, dz = a.z - b.z;
+  return std::sqrt(dx * dx + dy * dy + dz * dz);
+}
 
 /// n points on a jittered ⌈n^(1/2)⌉² grid in [0,1]², Morton-sorted.
 std::vector<Point> grid2d(int n, Rng& rng, double jitter = 0.4);

@@ -11,9 +11,21 @@ class CovarianceKernel {
   virtual ~CovarianceKernel() = default;
   /// Covariance at distance r >= 0.
   [[nodiscard]] virtual double operator()(double r) const = 0;
+  /// Batch entry of the tile generator: out[i] = (*this)(r[i]) for i < n,
+  /// bitwise. The default is the scalar loop; the closed forms override
+  /// it with a loop that vectorizes.
+  virtual void eval(const double* r, double* out, int n) const;
   /// Variance C(0) (before any nugget).
   [[nodiscard]] virtual double variance() const = 0;
 };
+
+// The closed forms below (Matérn with θ3 ∈ {0.5, 1.5, 2.5}, Exponential,
+// SquaredExponential) evaluate e^x with one branch-free routine in plain
+// IEEE arithmetic (kernels.cpp; within 1 ULP, see docs/numerics.md), so
+// their values do not depend on the libm or the ISA of the build. They are
+// exactly θ1 (σ²) at r = 0, and exactly 0 once the exponent x falls below
+// ln(2^-1075) ≈ -745.1332, where e^x underflows double precision (while
+// the Matérn prefactor 1 + s + s²/3 stays finite).
 
 /// Matérn kernel (Eq. 2):
 ///   C(r; θ) = θ1 / (2^(θ3-1) Γ(θ3)) * (r/θ2)^θ3 * K_θ3(r/θ2)
@@ -24,6 +36,7 @@ class Matern final : public CovarianceKernel {
  public:
   Matern(double theta1, double theta2, double theta3);
   double operator()(double r) const override;
+  void eval(const double* r, double* out, int n) const override;
   [[nodiscard]] double variance() const override { return theta1_; }
 
   [[nodiscard]] double theta1() const { return theta1_; }
@@ -41,6 +54,7 @@ class Exponential final : public CovarianceKernel {
  public:
   Exponential(double sigma2, double length) : sigma2_(sigma2), ell_(length) {}
   double operator()(double r) const override;
+  void eval(const double* r, double* out, int n) const override;
   [[nodiscard]] double variance() const override { return sigma2_; }
 
  private:
@@ -54,6 +68,7 @@ class SquaredExponential final : public CovarianceKernel {
   SquaredExponential(double sigma2, double length)
       : sigma2_(sigma2), ell_(length) {}
   double operator()(double r) const override;
+  void eval(const double* r, double* out, int n) const override;
   [[nodiscard]] double variance() const override { return sigma2_; }
 
  private:

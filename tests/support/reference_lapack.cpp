@@ -1,11 +1,43 @@
+#include "support/reference_lapack.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
-#include "common/flops.hpp"
-#include "dense/lapack.hpp"
+#include "common/error.hpp"
+#include "dense/util.hpp"
 
-namespace ptlr::dense {
+namespace ptlr::testing {
+
+using dense::ConstMatrixView;
+using dense::dot;
+using dense::Matrix;
+using dense::nrm2;
+using dense::scal;
+
+void ormqr(dense::Trans trans, ConstMatrixView a,
+           const std::vector<double>& tau, dense::MatrixView c) {
+  const int m = c.rows();
+  const int k = static_cast<int>(tau.size());
+  PTLR_CHECK(a.rows() == m, "ormqr: Q/C row mismatch");
+  // H_j = I - tau_j·v·vᵀ with v = [1; a(j+1:m, j)], applied to rows j:m.
+  const auto apply = [&](int j) {
+    if (tau[j] == 0.0) return;
+    const double* v = a.col(j) + j + 1;
+    for (int col = 0; col < c.cols(); ++col) {
+      double* cj = c.col(col) + j;
+      const double w = cj[0] + dense::dot(m - j - 1, v, cj + 1);
+      cj[0] -= tau[j] * w;
+      dense::axpy(m - j - 1, -tau[j] * w, v, cj + 1);
+    }
+  };
+  if (trans == dense::Trans::T) {
+    // Q^T = H_{k-1} ... H_1 H_0 applied left-to-right.
+    for (int j = 0; j < k; ++j) apply(j);
+  } else {
+    for (int j = k - 1; j >= 0; --j) apply(j);
+  }
+}
 
 namespace {
 
@@ -25,11 +57,10 @@ void rotate(int n, double cs, double sn, double* __restrict x,
 
 // One-sided Jacobi SVD (Hestenes). Rotations are applied to column pairs of
 // a working copy of A until all pairs are numerically orthogonal; singular
-// values are the resulting column norms. Robust and accurate for the small
-// (k-by-k to b-by-b) factors PTLR decomposes; asymptotically slower than
-// bidiagonalization but that is irrelevant at tile scale. The rotations are
-// not accumulated: every caller needs only the leading left singular
-// vectors (see lapack.hpp).
+// values are the resulting column norms. Robust and accurate to the last
+// digits at tile scale; asymptotically slower than bidiagonalization, which
+// does not matter there. The rotations are not accumulated: every caller
+// needs only the leading left singular vectors (reference_lapack.hpp).
 //
 // The squared column norms are cached, so a pair costs one dot product
 // (apq) instead of three. They are recomputed exactly at the start of every
@@ -42,7 +73,7 @@ Svd jacobi_svd(ConstMatrixView a) {
              "jacobi_svd requires rows >= cols; transpose the input");
   const int m = a.rows(), n = a.cols();
   Svd out;
-  out.u = to_matrix(a);
+  out.u = dense::to_matrix(a);
   out.s.assign(n, 0.0);
   if (n == 0) return out;
 
@@ -50,7 +81,6 @@ Svd jacobi_svd(ConstMatrixView a) {
   constexpr int kMaxSweeps = 42;
   const double eps = 1e-15;
   const double sqrt_eps = std::sqrt(eps);
-  flops::Counter::add(8.0 * static_cast<double>(m) * n * n);  // ~few sweeps
 
   auto wcol = [&](int j) { return w.data() + static_cast<std::size_t>(j) * m; };
   std::vector<double> norms2(n);
@@ -117,4 +147,4 @@ std::vector<double> singular_values(ConstMatrixView a) {
   return jacobi_svd(at.view()).s;
 }
 
-}  // namespace ptlr::dense
+}  // namespace ptlr::testing

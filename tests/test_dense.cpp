@@ -16,8 +16,13 @@
 #include "dense/blas.hpp"
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
+#include "support/reference_lapack.hpp"
 
 using namespace ptlr::dense;
+using ptlr::testing::jacobi_svd;
+using ptlr::testing::ormqr;
+using ptlr::testing::singular_values;
+using ptlr::testing::Svd;
 using ptlr::Rng;
 
 namespace {

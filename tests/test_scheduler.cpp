@@ -376,16 +376,69 @@ TEST(WsScheduler, SerialChainRunsInlineWithoutWakeups) {
 }
 
 TEST(WsScheduler, ForkJoinReleasesBarriersInline) {
-  // The last task of a stage to finish releases the stage's barrier as
-  // its sole successor and runs it inline; the barrier then fans out to
-  // the next stage. So S stages make exactly S inline runs, whichever
-  // worker ran which task.
+  // Each stage task writes a cell of its own that only the stage's
+  // barrier reads, so the barrier is its one successor, and the barrier's
+  // cell feeds every task of the next stage. The stage task that finishes
+  // last releases the barrier as its sole successor and runs it inline;
+  // the barrier then fans out. So S stages make exactly S inline runs,
+  // whichever worker ran which task and wherever one was preempted.
   constexpr int kStages = 40;
-  auto p = FuzzProgram::fork_join(kStages, 6);
-  const std::vector<double> oracle = p.run_reference();
-  p.reset();
-  const auto res = rt::execute(p.graph(), 2, ws_options());
-  EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
+  constexpr int kFanout = 6;
+  constexpr int kCells = kStages * (kFanout + 1);
+  const auto lane = [](int s, int f) { return s * (kFanout + 1) + f; };
+  const auto barrier = [](int s) { return s * (kFanout + 1) + kFanout; };
+  const auto key = [](int cell) {
+    return rt::make_key(1, static_cast<std::uint32_t>(cell), 0);
+  };
+  std::vector<double> cells(kCells, 0.0);
+  // Non-commutative arithmetic: any order the graph does not force would
+  // show up in the cells.
+  const auto work = [&cells, barrier, lane](int s, int f) {
+    const double in = s > 0 ? cells[static_cast<std::size_t>(barrier(s - 1))]
+                            : 1.0;
+    cells[static_cast<std::size_t>(lane(s, f))] = in * 0.75 + f;
+  };
+  const auto join = [&cells, barrier, lane](int s) {
+    double acc = 0.0;
+    for (int f = 0; f < kFanout; ++f)
+      acc = acc * 0.5 + cells[static_cast<std::size_t>(lane(s, f))];
+    cells[static_cast<std::size_t>(barrier(s))] = acc / kFanout;
+  };
+
+  rt::TaskGraph g;
+  for (int s = 0; s < kStages; ++s) {
+    std::vector<rt::DataKey> lanes;
+    for (int f = 0; f < kFanout; ++f) {
+      rt::TaskInfo t;
+      t.name = "w";
+      t.priority = (s + f) % 3;
+      t.fn = [work, s, f] { work(s, f); };
+      std::vector<rt::DataKey> reads;
+      if (s > 0) reads.push_back(key(barrier(s - 1)));
+      lanes.push_back(key(lane(s, f)));
+      g.add_task(std::move(t), reads,
+                 std::vector<rt::DataKey>{lanes.back()});
+    }
+    rt::TaskInfo t;
+    t.name = "join";
+    t.fn = [join, s] { join(s); };
+    g.add_task(std::move(t), lanes, std::vector<rt::DataKey>{key(barrier(s))});
+  }
+  for (rt::TaskId t = 0; t < g.size(); ++t) {
+    const bool is_join = t % (kFanout + 1) == kFanout;
+    const bool last_stage = t / (kFanout + 1) == kStages - 1;
+    const std::size_t want = !is_join ? 1 : (last_stage ? 0 : kFanout);
+    ASSERT_EQ(g.successors(t).size(), want) << "task " << t;
+  }
+
+  for (int s = 0; s < kStages; ++s) {  // the oracle: insertion order
+    for (int f = 0; f < kFanout; ++f) work(s, f);
+    join(s);
+  }
+  const std::vector<double> oracle = cells;
+  std::fill(cells.begin(), cells.end(), 0.0);
+  const auto res = rt::execute(g, 2, ws_options());
+  EXPECT_EQ(check_cells_match(cells, oracle), "");
   EXPECT_EQ(res.sched.inline_runs, kStages);
 }
 

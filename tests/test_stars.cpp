@@ -2,7 +2,14 @@
 // covariance problem generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
@@ -10,6 +17,7 @@
 #include "stars/geometry.hpp"
 #include "stars/kernels.hpp"
 #include "stars/problem.hpp"
+#include "support/reference_lapack.hpp"
 
 using namespace ptlr::stars;
 using ptlr::Rng;
@@ -208,7 +216,7 @@ TEST(Problem, OffDiagonalBlocksAreDataSparse) {
   const int n = 256, b = 64;
   auto prob = make_st3d_matern(n, 1.0, 0.5, 0.5, 13);
   auto far_block = prob.block(n - b, 0, b, b);
-  auto s = ptlr::dense::singular_values(far_block.view());
+  auto s = ptlr::testing::singular_values(far_block.view());
   int rank = 0;
   double tail2 = 0.0;
   for (int i = b - 1; i >= 0; --i) tail2 += s[i] * s[i];
@@ -230,8 +238,8 @@ TEST(Problem, SmootherKernelsHaveLowerRank) {
   auto smooth = make_problem(ProblemKind::kSt3DSqExp, n, 17);
   auto blk_r = rough.block(n - b, 0, b, b);
   auto blk_s = smooth.block(n - b, 0, b, b);
-  auto sr = ptlr::dense::singular_values(blk_r.view());
-  auto ss = ptlr::dense::singular_values(blk_s.view());
+  auto sr = ptlr::testing::singular_values(blk_r.view());
+  auto ss = ptlr::testing::singular_values(blk_s.view());
   // Compare the decay via the index where sigma falls below 1e-8*sigma0.
   auto decay_rank = [](const std::vector<double>& s) {
     for (std::size_t i = 0; i < s.size(); ++i)
@@ -271,7 +279,7 @@ TEST(Kernels, ElectrodynamicsIsSinc) {
 TEST(Problem, ElectrostaticsBlocksAreCompressible) {
   auto prob = make_problem(ProblemKind::kElectrostatics3D, 216, 41);
   auto far = prob.block(162, 0, 54, 54);
-  auto s = ptlr::dense::singular_values(far.view());
+  auto s = ptlr::testing::singular_values(far.view());
   // Smooth far-field: geometric decay of the spectrum (1/r between two
   // separated octants of the unit cube at ~200 points decays a bit over
   // half a decade per singular value).
@@ -284,8 +292,8 @@ TEST(Problem, ElectrodynamicsHarderThanElectrostatics) {
   auto ed = make_problem(ProblemKind::kElectrodynamics3D, 216, 43);
   auto bs = es.block(162, 0, 54, 54);
   auto bd = ed.block(162, 0, 54, 54);
-  auto ss = ptlr::dense::singular_values(bs.view());
-  auto sd = ptlr::dense::singular_values(bd.view());
+  auto ss = ptlr::testing::singular_values(bs.view());
+  auto sd = ptlr::testing::singular_values(bd.view());
   // Oscillatory kernels decay more slowly (relative spectrum).
   EXPECT_GT(sd[10] / sd[0], ss[10] / ss[0]);
 }
@@ -294,4 +302,186 @@ TEST(Problem, NewPresetNames) {
   EXPECT_EQ(to_string(ProblemKind::kElectrostatics3D), "electrostatics-3D");
   EXPECT_EQ(to_string(ProblemKind::kElectrodynamics3D),
             "electrodynamics-3D");
+}
+
+// ----------------------------------------------------------- Generator ----
+// The tile generator: one kernel batch call per column (eval), one column
+// routine behind fill_block() and entry(), and the closed forms' exp.
+
+namespace {
+
+// Every kernel the presets use, plus the Bessel-based Matérn.
+std::vector<std::pair<std::string, std::shared_ptr<const CovarianceKernel>>>
+all_kernels() {
+  return {{"matern0.5", std::make_shared<Matern>(1.3, 0.1, 0.5)},
+          {"matern1.5", std::make_shared<Matern>(0.7, 0.2, 1.5)},
+          {"matern2.5", std::make_shared<Matern>(2.0, 0.05, 2.5)},
+          {"matern1.0", std::make_shared<Matern>(1.0, 0.1, 1.0)},
+          {"exponential", std::make_shared<Exponential>(1.1, 0.3)},
+          {"sqexp", std::make_shared<SquaredExponential>(0.9, 0.1)},
+          {"electrostatics", std::make_shared<Electrostatics>(50.0)},
+          {"electrodynamics", std::make_shared<Electrodynamics>(12.0)}};
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// |got − want| in units of the spacing of doubles at `want` (the finer one
+// at a binade edge; the subnormal spacing at and below DBL_MIN).
+double ulp_error(double got, long double want) {
+  const double a = std::fabs(static_cast<double>(want));
+  const double up = std::nextafter(a, INFINITY) - a;
+  const double down = a - std::nextafter(a, 0.0);
+  const double ulp = down > 0.0 ? std::min(up, down) : up;
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - want) /
+                             ulp);
+}
+
+}  // namespace
+
+TEST(Generator, BatchEvalMatchesScalarBitwise) {
+  // Lengths cover the vector body and every scalar remainder; the batch
+  // starts at odd offsets too, so no lane alignment is assumed.
+  Rng rng(61);
+  std::vector<double> r(1031);
+  for (auto& v : r) v = rng.uniform(0.0, 2.0);
+  r[0] = 0.0;
+  r[1] = 1e-300;
+  r[2] = 80.0;  // past exp's underflow cutoff for every length scale here
+  for (const auto& [name, kernel] : all_kernels()) {
+    for (const int offset : {0, 1, 3}) {
+      for (const int n : {1, 2, 7, 8, 9, 17, 128, 1000}) {
+        const double* batch = r.data() + offset;
+        std::vector<double> out(static_cast<std::size_t>(n), -1.0);
+        kernel->eval(batch, out.data(), n);
+        for (int i = 0; i < n; ++i) {
+          ASSERT_TRUE(same_bits(out[static_cast<std::size_t>(i)],
+                                (*kernel)(batch[i])))
+              << name << " offset " << offset << " n " << n << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Generator, EntryMatchesBlockBitwise) {
+  // Blocks on, next to and away from the diagonal, of odd shapes: every
+  // element equals entry() of its global position, nugget included.
+  const ProblemKind kinds[] = {
+      ProblemKind::kSt3DExp,          ProblemKind::kSt2DExp,
+      ProblemKind::kSt3DSqExp,        ProblemKind::kSt3DMatern,
+      ProblemKind::kElectrostatics3D, ProblemKind::kElectrodynamics3D};
+  struct Box {
+    int row0, col0, rows, cols;
+  };
+  const Box boxes[] = {{0, 0, 37, 37}, {20, 3, 41, 19}, {5, 30, 9, 50},
+                       {90, 10, 30, 17}, {119, 119, 1, 1}};
+  for (const ProblemKind kind : kinds) {
+    const auto prob = make_problem(kind, 120, 19);
+    for (const Box& b : boxes) {
+      const auto blk = prob.block(b.row0, b.col0, b.rows, b.cols);
+      for (int j = 0; j < b.cols; ++j)
+        for (int i = 0; i < b.rows; ++i)
+          ASSERT_TRUE(
+              same_bits(blk(i, j), prob.entry(b.row0 + i, b.col0 + j)))
+              << to_string(kind) << " at (" << b.row0 + i << ", "
+              << b.col0 + j << ")";
+    }
+  }
+  // Taller than the generator's 256-row distance buffer, with the
+  // diagonal in the second chunk.
+  const auto tall = make_problem(ProblemKind::kSt3DExp, 700, 19);
+  const auto tblk = tall.block(0, 280, 700, 9);
+  for (int j = 0; j < 9; ++j)
+    for (int i = 0; i < 700; ++i)
+      ASSERT_TRUE(same_bits(tblk(i, j), tall.entry(i, 280 + j)))
+          << "tall at (" << i << ", " << 280 + j << ")";
+  Rng rng(23);
+  const CrossCovariance cross(grid3d(70, rng), grid3d(45, rng),
+                              std::make_shared<Matern>(1.0, 0.1, 0.5));
+  const auto blk = cross.block(11, 6, 50, 33);
+  for (int j = 0; j < 33; ++j)
+    for (int i = 0; i < 50; ++i)
+      ASSERT_TRUE(same_bits(blk(i, j), cross.entry(11 + i, 6 + j)))
+          << "cross at (" << 11 + i << ", " << 6 + j << ")";
+}
+
+TEST(Generator, ClosedFormsTrackLongDoubleExp) {
+  // s = r/ℓ (the exponent's magnitude) sampled over [0, 745] — exp's whole
+  // range down to the last subnormal — and densely over [0, 5]. The
+  // reference keeps each kernel's own double arithmetic around exp (the
+  // argument, the Matérn prefactor) and takes expl of the same argument.
+  // A kernel that is θ1·e^x with θ1 = 1 is the exp itself: within 1 ULP.
+  // The Matérn ν = 1.5 and 2.5 forms round one more product: within
+  // 2 ULP while e^-s is normal (s <= 708). Past it the prefactor scales
+  // the subnormal's absolute rounding, as it does with any exp.
+  constexpr double kEll = 0.25;
+  const Matern nu05(1.0, kEll, 0.5), nu15(1.0, kEll, 1.5),
+      nu25(1.0, kEll, 2.5);
+  const Exponential ex(1.0, kEll);
+  const SquaredExponential sq(1.0, kEll);
+  const auto expl_of = [](double x) {
+    return std::exp(static_cast<long double>(x));
+  };
+  Rng rng(71);
+  double worst_exp = 0.0, worst_product = 0.0;
+  for (int t = 0; t < 200000; ++t) {
+    const double r =
+        kEll * (t % 2 == 0 ? rng.uniform(0.0, 745.0) : rng.uniform(0.0, 5.0));
+    const double s = r / kEll;  // Matérn's s = r/θ2
+    const long double e = expl_of(-s);
+    // The squared exponential's exponent −r²/(2ℓ²) is −s at ℓ·√(2s).
+    const double r_sq = kEll * std::sqrt(2.0 * s);
+    worst_exp = std::max(
+        {worst_exp, ulp_error(nu05(r), e), ulp_error(ex(r), expl_of(-r / kEll)),
+         ulp_error(sq(r_sq), expl_of(-r_sq * r_sq / (2.0 * kEll * kEll)))});
+    if (s > 708.0) continue;  // e^-s is subnormal
+    const double p15 = 1.0 + s, p25 = 1.0 + s + s * s / 3.0;
+    worst_product = std::max({worst_product, ulp_error(nu15(r), p15 * e),
+                              ulp_error(nu25(r), p25 * e)});
+  }
+  EXPECT_LE(worst_exp, 1.0);
+  EXPECT_LE(worst_product, 2.0);
+}
+
+TEST(Generator, ClosedFormsAreExactAtZeroAndZeroPastUnderflow) {
+  // e^x is exactly 1 at x = 0 and exactly 0 once x < ln(2^-1075)
+  // ≈ -745.1332 (kernels.hpp), at any magnitude of the argument.
+  const double theta1 = 1.7, ell = 0.3;
+  const Matern nu05(theta1, ell, 0.5), nu15(theta1, ell, 1.5),
+      nu25(theta1, ell, 2.5);
+  const Exponential ex(theta1, ell);
+  const SquaredExponential sq(theta1, ell);
+  const std::vector<const CovarianceKernel*> closed = {&nu05, &nu15, &nu25,
+                                                      &ex, &sq};
+  for (const CovarianceKernel* k : closed) EXPECT_EQ((*k)(0.0), theta1);
+  for (const double s : {745.1333, 745.14, 746.0, 800.0, 1e4, 1e6, 1e100}) {
+    const double r = s * ell;
+    EXPECT_EQ(nu05(r), 0.0) << s;
+    EXPECT_EQ(nu15(r), 0.0) << s;
+    if (s < 1e100) {  // s² overflows there: inf · 0
+      EXPECT_EQ(nu25(r), 0.0) << s;
+    }
+    EXPECT_EQ(ex(r), 0.0) << s;
+    EXPECT_EQ(sq(std::sqrt(2.0 * s) * ell), 0.0) << s;
+  }
+  // Just above the cutoff e^x is the smallest subnormal, not 0.
+  EXPECT_GT(Exponential(1.0, 1.0)(745.13), 0.0);
+}
+
+TEST(Generator, St3dExpTileBitsArePinned) {
+  // FNV-1a over the bits of one generated st-3D-exp tile (N = 2048, the
+  // first sub-diagonal tile at b = 128). The generator's arithmetic is
+  // plain IEEE without contraction, so the release (native ISA) and the
+  // portable (SSE2) builds must both reproduce this value.
+  const auto prob = make_problem(ProblemKind::kSt3DExp, 2048);
+  const auto tile = prob.block(128, 0, 128, 128);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (int j = 0; j < 128; ++j)
+    for (int i = 0; i < 128; ++i) {
+      h ^= std::bit_cast<std::uint64_t>(tile(i, j));
+      h *= 1099511628211ULL;
+    }
+  EXPECT_EQ(h, 0x51b98bf40d78c630ULL) << std::hex << h;
 }
