@@ -1,7 +1,7 @@
 #include "core/band_tuner.hpp"
 
 #include <algorithm>
-#include <array>
+#include <limits>
 
 #include "hcore/kernels.hpp"
 
@@ -11,48 +11,153 @@ namespace {
 
 using flops::Kernel;
 
-// Accumulates flops into (band-candidate W, sub-diagonal d) buckets using a
-// difference array along W, so each task contributes O(#breakpoints)
-// updates instead of O(wmax).
-class WdAccumulator {
+// The Table I cost of each task of the tile Cholesky when the band is W.
+// `Ranks` is a RankMap or a matrix under construction; a tile is read only
+// when it lies outside the band (i-j >= W), where it is dense only if its
+// rank exceeded the cap.
+template <class Ranks>
+class TaskCosts {
  public:
-  WdAccumulator(int wmax, int nt)
-      : wmax_(wmax), nt_(nt),
-        diff_(static_cast<std::size_t>(wmax + 2) *
-                  static_cast<std::size_t>(nt),
-              0.0) {}
+  TaskCosts(const Ranks& r, int b, int w) : r_(r), b_(b), w_(w) {}
 
-  /// Add `cost` to sub-diagonal `d` for candidates W in [wlo, whi].
-  void add(int wlo, int whi, int d, double cost) {
-    wlo = std::max(wlo, 1);
-    whi = std::min(whi, wmax_);
-    if (wlo > whi) return;
-    diff_[idx(wlo, d)] += cost;
-    diff_[idx(whi + 1, d)] -= cost;
+  [[nodiscard]] bool dense(int i, int j) const {
+    return i - j < w_ || r_.is_dense(i, j);
   }
-
-  /// Resolve to cost[W][d] (W in 1..wmax).
-  [[nodiscard]] std::vector<std::vector<double>> resolve() const {
-    std::vector<std::vector<double>> out(
-        static_cast<std::size_t>(wmax_),
-        std::vector<double>(static_cast<std::size_t>(nt_), 0.0));
-    for (int d = 0; d < nt_; ++d) {
-      double run = 0.0;
-      for (int w = 1; w <= wmax_; ++w) {
-        run += diff_[idx(w, d)];
-        out[static_cast<std::size_t>(w - 1)][static_cast<std::size_t>(d)] =
-            run;
-      }
+  /// SYRK of step k on diagonal tile (i, i), reading (i, k).
+  [[nodiscard]] double syrk(int i, int k) const {
+    return dense(i, k) ? flops::model(Kernel::kSyrk1, b_, 0)
+                       : flops::model(Kernel::kSyrk3, b_, r_.rank(i, k));
+  }
+  /// TRSM writing (i, j).
+  [[nodiscard]] double trsm(int i, int j) const {
+    return dense(i, j) ? flops::model(Kernel::kTrsm1, b_, 0)
+                       : flops::model(Kernel::kTrsm4, b_, r_.rank(i, j));
+  }
+  /// GEMM of step k writing (i, j), reading (i, k) and (j, k).
+  [[nodiscard]] double gemm(int i, int j, int k) const {
+    const bool ad = dense(i, k), bd = dense(j, k), cd = dense(i, j);
+    int kk = 1;
+    if (!ad) kk = std::max(kk, r_.rank(i, k));
+    if (!bd) kk = std::max(kk, r_.rank(j, k));
+    if (!cd) kk = std::max(kk, r_.rank(i, j));
+    return hcore::gemm_model_flops(ad, bd, cd, b_, kk);
+  }
+  /// The TRSM and GEMMs writing sub-diagonal d (the Fig. 6c marginal).
+  [[nodiscard]] double writing(int nt, int d) const {
+    double f = 0.0;
+    for (int i = d; i < nt; ++i) {
+      const int j = i - d;
+      f += trsm(i, j);
+      for (int k = 0; k < j; ++k) f += gemm(i, j, k);
     }
-    return out;
+    return f;
   }
 
  private:
-  [[nodiscard]] std::size_t idx(int w, int d) const {
-    return static_cast<std::size_t>(w) * nt_ + d;
+  const Ranks& r_;
+  int b_, w_;
+};
+
+// F(W) from the widest candidate inward: F(wmax) sums every task, and
+// F(W) = F(W+1) plus the change of the tasks that touch sub-diagonal W,
+// whose tiles turn low-rank at W. Each F(W) reads only tiles with
+// i-j >= W, with the same arithmetic whether the inner tiles exist yet or
+// not, so a scan during the build prices bitwise what tune_band_size
+// prices on the finished map.
+class OutsideInFlops {
+ public:
+  OutsideInFlops(int nt, int b, int wmax) : nt_(nt), b_(b), w_(wmax) {}
+
+  /// The candidate the next price() call prices (wmax first); 0 when done.
+  [[nodiscard]] int next() const { return w_; }
+
+  /// F(next()); `r` must hold every tile with i-j >= next().
+  template <class Ranks>
+  double price(const Ranks& r) {
+    f_ = priced_ ? f_ + change(r, w_) : total(r, w_);
+    priced_ = true;
+    --w_;
+    return f_;
   }
-  int wmax_, nt_;
-  std::vector<double> diff_;
+
+ private:
+  template <class Ranks>
+  double total(const Ranks& r, int w) const {
+    const TaskCosts<Ranks> c(r, b_, w);
+    double f = 0.0;
+    for (int i = 0; i < nt_; ++i) {
+      f += flops::model(Kernel::kPotrf1, b_, 0);
+      for (int k = 0; k < i; ++k) f += c.syrk(i, k);
+    }
+    for (int i = 1; i < nt_; ++i)
+      for (int j = 0; j < i; ++j) {
+        f += c.trsm(i, j);
+        for (int k = 0; k < j; ++k) f += c.gemm(i, j, k);
+      }
+    return f;
+  }
+
+  // F(w) - F(w+1): every task reading or writing a tile (p, q) with
+  // p - q = w, once each. Such a tile is C of GEMM(p, q, k), A of
+  // GEMM(p, j, q) and B of GEMM(i, p, q); a GEMM whose C and B both lie on
+  // sub-diagonal w is counted as the C of its own tile.
+  template <class Ranks>
+  double change(const Ranks& r, int w) const {
+    const TaskCosts<Ranks> lo(r, b_, w), hi(r, b_, w + 1);
+    double f = 0.0;
+    for (int p = w; p < nt_; ++p) {
+      const int q = p - w;
+      f += lo.syrk(p, q) - hi.syrk(p, q);
+      f += lo.trsm(p, q) - hi.trsm(p, q);
+      for (int k = 0; k < q; ++k) f += lo.gemm(p, q, k) - hi.gemm(p, q, k);
+      for (int j = q + 1; j < p; ++j)
+        f += lo.gemm(p, j, q) - hi.gemm(p, j, q);
+      for (int i = p + 1; i < nt_; ++i)
+        if (i - p != w) f += lo.gemm(i, p, q) - hi.gemm(i, p, q);
+    }
+    return f;
+  }
+
+  int nt_, b_, w_;
+  double f_ = 0.0;
+  bool priced_ = false;
+};
+
+// The stop rule of the scan (band_tuner.hpp): offer F(W) for W = wmax,
+// wmax-1, ... until done().
+class ScanRule {
+ public:
+  explicit ScanRule(double fluctuation_lo) : lo_(fluctuation_lo) {
+    PTLR_CHECK(lo_ > 0.0 && lo_ <= 1.0,
+               "fluctuation bound must be in (0, 1]");
+  }
+
+  void offer(int w, double f) {
+    if (f > fmin_ / lo_) {
+      exit_ = w;
+      done_ = true;
+      return;
+    }
+    fmin_ = std::min(fmin_, f);
+    done_ = w == 1;
+  }
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] int pick() const { return exit_ + 1; }
+
+ private:
+  double lo_;
+  double fmin_ = std::numeric_limits<double>::infinity();
+  int exit_ = 0;
+  bool done_ = false;
+};
+
+// The formats and ranks of a matrix's tiles, as a RankMap would hold them.
+struct TileRanks {
+  const tlr::TlrMatrix& m;
+  [[nodiscard]] bool is_dense(int i, int j) const {
+    return m.at(i, j).is_dense();
+  }
+  [[nodiscard]] int rank(int i, int j) const { return m.at(i, j).rank(); }
 };
 
 }  // namespace
@@ -62,125 +167,64 @@ BandTuneResult tune_band_size(const RankMap& ranks, int wmax,
   const int nt = ranks.nt();
   const int b = ranks.tile_size();
   if (wmax <= 0) wmax = std::min(nt, 64);
-  PTLR_CHECK(fluctuation_lo > 0.0 && fluctuation_lo <= 1.0,
-             "fluctuation bound must be in (0, 1]");
-
-  // A tile already dense in the map (stray densification because its rank
-  // exceeded maxrank) stays dense for every candidate.
-  auto stray = [&](int i, int j) { return i != j && ranks.is_dense(i, j); };
-  // Candidate threshold: tile (i,j) is dense iff W > d (i.e. W >= d+1).
-  auto rank_of = [&](int i, int j) { return ranks.rank(i, j); };
-
-  WdAccumulator acc(wmax, nt);
-
-  for (int i = 0; i < nt; ++i) {
-    // POTRF on every diagonal tile, independent of W.
-    acc.add(1, wmax, 0, flops::model(Kernel::kPotrf1, b, 0));
-
-    for (int k = 0; k < i; ++k) {
-      // SYRK writing the diagonal tile (i,i), reading (i,k).
-      const int d = i - k;
-      if (stray(i, k) || d >= 1) {
-        const double dense_cost = flops::model(Kernel::kSyrk1, b, 0);
-        const double lr_cost =
-            flops::model(Kernel::kSyrk3, b, rank_of(i, k));
-        if (stray(i, k)) {
-          acc.add(1, wmax, 0, dense_cost);
-        } else {
-          acc.add(1, d, 0, lr_cost);         // W <= d: (i,k) still TLR
-          acc.add(d + 1, wmax, 0, dense_cost);
-        }
-      }
-    }
-  }
-
-  for (int i = 1; i < nt; ++i) {
-    for (int j = 0; j < i; ++j) {
-      const int dc = i - j;
-      // TRSM writing (i,j).
-      if (stray(i, j)) {
-        acc.add(1, wmax, dc, flops::model(Kernel::kTrsm1, b, 0));
-      } else {
-        acc.add(1, dc, dc, flops::model(Kernel::kTrsm4, b, rank_of(i, j)));
-        acc.add(dc + 1, wmax, dc, flops::model(Kernel::kTrsm1, b, 0));
-      }
-
-      // GEMMs writing (i,j) at steps k < j, reading (i,k) and (j,k).
-      for (int k = 0; k < j; ++k) {
-        const int da = i - k, db = j - k;
-        // Piecewise over W: each operand flips to dense at W = d+1.
-        // Breakpoints sorted ascending; evaluate one regime per range.
-        std::array<int, 3> ds{dc, da, db};
-        std::sort(ds.begin(), ds.end());
-        int lo = 1;
-        for (int r = 0; r <= 3; ++r) {
-          const int hi = r < 3 ? std::min(ds[static_cast<std::size_t>(r)],
-                                          wmax)
-                               : wmax;
-          if (lo > hi) {
-            if (r < 3) lo = ds[static_cast<std::size_t>(r)] + 1;
-            continue;
-          }
-          const int w = lo;  // any W in [lo, hi] has the same regime
-          const bool cd = stray(i, j) || dc < w;
-          const bool ad = stray(i, k) || da < w;
-          const bool bd = stray(j, k) || db < w;
-          int kk = 0;
-          if (!ad) kk = std::max(kk, rank_of(i, k));
-          if (!bd) kk = std::max(kk, rank_of(j, k));
-          if (!cd) kk = std::max(kk, rank_of(i, j));
-          const double cost =
-              hcore::gemm_model_flops(ad, bd, cd, b, std::max(kk, 1));
-          acc.add(lo, hi, dc, cost);
-          if (r < 3) lo = std::max(lo, ds[static_cast<std::size_t>(r)] + 1);
-        }
-      }
-    }
-  }
-
-  const auto cost = acc.resolve();  // cost[W-1][d]
+  ScanRule rule(fluctuation_lo);
 
   BandTuneResult out;
   out.fluctuation_lo = fluctuation_lo;
   out.total_by_band.resize(static_cast<std::size_t>(wmax), 0.0);
-  for (int w = 1; w <= wmax; ++w) {
-    double total = 0.0;
-    for (int d = 0; d < nt; ++d)
-      total += cost[static_cast<std::size_t>(w - 1)]
-                   [static_cast<std::size_t>(d)];
-    out.total_by_band[static_cast<std::size_t>(w - 1)] = total;
+  OutsideInFlops model(nt, b, wmax);
+  for (int w = wmax; w >= 1; --w) {
+    const double f = model.price(ranks);
+    out.total_by_band[static_cast<std::size_t>(w - 1)] = f;
+    if (!rule.done()) rule.offer(w, f);
   }
+  out.band_size = rule.pick();
 
-  // Marginal per-sub-diagonal comparison (Fig. 6c): sub-diagonal d in dense
-  // format under W = d+1 vs TLR format under W = d.
+  // Marginal per-sub-diagonal comparison (Fig. 6c): the tasks writing
+  // sub-diagonal d in dense format under W = d+1 vs TLR format under W = d.
   out.dense_subdiag.assign(static_cast<std::size_t>(nt), 0.0);
   out.tlr_subdiag.assign(static_cast<std::size_t>(nt), 0.0);
   for (int d = 1; d < nt; ++d) {
     if (d + 1 <= wmax)
       out.dense_subdiag[static_cast<std::size_t>(d)] =
-          cost[static_cast<std::size_t>(d)][static_cast<std::size_t>(d)];
+          TaskCosts<RankMap>(ranks, b, d + 1).writing(nt, d);
     if (d <= wmax)
       out.tlr_subdiag[static_cast<std::size_t>(d)] =
-          cost[static_cast<std::size_t>(d - 1)][static_cast<std::size_t>(d)];
-  }
-
-  // Pick the smallest W inside the fluctuation box [F_min, F_min/0.67].
-  const double fmin =
-      *std::min_element(out.total_by_band.begin(), out.total_by_band.end());
-  for (int w = 1; w <= wmax; ++w) {
-    if (out.total_by_band[static_cast<std::size_t>(w - 1)] <=
-        fmin / fluctuation_lo) {
-      out.band_size = w;
-      break;
-    }
+          TaskCosts<RankMap>(ranks, b, d).writing(nt, d);
   }
   return out;
 }
 
 double cholesky_model_flops(const RankMap& ranks, int band_size) {
-  const int wmax = std::max(band_size, 1);
-  auto res = tune_band_size(ranks, wmax, 1.0);
-  return res.total_by_band[static_cast<std::size_t>(band_size - 1)];
+  OutsideInFlops model(ranks.nt(), ranks.tile_size(), band_size);
+  return model.price(ranks);
+}
+
+tlr::TlrMatrix build_auto_band(const stars::CovarianceProblem& prob,
+                               int tile_size, const compress::Accuracy& acc,
+                               int nthreads, double fluctuation_lo,
+                               BandScan* scan) {
+  const int nt = (prob.n() + tile_size - 1) / tile_size;
+  const int wmax = std::min(nt, 64);
+  OutsideInFlops model(nt, tile_size, wmax);
+  ScanRule rule(fluctuation_lo);
+  BandScan s;
+  s.wmax = wmax;
+  // Runs once per finished sub-diagonal d, outermost first: price every
+  // candidate W >= d not priced yet.
+  auto pick = [&](const tlr::TlrMatrix& m, int d) {
+    while (!rule.done() && model.next() >= d) {
+      const int w = model.next();
+      s.flops.push_back(model.price(TileRanks{m}));
+      rule.offer(w, s.flops.back());
+    }
+    return rule.done() ? rule.pick() : 0;
+  };
+  tlr::TlrMatrix m = tlr::TlrMatrix::from_problem_outside_in(
+      prob, tile_size, acc, nthreads, pick);
+  s.band_size = m.band_size();
+  if (scan != nullptr) *scan = std::move(s);
+  return m;
 }
 
 }  // namespace ptlr::core

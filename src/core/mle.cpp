@@ -26,11 +26,19 @@ MleEvaluation evaluate_mle(const stars::CovarianceProblem& prob,
   MleEvaluation out;
 
   WallTimer t;
-  auto sigma = tlr::TlrMatrix::from_problem_parallel(prob, tile_size, cfg.acc,
-                                                      cfg.nthreads);
+  auto sigma =
+      cfg.band_size > 0
+          ? tlr::TlrMatrix::from_problem_parallel(prob, tile_size, cfg.acc,
+                                                  cfg.nthreads, cfg.band_size)
+          : build_auto_band(prob, tile_size, cfg.acc, cfg.nthreads,
+                            cfg.fluctuation_lo, &out.band);
   out.compress_seconds = t.seconds();
+  out.band.band_size = sigma.band_size();
 
-  out.cholesky = factorize(sigma, &prob, cfg);
+  // The band is dense already: factorize neither tunes nor regenerates.
+  CholeskyConfig banded = cfg;
+  banded.band_size = sigma.band_size();
+  out.cholesky = factorize(sigma, &prob, banded);
 
   out.logdet = log_det(sigma);
   const auto y = solve_lower(sigma, z);

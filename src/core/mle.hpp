@@ -16,7 +16,12 @@ struct MleEvaluation {
   double log_likelihood = 0.0;
   double logdet = 0.0;      ///< log |Σ|
   double quadratic = 0.0;   ///< Zᵀ Σ⁻¹ Z
+  /// Building Σ(θ): generation, compression, the band pick and the dense
+  /// band, all before factorize (which then neither tunes nor regenerates).
   double compress_seconds = 0.0;
+  /// The band, and the F(W) the outside-in scan priced for it (no F(W)
+  /// when cfg.band_size forced the band).
+  BandScan band;
   CholeskyResult cholesky;
 };
 
@@ -24,9 +29,14 @@ struct MleEvaluation {
 double log_likelihood(const tlr::TlrMatrix& chol,
                       const std::vector<double>& z);
 
-/// Full pipeline: compress Σ(θ) at `tile_size` on cfg.nthreads workers,
-/// factorize with `cfg`, evaluate ℓ(θ) for the measurement vector `z`. The
-/// result is bitwise independent of cfg.nthreads.
+/// Full pipeline: build Σ(θ) at `tile_size` on cfg.nthreads workers,
+/// factorize with `cfg` at the band of the build, evaluate ℓ(θ) for the
+/// measurement vector `z`.
+/// With cfg.band_size 0 the band is picked while compressing
+/// (build_auto_band); a forced band is generated dense. No band tile is
+/// compressed either way. The result is bitwise independent of
+/// cfg.nthreads, and bitwise that of compressing every tile and letting
+/// factorize tune and regenerate the band.
 MleEvaluation evaluate_mle(const stars::CovarianceProblem& prob,
                            const std::vector<double>& z, int tile_size,
                            const CholeskyConfig& cfg);

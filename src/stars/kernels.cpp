@@ -60,8 +60,12 @@ template <int kTwoNu>
   const double s = r / theta2;
   const double e = exp_nonpositive(-s);
   if constexpr (kTwoNu == 1) return theta1 * e;
-  if constexpr (kTwoNu == 3) return theta1 * (1.0 + s) * e;
-  return theta1 * (1.0 + s + s * s / 3.0) * e;
+  // e is exactly 0 for every s above 745.14, so clamping s inside the
+  // polynomial changes no value; it keeps the polynomial finite where it
+  // would overflow (inf * 0 is NaN). A NaN s stays NaN.
+  const double p = std::min(s, 746.0);
+  if constexpr (kTwoNu == 3) return theta1 * (1.0 + p) * e;
+  return theta1 * (1.0 + p + p * p / 3.0) * e;
 }
 
 [[gnu::always_inline]] inline double exponential(double sigma2, double ell,

@@ -24,8 +24,9 @@ class CovarianceKernel {
 // IEEE arithmetic (kernels.cpp; within 1 ULP, see docs/numerics.md), so
 // their values do not depend on the libm or the ISA of the build. They are
 // exactly θ1 (σ²) at r = 0, and exactly 0 once the exponent x falls below
-// ln(2^-1075) ≈ -745.1332, where e^x underflows double precision (while
-// the Matérn prefactor 1 + s + s²/3 stays finite).
+// ln(2^-1075) ≈ -745.1332, where e^x underflows double precision, up to
+// s = r/θ2 = inf (the Matérn prefactor 1 + s + s²/3 takes s clamped at 746,
+// which changes no value and keeps it finite).
 
 /// Matérn kernel (Eq. 2):
 ///   C(r; θ) = θ1 / (2^(θ3-1) Γ(θ3)) * (r/θ2)^θ3 * K_θ3(r/θ2)

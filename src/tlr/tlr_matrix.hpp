@@ -8,6 +8,7 @@
 // this container is the "dynamic memory designation" side of the paper.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "compress/compress.hpp"
@@ -43,6 +44,22 @@ class TlrMatrix {
   static TlrMatrix from_problem_parallel(
       const stars::CovarianceProblem& prob, int tile_size,
       const compress::Accuracy& acc, int nthreads, int band_size = 1);
+
+  /// Build for a band picked while compressing (core::build_auto_band).
+  /// Off-diagonal tiles are generated and compressed one sub-diagonal at a
+  /// time from the outermost inward, claimed in that order from one counter
+  /// by `nthreads` workers. Once sub-diagonal d and every one outside it are
+  /// complete, `pick(m, d)` runs on the worker that completed the last of
+  /// them, one call at a time, and may read those tiles. It returns 0 to go
+  /// on, or the band W >= d: no tile is claimed after that, and the tiles
+  /// with i-j < W, including those compressed already, are generated dense
+  /// (W is 1 when no call decides). The tiles are then bitwise those of
+  /// from_problem(prob, tile_size, acc, W) at any thread count. A worker's
+  /// exception, or pick's, stops the claims and is rethrown here.
+  static TlrMatrix from_problem_outside_in(
+      const stars::CovarianceProblem& prob, int tile_size,
+      const compress::Accuracy& acc, int nthreads,
+      const std::function<int(const TlrMatrix&, int)>& pick);
 
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] int tile_size() const { return b_; }

@@ -3,7 +3,10 @@
 // virtual-cluster simulation, solves and the MLE pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <numbers>
@@ -15,6 +18,7 @@
 #include "core/solve.hpp"
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
+#include "tlr/io.hpp"
 
 using namespace ptlr;
 using namespace ptlr::core;
@@ -161,6 +165,148 @@ TEST(BandTuner, LooserFluctuationNeverWidensTheBand) {
   const int tight = tune_band_size(map, 0, 1.0).band_size;
   const int loose = tune_band_size(map, 0, 0.5).band_size;
   EXPECT_LE(loose, tight);
+}
+
+// ---------------------------------------------------- outside-in scan ----
+// The pick is the scan's (band_tuner.hpp). On the problems below F(W) has
+// one minimum, so the scan must agree with the global rule it replaced,
+// which stays here as the oracle.
+
+namespace {
+
+// The smallest W inside the box of the minimum over every candidate.
+int global_pick(const BandTuneResult& t) {
+  const double fmin =
+      *std::min_element(t.total_by_band.begin(), t.total_by_band.end());
+  for (std::size_t w = 1; w <= t.total_by_band.size(); ++w)
+    if (t.total_by_band[w - 1] <= fmin / t.fluctuation_lo)
+      return static_cast<int>(w);
+  return 0;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Builds `prob` outside in and holds it against compressing every tile.
+void expect_outside_in_matches(const stars::CovarianceProblem& prob, int b,
+                               double tol, int nthreads) {
+  const compress::Accuracy acc{tol, 1 << 30};
+  const auto full = tlr::TlrMatrix::from_problem(prob, b, acc);
+  const auto tuned = tune_band_size(RankMap::from_matrix(full));
+  BandScan scan;
+  const auto built = build_auto_band(prob, b, acc, nthreads, 0.67, &scan);
+  const int pick = built.band_size();
+
+  // One pick: the scan during the build, the scan over the full map, and
+  // the global rule.
+  EXPECT_EQ(pick, global_pick(tuned));
+  EXPECT_EQ(pick, tuned.band_size);
+  EXPECT_EQ(scan.band_size, pick);
+
+  // The build priced F(wmax) down to the exit, pick - 1 (W = 1 without
+  // one), each bitwise the full map's value: one evaluator prices both.
+  ASSERT_EQ(scan.wmax, static_cast<int>(tuned.total_by_band.size()));
+  ASSERT_EQ(static_cast<int>(scan.flops.size()),
+            scan.wmax - std::max(pick - 1, 1) + 1);
+  for (std::size_t k = 0; k < scan.flops.size(); ++k) {
+    const int w = scan.wmax - static_cast<int>(k);
+    EXPECT_EQ(bits(scan.flops[k]),
+              bits(tuned.total_by_band[static_cast<std::size_t>(w - 1)]))
+        << "F(" << w << ")";
+  }
+
+  // Low-rank exactly outside the band, and every tile bitwise from_problem's
+  // at that band: compressed ones as compressed, band ones generated dense.
+  const auto ref = tlr::TlrMatrix::from_problem(prob, b, acc, pick);
+  for (int i = 0; i < built.nt(); ++i)
+    for (int j = 0; j <= i; ++j) {
+      EXPECT_EQ(built.at(i, j).is_lowrank(), i - j >= pick)
+          << "tile (" << i << ", " << j << ")";
+      EXPECT_EQ(tlr::tile_to_bytes(built.at(i, j)),
+                tlr::tile_to_bytes(ref.at(i, j)))
+          << "tile (" << i << ", " << j << ")";
+    }
+}
+
+}  // namespace
+
+TEST(BandScan, St3dExpPicksTheGlobalRule) {
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 1024);
+  expect_outside_in_matches(prob, 64, 1e-6, 2);
+}
+
+TEST(BandScan, MaternNu15PicksTheGlobalRule) {
+  const auto prob =
+      stars::make_problem(stars::ProblemKind::kSt3DMatern, 1024, 11);
+  expect_outside_in_matches(prob, 64, 1e-6, 3);
+}
+
+TEST(BandScan, MleFitCorrelationLengthsPickTheGlobalRule) {
+  // mle_fit's problem (N = 1536, b = 128, tol 1e-6) across its bracket.
+  for (const double theta2 : {0.02, 0.04, 0.0938, 0.16, 0.32, 0.64}) {
+    SCOPED_TRACE(theta2);
+    const auto prob = stars::make_st3d_matern(1536, 1.0, theta2, 0.5, 42,
+                                              1e-2);
+    expect_outside_in_matches(prob, 128, 1e-6, 2);
+  }
+}
+
+TEST(BandScan, MoreTilesThanCandidates) {
+  // nt = 66 > wmax = 64: sub-diagonals 64 and 65 are compressed under
+  // every candidate, and F(64) is priced once both are complete.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 1056);
+  expect_outside_in_matches(prob, 16, 1e-6, 2);
+}
+
+TEST(BandScan, SyntheticMapPicksTheGlobalRuleBeyondTheCandidates) {
+  for (const int nt : {72, 96}) {
+    const auto map = hard_map(nt, 128);
+    const auto tuned = tune_band_size(map);
+    ASSERT_EQ(tuned.total_by_band.size(), 64u);
+    EXPECT_EQ(tuned.band_size, global_pick(tuned)) << nt;
+    EXPECT_GT(tuned.band_size, 1) << nt;
+  }
+}
+
+TEST(BandScan, PriceReadsNoRankInsideTheCandidate) {
+  // Two maps that differ only inside sub-diagonal w0 price every F(W) with
+  // W >= w0 bitwise alike; below it they differ.
+  const int nt = 80, w0 = 5;
+  const auto map = hard_map(nt, 128);
+  auto inner = map;
+  inner.set_band(w0);  // every tile with i - j < w0 now dense
+  const auto a = tune_band_size(map);
+  const auto b = tune_band_size(inner);
+  for (int w = w0; w <= 64; ++w)
+    EXPECT_EQ(bits(a.total_by_band[static_cast<std::size_t>(w - 1)]),
+              bits(b.total_by_band[static_cast<std::size_t>(w - 1)]))
+        << "F(" << w << ")";
+  EXPECT_NE(a.total_by_band[0], b.total_by_band[0]);
+  // And the one-W evaluation agrees with the scan's running total.
+  for (const int w : {1, 8, 64})
+    EXPECT_NEAR(cholesky_model_flops(map, w),
+                a.total_by_band[static_cast<std::size_t>(w - 1)],
+                1e-12 * a.total_by_band[static_cast<std::size_t>(w - 1)]);
+}
+
+TEST(BandScan, ExitIsTheFirstCandidateOutsideTheRunningBox) {
+  // Every W above the exit lies inside the box of the minimum over the
+  // candidates priced so far (from wmax down to W); the exit is the first
+  // that does not.
+  const int nt = 40, b = 128;
+  const auto map = hard_map(nt, b);
+  const auto tuned = tune_band_size(map);
+  const int exit = tuned.band_size - 1;
+  ASSERT_GT(exit, 0);
+  const double fmin_scanned = *std::min_element(
+      tuned.total_by_band.begin() + exit, tuned.total_by_band.end());
+  EXPECT_GT(tuned.total_by_band[static_cast<std::size_t>(exit - 1)],
+            fmin_scanned / tuned.fluctuation_lo);
+  for (int w = exit + 1; w <= nt; ++w)
+    EXPECT_LE(tuned.total_by_band[static_cast<std::size_t>(w - 1)],
+              *std::min_element(tuned.total_by_band.begin() + w - 1,
+                                tuned.total_by_band.end()) /
+                  tuned.fluctuation_lo)
+        << "F(" << w << ") left the box of the running minimum";
 }
 
 // ----------------------------------------------------- graph generation ---

@@ -110,7 +110,9 @@ TEST_F(ObsTest, GoldenTraceIsSchemaValidAndComplete) {
     EXPECT_GE(args.at("flops").number, 0.0);
     const auto lane = std::make_pair(e.at("pid").number, e.at("tid").number);
     const auto it = last_ts.find(lane);
-    if (it != last_ts.end()) EXPECT_GE(e.at("ts").number, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.at("ts").number, it->second);
+    }
     last_ts[lane] = e.at("ts").number;
   }
   EXPECT_TRUE(saw_run_metadata);

@@ -1047,10 +1047,11 @@ TEST(WsScheduler, DefaultFactorizeSplitsBandTilesOnlyThroughChildren) {
 }
 
 // ---------------------------------------------------- parallel tile phases
-// Compression (from_problem_parallel, as evaluate_mle runs it) and band
+// Compression (from_problem_parallel, and the outside-in build that picks
+// the band while compressing, as evaluate_mle runs them) and band
 // regeneration (densify_band, as factorize runs it) hand each tile to one
-// task of a thread pool. Both must be bitwise independent of the thread
-// count; the "scheduler" label runs the pools under TSan.
+// task of a thread pool. All must be bitwise independent of the thread
+// count and of the timing; the "scheduler" label runs the pools under TSan.
 
 TEST(ParallelTiles, EvaluateMleBitwiseIndependentOfThreads) {
   const int n = 320;
@@ -1060,7 +1061,7 @@ TEST(ParallelTiles, EvaluateMleBitwiseIndependentOfThreads) {
   for (double& v : z) v = rng.gaussian();
   core::CholeskyConfig cfg;
   cfg.acc = {1e-6, 1 << 30};
-  cfg.band_size = 2;  // forces a regeneration inside factorize
+  cfg.band_size = 2;  // a forced band, generated dense
   auto evaluate = [&](int threads) {
     cfg.nthreads = threads;
     return core::evaluate_mle(prob, z, 40, cfg);
@@ -1072,6 +1073,25 @@ TEST(ParallelTiles, EvaluateMleBitwiseIndependentOfThreads) {
   EXPECT_EQ(bits(one.log_likelihood), bits(two.log_likelihood));
   EXPECT_EQ(bits(one.logdet), bits(two.logdet));
   EXPECT_EQ(bits(one.quadratic), bits(two.quadratic));
+
+  // Auto band: the band is picked while compressing. At every worker count
+  // the result is bitwise that of compressing every tile, then tuning and
+  // regenerating in factorize (the sequence ptlr_bench replays).
+  cfg.band_size = 0;
+  cfg.nthreads = 2;
+  auto full = tlr::TlrMatrix::from_problem_parallel(prob, 40, cfg.acc, 2);
+  const core::CholeskyResult tuned = core::factorize(full, &prob, cfg);
+  ASSERT_GT(tuned.band_size, 1);
+  const double ll = core::log_likelihood(full, z);
+  for (const int threads : {1, 2, 4}) {
+    const core::MleEvaluation ev = evaluate(threads);
+    EXPECT_EQ(ev.band.band_size, tuned.band_size) << threads;
+    EXPECT_EQ(ev.cholesky.band_size, tuned.band_size) << threads;
+    EXPECT_EQ(ev.cholesky.regen_seconds, 0.0) << threads;
+    EXPECT_FALSE(ev.band.flops.empty()) << threads;
+    EXPECT_EQ(bits(ev.logdet), bits(core::log_det(full))) << threads;
+    EXPECT_EQ(bits(ev.log_likelihood), bits(ll)) << threads;
+  }
 }
 
 TEST(ParallelTiles, BandRegenerationBitwiseIndependentOfThreads) {
@@ -1097,6 +1117,31 @@ TEST(ParallelTiles, BandRegenerationBitwiseIndependentOfThreads) {
   }
 }
 
+namespace {
+
+// st-3D-exp's covariance, counting the columns the generator asks for; its
+// value at distance `bad` (none by default) is NaN.
+class CountingKernel final : public stars::CovarianceKernel {
+ public:
+  explicit CountingKernel(double bad = -1.0) : bad_(bad) {}
+  double operator()(double r) const override {
+    return r == bad_ ? std::numeric_limits<double>::quiet_NaN()
+                     : inner_(r);
+  }
+  void eval(const double* r, double* out, int n) const override {
+    columns.fetch_add(1, std::memory_order_relaxed);
+    CovarianceKernel::eval(r, out, n);
+  }
+  [[nodiscard]] double variance() const override { return 1.0; }
+  mutable std::atomic<int> columns{0};
+
+ private:
+  double bad_;
+  stars::Matern inner_{1.0, 0.1, 0.5};
+};
+
+}  // namespace
+
 TEST(ParallelTiles, WorkerErrorReachesTheCaller) {
   // An infinite variance makes every off-diagonal tile non-finite, which
   // compress() rejects; the error must surface on the calling thread, not
@@ -1106,4 +1151,74 @@ TEST(ParallelTiles, WorkerErrorReachesTheCaller) {
   EXPECT_THROW(
       tlr::TlrMatrix::from_problem_parallel(prob, 32, {1e-4, 1 << 30}, 4),
       Error);
+  EXPECT_THROW(core::build_auto_band(prob, 32, {1e-4, 1 << 30}, 4), Error);
+
+  // The outside-in build: only tile (nt-1, 0), the first one claimed,
+  // holds a NaN (the distance between the last and the first point). One
+  // worker stops right there; with four, the others stop claiming once it
+  // throws, long before the 496 off-diagonal tiles are done.
+  const int n = 2048, b = 64;
+  Rng rng(5);
+  auto points = stars::grid3d(n, rng);
+  const double bad = stars::distance(points.back(), points.front());
+  for (const int threads : {1, 4}) {
+    auto kernel = std::make_shared<CountingKernel>(bad);
+    const stars::CovarianceProblem poisoned(points, kernel, 1e-2);
+    EXPECT_THROW(core::build_auto_band(poisoned, b, {1e-6, 1 << 30}, threads),
+                 Error)
+        << threads;
+    const int tiles = kernel->columns.load() / b;
+    if (threads == 1) {
+      EXPECT_EQ(tiles, 1);
+    } else {
+      EXPECT_GE(tiles, 1);
+      EXPECT_LT(tiles, 496 / 2);
+    }
+  }
+}
+
+TEST(ParallelTiles, OutsideInBuildStopsClaimingAtThePick) {
+  // One worker generates each tile on the sub-diagonals from the outermost
+  // through the exit once (compressed) and each band tile once (dense), and
+  // nothing else. More workers keep claiming while the last tile of a
+  // sub-diagonal finishes, so how many inner tiles they compress in vain
+  // depends on timing; the tiles do not.
+  const int n = 1536, b = 64, nt = n / b;
+  Rng rng(42);
+  const auto points = stars::grid3d(n, rng);
+  auto tiles_from = [&](int exit, int band) {
+    int count = 0;
+    for (int i = 0; i < nt; ++i)
+      for (int j = 0; j <= i; ++j)
+        count += (i - j >= std::max(exit, 1) ? 1 : 0) + (i - j < band ? 1 : 0);
+    return count;
+  };
+  std::vector<std::vector<char>> first;
+  for (const int threads : {1, 2, 4}) {
+    auto kernel = std::make_shared<CountingKernel>();
+    const stars::CovarianceProblem prob(points, kernel, 1e-2);
+    core::BandScan scan;
+    const auto m =
+        core::build_auto_band(prob, b, {1e-6, 1 << 30}, threads, 0.67, &scan);
+    const int exit = scan.band_size - 1;
+    ASSERT_GT(exit, 1) << threads;
+    const int expected = tiles_from(exit, scan.band_size);
+    const int tiles = kernel->columns.load() / b;
+    if (threads == 1) {
+      EXPECT_EQ(tiles, expected);
+    } else {
+      EXPECT_GE(tiles, expected) << threads;
+    }
+    std::size_t k = 0;
+    for (int i = 0; i < nt; ++i)
+      for (int j = 0; j <= i; ++j, ++k) {
+        EXPECT_EQ(m.at(i, j).is_lowrank(), i - j >= scan.band_size);
+        if (threads == 1) {
+          first.push_back(tlr::tile_to_bytes(m.at(i, j)));
+        } else {
+          EXPECT_EQ(tlr::tile_to_bytes(m.at(i, j)), first[k])
+              << threads << " threads, tile (" << i << ", " << j << ")";
+        }
+      }
+  }
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -460,11 +461,29 @@ TEST(Generator, ClosedFormsAreExactAtZeroAndZeroPastUnderflow) {
     const double r = s * ell;
     EXPECT_EQ(nu05(r), 0.0) << s;
     EXPECT_EQ(nu15(r), 0.0) << s;
-    if (s < 1e100) {  // s² overflows there: inf · 0
-      EXPECT_EQ(nu25(r), 0.0) << s;
-    }
+    EXPECT_EQ(nu25(r), 0.0) << s;
     EXPECT_EQ(ex(r), 0.0) << s;
     EXPECT_EQ(sq(std::sqrt(2.0 * s) * ell), 0.0) << s;
+  }
+  // Far enough out the polynomial of ν = 1.5 / 2.5 overflows on its own
+  // (s² from ~1.3e154, 1 + s at s = inf); the value must still be 0, in
+  // the scalar and in the batch form. With ell = 1, s = r exactly.
+  const std::vector<double> far = {1e100, 1e155, 1e300,
+                                   std::numeric_limits<double>::max(),
+                                   std::numeric_limits<double>::infinity()};
+  for (const double nu : {1.5, 2.5}) {
+    const Matern m(theta1, 1.0, nu);
+    std::vector<double> batch(far.size(), -1.0);
+    m.eval(far.data(), batch.data(), static_cast<int>(far.size()));
+    for (std::size_t i = 0; i < far.size(); ++i) {
+      EXPECT_EQ(m(far[i]), 0.0) << "nu " << nu << " s " << far[i];
+      EXPECT_EQ(batch[i], 0.0) << "nu " << nu << " s " << far[i];
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    double out = 0.0;
+    m.eval(&nan, &out, 1);
+    EXPECT_TRUE(std::isnan(m(nan))) << nu;
+    EXPECT_TRUE(std::isnan(out)) << nu;
   }
   // Just above the cutoff e^x is the smallest subnormal, not 0.
   EXPECT_GT(Exponential(1.0, 1.0)(745.13), 0.0);
