@@ -1,6 +1,6 @@
 // Machine-readable compression benchmark (BENCH_compression.json).
 //
-// Four sections, all on real st-3D-exp covariance blocks:
+// Five sections, all on real st-3D-exp covariance blocks:
 //
 //   * generate    — the tile generator: fill_block() over the lower
 //                   triangle at b = 128, N = 2048 and 4096, one thread:
@@ -11,9 +11,15 @@
 //   * compress    — initial dense→U·Vᵀ throughput of compress() per tile
 //                   size at a fixed threshold: time, resulting rank,
 //                   achieved error.
+//   * compress_set — compress() over every off-diagonal tile of st-3D-exp
+//                   (b = 128, one thread; N = 2048, 1024 at small scale) at
+//                   tol 1e-6 and 1e-8: the median and quartiles of the whole
+//                   set's time over kSetReps runs, the rank sum and maximum,
+//                   and the largest tile error ‖A − U·Vᵀ‖_F.
 //   * recompress  — a rank-inflated factor (the concatenated [C | P] shape)
 //                   rounded back down by recompress(): QR + QR + compress()
-//                   of the core.
+//                   of the core, and the change it made, ‖U·Vᵀ before −
+//                   after‖_F.
 //   * cholesky    — end-to-end thin-band TLR Cholesky at the paper's
 //                   tighter thresholds. obs counters report the
 //                   recompression count alongside the wall time, and the
@@ -24,21 +30,26 @@
 // PTLR_BENCH_SCALE=small shrinks sizes for CI smoke runs. Exits 1 (after
 // writing the JSON) when a Cholesky row's recompression count is not the
 // number of low-rank tiles with at least one update (each such tile is
-// compressed exactly once, by its last update), when a compress row's
-// error exceeds its tol, or when a Cholesky row's residual exceeds 10·tol
-// or when a generate row's relative difference exceeds kGenerateBound —
-// so a speedup cannot quietly trade away accuracy.
+// compressed exactly once, by its last update), when a compress or
+// recompress row's error exceeds its tol, when a compress_set row's rank
+// sum or maximum differs from its pin (the values Compress.
+// St3dExpRanksMatchParent holds) or one of its tiles' error exceeds tol,
+// or when a Cholesky row's residual exceeds 10·tol or when a generate
+// row's relative difference exceeds kGenerateBound — so a speedup cannot
+// quietly trade away accuracy or move a truncation decision.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/solve.hpp"
 #include "dense/blas.hpp"
+#include "dense/util.hpp"
 #include "obs/trace.hpp"
 
 using namespace ptlr;
@@ -64,11 +75,38 @@ struct CompressRow {
   double error;
 };
 
+// Off-diagonal rank sum and maximum of st-3D-exp at b = 128: the pins of
+// Compress.St3dExpRanksMatchParent (the nugget touches only the diagonal).
+struct RankPin {
+  int n;
+  double tol;
+  long long rank_sum;
+  int rank_max;
+};
+constexpr RankPin kRankPins[] = {{1024, 1e-6, 2086, 113},
+                                 {1024, 1e-8, 2652, 124},
+                                 {2048, 1e-6, 7248, 117},
+                                 {2048, 1e-8, 9767, 127}};
+
+// Runs of the whole tile set per compress_set row; its median is the CPQR
+// kernels' throughput figure (docs/performance.md).
+constexpr int kSetReps = 15;
+
+struct CompressSetRow {
+  RankPin pin;
+  int tiles;
+  double median_s, q1_s, q3_s;  ///< whole set, over kSetReps runs
+  long long rank_sum;
+  int rank_max;
+  double max_error;  ///< largest ‖A − U·Vᵀ‖_F over the tiles
+};
+
 struct RecompressRow {
   int b;
   double ms;
   int rank_in;
   int rank_out;
+  double error;  ///< ‖U·Vᵀ before − after‖_F
 };
 
 struct CholeskyRow {
@@ -121,6 +159,47 @@ double best_of(int reps, const std::function<double()>& run) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) best = std::min(best, run());
   return best;
+}
+
+// Value at quantile q of `v` (sorted in place), nearest rank.
+double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                    0.5)];
+}
+
+// compress() over every off-diagonal tile (i > j) of st-3D-exp at the pin's
+// N and tol, b = 128, one thread: the tiles are generated once, then the
+// whole set is compressed kSetReps times; ranks and errors come from the
+// last run.
+CompressSetRow compress_set(const RankPin& pin) {
+  constexpr int b = 128;
+  const auto prob = bench::st3d_exp(pin.n);
+  const int nt = (pin.n + b - 1) / b;
+  const auto extent = [&](int t) { return std::min(b, pin.n - t * b); };
+  std::vector<dense::Matrix> tiles;
+  for (int i = 0; i < nt; ++i)
+    for (int j = 0; j < i; ++j)
+      tiles.push_back(prob.block(i * b, j * b, extent(i), extent(j)));
+  const Accuracy acc{pin.tol, 1 << 30};  // no cap: never std::nullopt
+  std::vector<LowRankFactor> out(tiles.size());
+  std::vector<double> times;
+  for (int r = 0; r < kSetReps; ++r) {
+    WallTimer w;
+    for (std::size_t t = 0; t < tiles.size(); ++t)
+      out[t] = *compress::compress(tiles[t].view(), acc);
+    times.push_back(w.seconds());
+  }
+  CompressSetRow row{pin, static_cast<int>(tiles.size()),
+                     quantile(times, 0.5), quantile(times, 0.25),
+                     quantile(times, 0.75), 0, 0, 0.0};
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    row.rank_sum += out[t].rank();
+    row.rank_max = std::max(row.rank_max, out[t].rank());
+    row.max_error = std::max(row.max_error,
+                             approximation_error(tiles[t].view(), out[t]));
+  }
+  return row;
 }
 
 // fill_block() over the lower-triangle tiles of st-3D-exp (θ = (1, 0.1,
@@ -215,26 +294,47 @@ int main(int argc, char** argv) {
     std::printf("%6d %10.4f %6d %10.3e\n", b, row.ms, row.rank, row.error);
   }
 
+  // ------------------------------------------- compress over a tile set ----
+  std::vector<CompressSetRow> set_rows;
+  const int set_n = scale == "small" ? 1024 : 2048;
+  std::printf("\ncompress_set (st-3D-exp N = %d off-diagonal tiles, b = 128, "
+              "1 thread, %d runs)\n", set_n, kSetReps);
+  std::printf("%8s %6s %10s %10s %10s %9s %8s %10s\n", "tol", "tiles",
+              "median_s", "q1_s", "q3_s", "rank_sum", "rank_max", "max_error");
+  for (const RankPin& pin : kRankPins) {
+    if (pin.n != set_n) continue;
+    const CompressSetRow row = compress_set(pin);
+    set_rows.push_back(row);
+    std::printf("%8.0e %6d %10.4f %10.4f %10.4f %9lld %8d %10.3e\n", pin.tol,
+                row.tiles, row.median_s, row.q1_s, row.q3_s, row.rank_sum,
+                row.rank_max, row.max_error);
+    std::fflush(stdout);
+  }
+
   // -------------------------------------------------- recompress micro ----
   std::vector<RecompressRow> recompress_rows;
   std::printf("\nrecompress (rank-inflated factor, tol %.0e)\n", tol);
-  std::printf("%6s %10s %8s %9s\n", "b", "ms", "rank_in", "rank_out");
+  std::printf("%6s %10s %8s %9s %10s\n", "b", "ms", "rank_in", "rank_out",
+              "error");
   for (const int b : tile_sizes) {
     const auto tile = prob.block(b, 0, b, b);
     const auto f0 = compress::compress(tile.view(), acc);
     if (!f0) continue;
     const LowRankFactor fat = inflate(*f0);
-    int rank_out = 0;
+    LowRankFactor f;
     // Each rep pays one factor copy (recompression is in-place); the copy
     // is O(b·k) against the O(b·k²) round, so the floor is representative.
     const double ms = best_of(5, [&] {
-      LowRankFactor f = fat;
+      f = fat;
       WallTimer w;
-      rank_out = recompress(f, acc);
+      recompress(f, acc);
       return w.milliseconds();
     });
-    recompress_rows.push_back({b, ms, fat.rank(), rank_out});
-    std::printf("%6d %10.4f %8d %9d\n", b, ms, fat.rank(), rank_out);
+    const dense::Matrix before = fat.to_dense();
+    const double error = dense::frob_diff(before.view(), f.to_dense().view());
+    recompress_rows.push_back({b, ms, fat.rank(), f.rank(), error});
+    std::printf("%6d %10.4f %8d %9d %10.3e\n", b, ms, fat.rank(), f.rank(),
+                error);
   }
 
   // ------------------------------------------------ end-to-end Cholesky ----
@@ -310,13 +410,27 @@ int main(int argc, char** argv) {
                  r.b, r.ms, r.rank, r.error,
                  i + 1 < compress_rows.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"compress_set\": [\n");
+  for (std::size_t i = 0; i < set_rows.size(); ++i) {
+    const CompressSetRow& r = set_rows[i];
+    std::fprintf(f,
+                 "    {\"n\": %d, \"b\": 128, \"tol\": %.0e, \"tiles\": %d, "
+                 "\"runs\": %d, \"median_s\": %.4f, \"q1_s\": %.4f, "
+                 "\"q3_s\": %.4f, \"rank_sum\": %lld, \"rank_max\": %d, "
+                 "\"pin_rank_sum\": %lld, \"pin_rank_max\": %d, "
+                 "\"max_error\": %.3e}%s\n",
+                 r.pin.n, r.pin.tol, r.tiles, kSetReps, r.median_s, r.q1_s,
+                 r.q3_s, r.rank_sum, r.rank_max, r.pin.rank_sum,
+                 r.pin.rank_max, r.max_error,
+                 i + 1 < set_rows.size() ? "," : "");
+  }
   std::fprintf(f, "  ],\n  \"recompress\": [\n");
   for (std::size_t i = 0; i < recompress_rows.size(); ++i) {
     const RecompressRow& r = recompress_rows[i];
     std::fprintf(f,
                  "    {\"b\": %d, \"ms\": %.4f, \"rank_in\": %d, "
-                 "\"rank_out\": %d}%s\n",
-                 r.b, r.ms, r.rank_in, r.rank_out,
+                 "\"rank_out\": %d, \"error\": %.3e}%s\n",
+                 r.b, r.ms, r.rank_in, r.rank_out, r.error,
                  i + 1 < recompress_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"cholesky\": [\n");
@@ -345,6 +459,27 @@ int main(int argc, char** argv) {
   for (const CompressRow& r : compress_rows) {
     if (r.rank < 0 || r.error <= tol) continue;
     std::fprintf(stderr, "FAIL: compress b=%d: error %.3e > tol %.0e\n",
+                 r.b, r.error, tol);
+    ++bad;
+  }
+  for (const CompressSetRow& r : set_rows) {
+    if (r.rank_sum != r.pin.rank_sum || r.rank_max != r.pin.rank_max) {
+      std::fprintf(stderr,
+                   "FAIL: compress_set n=%d tol %.0e: rank sum/max %lld/%d, "
+                   "pinned %lld/%d\n",
+                   r.pin.n, r.pin.tol, r.rank_sum, r.rank_max,
+                   r.pin.rank_sum, r.pin.rank_max);
+      ++bad;
+    }
+    if (r.max_error <= r.pin.tol) continue;
+    std::fprintf(stderr,
+                 "FAIL: compress_set n=%d tol %.0e: tile error %.3e > tol\n",
+                 r.pin.n, r.pin.tol, r.max_error);
+    ++bad;
+  }
+  for (const RecompressRow& r : recompress_rows) {
+    if (r.error <= tol) continue;
+    std::fprintf(stderr, "FAIL: recompress b=%d: error %.3e > tol %.0e\n",
                  r.b, r.error, tol);
     ++bad;
   }

@@ -10,8 +10,10 @@
 // of the global F_min, i.e. when F(W) does not have the one minimum the
 // scan relies on.
 #include <algorithm>
+#include <cstdio>
 #include <iostream>
 #include <numeric>
+#include <string>
 
 #include "bench_util.hpp"
 
@@ -22,6 +24,8 @@ int main() {
   const auto sc = bench::scale();
   bench::header("Fig. 6", "BAND_SIZE auto-tuning (Algorithm 1)");
   bool one_minimum = true;
+  std::string overhead;  // (d)'s share of time-to-solution, per N
+  double overhead_max = 0.0;
 
   for (int n : {sc.n / 2, sc.n}) {
     std::printf("\n--- st-3D-exp, N = %d, b = %d, accuracy %.0e ---\n", n,
@@ -82,14 +86,19 @@ int main() {
       cfg.band_size = 0;  // auto
       cfg.nthreads = sc.threads;
       auto res = factorize(a, &prob, cfg);
+      const double share =
+          100.0 * (res.tune_seconds + res.regen_seconds) /
+          (res.tune_seconds + res.regen_seconds + res.factor_seconds);
       std::printf("\n(d) tuned BAND_SIZE = %d: auto-tune %.4f s, band "
                   "regeneration %.4f s,\n    factorization %.3f s — "
                   "overhead = %.2f%% of time-to-solution\n",
                   res.band_size, res.tune_seconds, res.regen_seconds,
-                  res.factor_seconds,
-                  100.0 * (res.tune_seconds + res.regen_seconds) /
-                      (res.tune_seconds + res.regen_seconds +
-                       res.factor_seconds));
+                  res.factor_seconds, share);
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%s%.1f%% (N = %d)",
+                    overhead.empty() ? "" : ", ", share, n);
+      overhead += buf;
+      overhead_max = std::max(overhead_max, share);
     }
 
     // (e): the outside-in scan of build_auto_band against the global rule,
@@ -135,10 +144,16 @@ int main() {
       }
     }
   }
+  // The paper calls (d)'s overhead negligible; below 5% it is here too.
   std::printf("\nShape check vs paper: both time and flops have a sweet spot"
               " in BAND_SIZE;\nAlgorithm 1's pick sits inside the "
               "[0.67, 1] fluctuation box near the optimum;\nnear-diagonal "
               "sub-diagonals are cheaper dense, far ones cheaper TLR; and\n"
-              "the tuning + regeneration overhead is negligible (Fig. 6d).\n");
+              "(d) puts the tuning + regeneration overhead at %s of "
+              "time-to-solution,\nwhich the paper calls negligible (Fig. 6d): "
+              "%s.\n",
+              overhead.c_str(),
+              overhead_max < 5.0 ? "negligible here too"
+                                 : "not yet negligible at this scale");
   return one_minimum ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/flops.hpp"
 #include "dense/gemm_kernel.hpp"
@@ -291,6 +292,16 @@ void scal(int n, double alpha, double* x) {
 }
 
 double nrm2(int n, const double* x) {
+  // One pass: the sum of squares in dot's eight lanes. Its square root is
+  // the norm whenever that sum lies in [kMinSum, DBL_MAX]: no square
+  // overflowed, and the squares and partial sums that underflowed lost at
+  // most n·2^-1074, at most n·eps² of the sum. A zero, tiny or non-finite
+  // sum (a NaN, an Inf or an overflow) takes the scaled loop below.
+  constexpr double kMinSum = std::numeric_limits<double>::min() /
+                             std::numeric_limits<double>::epsilon();
+  const double sum = dot(n, x, x);
+  if (sum >= kMinSum && sum <= std::numeric_limits<double>::max())
+    return std::sqrt(sum);
   // Scaled accumulation to avoid overflow/underflow for extreme inputs.
   double scale = 0.0, ssq = 1.0;
   for (int i = 0; i < n; ++i) {

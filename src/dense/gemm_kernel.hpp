@@ -43,8 +43,8 @@ static_assert(kMR % kVecLen == 0, "microtile columns are whole vectors");
 #if defined(__GNUC__) || defined(__clang__)
 #define PTLR_HAVE_VEC_EXT 1
 // kVecLen doubles spelled with GNU vector extensions: one zmm on AVX-512,
-// two ymm halves on AVX2. Used by the GEMM microkernel and the TRSM leaf to
-// pin vectorization to the row axis.
+// two ymm halves on AVX2. Used by the GEMM microkernel, the TRSM leaf and
+// the Householder apply (qr.cpp) to pin vectorization to the row axis.
 using vec_d = double __attribute__((vector_size(kVecLen * sizeof(double))));
 #endif
 

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "common/flops.hpp"
+#include "dense/gemm_kernel.hpp"
 #include "dense/lapack.hpp"
 
 namespace ptlr::dense {
@@ -21,16 +22,118 @@ double larfg(double& alpha, int n, double* x) {
   return tau;
 }
 
+#ifdef PTLR_HAVE_VEC_EXT
+using detail::kVecLen;
+using detail::vec_d;
+
+// Columns larf_left applies per pass over the reflector.
+constexpr int kCols = 4;
+
+vec_d load(const double* p) {
+  vec_d x;
+  __builtin_memcpy(&x, p, sizeof x);
+  return x;
+}
+
+// One pass over the `full` leading rows (whole vectors) of the reflector
+// tail v: the axpys c += alpha·v of the first `live` columns of `ax`
+// (kAxpy) and the lane sums acc += v·c of the columns `dt` (kDot), one
+// load of v feeding both. Pointers are to row 1 of each column, the first
+// row v covers.
+template <bool kAxpy, bool kDot>
+void apply_pass(int full, const double* v, double* const* ax,
+                const double* alpha, int live, double* const* dt,
+                vec_d* acc) {
+  for (int i = 0; i < full; i += kVecLen) {
+    const vec_d vi = load(v + i);
+    for (int q = 0; q < kCols; ++q) {
+      if constexpr (kAxpy) {
+        vec_d ci = load(ax[q] + i);
+        ci += alpha[q] * vi;
+        if (q < live) __builtin_memcpy(ax[q] + i, &ci, sizeof ci);
+      }
+      if constexpr (kDot) acc[q] += vi * load(dt[q] + i);
+    }
+  }
+}
+#endif
+
 // Apply H = I - tau*v*v^T (v(0)=1 implicit, tail `v` of length n-1) from the
 // left to the n-by-k block whose first row is `c0` with leading dim ld.
-void larf_left(int n, int k, const double* v, double tau, double* c0, int ld) {
-  if (tau == 0.0) return;
+//
+// The columns go four per pass in vectors of eight, and group g's axpys
+// share a pass over v with group g+1's dots: one load of v feeds both, and
+// the dot chains overlap the axpy stores. Each column runs dot's and
+// axpy's sequence: eight lane sums of v(i)*c(i) over whole vectors,
+// combined pairwise, then the leftover rows in order, then
+// c += (-tau*w)*v. A partial last group repeats its last column in the
+// missing lanes and stores only the live ones, so every column runs the
+// same instructions and its bits do not depend on where it sits in the
+// block.
+void larf_left(int n, int k, const double* v, double tau, double* c0,
+               int ld) {
+  if (tau == 0.0 || k == 0) return;
+#ifdef PTLR_HAVE_VEC_EXT
+  const int len = n - 1;  // rows below the implicit v(0) = 1
+  const int full = len - len % kVecLen;
+  const int groups = (k + kCols - 1) / kCols;
+  // Row-1 pointers of group g's columns; returns how many are live.
+  const auto group = [&](int g, double** c) {
+    for (int q = 0; q < kCols; ++q) {
+      const int j = std::min(g * kCols + q, k - 1);
+      c[q] = c0 + static_cast<std::size_t>(j) * ld + 1;
+    }
+    return std::min(kCols, k - g * kCols);
+  };
+  // Close a group's dots from its lane sums: w, row 0's update and alpha.
+  const auto finish = [&](double* const* c, int live, const vec_d* acc,
+                          double* alpha) {
+    double s[kCols];
+    for (int q = 0; q < kCols; ++q) {
+      const vec_d& p = acc[q];
+      s[q] = ((p[0] + p[1]) + (p[2] + p[3])) +
+             ((p[4] + p[5]) + (p[6] + p[7]));
+    }
+    for (int i = full; i < len; ++i)
+      for (int q = 0; q < kCols; ++q) s[q] += v[i] * c[q][i];
+    for (int q = 0; q < kCols; ++q) {
+      const double w = c[q][-1] + s[q];
+      alpha[q] = -tau * w;
+      if (q < live) c[q][-1] -= tau * w;
+    }
+  };
+  double* cur[kCols];
+  double* next[kCols];
+  double alpha[kCols];
+  vec_d acc[kCols] = {};
+  int live = group(0, cur);
+  apply_pass<false, true>(full, v, nullptr, nullptr, 0, cur, acc);
+  finish(cur, live, acc, alpha);
+  for (int g = 0; g < groups; ++g) {
+    const bool last = g + 1 == groups;
+    int next_live = 0;
+    if (last) {
+      apply_pass<true, false>(full, v, cur, alpha, live, nullptr, nullptr);
+    } else {
+      next_live = group(g + 1, next);
+      for (vec_d& a : acc) a = vec_d{};
+      apply_pass<true, true>(full, v, cur, alpha, live, next, acc);
+    }
+    for (int q = 0; q < live; ++q)
+      for (int i = full; i < len; ++i) cur[q][i] += alpha[q] * v[i];
+    if (last) break;
+    finish(next, next_live, acc, alpha);
+    std::copy_n(next, kCols, cur);
+    live = next_live;
+  }
+#else
   for (int j = 0; j < k; ++j) {
     double* c = c0 + static_cast<std::size_t>(j) * ld;
     const double w = c[0] + dot(n - 1, v, c + 1);
     c[0] -= tau * w;
     axpy(n - 1, -tau * w, v, c + 1);
   }
+#endif
 }
 
 }  // namespace

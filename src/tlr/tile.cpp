@@ -1,21 +1,10 @@
 #include "tlr/tile.hpp"
 
-#include <cmath>
 #include <limits>
 
+#include "dense/util.hpp"
+
 namespace ptlr::tlr {
-
-namespace {
-
-bool all_finite(const dense::Matrix& m) {
-  const double* p = m.data();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(p[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int Tile::rows() const {
   return is_dense() ? std::get<dense::Matrix>(storage_).rows()
@@ -63,9 +52,10 @@ dense::Matrix Tile::to_dense() const {
 }
 
 bool Tile::payload_finite() const {
-  if (is_dense()) return all_finite(std::get<dense::Matrix>(storage_));
+  if (is_dense())
+    return dense::all_finite(std::get<dense::Matrix>(storage_).view());
   const auto& f = std::get<compress::LowRankFactor>(storage_);
-  return all_finite(f.u) && all_finite(f.v);
+  return dense::all_finite(f.u.view()) && dense::all_finite(f.v.view());
 }
 
 bool Tile::poison_payload(std::uint64_t h) {

@@ -755,6 +755,263 @@ TEST(Qr, Geqp3ZeroMatrixHasRankZero) {
   EXPECT_EQ(piv.rank, 0);
 }
 
+namespace {
+
+// Row counts for the QR kernel tests: every reflector-tail length below
+// two vectors of eight (1..17 rows) and the vector and tile edges.
+std::vector<int> qr_rows() {
+  std::vector<int> rows;
+  for (int m = 1; m <= 17; ++m) rows.push_back(m);
+  for (const int m : {63, 64, 65, 127, 128, 129}) rows.push_back(m);
+  return rows;
+}
+
+// Column counts: every n mod 4, so the steps apply whole groups of four
+// and a last group whose 0–3 missing lanes repeat its last column.
+constexpr int kQrCols[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 30};
+
+// A copy of `a` in a buffer with leading dimension rows + 3 whose padding
+// rows hold NaN: a kernel that reads the padding spreads NaN into its
+// results, and one that writes it leaves something else there.
+class PaddedCopy {
+ public:
+  explicit PaddedCopy(ConstMatrixView a)
+      : rows_(a.rows()),
+        cols_(a.cols()),
+        store_(static_cast<std::size_t>(ld()) * a.cols(), kPad) {
+    copy(a, view());
+  }
+  MatrixView view() { return {store_.data(), rows_, cols_, ld()}; }
+  bool padding_untouched() const {
+    for (int j = 0; j < cols_; ++j)
+      for (int i = rows_; i < ld(); ++i)
+        if (std::bit_cast<std::uint64_t>(
+                store_[static_cast<std::size_t>(j) * ld() + i]) !=
+            std::bit_cast<std::uint64_t>(kPad))
+          return false;
+    return true;
+  }
+
+ private:
+  static constexpr double kPad = std::numeric_limits<double>::quiet_NaN();
+  int ld() const { return rows_ + 3; }
+  int rows_, cols_;
+  std::vector<double> store_;
+};
+
+// Long-double Householder QR with geqrf's conventions (v(0) = 1,
+// beta = −sign(alpha)·‖(alpha, x)‖, tau = 0 for a zero tail). With
+// tol >= 0 it pivots like geqp3_trunc on exact norms: each step takes the
+// first column of largest trailing norm and it stops once the trailing
+// Frobenius norm is at most tol. `r` holds the factored matrix (R in its
+// upper trapezoid), `q` the first `rank` columns of Q.
+struct RefQr {
+  int m = 0, rank = 0;
+  std::vector<long double> r, q;
+  long double& rr(int i, int j) {
+    return r[static_cast<std::size_t>(j) * m + i];
+  }
+  long double& qq(int i, int j) {
+    return q[static_cast<std::size_t>(j) * m + i];
+  }
+};
+
+RefQr ref_householder_qr(ConstMatrixView a, double tol = -1.0) {
+  const int m = a.rows(), n = a.cols();
+  RefQr out;
+  out.m = m;
+  out.r.resize(static_cast<std::size_t>(m) * n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) out.rr(i, j) = a(i, j);
+  const auto norm2 = [&](int j, int i0) {
+    long double s = 0.0L;
+    for (int i = i0; i < m; ++i) s += out.rr(i, j) * out.rr(i, j);
+    return s;
+  };
+  std::vector<std::vector<long double>> vs;
+  std::vector<long double> taus;
+  for (int j = 0; j < std::min(m, n); ++j) {
+    if (tol >= 0.0) {
+      long double tail = 0.0L, best = -1.0L;
+      int pmax = j;
+      for (int p = j; p < n; ++p) {
+        const long double s = norm2(p, j);
+        tail += s;
+        if (s > best) best = s, pmax = p;
+      }
+      if (tail <= static_cast<long double>(tol) * tol) break;
+      for (int i = 0; i < m; ++i) std::swap(out.rr(i, j), out.rr(i, pmax));
+    }
+    std::vector<long double> v(static_cast<std::size_t>(m), 0.0L);
+    v[static_cast<std::size_t>(j)] = 1.0L;
+    const long double alpha = out.rr(j, j), xnorm2 = norm2(j, j + 1);
+    long double tau = 0.0L;
+    if (xnorm2 != 0.0L) {
+      const long double beta =
+          -std::copysign(std::sqrt(alpha * alpha + xnorm2), alpha);
+      tau = (beta - alpha) / beta;
+      for (int i = j + 1; i < m; ++i) {
+        v[static_cast<std::size_t>(i)] = out.rr(i, j) / (alpha - beta);
+        out.rr(i, j) = 0.0L;
+      }
+      out.rr(j, j) = beta;
+      for (int c = j + 1; c < n; ++c) {
+        long double s = 0.0L;
+        for (int i = j; i < m; ++i)
+          s += v[static_cast<std::size_t>(i)] * out.rr(i, c);
+        for (int i = j; i < m; ++i)
+          out.rr(i, c) -= tau * s * v[static_cast<std::size_t>(i)];
+      }
+    }
+    vs.push_back(std::move(v));
+    taus.push_back(tau);
+    out.rank = j + 1;
+  }
+  // Q = H_0 ⋯ H_{rank−1} applied to the first `rank` columns of I.
+  out.q.assign(static_cast<std::size_t>(m) * out.rank, 0.0L);
+  for (int j = 0; j < out.rank; ++j) out.qq(j, j) = 1.0L;
+  for (int h = out.rank - 1; h >= 0; --h) {
+    const auto& v = vs[static_cast<std::size_t>(h)];
+    const long double tau = taus[static_cast<std::size_t>(h)];
+    for (int c = 0; c < out.rank; ++c) {
+      long double s = 0.0L;
+      for (int i = h; i < m; ++i)
+        s += v[static_cast<std::size_t>(i)] * out.qq(i, c);
+      for (int i = h; i < m; ++i)
+        out.qq(i, c) -= tau * s * v[static_cast<std::size_t>(i)];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// geqrf + orgqr against the long-double reference on every row count and
+// every column count mod 4, on NaN-padded views. The leading min(m, n)
+// columns have singular values in [0.1, 1], so κ ≤ 10 bounds how far
+// rounding moves R and Q (the rest are uniform). Both must lie within
+// kBound = 10·κ·max(m, n)·eps of the reference (R scaled by ‖A‖_F), Q must
+// be orthonormal and Q·R must reconstruct A within the same bound, and the
+// padding must neither leak in nor be written.
+TEST(Qr, GeqrfOrgqrMatchLongDoubleReferenceOnPaddedViews) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  Rng rng(71);
+  for (const int m : qr_rows()) {
+    for (const int n : kQrCols) {
+      const int k = std::min(m, n);
+      const double bound = 10.0 * 10.0 * std::max(m, n) * eps;
+      Matrix a(m, n);
+      copy(random_lowrank(m, k, k, 0.1, rng).view(), a.block(0, 0, m, k));
+      fill_uniform(a.block(0, k, m, n - k), rng);
+      const double anorm = frob_norm(a.view());
+      PaddedCopy w(a.view());
+      std::vector<double> tau;
+      geqrf(w.view(), tau);
+      RefQr ref = ref_householder_qr(a.view());
+      Matrix r(k, n);
+      long double r_err = 0.0L, q_err = 0.0L;
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i <= std::min(j, k - 1); ++i) {
+          r(i, j) = w.view()(i, j);
+          r_err = std::max(r_err, std::abs(r(i, j) - ref.rr(i, j)));
+        }
+      orgqr(w.view(), tau, k);
+      const ConstMatrixView q = w.view().block(0, 0, m, k);
+      for (int j = 0; j < k; ++j)
+        for (int i = 0; i < m; ++i)
+          q_err = std::max(q_err, std::abs(q(i, j) - ref.qq(i, j)));
+      Matrix qtq(k, k), qr(m, n);
+      gemm(Trans::T, Trans::N, 1.0, q, q, 0.0, qtq.view());
+      gemm(Trans::N, Trans::N, 1.0, q, r.view(), 0.0, qr.view());
+      EXPECT_LE(r_err, bound * anorm) << m << "x" << n;
+      EXPECT_LE(q_err, bound) << m << "x" << n;
+      EXPECT_LE(frob_diff(qtq.view(), identity(k).view()), bound)
+          << m << "x" << n;
+      EXPECT_LE(frob_diff(qr.view(), a.view()), bound * anorm)
+          << m << "x" << n;
+      EXPECT_TRUE(w.padding_untouched()) << m << "x" << n;
+    }
+  }
+}
+
+// geqp3_trunc against the pivoted long-double reference on the same
+// shapes: a full-rank matrix whose singular values decay geometrically
+// from 1 to 1e-12, truncated at tol = 1e-6. The rank must be the
+// reference's, the reported tail at most tol, and the trailing block the
+// reflectors leave (‖R₂₂‖_F, computed afresh) at most tol·(1 + 1e-6).
+TEST(Qr, Geqp3TruncMatchesLongDoubleReferenceRankOnPaddedViews) {
+  const double tol = 1e-6;
+  Rng rng(72);
+  for (const int m : qr_rows()) {
+    for (const int n : kQrCols) {
+      const int k = std::min(m, n);
+      const Matrix a = random_lowrank(m, n, k, 1e-12, rng);
+      PaddedCopy w(a.view());
+      const PivotedQr piv = geqp3_trunc(w.view(), tol, k);
+      const RefQr ref = ref_householder_qr(a.view(), tol);
+      EXPECT_EQ(piv.rank, ref.rank) << m << "x" << n;
+      EXPECT_LE(piv.tail_frob, tol) << m << "x" << n;
+      const ConstMatrixView r22 =
+          w.view().block(piv.rank, piv.rank, m - piv.rank, n - piv.rank);
+      EXPECT_LE(frob_norm(r22), tol * (1.0 + 1e-6)) << m << "x" << n;
+      EXPECT_TRUE(w.padding_untouched()) << m << "x" << n;
+    }
+  }
+}
+
+// A column's bits must not depend on where it sits in the block: in a
+// full group of four, in a partial last group whose missing lanes repeat
+// its last column, or sharing a pass over v with the next group's dots.
+// geqrf of [a₀ | x | x | … | x] keeps the copies of x identical through
+// every step, so each row of R must be bitwise constant right of the
+// diagonal, at every copy count.
+TEST(Qr, GroupedAndLeftoverColumnsGetTheSameBits) {
+  Rng rng(73);
+  for (const int m : {9, 17, 129}) {
+    for (int copies = 1; copies <= 11; ++copies) {
+      const int n = copies + 1;
+      Matrix a(m, n);
+      fill_uniform(a.view(), rng);
+      for (int j = 2; j < n; ++j)
+        for (int i = 0; i < m; ++i) a(i, j) = a(i, 1);
+      std::vector<double> tau;
+      geqrf(a.view(), tau);
+      for (int i = 0; i < std::min(m, n); ++i)
+        for (int j = i + 2; j < n; ++j)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a(i, j)),
+                    std::bit_cast<std::uint64_t>(a(i, i + 1)))
+              << "m=" << m << " copies=" << copies << " R(" << i << ","
+              << j << ")";
+    }
+  }
+}
+
+// The flops each QR routine charges, pinned: the band tuner's pricing is
+// fitted against them. geqrf charges 2n²(m − n/3), orgqr 2mk², and
+// geqp3_trunc 4(m − j)(n − j) per step j it takes.
+TEST(Qr, ChargesPinnedFlops) {
+  Rng rng(74);
+  Matrix a(100, 40);
+  fill_uniform(a.view(), rng);
+  std::vector<double> tau;
+  ptlr::flops::Counter::reset_thread_flops();
+  geqrf(a.view(), tau);
+  EXPECT_DOUBLE_EQ(ptlr::flops::Counter::thread_flops(), 277333.33333333334);
+  ptlr::flops::Counter::reset_thread_flops();
+  orgqr(a.view(), tau, 40);
+  EXPECT_DOUBLE_EQ(ptlr::flops::Counter::thread_flops(), 320000.0);
+
+  Matrix b = random_lowrank(50, 50, 7, 1.0, rng);  // rank 7: seven steps
+  ptlr::flops::Counter::reset_thread_flops();
+  EXPECT_EQ(geqp3_trunc(b.view(), 1e-10, 50).rank, 7);
+  EXPECT_DOUBLE_EQ(ptlr::flops::Counter::thread_flops(), 61964.0);
+  Matrix c(128, 128);
+  fill_uniform(c.view(), rng);
+  ptlr::flops::Counter::reset_thread_flops();
+  EXPECT_EQ(geqp3_trunc(c.view(), 0.0, 20).rank, 20);  // stopped by the cap
+  EXPECT_DOUBLE_EQ(ptlr::flops::Counter::thread_flops(), 1126040.0);
+}
+
 // ----------------------------------------------------------------- SVD ----
 
 TEST(Svd, DiagonalMatrix) {
@@ -1006,9 +1263,104 @@ TEST(Blas, DotMatchesReferenceAcrossRemainders) {
   EXPECT_TRUE(std::isnan(dot(37, x.data(), y.data())));
 }
 
+// nrm2 sums the squares in one pass and falls back to a scaled loop when
+// that sum is zero, below DBL_MIN/eps, or not finite. Against a
+// long-double reference it must stay within 2·(n + 2)·eps relative (plus
+// one denormal step, for results that are themselves denormal) at every
+// remainder length and magnitude, on both sides of the fallback's edges:
+// magnitudes whose squares sum near 1e-292 or overflow, one huge entry
+// among tiny ones, denormals and all zeros. A NaN must make the result NaN
+// and a lone ±Inf +Inf, at the first, a middle and the last position.
 TEST(Util, Nrm2HandlesExtremeValues) {
   std::vector<double> big(3, 1e200);
   EXPECT_NEAR(nrm2(3, big.data()) / (1e200 * std::sqrt(3.0)), 1.0, 1e-12);
   std::vector<double> tiny(4, 1e-200);
   EXPECT_NEAR(nrm2(4, tiny.data()) / (1e-200 * 2.0), 1.0, 1e-12);
+
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const auto check = [&](const std::vector<double>& x, const char* what) {
+    const int n = static_cast<int>(x.size());
+    long double ref = 0.0L;
+    for (const double v : x) ref += static_cast<long double>(v) * v;
+    ref = std::sqrt(ref);
+    const double got = nrm2(n, x.data());
+    EXPECT_LE(std::abs(static_cast<long double>(got) - ref),
+              2.0L * (n + 2) * eps * ref + denorm)
+        << what << " n=" << n << " got " << got << " want "
+        << static_cast<double>(ref);
+  };
+  Rng rng(47);
+  const double mags[] = {1e-300, 1e-200, 1e-160, 1e-155, 1e-150, 1e-147,
+                         1e-146, 1e-145, 1e-100, 1.0,    1e100,  1e150,
+                         1e153,  1e154,  1e155,  1e160,  1e200,  1e300};
+  for (int n = 0; n <= 17; ++n) {
+    for (const double mag : mags) {
+      std::vector<double> x(static_cast<std::size_t>(n));
+      for (double& v : x) v = mag * rng.uniform(-1.0, 1.0);
+      check(x, "uniform");
+    }
+    if (n == 0) continue;
+    for (const int pos : {0, n / 2, n - 1}) {
+      std::vector<double> x(static_cast<std::size_t>(n), 1e-300);
+      x[static_cast<std::size_t>(pos)] = 1e300;
+      check(x, "one huge among tiny");
+      x[static_cast<std::size_t>(pos)] = 1.0;
+      check(x, "one moderate among tiny");
+    }
+    std::vector<double> x(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) x[static_cast<std::size_t>(i)] = (i + 1) * denorm;
+    check(x, "denormal");
+    x.assign(static_cast<std::size_t>(n), 0.0);
+    EXPECT_EQ(nrm2(n, x.data()), 0.0) << "zeros n=" << n;
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int n : {1, 7, 8, 9, 16, 17, 128}) {
+    for (const int pos : {0, n / 2, n - 1}) {
+      std::vector<double> x(static_cast<std::size_t>(n), 0.5);
+      x[static_cast<std::size_t>(pos)] = nan;
+      EXPECT_TRUE(std::isnan(nrm2(n, x.data()))) << "n=" << n << " pos=" << pos;
+      x[static_cast<std::size_t>(pos)] = inf;
+      EXPECT_EQ(nrm2(n, x.data()), inf) << "n=" << n << " pos=" << pos;
+      x[static_cast<std::size_t>(pos)] = -inf;
+      EXPECT_EQ(nrm2(n, x.data()), inf) << "n=" << n << " pos=" << pos;
+      if (n > 1) {  // a NaN anywhere wins over an Inf
+        x[static_cast<std::size_t>((pos + 1) % n)] = nan;
+        EXPECT_TRUE(std::isnan(nrm2(n, x.data())))
+            << "n=" << n << " pos=" << pos;
+      }
+    }
+  }
+}
+
+// all_finite folds every entry into one sum and tests it once: a NaN,
+// +Inf or −Inf at any position of a padded 13×5 view must make it false,
+// and non-finite values in the padding alone must not.
+TEST(Util, AllFiniteFindsEveryNonFiniteEntryAndIgnoresPadding) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int m = 13, n = 5, ld = 16;
+  std::vector<double> store(static_cast<std::size_t>(ld) * n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < ld; ++i)
+      store[static_cast<std::size_t>(j) * ld + i] =
+          i < m ? (i - 6) * 1e300 + j : (i % 2 == 0 ? nan : -inf);
+  const ConstMatrixView view(store.data(), m, n, ld);
+  EXPECT_TRUE(all_finite(view));
+  EXPECT_TRUE(all_finite(view.block(0, 0, 0, 0)));
+  for (const double bad : {nan, inf, -inf}) {
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < m; ++i) {
+        double& e = store[static_cast<std::size_t>(j) * ld + i];
+        const double keep = e;
+        e = bad;
+        EXPECT_FALSE(all_finite(view)) << bad << " at (" << i << "," << j
+                                       << ")";
+        e = keep;
+      }
+    }
+  }
+  EXPECT_TRUE(all_finite(view));
 }
