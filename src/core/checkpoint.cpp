@@ -4,13 +4,15 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
+#include "common/parse.hpp"
 #include "tlr/io.hpp"
 
 namespace ptlr::core {
@@ -78,19 +80,17 @@ CheckpointPolicy CheckpointPolicy::parse(const char* spec, const char* dir) {
   if (spec == nullptr || spec[0] == '\0') return p;
   const std::string s(spec);
   if (s == "off") return p;
-  constexpr const char* kPrefix = "every:";
+  constexpr std::string_view kPrefix = "every:";
   PTLR_CHECK(s.rfind(kPrefix, 0) == 0,
              "PTLR_CKPT: expected 'off' or 'every:<k>', got '" + s + "'");
-  char* end = nullptr;
-  const long k = std::strtol(s.c_str() + std::strlen(kPrefix), &end, 10);
-  PTLR_CHECK(end != nullptr && *end == '\0' && k >= 1 && k <= 1000000,
-             "PTLR_CKPT: bad interval in '" + s + "'");
-  p.every = static_cast<int>(k);
+  const std::string_view k = std::string_view(s).substr(kPrefix.size());
+  p.every = parse_number("PTLR_CKPT interval", k, 1, 1000000);
   return p;
 }
 
 CheckpointPolicy CheckpointPolicy::from_env() {
-  return parse(std::getenv("PTLR_CKPT"), std::getenv("PTLR_CKPT_DIR"));
+  return parse(knobs::text("PTLR_CKPT").c_str(),
+               knobs::text("PTLR_CKPT_DIR").c_str());
 }
 
 void save_rank_checkpoint(const std::string& path, const tlr::TlrMatrix& a,

@@ -1,7 +1,6 @@
 #include "core/dist_cholesky.hpp"
 
 #include <csignal>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <set>
@@ -9,6 +8,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/timer.hpp"
 #include "core/bcast_tree.hpp"
 #include "core/cholesky_graph.hpp"
@@ -140,17 +140,9 @@ RankCommStats run_rank(tlr::TlrMatrix& a, const rt::Distribution& dist,
 }  // namespace
 
 RankRecoveryOptions RankRecoveryOptions::from_env() {
-  RankRecoveryOptions rec;
-  rec.ckpt = CheckpointPolicy::from_env();
-  rec.faults = resil::FaultConfig::from_env();
-  if (const char* e = std::getenv("PTLR_EPOCH")) {
-    char* end = nullptr;
-    const long v = std::strtol(e, &end, 10);
-    PTLR_CHECK(end != nullptr && *end == '\0' && v >= 0 && v <= 255,
-               "PTLR_EPOCH: expected 0..255, got '" + std::string(e) + "'");
-    rec.epoch = static_cast<int>(v);
-  }
-  return rec;
+  return {.ckpt = CheckpointPolicy::from_env(),
+          .epoch = static_cast<int>(*knobs::integer("PTLR_EPOCH")),
+          .faults = resil::FaultConfig::from_env()};
 }
 
 DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,

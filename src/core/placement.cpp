@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "core/bcast_tree.hpp"
 #include "runtime/mailbox.hpp"
 
@@ -22,14 +22,6 @@ constexpr int kSmallIters = 8;
 constexpr int kLargeIters = 3;
 constexpr std::size_t kSmallBytes = 64;
 constexpr std::size_t kLargeBytes = 256u << 10;
-
-double parse_positive(const char* name, const char* v) {
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  PTLR_CHECK(end != nullptr && *end == '\0' && x > 0.0,
-             std::string(name) + " must be a positive number, got: " + v);
-  return x;
-}
 
 /// Serialized payload size of a tile at (i, j): dense inside the band,
 /// two rank-`r` factors outside (matching tlr/io.cpp's framing overhead).
@@ -67,15 +59,12 @@ const char* placement_name(PlacementKind kind) {
 }
 
 std::optional<MeshParams> MeshParams::from_env() {
-  const char* a = std::getenv("PTLR_MESH_ALPHA");
-  const char* b = std::getenv("PTLR_MESH_BETA");
-  if (a == nullptr && b == nullptr) return std::nullopt;
-  PTLR_CHECK(a != nullptr && b != nullptr,
+  const auto alpha = knobs::real("PTLR_MESH_ALPHA");
+  const auto beta = knobs::real("PTLR_MESH_BETA");
+  if (!alpha && !beta) return std::nullopt;
+  PTLR_CHECK(alpha && beta,
              "PTLR_MESH_ALPHA and PTLR_MESH_BETA must be set together");
-  MeshParams p;
-  p.alpha_seconds = parse_positive("PTLR_MESH_ALPHA", a);
-  p.beta_seconds_per_byte = parse_positive("PTLR_MESH_BETA", b);
-  return p;
+  return MeshParams{*alpha, *beta};
 }
 
 double placement_comm_cost(const PlacementProblem& prob,

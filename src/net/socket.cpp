@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -13,20 +12,12 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
+#include "common/parse.hpp"
 
 namespace ptlr::net {
 
 namespace {
-
-long long env_ll(const char* name, long long def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  char* end = nullptr;
-  const long long x = std::strtoll(v, &end, 10);
-  PTLR_CHECK(end != nullptr && *end == '\0' && x >= 0,
-             std::string(name) + " must be a non-negative integer, got: " + v);
-  return x;
-}
 
 sockaddr_un uds_addr(const std::string& path) {
   sockaddr_un addr{};
@@ -59,11 +50,10 @@ void Fd::shutdown_both() const {
 
 NetConfig NetConfig::from_env() {
   NetConfig cfg;
-  const char* net = std::getenv("PTLR_NET");
-  PTLR_CHECK(net != nullptr && net[0] != '\0',
+  const std::string spec = knobs::text("PTLR_NET");
+  PTLR_CHECK(!spec.empty(),
              "PTLR_NET is not set (expected uds:<dir> or tcp:<host>:<port>; "
              "ranks are normally launched via ptlr-launch)");
-  const std::string spec(net);
   if (spec.rfind("uds:", 0) == 0) {
     cfg.kind = Kind::kUds;
     cfg.dir = spec.substr(4);
@@ -72,47 +62,33 @@ NetConfig NetConfig::from_env() {
     cfg.kind = Kind::kTcp;
     const std::string rest = spec.substr(4);
     const std::size_t colon = rest.rfind(':');
-    PTLR_CHECK(colon != std::string::npos && colon > 0 &&
-                   colon + 1 < rest.size(),
+    PTLR_CHECK(colon != std::string::npos && colon > 0,
                "PTLR_NET=tcp: expects tcp:<host>:<base_port>, got: " + spec);
     cfg.host = rest.substr(0, colon);
-    // Strict: every character a digit, and no overflow (std::atoi read
-    // "9x" as 9 and an over-long number as undefined behaviour).
-    const std::string port = rest.substr(colon + 1);
-    char* end = nullptr;
-    errno = 0;
-    const long long p = std::strtoll(port.c_str(), &end, 10);
-    PTLR_CHECK(port.find_first_not_of("0123456789") == std::string::npos &&
-                   end == port.c_str() + port.size() && errno == 0 &&
-                   p >= 1 && p <= 65535,
-               "PTLR_NET tcp base port must be an integer in 1..65535, "
-               "got: " + spec);
-    cfg.port = static_cast<int>(p);
+    cfg.port = parse_number("PTLR_NET tcp base port",
+                            std::string_view(rest).substr(colon + 1), 1, 65535);
   } else {
     throw Error("PTLR_NET must start with uds: or tcp:, got: " + spec);
   }
-  cfg.rank = static_cast<int>(env_ll("PTLR_RANK", -1));
-  cfg.nranks = static_cast<int>(env_ll("PTLR_NRANKS", 0));
-  PTLR_CHECK(cfg.nranks >= 1, "PTLR_NRANKS must be >= 1");
-  PTLR_CHECK(cfg.rank >= 0 && cfg.rank < cfg.nranks,
-             "PTLR_RANK out of range for PTLR_NRANKS");
+  const auto nranks = knobs::integer("PTLR_NRANKS");
+  const auto rank = knobs::integer("PTLR_RANK");
+  PTLR_CHECK(nranks && rank && *rank < *nranks,
+             "PTLR_RANK must be set and below PTLR_NRANKS, which must be set");
+  cfg.nranks = *nranks;  // both ranges fit in int
+  cfg.rank = *rank;
   // Rank r listens on base_port + r.
-  PTLR_CHECK(cfg.kind != Kind::kTcp ||
-                 static_cast<long long>(cfg.port) + cfg.nranks - 1 <= 65535,
+  PTLR_CHECK(cfg.kind != Kind::kTcp || cfg.nranks - 1 <= 65535 - cfg.port,
              "PTLR_NET tcp base port " + std::to_string(cfg.port) +
-                 " leaves no port for rank " +
-                 std::to_string(cfg.nranks - 1) + " (base + " +
-                 std::to_string(cfg.nranks - 1) + " > 65535)");
-  cfg.connect_timeout_ms = env_ll("PTLR_NET_TIMEOUT_MS", 15000);
-  cfg.rto_ms = env_ll("PTLR_NET_RTO_MS", 25);
+                 " leaves no port for rank " + std::to_string(cfg.nranks - 1));
+  cfg.connect_timeout_ms = *knobs::integer("PTLR_NET_TIMEOUT_MS");
   // An explicit PTLR_NET_RTO_MS pins the timeout (the pre-adaptive
   // contract); otherwise the 25 ms default only seeds the RTT estimator.
-  cfg.rto_fixed = std::getenv("PTLR_NET_RTO_MS") != nullptr;
-  PTLR_CHECK(cfg.connect_timeout_ms > 0, "PTLR_NET_TIMEOUT_MS must be > 0");
-  PTLR_CHECK(cfg.rto_ms > 0, "PTLR_NET_RTO_MS must be > 0");
-  cfg.epoch = static_cast<int>(env_ll("PTLR_EPOCH", 0));
-  PTLR_CHECK(cfg.epoch <= 255, "PTLR_EPOCH exceeds the wire epoch range");
-  cfg.rejoin_window_ms = env_ll("PTLR_NET_REJOIN_MS", 0);
+  if (const auto rto = knobs::integer("PTLR_NET_RTO_MS")) {
+    cfg.rto_ms = *rto;
+    cfg.rto_fixed = true;
+  }
+  cfg.epoch = *knobs::integer("PTLR_EPOCH");
+  cfg.rejoin_window_ms = *knobs::integer("PTLR_NET_REJOIN_MS");
   return cfg;
 }
 

@@ -81,8 +81,8 @@ struct NetConfig {
 
   /// Parse PTLR_NET ("uds:<dir>" | "tcp:<host>:<base_port>"), PTLR_RANK,
   /// PTLR_NRANKS, and the optional PTLR_NET_TIMEOUT_MS / PTLR_NET_RTO_MS /
-  /// PTLR_EPOCH / PTLR_NET_REJOIN_MS. Throws ptlr::Error on missing or
-  /// malformed values — a typo fails fast, it does not fall back silently.
+  /// PTLR_EPOCH / PTLR_NET_REJOIN_MS (common/knobs.hpp). Throws
+  /// ptlr::Error on missing or malformed values.
   static NetConfig from_env();
 
   /// This rank's listen endpoint ("<dir>/ptlr.<r>.sock" or "host:port+r").

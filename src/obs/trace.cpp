@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "obs/counters.hpp"
 
 namespace ptlr::obs {
@@ -89,11 +89,6 @@ std::chrono::steady_clock::time_point process_epoch() {
   return epoch;
 }
 
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 void json_escape(std::ostream& os, const std::string& s) {
   for (const char c : s) {
     switch (c) {
@@ -117,17 +112,9 @@ void json_escape(std::ostream& os, const std::string& s) {
 
 void enable(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
-bool env_trace_requested() { return env_truthy("PTLR_TRACE"); }
-
 bool enable_from_env() {
-  if (env_trace_requested()) enable(true);
+  if (knobs::flag("PTLR_TRACE")) enable(true);
   return enabled();
-}
-
-std::string trace_file_from_env() {
-  const char* v = std::getenv("PTLR_TRACE_FILE");
-  return v != nullptr && v[0] != '\0' ? std::string(v)
-                                      : std::string("ptlr_trace.json");
 }
 
 double now_seconds() {
@@ -375,8 +362,8 @@ void write_chrome_trace(const std::string& path) {
 }
 
 std::string write_chrome_trace_from_env() {
-  if (!env_trace_requested()) return {};
-  const std::string path = trace_file_from_env();
+  if (!knobs::flag("PTLR_TRACE")) return {};
+  const std::string path = knobs::text("PTLR_TRACE_FILE");
   write_chrome_trace(path);
   return path;
 }

@@ -22,11 +22,8 @@
 //
 // The master switch is off by default and every hook compiles to a single
 // relaxed atomic load when disabled, so an untraced run pays nothing.
-// Environment knobs (read by enable_from_env / write_chrome_trace_from_env,
-// see docs/observability.md):
-//
-//   PTLR_TRACE=1          enable recording (0/empty/unset: disabled)
-//   PTLR_TRACE_FILE=path  Chrome trace output path (default ptlr_trace.json)
+// enable_from_env / write_chrome_trace_from_env read PTLR_TRACE=1 and
+// PTLR_TRACE_FILE (default ptlr_trace.json); see docs/observability.md.
 #pragma once
 
 #include <atomic>
@@ -74,14 +71,8 @@ inline bool enabled() noexcept {
 /// Flip the master switch programmatically (tests, tools).
 void enable(bool on);
 
-/// True if the PTLR_TRACE environment knob asks for tracing.
-bool env_trace_requested();
-
 /// enable(true) iff PTLR_TRACE asks for it; returns the resulting state.
 bool enable_from_env();
-
-/// PTLR_TRACE_FILE, or "ptlr_trace.json" when unset.
-std::string trace_file_from_env();
 
 /// Seconds on the process-global steady clock (epoch = first use). All
 /// span timestamps share this timebase, so spans from successive runs in
@@ -171,7 +162,7 @@ std::vector<Span> snapshot_spans();
 /// https://ui.perfetto.dev). Throws ptlr::Error on I/O failure.
 void write_chrome_trace(const std::string& path);
 
-/// write_chrome_trace(trace_file_from_env()) iff PTLR_TRACE is on.
+/// write_chrome_trace(PTLR_TRACE_FILE) iff PTLR_TRACE is on.
 /// Returns the path written, or an empty string if tracing is off.
 std::string write_chrome_trace_from_env();
 

@@ -1,10 +1,13 @@
 #include "resilience/fault.hpp"
 
-#include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
+#include "common/parse.hpp"
 
 namespace ptlr::resil {
 
@@ -24,67 +27,47 @@ std::uint64_t hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   return mix(mix(mix(a) ^ b) ^ c);
 }
 
-double parse_probability(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  PTLR_CHECK(end != nullptr && *end == '\0' && p >= 0.0 && p <= 1.0,
-             "PTLR_FAULTS: bad probability for '" + key + "': " + value);
-  return p;
-}
-
 }  // namespace
 
 FaultConfig FaultConfig::parse(const char* spec) {
   FaultConfig cfg;
   if (spec == nullptr || spec[0] == '\0') return cfg;
-
-  // Bare integer: a seed with the default probabilities.
-  {
-    char* end = nullptr;
-    const std::uint64_t seed = std::strtoull(spec, &end, 10);
-    if (end != nullptr && *end == '\0') return with_seed(seed);
-  }
+  const std::string s(spec);
+  // No '=': a bare seed with the default probabilities.
+  if (s.find('=') == std::string::npos)
+    return with_seed(parse_number<std::uint64_t>("PTLR_FAULTS seed", s));
 
   cfg.enabled = true;
-  std::string s(spec);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
+  const std::pair<const char*, double*> probabilities[] = {
+      {"task", &cfg.task_exception_probability},
+      {"alloc", &cfg.alloc_failure_probability},
+      {"poison", &cfg.poison_probability},
+      {"drop", &cfg.message_drop_probability},
+      {"dup", &cfg.message_duplicate_probability},
+      {"kill", &cfg.rank_kill_probability}};
+  std::istringstream items(s);
+  for (std::string item; std::getline(items, item, ',');) {
     if (item.empty()) continue;
     const std::size_t eq = item.find('=');
     PTLR_CHECK(eq != std::string::npos,
                "PTLR_FAULTS: expected key=value, got '" + item + "'");
     const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+    const std::string_view value = std::string_view(item).substr(eq + 1);
     if (key == "seed") {
-      char* end = nullptr;
-      cfg.seed = std::strtoull(value.c_str(), &end, 10);
-      PTLR_CHECK(end != nullptr && *end == '\0',
-                 "PTLR_FAULTS: bad seed: " + value);
-    } else if (key == "task") {
-      cfg.task_exception_probability = parse_probability(key, value);
-    } else if (key == "alloc") {
-      cfg.alloc_failure_probability = parse_probability(key, value);
-    } else if (key == "poison") {
-      cfg.poison_probability = parse_probability(key, value);
-    } else if (key == "drop") {
-      cfg.message_drop_probability = parse_probability(key, value);
-    } else if (key == "dup") {
-      cfg.message_duplicate_probability = parse_probability(key, value);
-    } else if (key == "kill") {
-      cfg.rank_kill_probability = parse_probability(key, value);
-    } else {
-      throw Error("PTLR_FAULTS: unknown key '" + key + "'");
+      cfg.seed = parse_number<std::uint64_t>("PTLR_FAULTS seed", value);
+      continue;
     }
+    double* p = nullptr;
+    for (const auto& [k, field] : probabilities)
+      if (key == k) p = field;
+    if (p == nullptr) throw Error("PTLR_FAULTS: unknown key '" + key + "'");
+    *p = parse_number("PTLR_FAULTS " + key, value, 0.0, 1.0);
   }
   return cfg;
 }
 
 FaultConfig FaultConfig::from_env() {
-  return parse(std::getenv("PTLR_FAULTS"));
+  return parse(knobs::text("PTLR_FAULTS").c_str());
 }
 
 double FaultInjector::roll(std::uint64_t site, std::uint64_t salt) const {

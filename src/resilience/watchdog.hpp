@@ -13,6 +13,8 @@
 
 #include <chrono>
 
+#include "common/knobs.hpp"
+
 namespace ptlr::resil {
 
 /// Deadline for "no observable progress" before the watchdog fires.
@@ -29,10 +31,10 @@ struct WatchdogConfig {
     return std::chrono::milliseconds(deadline_ms);
   }
 
-  /// Reads PTLR_WATCHDOG_MS. Unset, empty or 0 → disabled. A value that
-  /// is not entirely a non-negative decimal integer ("500ms", "-1")
-  /// throws ptlr::Error naming the variable.
-  static WatchdogConfig from_env();
+  /// Reads PTLR_WATCHDOG_MS (common/knobs.hpp); unset or 0 → disabled.
+  static WatchdogConfig from_env() {
+    return {static_cast<long long>(*knobs::integer("PTLR_WATCHDOG_MS"))};
+  }
 };
 
 }  // namespace ptlr::resil

@@ -1,29 +1,15 @@
 #include "runtime/perturb.hpp"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <string>
 #include <thread>
 
-#include "common/error.hpp"
+#include "common/knobs.hpp"
 
 namespace ptlr::rt {
 
 PerturbConfig PerturbConfig::from_env() {
-  PerturbConfig c;
-  const char* s = std::getenv("PTLR_PERTURB_SEED");
-  if (s == nullptr || *s == '\0') return c;
-  // strtoull alone would read "7x" as 7, "abc" as 0 and "-1" as 2^64 - 1.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  PTLR_CHECK(*s >= '0' && *s <= '9' && *end == '\0' && errno != ERANGE,
-             "PTLR_PERTURB_SEED: expected an unsigned integer, got '" +
-                 std::string(s) + "'");
-  c.enabled = true;
-  c.seed = v;
-  return c;
+  const auto seed = knobs::integer("PTLR_PERTURB_SEED");
+  return seed ? with_seed(*seed) : PerturbConfig{};
 }
 
 std::uint64_t Perturber::next() {

@@ -48,12 +48,10 @@ struct PerturbConfig {
     return c;
   }
 
-  /// Reads PTLR_PERTURB_SEED from the environment: unset/empty returns a
-  /// disabled config, otherwise an enabled one seeded with its value.
-  /// Lets any test binary be replayed under a failing seed without a
-  /// recompile: PTLR_PERTURB_SEED=7 ./test_runtime. A value that is not
-  /// entirely an unsigned 64-bit decimal throws ptlr::Error naming the
-  /// variable.
+  /// Reads PTLR_PERTURB_SEED (common/knobs.hpp): unset returns a disabled
+  /// config, otherwise an enabled one seeded with its value. Lets any test
+  /// binary be replayed under a failing seed without a recompile:
+  /// PTLR_PERTURB_SEED=7 ./test_runtime.
   static PerturbConfig from_env();
 };
 

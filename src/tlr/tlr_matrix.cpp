@@ -78,9 +78,9 @@ void parallel_for(int count, int nthreads, const Fn& fn) {
   });
 }
 
-// Generate-and-compress one tile; shared by the sequential and parallel
-// builders. A tile is a pure function of (i, j), so the result does not
-// depend on the build order or the thread count.
+// Generate-and-compress one tile; shared by the builders. A tile is a
+// pure function of (i, j), so the result does not depend on the build
+// order or the thread count.
 Tile build_tile(const stars::CovarianceProblem& prob, const TlrMatrix& m,
                 int i, int j, const compress::Accuracy& acc, int band_size) {
   const int r0 = m.row_offset(i), c0 = m.row_offset(j);
@@ -100,15 +100,7 @@ TlrMatrix TlrMatrix::from_problem(const stars::CovarianceProblem& prob,
                                   int tile_size,
                                   const compress::Accuracy& acc,
                                   int band_size) {
-  TlrMatrix m(prob.n(), tile_size);
-  m.acc_ = acc;
-  m.band_size_ = band_size;
-  for (int i = 0; i < m.nt_; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      m.at(i, j) = build_tile(prob, m, i, j, acc, band_size);
-    }
-  }
-  return m;
+  return from_problem_parallel(prob, tile_size, acc, 1, band_size);
 }
 
 TlrMatrix TlrMatrix::from_problem_parallel(

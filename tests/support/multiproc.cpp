@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "support/scoped_env.hpp"
 
 namespace ptlr::testing {
 
@@ -22,34 +23,6 @@ std::map<std::string, std::function<int()>>& registry() {
   static std::map<std::string, std::function<int()>> r;
   return r;
 }
-
-// RAII environment override (mirrors the ScopedEnv the test suites use).
-class ScopedEnv {
- public:
-  ScopedEnv(std::string name, const char* value) : name_(std::move(name)) {
-    if (const char* old = std::getenv(name_.c_str())) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value == nullptr)
-      unsetenv(name_.c_str());
-    else
-      setenv(name_.c_str(), value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 std::string launcher_path() {
   if (const char* env = std::getenv("PTLR_LAUNCH");

@@ -297,20 +297,21 @@ TEST(ToolArgs, SignedAndExponentValuesParse) {
 
 TEST(ToolArgs, FreeParsersNameTheCallersFlag) {
   // ptlr-launch keeps its own flag loop (it stops at "--") and calls the
-  // free parsers with the flag it is reading; the error must name that
+  // shared parser with the flag it is reading; the error must name that
   // flag and the offending text.
-  EXPECT_EQ(ptlr::tools::parse_int("--respawn", "3"), 3);
-  EXPECT_DOUBLE_EQ(ptlr::tools::parse_real("--timeout", "2.5"), 2.5);
+  EXPECT_EQ(ptlr::parse_number<int>("--respawn", "3"), 3);
+  EXPECT_DOUBLE_EQ(ptlr::parse_number<double>("--timeout", "2.5"), 2.5);
   const std::vector<std::pair<std::string, std::string>> bad{
       {"--n", "2x"},         {"--grace-ms", ""},
       {"--respawn", "1.5"},  {"--respawn-backoff-ms", "4294967296"},
-      {"--timeout", "12s"},  {"--timeout", "1e999"}};
+      {"--timeout", "12s"},  {"--timeout", "1e999"},
+      {"--timeout", "nan"},  {"--timeout", "inf"}};
   for (const auto& [flag, text] : bad) {
     try {
       if (flag == "--timeout")
-        (void)ptlr::tools::parse_real(flag, text);
+        (void)ptlr::parse_number<double>(flag, text);
       else
-        (void)ptlr::tools::parse_int(flag, text);
+        (void)ptlr::parse_number<int>(flag, text);
       ADD_FAILURE() << flag << " accepted '" << text << "'";
     } catch (const ptlr::Error& e) {
       const std::string what = e.what();
@@ -329,7 +330,7 @@ TEST(ToolArgs, ParseRealReadsToCharsOutputExactly) {
     const auto r = std::to_chars(buf, buf + sizeof(buf), v);
     ASSERT_EQ(r.ec, std::errc{});
     const std::string text(buf, r.ptr);
-    const double back = ptlr::tools::parse_real("--timeout", text);
+    const double back = ptlr::parse_number<double>("--timeout", text);
     EXPECT_EQ(std::memcmp(&back, &v, sizeof(double)), 0) << text;
   }
 }

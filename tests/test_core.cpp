@@ -1163,39 +1163,13 @@ TEST(DistributedCholesky, NonSpdInputAbortsAllRanksCleanly) {
 #include "core/placement.hpp"
 #include "resilience/watchdog.hpp"
 #include "runtime/transport.hpp"
+#include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
 namespace {
 
+using ptlr::testing::ScopedEnv;
 using rt::dist::make_tag;
-
-// RAII environment override restoring the previous value on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value == nullptr)
-      unsetenv(name);
-    else
-      setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 }  // namespace
 
@@ -1334,10 +1308,10 @@ TEST(Placement, EnvParamsMustComeTogether) {
     EXPECT_DOUBLE_EQ(p->alpha_seconds, 1e-6);
     EXPECT_DOUBLE_EQ(p->beta_seconds_per_byte, 2.5e-10);
   }
-  {
-    const ScopedEnv a("PTLR_MESH_ALPHA", "banana");
+  for (const char* bad : {"banana", "inf", "nan", "0"}) {
+    const ScopedEnv a("PTLR_MESH_ALPHA", bad);
     const ScopedEnv b("PTLR_MESH_BETA", "2.5e-10");
-    EXPECT_THROW(core::MeshParams::from_env(), ptlr::Error);
+    EXPECT_THROW(core::MeshParams::from_env(), ptlr::Error) << bad;
   }
 }
 

@@ -31,6 +31,7 @@
 #include "runtime/distribution.hpp"
 #include "stars/problem.hpp"
 #include "support/multiproc.hpp"
+#include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 #include "tlr/tlr_matrix.hpp"
 
@@ -42,33 +43,7 @@ namespace {
 constexpr int kN = 96;
 constexpr int kB = 16;
 
-// RAII environment override restoring the previous value on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value == nullptr)
-      unsetenv(name);
-    else
-      setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using ptlr::testing::ScopedEnv;
 
 std::unique_ptr<rt::Distribution> make_dist(const std::string& kind,
                                             int nranks) {

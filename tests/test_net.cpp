@@ -27,11 +27,13 @@
 #include "resilience/watchdog.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/perturb.hpp"
+#include "support/scoped_env.hpp"
 
 using namespace ptlr;
 using net::Frame;
 using net::FrameDecoder;
 using net::FrameType;
+using ptlr::testing::ScopedEnv;
 using rt::dist::make_tag;
 
 namespace {
@@ -940,42 +942,10 @@ TEST(SocketMesh, FixedRtoOverridesTheEstimator) {
 
 namespace {
 
-// Sets PTLR_NET / PTLR_RANK / PTLR_NRANKS for one from_env() call and
-// restores the previous values afterwards.
-class ScopedNetEnv {
- public:
-  ScopedNetEnv(const std::string& net, int nranks) {
-    for (const char* name : {"PTLR_NET", "PTLR_RANK", "PTLR_NRANKS"}) {
-      const char* old = std::getenv(name);
-      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
-    }
-    setenv("PTLR_NET", net.c_str(), 1);
-    setenv("PTLR_RANK", "0", 1);
-    setenv("PTLR_NRANKS", std::to_string(nranks).c_str(), 1);
-  }
-  ~ScopedNetEnv() {
-    for (const Saved& s : saved_) {
-      if (s.had)
-        setenv(s.name, s.value.c_str(), 1);
-      else
-        unsetenv(s.name);
-    }
-  }
-  ScopedNetEnv(const ScopedNetEnv&) = delete;
-  ScopedNetEnv& operator=(const ScopedNetEnv&) = delete;
-
- private:
-  struct Saved {
-    const char* name;
-    bool had;
-    std::string value;
-  };
-  std::vector<Saved> saved_;
-};
-
 // from_env() must throw a ptlr::Error whose message names PTLR_NET.
 std::string net_config_error(const std::string& net, int nranks) {
-  const ScopedNetEnv env(net, nranks);
+  const ScopedEnv spec("PTLR_NET", net.c_str()), rank("PTLR_RANK", "0"),
+      size("PTLR_NRANKS", std::to_string(nranks).c_str());
   try {
     (void)net::NetConfig::from_env();
   } catch (const Error& e) {
@@ -987,12 +957,17 @@ std::string net_config_error(const std::string& net, int nranks) {
 }  // namespace
 
 TEST(NetConfig, TcpSpecParsesHostAndBasePort) {
-  const ScopedNetEnv env("tcp:127.0.0.1:39310", 4);
+  // An empty PTLR_NET_RTO_MS is unset: the RTO stays adaptive.
+  const ScopedEnv spec("PTLR_NET", "tcp:127.0.0.1:39310"),
+      rank("PTLR_RANK", "0"), size("PTLR_NRANKS", "4"),
+      rto("PTLR_NET_RTO_MS", "");
   const net::NetConfig cfg = net::NetConfig::from_env();
   EXPECT_EQ(cfg.kind, net::NetConfig::Kind::kTcp);
   EXPECT_EQ(cfg.host, "127.0.0.1");
   EXPECT_EQ(cfg.port, 39310);
   EXPECT_EQ(cfg.endpoint_of(3), "127.0.0.1:39313");
+  EXPECT_FALSE(cfg.rto_fixed);
+  EXPECT_EQ(cfg.rto_ms, 25);
 }
 
 TEST(NetConfig, TcpPortMustBeAWholeNumberInRange) {

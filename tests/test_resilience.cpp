@@ -42,6 +42,7 @@
 #include "runtime/distribution.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
+#include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
 using namespace ptlr;
@@ -50,35 +51,7 @@ using resil::ResilienceEvent;
 
 namespace {
 
-// RAII environment override restoring the previous value on destruction.
-// nullptr unsets the variable.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using ptlr::testing::ScopedEnv;
 
 // Recovery events attributable to one call.
 resil::RecoveryStats events_of(const std::function<void()>& fn) {
@@ -101,6 +74,10 @@ TEST(FaultConfig, BareIntegerIsSeedWithDefaults) {
   EXPECT_EQ(c.seed, 42u);
   EXPECT_DOUBLE_EQ(c.task_exception_probability,
                    FaultConfig{}.task_exception_probability);
+  // strtoull read "-1" as 2^64 - 1, skipped leading blanks and saturated
+  // an over-long seed, bare or keyed.
+  for (const char* bad : {"-1", " 7", "seed=1234567890123456789012345"})
+    EXPECT_THROW(FaultConfig::parse(bad), ptlr::Error) << bad;
 }
 
 TEST(FaultConfig, KeyValueListOverridesFields) {
@@ -1039,6 +1016,9 @@ TEST(Checkpoint, PolicyParsesSpecAndDirectory) {
                ptlr::Error);
   EXPECT_THROW(core::CheckpointPolicy::parse("every:2000000", nullptr),
                ptlr::Error);
+  for (const char* bad : {"every: 3", "every:+3", "every:3 "})
+    EXPECT_THROW(core::CheckpointPolicy::parse(bad, nullptr), ptlr::Error)
+        << bad;
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsOwnedTilesAndFrontier) {

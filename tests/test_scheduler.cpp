@@ -32,41 +32,13 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/ws_deque.hpp"
 #include "support/fuzz.hpp"
+#include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
 using namespace ptlr;
 using namespace ptlr::testing;
 
 namespace {
-
-// setenv/unsetenv with restore (mirrors the resilience suite's helper).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 rt::ExecOptions ws_options() {
   rt::ExecOptions opts;

@@ -130,54 +130,25 @@ void emit_lines(Child& c, int rank, const char* data, std::size_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int nranks = 0;
-  std::string net, log_dir, report;
-  double timeout_sec = 0.0;
-  long long grace_ms = 10000;
-  int respawn_budget = 0;
-  long long respawn_backoff_ms = 250;
-  int cmd_start = -1;
-
-  // Not tools::Args: this loop must stop at "--". Numbers go through the
-  // same strict parsing, so "--n 2x" is an error, not 2.
-  using ptlr::tools::parse_int;
-  using ptlr::tools::parse_real;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--") {
-        cmd_start = i + 1;
-        break;
-      }
-      if (i + 1 >= argc) usage_error("missing value for " + a);
-      const std::string v = argv[++i];
-      if (a == "--n")
-        nranks = parse_int(a, v);
-      else if (a == "--net")
-        net = v;
-      else if (a == "--log-dir")
-        log_dir = v;
-      else if (a == "--report")
-        report = v;
-      else if (a == "--timeout")
-        timeout_sec = parse_real(a, v);
-      else if (a == "--grace-ms")
-        grace_ms = parse_int(a, v);
-      else if (a == "--respawn")
-        respawn_budget = parse_int(a, v);
-      else if (a == "--respawn-backoff-ms")
-        respawn_backoff_ms = parse_int(a, v);
-      else
-        usage_error("unknown flag " + a);
-    }
-  } catch (const ptlr::Error& e) {
-    usage_error(e.what());
-  }
+int main(int argc, char** argv) try {
+  // The flags end at "--"; the command follows it.
+  int dashes = 1;
+  while (dashes < argc && std::strcmp(argv[dashes], "--") != 0) ++dashes;
+  const int cmd_start = dashes + 1;
+  const ptlr::tools::Args flags(dashes, argv,
+                                {"n", "net", "log-dir", "report", "timeout",
+                                 "grace-ms", "respawn", "respawn-backoff-ms"});
+  const int nranks = flags.integer("n", 0);
+  std::string net = flags.str("net", "");
+  const std::string log_dir = flags.str("log-dir", "");
+  const std::string report = flags.str("report", "");
+  const double timeout_sec = flags.real("timeout", 0.0);
+  const long long grace_ms = flags.integer("grace-ms", 10000);
+  const int respawn_budget = flags.integer("respawn", 0);
+  const long long respawn_backoff_ms = flags.integer("respawn-backoff-ms", 250);
   if (nranks < 1) usage_error("--n must be >= 1");
   if (respawn_budget < 0) usage_error("--respawn must be >= 0");
-  if (cmd_start < 0 || cmd_start >= argc)
-    usage_error("no command after --");
+  if (cmd_start >= argc) usage_error("no command after --");
 
   // A respawned rank is useless if the survivors have already torn the
   // mesh down: respawning implies a rejoin window. Default one generously
@@ -424,4 +395,6 @@ int main(int argc, char** argv) {
   if (exit_code == 0)
     std::cout << "[launch] all " << nranks << " ranks exited cleanly\n";
   return exit_code;
+} catch (const ptlr::Error& e) {
+  usage_error(e.what());  // only the flags throw ptlr::Error
 }
