@@ -130,7 +130,6 @@ int main() {
   for (const bool stealing : {false, true}) {
     auto cfg = bench::paper_node_config(nodes);
     cfg.work_stealing = stealing;
-    cfg.record_trace = true;
     auto r = simulate_cholesky(banded, cfg);
     double occ_min = 1.0, occ_max = 0.0;
     for (int p = 0; p < nodes; ++p) {

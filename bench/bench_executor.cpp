@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   if (scale == "large") sizes = {10000, 100000, 1000000, 4000000};
 
   rt::ExecOptions base;
-  base.record_trace = false;
   base.validate = false;  // timing the engines, not the graph checker
   base.perturb = rt::PerturbConfig{};
   base.faults = resil::FaultConfig{};

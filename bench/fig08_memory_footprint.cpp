@@ -2,8 +2,9 @@
 //   (left)  memory footprint of the static maxrank descriptor
 //           (PaRSEC-HiCMA-Prev) vs exact-rank allocation
 //           (PaRSEC-HiCMA-New) as the matrix grows,
-//   (right) cost of a (pool) memory allocation of 2·k·b doubles vs the
-//           TLR GEMM that would trigger the reallocation.
+//   (right) cost of a fresh allocation of 2·k·b doubles (what a tile's
+//           exact-rank U/V storage costs) vs the TLR GEMM that would
+//           trigger the reallocation.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -11,7 +12,6 @@
 #include "dense/util.hpp"
 #include "hcore/kernels.hpp"
 #include "obs/report.hpp"
-#include "tlr/allocator.hpp"
 
 using namespace ptlr;
 
@@ -48,8 +48,7 @@ int main() {
   // Right: allocation vs TLR GEMM cost across the observed rank range.
   std::printf("\n(right) memory (re)allocation vs TLR GEMM cost, b = %d\n\n",
               sc.b);
-  Table r({"rank k", "alloc 2kb (us)", "pool realloc (us)", "TLR GEMM (us)",
-           "gemm/alloc"});
+  Table r({"rank k", "alloc 2kb (us)", "TLR GEMM (us)", "gemm/alloc"});
   auto lr_tile = [&](int k, std::uint64_t seed) {
     Rng rng(seed);
     auto m = dense::random_lowrank(sc.b, sc.b, k, 1e-9, rng);
@@ -65,19 +64,13 @@ int main() {
       sink = fresh[elems / 2];
     }
     const double alloc_us = ta.seconds() * 1e6 + sink * 0.0;
-    // Pool reallocation (the steady-state path): one warm acquire.
-    auto& pool = tlr::MemoryPool::global();
-    { auto warm = pool.acquire(elems); }
-    WallTimer tp;
-    { auto buf = pool.acquire(elems); }
-    const double pool_us = tp.seconds() * 1e6;
     tlr::Tile a = lr_tile(k, 100 + k), b = lr_tile(k, 200 + k),
               c = lr_tile(k, 300 + k);
     WallTimer tg;
     hcore::gemm(a, b, c, {1e-9, 1 << 30});
     const double gemm_us = tg.seconds() * 1e6;
     r.row().cell(static_cast<long long>(k)).cell(alloc_us, 4)
-        .cell(pool_us, 4).cell(gemm_us, 4).cell(gemm_us / alloc_us, 3);
+        .cell(gemm_us, 4).cell(gemm_us / alloc_us, 3);
   }
   r.print(std::cout);
   std::printf("\nShape check vs paper: the exact-rank footprint saving grows"

@@ -24,6 +24,9 @@ int main() {
   std::printf("NT = %d, %d virtual nodes, tuned BAND_SIZE = %d\n\n", nt,
               nodes, band);
 
+  // Every run below records obs spans; each curve reads its own run's.
+  obs::enable(true);
+
   // Prev computes inside its static maxrank = b/2 descriptor.
   auto prev_decay = decay;
   prev_decay.kmax = std::min(prev_decay.kmax, sc.b / 2);
@@ -32,7 +35,6 @@ int main() {
   prev_cfg.band_dist_width = 1;
   prev_cfg.recursive_all = false;
   prev_cfg.recursive_potrf = true;
-  prev_cfg.record_trace = true;
   auto prev = simulate_cholesky(prev_map, prev_cfg);
 
   auto banded = base;
@@ -40,11 +42,10 @@ int main() {
   auto new_cfg = bench::paper_node_config(nodes);
   new_cfg.recursive_all = true;
   new_cfg.recursive_block = sc.b / 4;
-  new_cfg.record_trace = true;
   auto next = simulate_cholesky(banded, new_cfg);
 
-  const auto rp = rt::panel_release_times(prev.sim.trace);
-  const auto rn = rt::panel_release_times(next.sim.trace);
+  const auto rp = obs::panel_release_times(obs::run_spans(prev.sim.run));
+  const auto rn = obs::panel_release_times(obs::run_spans(next.sim.run));
 
   Table t({"panel k", "Prev release (rel)", "New release (rel)",
            "New/Prev"});
@@ -69,13 +70,15 @@ int main() {
     cfg.acc = {sc.tol, 1 << 30};
     cfg.band_size = band_size;  // 0 runs the auto-tuner
     cfg.nthreads = sc.threads;
-    cfg.record_trace = true;
     return factorize(a, &prob, cfg);
   };
   auto real_prev = run_real(1);
   auto real_new = run_real(0);
-  const auto rp2 = rt::panel_release_times(real_prev.exec.trace);
-  const auto rn2 = rt::panel_release_times(real_new.exec.trace);
+  const auto rp2 =
+      obs::panel_release_times(obs::run_spans(real_prev.exec.run));
+  const auto rn2 =
+      obs::panel_release_times(obs::run_spans(real_new.exec.run));
+  obs::enable(false);
   Table tr({"panel k", "band 1 release (rel)", "tuned band release (rel)"});
   const int npanels = static_cast<int>(rp2.size());
   for (int k = 0; k < npanels; k += std::max(1, npanels / 8)) {

@@ -54,8 +54,9 @@ int main() {
     rcfg.acc = {sc.tol, 1 << 30};
     rcfg.band_size = 0;
     rcfg.nthreads = sc.threads;
-    rcfg.record_trace = true;
+    obs::enable(true);  // factorize fills critical_path from the spans
     auto res = factorize(real, &prob, rcfg);
+    obs::enable(false);
     std::printf("\nmeasured DAG (shared-memory, N = %d, %d threads):\n%s",
                 sc.n, sc.threads, obs::to_ascii(res.critical_path).c_str());
   }

@@ -22,8 +22,9 @@ int main() {
   auto cfg = bench::paper_node_config(nodes);
   cfg.recursive_all = true;
   cfg.recursive_block = sc.b / 4;
-  cfg.record_trace = true;
+  obs::enable(true);  // one span per simulated task, for the breakdown
   auto res = simulate_cholesky(map, cfg);
+  obs::enable(false);
   std::printf("NT = %d, %d virtual nodes x %d cores, BAND_SIZE = %d\n\n",
               nt, nodes, cfg.cores_per_node, map.band_size());
 
@@ -44,18 +45,13 @@ int main() {
   // Where the time goes, by kernel class (the "most flops come from TLR
   // GEMMs" statement).
   std::printf("\nper-kernel-class time breakdown:\n\n");
-  static const char* kKernelNames[] = {
-      "(1)-POTRF", "(1)-TRSM", "(4)-TRSM", "(1)-SYRK", "(3)-SYRK",
-      "(1)-GEMM",  "(2)-GEMM", "(3)-GEMM", "(5)-GEMM", "(6)-GEMM"};
   double total_secs = 0.0;
-  const auto breakdown = rt::kind_breakdown(res.sim.trace);
+  const auto breakdown = obs::kind_breakdown(obs::run_spans(res.sim.run));
   for (const auto& ks : breakdown) total_secs += ks.seconds;
   Table kb({"kernel", "tasks", "core-seconds", "share"});
   for (const auto& ks : breakdown) {
-    const char* name = ks.kind >= 0 && ks.kind < 10 ? kKernelNames[ks.kind]
-                                                    : "other";
-    kb.row().cell(std::string(name)).cell(ks.count).cell(ks.seconds, 4)
-        .cell(ks.seconds / total_secs, 3);
+    kb.row().cell(std::string(obs::kernel_name(ks.kind))).cell(ks.count)
+        .cell(ks.seconds, 4).cell(ks.seconds / total_secs, 3);
   }
   kb.print(std::cout);
 

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   cfg.acc = acc;
   cfg.band_size = 0;
   cfg.nthreads = 2;
-  cfg.record_trace = traced;
   auto result = core::factorize(sigma, &problem, cfg);
   std::printf("factorized in %.3f s (auto-tuned BAND_SIZE = %d, "
               "%.2f Gflop model)\n",

@@ -56,7 +56,6 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
 
   flops::Region flop_region;
   rt::ExecOptions exec_opts;
-  exec_opts.record_trace = cfg.record_trace;
   exec_opts.perturb = cfg.perturb;
   exec_opts.faults = cfg.faults;
   exec_opts.retry = cfg.retry;
@@ -115,9 +114,9 @@ CholeskyResult factorize(tlr::TlrMatrix& a,
   }
   result.factor_seconds = result.exec.seconds;
   result.measured_flops = flop_region.flops();
-  if (cfg.record_trace) {
-    result.critical_path = obs::critical_path(g, result.exec.trace);
-  }
+  if (result.exec.run >= 0)
+    result.critical_path =
+        obs::critical_path(g, obs::run_spans(result.exec.run));
   result.recovery = resil::diff(recovery_before, resil::snapshot());
   return result;
 }
@@ -156,7 +155,6 @@ SimCholeskyResult simulate_cholesky(const RankMap& ranks,
   sim.nproc = cfg.nodes;
   sim.cores_per_proc = cfg.cores_per_node;
   sim.comm = cfg.comm;
-  sim.record_trace = cfg.record_trace;
   sim.accel_per_proc = cfg.accel_per_node;
   sim.accel_speedup = cfg.accel_speedup;
   sim.work_stealing = cfg.work_stealing;

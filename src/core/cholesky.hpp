@@ -28,7 +28,6 @@ struct CholeskyConfig {
   int band_size = 0;
   double fluctuation_lo = 0.67;   ///< auto-tuner box bound (Section V-B)
   int nthreads = 2;
-  bool record_trace = false;
   /// Chaos mode for the worker pool (see runtime/perturb.hpp): replay the
   /// same factorization across adversarial schedules. Numerics must not
   /// depend on it — the schedule-independence property tests assert so.
@@ -56,8 +55,8 @@ struct CholeskyResult {
   double measured_flops = 0.0;  ///< flops actually charged by kernels
   GraphStats stats;
   BandTuneResult tuning;      ///< populated when band_size was auto
-  rt::ExecResult exec;        ///< trace when record_trace
-  /// Measured-duration critical path (populated when record_trace).
+  rt::ExecResult exec;        ///< exec.run names the spans when traced
+  /// Measured-duration critical path (populated when obs::enabled()).
   obs::CriticalPathReport critical_path;
   /// Recovery events over the whole factorization (injected faults,
   /// retries, shift restarts, dense fallbacks, watchdog fires).
@@ -89,7 +88,6 @@ struct VirtualClusterConfig {
   bool recursive_all = true;
   bool recursive_potrf = true;
   int recursive_block = 0;
-  bool record_trace = false;
   bool no_tlr_gemm = false;  ///< Fig. 10 critical-path variant
   /// Heterogeneous nodes (Section IX future work): accelerators per node
   /// that run dense region-(1) kernels accel_speedup× faster.
@@ -106,7 +104,7 @@ struct VirtualClusterConfig {
 
 /// Outcome of a simulated factorization.
 struct SimCholeskyResult {
-  rt::SimResult sim;
+  rt::SimResult sim;  ///< sim.run names the spans when obs::enabled()
   GraphStats stats;
   rt::TaskGraph::EdgeStats edges;
 };

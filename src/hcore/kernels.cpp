@@ -185,13 +185,11 @@ flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
   if (!f) {
     // Numerical rank past maxrank: keep the exact sum as a dense tile — no
     // accuracy loss, and every later kernel dispatches on the format.
-    obs::record_compression(full, full);
     resil::note(resil::ResilienceEvent::kDenseFallback,
                 "rank exceeds maxrank " + std::to_string(acc.maxrank));
     return observed(kernel, full, full);
   }
   const int knew = f->rank();
-  obs::record_compression(full, knew);
   // Adaptive on-demand densification (Section IX future work): past the
   // admissible ratio, low-rank arithmetic on this tile has stopped paying
   // off, so it keeps the exact sum dense.

@@ -1,11 +1,10 @@
 // Thread-local grow-only scratch arena for kernel temporaries.
 //
 // Every hcore kernel invocation needs a handful of short-lived work
-// matrices (W = V_A^T V_B, T = U_A W, ...). Leasing them from the global
-// MemoryPool paid a mutex round-trip and a free-list lookup per kernel —
-// visible once the work-stealing executor removed the scheduler lock and
-// task bodies became the hot path. The arena replaces that with a
-// per-thread bump allocator:
+// matrices (W = V_A^T V_B, T = U_A W, ...). A shared pool would pay a
+// mutex round-trip and a free-list lookup per kernel — visible once the
+// work-stealing executor removed the scheduler lock and task bodies became
+// the hot path. The arena is a per-thread bump allocator instead:
 //
 //   * alloc() is a pointer bump into the current chunk — no lock, no
 //     malloc once the arena has grown to the task's working-set size.
@@ -20,9 +19,9 @@
 //     chunks, they are coalesced into one chunk of the combined size, so
 //     steady state is a single chunk and zero further allocations.
 //
-// The tile-sized, long-lived designations (U/V factors themselves) stay
-// on tlr::MemoryPool — the arena is only for temporaries that die with
-// the kernel invocation.
+// The tile-sized, long-lived designations (U/V factors themselves) are
+// each tile's own dense::Matrix storage, sized to the exact rank — the
+// arena is only for temporaries that die with the kernel invocation.
 #pragma once
 
 #include <cstddef>

@@ -1,238 +1,139 @@
 #include "obs/counters.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
-#include <limits>
+#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "common/table.hpp"
+#include "obs/trace.hpp"
 
 namespace ptlr::obs {
 
 namespace {
 
-// CAS-loop double accumulation: addends of a given kernel class are all
-// equal for the dense kernels, so the class total is independent of the
-// interleaving — the property the bitwise-exactness tests rely on.
-void atomic_add(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
+/// Index of a task kind among the rows: its class, or the last
+/// (uncategorized) row.
+int row_index(int kind) noexcept {
+  return kind >= 0 && kind < flops::kNumKernels ? kind : flops::kNumKernels;
 }
 
-void atomic_min(std::atomic<int>& a, int v) noexcept {
-  int cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+/// Every counter, reduced from the recorded spans in one pass.
+struct Totals {
+  KernelCounterRow rows[flops::kNumKernels + 1];
+  long long rank_in_sum[flops::kNumKernels + 1] = {};
+  long long rank_out_sum[flops::kNumKernels + 1] = {};
+  CommCounters comm;
+  NetCounters net;
+  CompressionCounters compressions;
+  ResilienceCounters resilience;
+
+  void add_task(const Span& s) {
+    const int i = row_index(s.kind);
+    KernelCounterRow& r = rows[i];
+    r.count++;
+    r.flops += s.flops;
+    r.bytes += s.bytes;
+    if (s.rank_in < 0 && s.rank_out < 0) return;
+    const int in = std::max(s.rank_in, 0);
+    const int out = std::max(s.rank_out, 0);
+    r.rank_in_min = r.rank_tasks == 0 ? in : std::min(r.rank_in_min, in);
+    r.rank_in_max = r.rank_tasks == 0 ? in : std::max(r.rank_in_max, in);
+    r.rank_out_min = r.rank_tasks == 0 ? out : std::min(r.rank_out_min, out);
+    r.rank_out_max = r.rank_tasks == 0 ? out : std::max(r.rank_out_max, out);
+    r.rank_tasks++;
+    rank_in_sum[i] += in;
+    rank_out_sum[i] += out;
+    // A (5)/(6)-GEMM span is its tile's one compression.
+    if (s.kind == static_cast<int>(flops::Kernel::kGemm5) ||
+        s.kind == static_cast<int>(flops::Kernel::kGemm6)) {
+      compressions.count++;
+      compressions.rank_in_sum += s.rank_in;
+      compressions.rank_out_sum += s.rank_out;
+    }
   }
-}
 
-void atomic_max(std::atomic<int>& a, int v) noexcept {
-  int cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  void add_comm(const Span& s) {
+    const char* name = s.name.c_str();
+    if (std::strcmp(name, "send") == 0) {
+      comm.messages++;
+      comm.bytes += s.bytes;
+    } else if (std::strcmp(name, net_event_name(NetEvent::kRecv)) == 0) {
+      net.msgs_recv++;
+      net.bytes_recv += s.bytes;
+    } else if (std::strcmp(name, net_event_name(NetEvent::kRejoin)) != 0) {
+      net.msgs_sent++;  // net_send or net_retransmit
+      net.bytes_sent += s.bytes;
+      if (std::strcmp(name, net_event_name(NetEvent::kRetransmit)) == 0)
+        net.retransmits++;
+    }
   }
-}
 
-struct Slot {
-  std::atomic<long long> count{0};
-  std::atomic<double> flops{0.0};
-  std::atomic<long long> bytes{0};
-  std::atomic<long long> rank_tasks{0};
-  std::atomic<long long> rank_in_sum{0};
-  std::atomic<long long> rank_out_sum{0};
-  std::atomic<int> rank_in_min{std::numeric_limits<int>::max()};
-  std::atomic<int> rank_in_max{std::numeric_limits<int>::min()};
-  std::atomic<int> rank_out_min{std::numeric_limits<int>::max()};
-  std::atomic<int> rank_out_max{std::numeric_limits<int>::min()};
-
-  void clear() noexcept {
-    count.store(0, std::memory_order_relaxed);
-    flops.store(0.0, std::memory_order_relaxed);
-    bytes.store(0, std::memory_order_relaxed);
-    rank_tasks.store(0, std::memory_order_relaxed);
-    rank_in_sum.store(0, std::memory_order_relaxed);
-    rank_out_sum.store(0, std::memory_order_relaxed);
-    rank_in_min.store(std::numeric_limits<int>::max(),
-                      std::memory_order_relaxed);
-    rank_in_max.store(std::numeric_limits<int>::min(),
-                      std::memory_order_relaxed);
-    rank_out_min.store(std::numeric_limits<int>::max(),
-                       std::memory_order_relaxed);
-    rank_out_max.store(std::numeric_limits<int>::min(),
-                       std::memory_order_relaxed);
+  void add(const Span& s) {
+    switch (s.cat) {
+      case SpanCat::kTask: add_task(s); break;
+      case SpanCat::kComm: add_comm(s); break;
+      case SpanCat::kResil:
+        if (s.kind >= 0 && s.kind < kNumResilienceEvents)
+          resilience.counts[s.kind]++;
+        break;
+      case SpanCat::kSim: break;  // a model, not an execution
+    }
   }
 };
 
-struct State {
-  Slot slots[Counters::kSlots];  // [0..kNumKernels-1] classes, last = other
-  std::atomic<long long> comm_messages{0};
-  std::atomic<long long> comm_bytes{0};
-  std::atomic<long long> net_msgs_sent{0};
-  std::atomic<long long> net_bytes_sent{0};
-  std::atomic<long long> net_msgs_recv{0};
-  std::atomic<long long> net_bytes_recv{0};
-  std::atomic<long long> net_retransmits{0};
-  std::atomic<long long> compress_count{0};
-  std::atomic<long long> compress_rank_in{0};
-  std::atomic<long long> compress_rank_out{0};
-  std::atomic<long long> resilience[kNumResilienceEvents] = {};
-};
-
-State& state() {
-  static State* s = new State();  // leaked: threads may outlive exit
-  return *s;
-}
-
-int slot_index(int kind) noexcept {
-  return kind >= 0 && kind < flops::kNumKernels ? kind
-                                                : flops::kNumKernels;
-}
-
-KernelCounterRow read_row(int kind) {
-  const Slot& s = state().slots[slot_index(kind)];
-  KernelCounterRow r;
-  r.kind = kind >= 0 && kind < flops::kNumKernels ? kind : -1;
-  r.count = s.count.load(std::memory_order_relaxed);
-  r.flops = s.flops.load(std::memory_order_relaxed);
-  r.bytes = s.bytes.load(std::memory_order_relaxed);
-  r.rank_tasks = s.rank_tasks.load(std::memory_order_relaxed);
-  if (r.rank_tasks > 0) {
+Totals totals() {
+  Totals t;
+  for (int k = 0; k <= flops::kNumKernels; ++k)
+    t.rows[k].kind = k < flops::kNumKernels ? k : -1;
+  detail::for_each_span([&t](const Span& s) { t.add(s); });
+  for (int k = 0; k <= flops::kNumKernels; ++k) {
+    KernelCounterRow& r = t.rows[k];
+    if (r.rank_tasks == 0) continue;
     const double n = static_cast<double>(r.rank_tasks);
-    r.rank_in_min = s.rank_in_min.load(std::memory_order_relaxed);
-    r.rank_in_max = s.rank_in_max.load(std::memory_order_relaxed);
-    r.rank_in_mean =
-        static_cast<double>(s.rank_in_sum.load(std::memory_order_relaxed)) /
-        n;
-    r.rank_out_min = s.rank_out_min.load(std::memory_order_relaxed);
-    r.rank_out_max = s.rank_out_max.load(std::memory_order_relaxed);
-    r.rank_out_mean =
-        static_cast<double>(s.rank_out_sum.load(std::memory_order_relaxed)) /
-        n;
+    r.rank_in_mean = static_cast<double>(t.rank_in_sum[k]) / n;
+    r.rank_out_mean = static_cast<double>(t.rank_out_sum[k]) / n;
   }
-  return r;
+  return t;
+}
+
+double total_flops(const Totals& t) {
+  double sum = t.rows[flops::kNumKernels].flops;  // uncategorized first
+  for (int k = 0; k < flops::kNumKernels; ++k) sum += t.rows[k].flops;
+  return sum;
+}
+
+std::vector<KernelCounterRow> kernel_rows(const Totals& t) {
+  std::vector<KernelCounterRow> rows;
+  for (const KernelCounterRow& r : t.rows)
+    if (r.count > 0) rows.push_back(r);
+  return rows;
 }
 
 }  // namespace
 
-void Counters::record_task(int kind, double flops, long long bytes,
-                           int rank_in, int rank_out) noexcept {
-  Slot& s = state().slots[slot_index(kind)];
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(s.flops, flops);
-  s.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (rank_in >= 0 || rank_out >= 0) {
-    s.rank_tasks.fetch_add(1, std::memory_order_relaxed);
-    const int in = rank_in >= 0 ? rank_in : 0;
-    const int out = rank_out >= 0 ? rank_out : 0;
-    s.rank_in_sum.fetch_add(in, std::memory_order_relaxed);
-    s.rank_out_sum.fetch_add(out, std::memory_order_relaxed);
-    atomic_min(s.rank_in_min, in);
-    atomic_max(s.rank_in_max, in);
-    atomic_min(s.rank_out_min, out);
-    atomic_max(s.rank_out_max, out);
-  }
-}
-
-void Counters::record_comm(long long bytes) noexcept {
-  State& s = state();
-  s.comm_messages.fetch_add(1, std::memory_order_relaxed);
-  s.comm_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void Counters::record_net(long long bytes, bool sent,
-                          bool retransmit) noexcept {
-  State& s = state();
-  if (sent) {
-    s.net_msgs_sent.fetch_add(1, std::memory_order_relaxed);
-    s.net_bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
-    if (retransmit)
-      s.net_retransmits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s.net_msgs_recv.fetch_add(1, std::memory_order_relaxed);
-    s.net_bytes_recv.fetch_add(bytes, std::memory_order_relaxed);
-  }
-}
-
-void Counters::record_compression(int rank_in, int rank_out) noexcept {
-  State& s = state();
-  s.compress_count.fetch_add(1, std::memory_order_relaxed);
-  s.compress_rank_in.fetch_add(rank_in, std::memory_order_relaxed);
-  s.compress_rank_out.fetch_add(rank_out, std::memory_order_relaxed);
-}
-
-void Counters::record_resilience(ResilienceEvent ev) noexcept {
-  const int i = static_cast<int>(ev);
-  if (i < 0 || i >= kNumResilienceEvents) return;
-  state().resilience[i].fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<KernelCounterRow> Counters::kernel_rows() {
-  std::vector<KernelCounterRow> rows;
-  for (int k = 0; k < flops::kNumKernels; ++k) {
-    KernelCounterRow r = read_row(k);
-    if (r.count > 0) rows.push_back(r);
-  }
-  KernelCounterRow other = read_row(-1);
-  if (other.count > 0) rows.push_back(other);
-  return rows;
+  return obs::kernel_rows(totals());
 }
 
-KernelCounterRow Counters::row(int kind) { return read_row(kind); }
-
-CommCounters Counters::comm() {
-  const State& s = state();
-  return {s.comm_messages.load(std::memory_order_relaxed),
-          s.comm_bytes.load(std::memory_order_relaxed)};
+KernelCounterRow Counters::row(int kind) {
+  return totals().rows[row_index(kind)];
 }
 
-NetCounters Counters::net() {
-  const State& s = state();
-  return {s.net_msgs_sent.load(std::memory_order_relaxed),
-          s.net_bytes_sent.load(std::memory_order_relaxed),
-          s.net_msgs_recv.load(std::memory_order_relaxed),
-          s.net_bytes_recv.load(std::memory_order_relaxed),
-          s.net_retransmits.load(std::memory_order_relaxed)};
-}
+CommCounters Counters::comm() { return totals().comm; }
+
+NetCounters Counters::net() { return totals().net; }
 
 CompressionCounters Counters::compressions() {
-  const State& s = state();
-  return {s.compress_count.load(std::memory_order_relaxed),
-          s.compress_rank_in.load(std::memory_order_relaxed),
-          s.compress_rank_out.load(std::memory_order_relaxed)};
+  return totals().compressions;
 }
 
-ResilienceCounters Counters::resilience() {
-  const State& s = state();
-  ResilienceCounters r;
-  for (int i = 0; i < kNumResilienceEvents; ++i)
-    r.counts[i] = s.resilience[i].load(std::memory_order_relaxed);
-  return r;
-}
+ResilienceCounters Counters::resilience() { return totals().resilience; }
 
-double Counters::total_flops() {
-  double t = 0.0;
-  for (int k = -1; k < flops::kNumKernels; ++k)
-    t += read_row(k).flops;
-  return t;
-}
+double Counters::total_flops() { return obs::total_flops(totals()); }
 
-void Counters::reset() noexcept {
-  State& s = state();
-  for (Slot& slot : s.slots) slot.clear();
-  s.comm_messages.store(0, std::memory_order_relaxed);
-  s.comm_bytes.store(0, std::memory_order_relaxed);
-  s.net_msgs_sent.store(0, std::memory_order_relaxed);
-  s.net_bytes_sent.store(0, std::memory_order_relaxed);
-  s.net_msgs_recv.store(0, std::memory_order_relaxed);
-  s.net_bytes_recv.store(0, std::memory_order_relaxed);
-  s.net_retransmits.store(0, std::memory_order_relaxed);
-  s.compress_count.store(0, std::memory_order_relaxed);
-  s.compress_rank_in.store(0, std::memory_order_relaxed);
-  s.compress_rank_out.store(0, std::memory_order_relaxed);
-  for (auto& c : s.resilience) c.store(0, std::memory_order_relaxed);
-}
+void Counters::reset() { obs::reset(); }
 
 const char* resilience_event_name(ResilienceEvent ev) noexcept {
   switch (ev) {
@@ -271,12 +172,14 @@ const char* kernel_name(int kind) noexcept {
 }
 
 std::string counters_ascii() {
-  const auto rows = Counters::kernel_rows();
-  const auto cm = Counters::comm();
-  const auto cp = Counters::compressions();
-  const auto rs = Counters::resilience();
+  const Totals tt = totals();
+  const auto rows = kernel_rows(tt);
+  const auto& cm = tt.comm;
+  const auto& cp = tt.compressions;
+  const auto& rs = tt.resilience;
+  const auto& net = tt.net;
   if (rows.empty() && cm.messages == 0 && cp.count == 0 && rs.total() == 0 &&
-      Counters::net().msgs_sent == 0 && Counters::net().msgs_recv == 0)
+      net.msgs_sent == 0 && net.msgs_recv == 0)
     return {};
 
   Table t({"kernel", "count", "gflops", "MB out", "rk-in min/mean/max",
@@ -298,12 +201,11 @@ std::string counters_ascii() {
   }
   std::ostringstream os;
   t.print(os);
-  os << "total measured: " << Counters::total_flops() / 1e9 << " Gflop\n";
+  os << "total measured: " << total_flops(tt) / 1e9 << " Gflop\n";
   if (cm.messages > 0)
     os << "comm: " << cm.messages << " messages, "
        << static_cast<double>(cm.bytes) / 1e6 << " MB\n";
-  if (const auto net = Counters::net();
-      net.msgs_sent > 0 || net.msgs_recv > 0)
+  if (net.msgs_sent > 0 || net.msgs_recv > 0)
     os << "wire: " << net.msgs_sent << " frames out ("
        << static_cast<double>(net.bytes_sent) / 1e6 << " MB), "
        << net.msgs_recv << " frames in ("
@@ -329,10 +231,12 @@ std::string counters_ascii() {
 }
 
 std::string counters_json() {
-  const auto rows = Counters::kernel_rows();
-  const auto cm = Counters::comm();
-  const auto cp = Counters::compressions();
-  const auto rs = Counters::resilience();
+  const Totals tt = totals();
+  const auto rows = kernel_rows(tt);
+  const auto& cm = tt.comm;
+  const auto& cp = tt.compressions;
+  const auto& rs = tt.resilience;
+  const auto& net = tt.net;
   std::ostringstream os;
   os.precision(17);  // doubles round-trip exactly
   os << "{\"kernels\": [";
@@ -349,10 +253,9 @@ std::string counters_json() {
        << ", \"mean\": " << r.rank_out_mean
        << ", \"max\": " << r.rank_out_max << "}}";
   }
-  os << "], \"total_flops\": " << Counters::total_flops()
+  os << "], \"total_flops\": " << total_flops(tt)
      << ", \"comm\": {\"messages\": " << cm.messages
      << ", \"bytes\": " << cm.bytes << "}";
-  const auto net = Counters::net();
   os << ", \"net\": {\"msgs_sent\": " << net.msgs_sent
      << ", \"bytes_sent\": " << net.bytes_sent
      << ", \"msgs_recv\": " << net.msgs_recv

@@ -1,24 +1,27 @@
-// Per-kernel-class counter registry: the aggregation half of the
-// observability layer (src/obs).
+// Per-kernel-class counters: the aggregation half of the observability
+// layer (src/obs).
 //
-// Aggregates, per Table I kernel class, exactly what the trace spans carry
-// individually: task count, measured flops, bytes produced, and the
-// min/mean/max of the operand ranks flowing in and out — the numbers
-// behind the paper's flop breakdowns and rank-traffic analysis. A separate
-// channel counts mailbox messages/bytes and recompressions.
+// Every value here is a reduction of the spans the recorder (trace.hpp)
+// keeps, computed on read under the registry mutex; there is no second
+// store. Per Table I kernel class: task count, measured flops, bytes
+// produced, and the min/mean/max of the operand ranks flowing in and out
+// — the numbers behind the paper's flop breakdowns and rank-traffic
+// analysis — from the executed-task spans. Mailbox messages come from the
+// "send" spans, wire frames from the net_* spans, recovery events from the
+// resilience spans, and recompressions from the (5)/(6)-GEMM task spans
+// (each compresses its tile once and reports the ranks in and out).
 //
-// Exactness contract (locked by tests/test_obs.cpp): the per-class flop
-// totals are fed from the thread-local flop accumulator the dense kernels
-// charge (common/flops.hpp), summed in double precision. For the dense
-// kernels — (1)-GEMM/SYRK/TRSM/POTRF — every task of a class charges the
-// identical closed-form value, so the class total is bitwise equal to the
-// Table I model summed the same way, independent of scheduling order. The
+// Exactness contract (locked by tests/test_obs.cpp): a span's flops are
+// the thread-local flop accumulator the dense kernels charge
+// (common/flops.hpp), and a class total sums them in double precision.
+// For the dense kernels — (1)-GEMM/SYRK/TRSM/POTRF — every task of a class
+// charges the identical closed-form value, so the class total is bitwise
+// equal to the Table I model summed the same way, in any span order. The
 // low-rank kernels are rank-dependent and only admit bounds.
 //
-// All slots are atomics; recording is wait-free on x86-64 except for the
-// double adds and int min/max, which CAS-loop. The registry is active only
-// while obs::enabled() — when the master switch is off nothing is ever
-// touched and every counter reads zero.
+// Spans are recorded only while obs::enabled(), so with the master switch
+// off every counter reads zero. Reads share snapshot_spans()' contract:
+// the caller is quiesced (no worker pool running).
 #pragma once
 
 #include <vector>
@@ -111,34 +114,23 @@ struct ResilienceCounters {
   }
 };
 
-/// Process-wide registry; all methods are static and thread-safe.
+/// Reductions over every span recorded in this process (all runs since
+/// the last reset). All methods are static; callers must be quiesced.
 class Counters {
  public:
-  /// Slots: one per Table I kernel plus one uncategorized (-1) slot.
-  static constexpr int kSlots = flops::kNumKernels + 1;
-
-  /// Charge one executed task to class `kind` (-1 or out-of-range goes to
-  /// the uncategorized slot). `rank_in`/`rank_out` of -1 mean "kernel did
-  /// not report ranks" and leave the rank statistics untouched.
-  static void record_task(int kind, double flops, long long bytes,
-                          int rank_in, int rank_out) noexcept;
-
-  static void record_comm(long long bytes) noexcept;
-  /// Charge one wire frame: `sent` distinguishes the send and receive
-  /// sides; `retransmit` marks an RTO resend (counted on the send side).
-  static void record_net(long long bytes, bool sent, bool retransmit) noexcept;
-  static void record_compression(int rank_in, int rank_out) noexcept;
-  static void record_resilience(ResilienceEvent ev) noexcept;
-
-  /// Rows of every class with at least one recorded task, ordered by kind
-  /// (uncategorized last).
+  /// Rows of every class with at least one executed task, ordered by kind
+  /// (uncategorized last). A task span of kind -1 or out of range counts
+  /// as uncategorized; ranks of -1 mean "kernel did not report ranks".
   static std::vector<KernelCounterRow> kernel_rows();
 
   /// One class's row (zeros if nothing recorded). `kind` -1 reads the
-  /// uncategorized slot.
+  /// uncategorized row.
   static KernelCounterRow row(int kind);
 
+  /// Mailbox deposits ("send" spans).
   static CommCounters comm();
+  /// Wire frames (net_* spans); a retransmit counts as a frame sent, and a
+  /// rejoin handshake is not payload traffic.
   static NetCounters net();
   static CompressionCounters compressions();
   static ResilienceCounters resilience();
@@ -146,8 +138,9 @@ class Counters {
   /// Sum of measured flops over every class.
   static double total_flops();
 
-  /// Zero everything.
-  static void reset() noexcept;
+  /// Zero everything: obs::reset(), since every counter is a reduction of
+  /// the recorded spans.
+  static void reset();
 };
 
 /// Short name of a kernel class ("(1)-POTRF", ..., "other" for -1 or

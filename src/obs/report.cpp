@@ -1,6 +1,7 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
+#include <map>
 #include <queue>
 #include <sstream>
 
@@ -139,22 +140,34 @@ std::string to_json(const MemoryReport& r) {
   return os.str();
 }
 
+namespace {
+
+/// First start over one run's spans: the run's time origin.
+double run_origin(const std::vector<Span>& spans) {
+  double t = spans.empty() ? 0.0 : spans.front().t0;
+  for (const Span& s : spans) t = std::min(t, s.t0);
+  return t;
+}
+
+}  // namespace
+
 CriticalPathReport critical_path(const rt::TaskGraph& g,
-                                 const std::vector<rt::TraceEvent>& trace) {
+                                 const std::vector<Span>& spans) {
   const int n = g.size();
   CriticalPathReport r;
   if (n == 0) return r;
 
-  auto duration = [&](rt::TaskId t) {
-    const std::size_t i = static_cast<std::size_t>(t);
-    if (i >= trace.size() || trace[i].task < 0) return 0.0;
-    return trace[i].end - trace[i].start;
-  };
-  for (rt::TaskId t = 0; t < n; ++t) {
-    r.serial_seconds += duration(t);
-    if (static_cast<std::size_t>(t) < trace.size() && trace[t].task >= 0)
-      r.makespan = std::max(r.makespan, trace[t].end);
+  std::vector<double> seconds(static_cast<std::size_t>(n), 0.0);
+  const double origin = run_origin(spans);
+  for (const Span& s : spans) {
+    if (s.task < 0 || s.task >= n) continue;
+    seconds[static_cast<std::size_t>(s.task)] = s.t1 - s.t0;
+    r.serial_seconds += s.t1 - s.t0;
+    r.makespan = std::max(r.makespan, s.t1 - origin);
   }
+  auto duration = [&](rt::TaskId t) {
+    return seconds[static_cast<std::size_t>(t)];
+  };
 
   // Longest weighted path via Kahn topological order (the generator emits
   // forward edges, but explicit add_dependency edges need not be sorted).
@@ -194,6 +207,36 @@ CriticalPathReport critical_path(const rt::TaskGraph& g,
   r.avg_parallelism =
       r.path_seconds > 0.0 ? r.serial_seconds / r.path_seconds : 0.0;
   return r;
+}
+
+std::vector<double> panel_release_times(const std::vector<Span>& spans) {
+  int max_panel = -1;
+  for (const Span& s : spans) max_panel = std::max(max_panel, s.panel);
+  std::vector<double> out(static_cast<std::size_t>(max_panel + 1), 0.0);
+  const double origin = run_origin(spans);
+  for (const Span& s : spans) {
+    if (s.panel < 0) continue;
+    double& t = out[static_cast<std::size_t>(s.panel)];
+    t = std::max(t, s.t1 - origin);
+  }
+  return out;
+}
+
+std::vector<KindStats> kind_breakdown(const std::vector<Span>& spans) {
+  std::map<int, KindStats> agg;
+  for (const Span& s : spans) {
+    KindStats& k = agg[s.kind];
+    k.kind = s.kind;
+    k.count++;
+    k.seconds += s.t1 - s.t0;
+  }
+  std::vector<KindStats> out;
+  out.reserve(agg.size());
+  for (const auto& [kind, k] : agg) out.push_back(k);
+  std::sort(out.begin(), out.end(), [](const KindStats& a, const KindStats& b) {
+    return a.seconds > b.seconds;
+  });
+  return out;
 }
 
 std::string to_ascii(const CriticalPathReport& r) {

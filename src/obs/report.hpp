@@ -8,17 +8,20 @@
 //   * critical_path    — longest dependency chain through the executed
 //                        DAG weighted by the *measured* task durations
 //                        (the Fig. 10 quantity, from a trace instead of
-//                        the simulator's model).
+//                        the simulator's model);
+//   * panel_release_times / kind_breakdown — the Fig. 9 release curve and
+//                        the Fig. 11 per-class time split.
 //
-// Each reporter returns a plain struct plus to_ascii/to_json renderers so
-// examples, benches and tools emit both human- and machine-readable
-// artifacts from the same numbers.
+// The last three reduce one run's spans (obs::run_spans of an
+// ExecResult::run or SimResult::run), so several runs in one process stay
+// apart. Each reporter returns a plain struct plus to_ascii/to_json
+// renderers where examples, benches and tools print it.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "runtime/executor.hpp"
+#include "obs/trace.hpp"
 #include "runtime/taskgraph.hpp"
 #include "tlr/tlr_matrix.hpp"
 
@@ -63,17 +66,32 @@ struct CriticalPathReport {
   double path_seconds = 0.0;    ///< longest chain of task durations
   int path_tasks = 0;           ///< tasks on that chain
   double serial_seconds = 0.0;  ///< sum of all task durations
-  double makespan = 0.0;        ///< max end time in the trace
+  double makespan = 0.0;        ///< last end minus first start of the run
   /// serial / path: the average parallelism the DAG admits; the measured
   /// makespan can approach path_seconds but never beat it.
   double avg_parallelism = 0.0;
 };
 
-/// `trace` must come from executing `g` (one event per task, indexed by
-/// task id). Events that never ran (task == -1) count as zero duration.
+/// `spans` are one run of `g` (run_spans); a task without a span counts
+/// as zero duration.
 CriticalPathReport critical_path(const rt::TaskGraph& g,
-                                 const std::vector<rt::TraceEvent>& trace);
+                                 const std::vector<Span>& spans);
 std::string to_ascii(const CriticalPathReport& r);
 std::string to_json(const CriticalPathReport& r);
+
+/// Completion time of the last task of each panel, from the run's first
+/// start — the panel release curve of Fig. 9. One entry per panel index
+/// up to the largest present. `spans` are one run (run_spans).
+std::vector<double> panel_release_times(const std::vector<Span>& spans);
+
+/// How many tasks of each kind ran and how much time they took — the
+/// per-kernel-class breakdown behind the Fig. 11 analysis ("most flops
+/// come from TLR GEMMs"). Sorted by time, largest first.
+struct KindStats {
+  int kind = 0;
+  long long count = 0;
+  double seconds = 0.0;
+};
+std::vector<KindStats> kind_breakdown(const std::vector<Span>& spans);
 
 }  // namespace ptlr::obs

@@ -7,7 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <set>
 
 #include "common/error.hpp"
 #include "common/knobs.hpp"
@@ -24,7 +24,7 @@ namespace {
 // ------------------------------------------------------- span registry --
 // Each recording thread owns one SpanBuffer. The registry mutex guards
 // only registration, retirement (thread exit returns the buffer to a free
-// list for reuse by later worker pools) and snapshotting; appends are
+// list for reuse by later worker pools) and reading; appends are
 // unsynchronized on the owning thread.
 
 struct SpanBuffer {
@@ -128,7 +128,11 @@ void reset() {
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& b : r.buffers) b->spans.clear();
   r.metadata.clear();
-  Counters::reset();
+}
+
+int begin_run() {
+  static std::atomic<int> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 void task_begin() {
@@ -150,34 +154,26 @@ void annotate_ranks(int rank_in, int rank_out) noexcept {
   tl_open.rank_out = rank_out;
 }
 
-void task_end(const std::string& name, int kind, int panel, int ti, int tj,
-              int worker, long long output_bytes) {
+void task_end(Span s) {
   if (!enabled()) return;
   const double t1 = now_seconds();
   const double measured = flops::Counter::thread_flops();
   OpenSpan open = tl_open;
   tl_open = OpenSpan{};
   if (!open.open) open.t0 = t1;  // degenerate span: end without begin
-  const int k = open.kind_override != -2 ? open.kind_override : kind;
-
-  Span s;
-  s.name = name;
+  if (open.kind_override != -2) s.kind = open.kind_override;
   s.cat = SpanCat::kTask;
-  s.kind = k;
-  s.panel = panel;
-  s.ti = ti;
-  s.tj = tj;
-  s.worker = worker;
   s.t0 = open.t0;
   s.t1 = t1;
   s.flops = measured;
-  s.bytes = output_bytes;
   s.rank_in = open.rank_in;
   s.rank_out = open.rank_out;
   thread_buffer().spans.push_back(std::move(s));
+}
 
-  Counters::record_task(k, measured, output_bytes, open.rank_in,
-                        open.rank_out);
+void record(Span s) {
+  if (!enabled()) return;
+  thread_buffer().spans.push_back(std::move(s));
 }
 
 namespace {
@@ -199,6 +195,16 @@ int thread_lane_id() {
 // event args.
 constexpr int kNetLaneBase = 1000;
 
+int chrome_pid(const Span& s) {
+  switch (s.cat) {
+    case SpanCat::kComm: return 1;
+    case SpanCat::kResil: return 2;
+    case SpanCat::kSim: return kSimPidBase + s.proc;
+    case SpanCat::kTask: break;
+  }
+  return 0;
+}
+
 }  // namespace
 
 void record_comm(int from, int to, long long bytes) {
@@ -212,16 +218,22 @@ void record_comm(int from, int to, long long bytes) {
   s.t0 = s.t1 = now_seconds();
   s.bytes = bytes;
   thread_buffer().spans.push_back(std::move(s));
-  Counters::record_comm(bytes);
+}
+
+const char* net_event_name(NetEvent ev) noexcept {
+  switch (ev) {
+    case NetEvent::kSend: return "net_send";
+    case NetEvent::kRecv: return "net_recv";
+    case NetEvent::kRetransmit: return "net_retransmit";
+    case NetEvent::kRejoin: return "net_rejoin";
+  }
+  return "net_unknown";
 }
 
 void record_net(NetEvent ev, int from, int to, long long bytes) {
   if (!enabled()) return;
   Span s;
-  s.name = ev == NetEvent::kSend        ? "net_send"
-           : ev == NetEvent::kRecv      ? "net_recv"
-           : ev == NetEvent::kRejoin    ? "net_rejoin"
-                                        : "net_retransmit";
+  s.name = net_event_name(ev);
   s.cat = SpanCat::kComm;
   s.ti = from;
   s.tj = to;
@@ -229,16 +241,6 @@ void record_net(NetEvent ev, int from, int to, long long bytes) {
   s.t0 = s.t1 = now_seconds();
   s.bytes = bytes;
   thread_buffer().spans.push_back(std::move(s));
-  // A rejoin is a handshake, not payload traffic: it lands in the trace
-  // but not in the msgs/bytes counters.
-  if (ev != NetEvent::kRejoin)
-    Counters::record_net(bytes, ev != NetEvent::kRecv,
-                         ev == NetEvent::kRetransmit);
-}
-
-void record_compression(int rank_in, int rank_out) {
-  if (!enabled()) return;
-  Counters::record_compression(rank_in, rank_out);
 }
 
 void record_resilience(ResilienceEvent ev, const std::string& detail) {
@@ -251,7 +253,6 @@ void record_resilience(ResilienceEvent ev, const std::string& detail) {
   s.worker = thread_lane_id();
   s.t0 = s.t1 = now_seconds();
   thread_buffer().spans.push_back(std::move(s));
-  Counters::record_resilience(ev);
 }
 
 void set_metadata(const std::string& key, const std::string& value) {
@@ -267,6 +268,24 @@ std::vector<Span> snapshot_spans() {
   for (const auto& b : r.buffers)
     out.insert(out.end(), b->spans.begin(), b->spans.end());
   return out;
+}
+
+std::vector<Span> run_spans(int run) {
+  std::vector<Span> out;
+  if (run < 0) return out;
+  detail::for_each_span([&](const Span& s) {
+    if (s.run == run) out.push_back(s);
+  });
+  std::sort(out.begin(), out.end(),
+            [](const Span& a, const Span& b) { return a.task < b.task; });
+  return out;
+}
+
+void detail::for_each_span(const std::function<void(const Span&)>& f) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (const auto& b : r.buffers)
+    for (const Span& s : b->spans) f(s);
 }
 
 void write_chrome_trace(const std::string& path) {
@@ -312,16 +331,23 @@ void write_chrome_trace(const std::string& path) {
     os << "}}";
   }
 
-  // Lane names: pid 0 = task execution (one tid per worker), pid 1 = comm.
-  sep();
-  os << R"(  {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, )"
-     << R"("args": {"name": "ptlr tasks"}})";
-  sep();
-  os << R"(  {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, )"
-     << R"("args": {"name": "ptlr comm"}})";
-  sep();
-  os << R"(  {"name": "process_name", "ph": "M", "pid": 2, "tid": 0, )"
-     << R"("args": {"name": "ptlr resilience"}})";
+  // Lane names for the pids written: 0 = task execution (one tid per
+  // worker), 1 = comm, 2 = resilience, kSimPidBase + p = simulated
+  // process p (one tid per virtual core).
+  std::set<int> pids;
+  if (!meta.empty()) pids.insert(0);
+  for (const Span& s : spans) pids.insert(chrome_pid(s));
+  for (const int pid : pids) {
+    sep();
+    os << R"(  {"name": "process_name", "ph": "M", "pid": )" << pid
+       << R"(, "tid": 0, "args": {"name": ")";
+    if (pid >= kSimPidBase)
+      os << "sim process " << pid - kSimPidBase;
+    else
+      os << (pid == 0 ? "ptlr tasks" : pid == 1 ? "ptlr comm"
+                                                : "ptlr resilience");
+    os << "\"}}";
+  }
 
   for (const Span& s : spans) {
     sep();
@@ -339,13 +365,15 @@ void write_chrome_trace(const std::string& path) {
       os << R"("}})";
       continue;
     }
-    const int pid = s.cat == SpanCat::kComm ? 1 : 0;
     const char* ph = s.cat == SpanCat::kComm ? "i" : "X";
+    const char* cat = s.cat == SpanCat::kComm  ? "comm"
+                      : s.cat == SpanCat::kSim ? "sim"
+                                               : "task";
     os << R"(  {"name": ")";
     json_escape(os, s.name);
-    os << R"(", "cat": ")" << (s.cat == SpanCat::kComm ? "comm" : "task")
-       << R"(", "ph": ")" << ph << R"(", "pid": )" << pid << R"(, "tid": )"
-       << s.worker << R"(, "ts": )" << s.t0 * 1e6;
+    os << R"(", "cat": ")" << cat << R"(", "ph": ")" << ph
+       << R"(", "pid": )" << chrome_pid(s) << R"(, "tid": )" << s.worker
+       << R"(, "ts": )" << s.t0 * 1e6;
     if (s.cat == SpanCat::kComm) {
       os << R"(, "s": "t")";
     } else {
@@ -355,7 +383,11 @@ void write_chrome_trace(const std::string& path) {
        << kernel_name(s.kind) << R"(", "panel": )" << s.panel
        << R"(, "i": )" << s.ti << R"(, "j": )" << s.tj << R"(, "flops": )"
        << s.flops << R"(, "bytes": )" << s.bytes << R"(, "rank_in": )"
-       << s.rank_in << R"(, "rank_out": )" << s.rank_out << "}}";
+       << s.rank_in << R"(, "rank_out": )" << s.rank_out;
+    if (s.run >= 0)
+      os << R"(, "run": )" << s.run << R"(, "task": )" << s.task;
+    if (s.cat == SpanCat::kSim) os << R"(, "proc": )" << s.proc;
+    os << "}}";
   }
   os << "\n]}\n";
   PTLR_CHECK(os.good(), "failed writing trace file: " + path);

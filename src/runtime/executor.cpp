@@ -166,8 +166,10 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
           g.gated(t) ? kStateGated : kStatePending, std::memory_order_relaxed);
   }
 
-  std::vector<TraceEvent> trace;
-  if (opts.record_trace) trace.resize(static_cast<std::size_t>(n));
+  // A traced run takes a run id; its spans carry it, so one run's spans
+  // can be told from another's in the process-wide registry.
+  const int run = obs::enabled() ? obs::begin_run() : -1;
+  result.run = run;
   std::atomic<long long> seq_clock{0};
   std::atomic<long long> completed{0};
   // Fail-fast drain: once an unrecoverable error (or the watchdog) sets
@@ -267,7 +269,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   };
 
   // Run one task's body: perturbation stall, fault injection with
-  // snapshot/restore retry, obs span, trace stamps.
+  // snapshot/restore retry, obs span with happens-before stamps.
   // Returns false when the run is condemned (fail() already called).
   auto run_task = [&](TaskId task, int wid) -> bool {
     if (wd_on)
@@ -291,17 +293,12 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
 
     // Observability span hook: bracket the body so the obs layer can
     // attribute the flops the kernels charge (and the ranks they
-    // annotate) to this task. One relaxed load when tracing is off.
-    // Retries re-open the span, so only the successful attempt's flops
-    // are charged and the exactness contract of the counters holds.
-    const bool obs_on = obs::enabled();
-    const bool tracing = opts.record_trace;
+    // annotate) to this task. Retries re-open the span, so only the
+    // successful attempt's flops are charged and the exactness contract
+    // of the counters holds; the seq stamps bracket every attempt.
+    const bool obs_on = run >= 0;
     long long s0 = -1;
-    double t0 = 0.0;
-    if (tracing) {
-      s0 = seq_clock.fetch_add(1, std::memory_order_relaxed);
-      t0 = timer.seconds();
-    }
+    if (obs_on) s0 = seq_clock.fetch_add(1, std::memory_order_relaxed);
     int attempt = 0;
     for (;;) {
       try {
@@ -358,21 +355,19 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     if (attempt > 0)
       resil::note(resil::ResilienceEvent::kTaskRecovered, info.name);
     if (obs_on) {
-      obs::task_end(info.name, info.kind, info.panel, info.ti, info.tj, wid,
-                    static_cast<long long>(info.output_bytes));
-    }
-    if (tracing) {
-      const double t1 = timer.seconds();
-      const long long s1 = seq_clock.fetch_add(1, std::memory_order_relaxed);
-      auto& ev = trace[static_cast<std::size_t>(task)];
-      ev.task = task;
-      ev.kind = info.kind;
-      ev.panel = info.panel;
-      ev.worker = wid;
-      ev.start = t0;
-      ev.end = t1;
-      ev.seq_start = s0;
-      ev.seq_end = s1;
+      obs::Span s;
+      s.name = info.name;
+      s.kind = info.kind;
+      s.panel = info.panel;
+      s.ti = info.ti;
+      s.tj = info.tj;
+      s.worker = wid;
+      s.bytes = static_cast<long long>(info.output_bytes);
+      s.run = run;
+      s.task = task;
+      s.seq0 = s0;
+      s.seq1 = seq_clock.fetch_add(1, std::memory_order_relaxed);
+      obs::task_end(std::move(s));
     }
     if (wd_on) {
       state[static_cast<std::size_t>(task)].store(kStateDone,
@@ -897,37 +892,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     std::rethrow_exception(first_error);
   }
   result.seconds = timer.seconds();
-  result.trace = std::move(trace);
   return result;
-}
-
-ExecResult execute(TaskGraph& g, int nthreads, bool record_trace) {
-  ExecOptions opts;
-  opts.record_trace = record_trace;
-  return execute(g, nthreads, opts);
-}
-
-std::vector<double> panel_release_times(
-    const std::vector<TraceEvent>& trace) {
-  int max_panel = -1;
-  for (const auto& ev : trace) max_panel = std::max(max_panel, ev.panel);
-  std::vector<double> out(static_cast<std::size_t>(max_panel + 1), 0.0);
-  for (const auto& ev : trace) {
-    if (ev.panel >= 0)
-      out[static_cast<std::size_t>(ev.panel)] =
-          std::max(out[static_cast<std::size_t>(ev.panel)], ev.end);
-  }
-  return out;
-}
-
-std::vector<double> busy_per_process(const std::vector<TraceEvent>& trace,
-                                     int nproc) {
-  std::vector<double> busy(static_cast<std::size_t>(nproc), 0.0);
-  for (const auto& ev : trace) {
-    if (ev.proc >= 0 && ev.proc < nproc)
-      busy[static_cast<std::size_t>(ev.proc)] += ev.end - ev.start;
-  }
-  return busy;
 }
 
 }  // namespace ptlr::rt

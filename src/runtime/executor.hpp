@@ -12,14 +12,16 @@
 #include "runtime/perturb.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/taskgraph.hpp"
-#include "runtime/trace.hpp"
 
 namespace ptlr::rt {
 
 /// Result of a shared-memory run.
 struct ExecResult {
   double seconds = 0.0;              ///< wall-clock makespan
-  std::vector<TraceEvent> trace;     ///< one event per executed task
+  /// Run id of this run's spans (obs::run_spans) when obs::enabled() at
+  /// launch: one span per executed task, with happens-before stamps.
+  /// -1 when not recording.
+  int run = -1;
   /// Recovery events observed while this run executed (process-global
   /// snapshot diff: injected faults, retries, recoveries, watchdog fires).
   resil::RecoveryStats recovery;
@@ -29,7 +31,6 @@ struct ExecResult {
 
 /// Options of a shared-memory run.
 struct ExecOptions {
-  bool record_trace = false;  ///< fill ExecResult::trace (incl. seq stamps)
   /// Run TaskGraph::validate() before launching workers, so a malformed
   /// graph (cycle, dangling successor, inconsistent predecessor counts)
   /// throws a descriptive ptlr::Error instead of deadlocking the pool.
@@ -78,9 +79,7 @@ struct ExecOptions {
 /// recovered by snapshot-restore + retry (opts.retry); any other exception
 /// cancels the run — pending tasks are skipped, the pool drains promptly,
 /// and the first error is rethrown on the calling thread.
-ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts);
-
-/// Back-compat convenience overload.
-ExecResult execute(TaskGraph& g, int nthreads, bool record_trace = false);
+ExecResult execute(TaskGraph& g, int nthreads,
+                   const ExecOptions& opts = {});
 
 }  // namespace ptlr::rt

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 
 namespace ptlr::rt {
 
@@ -43,7 +44,7 @@ SimResult simulate(const TaskGraph& g, const SimConfig& cfg) {
   SimResult result;
   result.busy.assign(static_cast<std::size_t>(cfg.nproc), 0.0);
   if (n == 0) return result;
-  if (cfg.record_trace) result.trace.resize(static_cast<std::size_t>(n));
+  result.run = obs::enabled() ? obs::begin_run() : -1;
 
   std::vector<int> pending(static_cast<std::size_t>(n));
   std::vector<double> ready_time(static_cast<std::size_t>(n), 0.0);
@@ -86,17 +87,25 @@ SimResult simulate(const TaskGraph& g, const SimConfig& cfg) {
   double makespan = 0.0;
 
   auto place = [&](int proc, double now, TaskId t, int core, bool accel) {
-    const double dur = accel ? g.info(t).duration / cfg.accel_speedup
-                             : g.info(t).duration;
-    if (cfg.record_trace) {
-      auto& ev = result.trace[static_cast<std::size_t>(t)];
-      ev.task = t;
-      ev.kind = g.info(t).kind;
-      ev.panel = g.info(t).panel;
-      ev.proc = proc;
-      ev.worker = core;
-      ev.start = now;
-      ev.end = now + dur;
+    const TaskInfo& info = g.info(t);
+    const double dur = accel ? info.duration / cfg.accel_speedup
+                             : info.duration;
+    if (result.run >= 0) {
+      obs::Span s;
+      s.name = info.name;
+      s.cat = obs::SpanCat::kSim;
+      s.kind = info.kind;
+      s.panel = info.panel;
+      s.ti = info.ti;
+      s.tj = info.tj;
+      s.worker = core;
+      s.bytes = static_cast<long long>(info.output_bytes);
+      s.run = result.run;
+      s.task = t;
+      s.proc = proc;
+      s.t0 = now;
+      s.t1 = now + dur;
+      obs::record(std::move(s));
     }
     result.busy[static_cast<std::size_t>(proc)] += dur;
     events.push({now + dur, 1, t, core, seq++});

@@ -15,7 +15,6 @@
 #pragma once
 
 #include "runtime/taskgraph.hpp"
-#include "runtime/trace.hpp"
 
 namespace ptlr::rt {
 
@@ -48,7 +47,6 @@ struct SimConfig {
   int nproc = 1;
   int cores_per_proc = 1;
   CommModel comm;
-  bool record_trace = false;
   /// Heterogeneous nodes (Section IX future work): accelerators per
   /// process that run device_class-1 tasks `accel_speedup`× faster.
   /// device_class-1 tasks fall back to CPU cores when accelerators are
@@ -69,7 +67,10 @@ struct SimResult {
   std::vector<double> busy = {};         ///< per-process busy core-seconds
   long long messages = 0;                ///< REMOTE messages posted
   double message_bytes = 0.0;            ///< total REMOTE payload
-  std::vector<TraceEvent> trace = {};    ///< if record_trace
+  /// Run id of this simulation's spans (obs::run_spans) when
+  /// obs::enabled(): one SpanCat::kSim span per task, on simulated
+  /// seconds, with its process and core. -1 when not recording.
+  int run = -1;
   /// Occupancy of process p: busy[p] / (makespan * cores_per_proc).
   [[nodiscard]] double occupancy(int p, int cores) const {
     return makespan > 0.0
@@ -79,7 +80,8 @@ struct SimResult {
 };
 
 /// Run the discrete-event simulation of `g` on the virtual cluster.
-/// Task owners and durations must be set in each TaskInfo.
+/// Task owners and durations must be set in each TaskInfo. With obs on,
+/// records one span per task (see SimResult::run).
 SimResult simulate(const TaskGraph& g, const SimConfig& cfg);
 
 }  // namespace ptlr::rt

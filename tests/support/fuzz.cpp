@@ -169,7 +169,8 @@ FuzzProgram FuzzProgram::random(Rng& rng, int ntasks, int nkeys) {
     for (int w = 0; w < nw; ++w)
       op.writes.push_back(static_cast<int>(rng.integer(0, nkeys - 1)));
     TaskInfo info;
-    info.name = "f" + std::to_string(t);
+    info.name = "f";  // appended: GCC 12 misreads "f" + to_string (-Wrestrict)
+    info.name += std::to_string(t);
     info.priority = rng.uniform();
     p.add_op(std::move(info), std::move(op));
   }
@@ -205,7 +206,8 @@ FuzzProgram FuzzProgram::fork_join(int stages, int fanout) {
   for (int s = 0; s < stages; ++s) {
     for (int f = 0; f < fanout; ++f) {
       TaskInfo work;
-      work.name = "w" + std::to_string(s) + "_" + std::to_string(f);
+      work.name = "w";
+      work.name += std::to_string(s) + "_" + std::to_string(f);
       work.priority = (s + f) % 3;
       p.add_op(std::move(work), Op{{0, 1 + f}, {1 + f}});
     }
@@ -320,7 +322,8 @@ FuzzProgram FuzzProgram::nested(Rng& rng, int ntasks, int nkeys,
   int t = 0;
   for (auto& pl : plan) {
     TaskInfo info;
-    info.name = "n" + std::to_string(t++);
+    info.name = "n";
+    info.name += std::to_string(t++);
     info.priority = pl.priority;
     p.add_op(std::move(info), std::move(pl.op), std::move(pl.kids));
   }
@@ -379,30 +382,44 @@ std::string check_ran_exactly_once(const std::vector<long long>& counts) {
 }
 
 std::string check_happens_before(const rt::TaskGraph& g,
-                                 const std::vector<rt::TraceEvent>& trace) {
-  if (static_cast<int>(trace.size()) != g.size())
-    return "trace has " + std::to_string(trace.size()) + " events for " +
-           std::to_string(g.size()) + " tasks";
+                                 const std::vector<obs::Span>& spans) {
+  if (static_cast<int>(spans.size()) != g.size()) {
+    std::ostringstream os;
+    os << "run has " << spans.size() << " spans for " << g.size()
+       << " tasks";
+    return os.str();
+  }
+  std::vector<const obs::Span*> of(spans.size(), nullptr);
+  for (const obs::Span& s : spans) {
+    if (s.task < 0 || s.task >= g.size() ||
+        of[static_cast<std::size_t>(s.task)] != nullptr) {
+      std::ostringstream os;
+      os << "span \"" << s.name << "\" has task id " << s.task
+         << ", out of range or taken";
+      return os.str();
+    }
+    of[static_cast<std::size_t>(s.task)] = &s;
+  }
   for (TaskId t = 0; t < g.size(); ++t) {
-    const auto& ev = trace[static_cast<std::size_t>(t)];
-    if (ev.seq_start < 0 || ev.seq_end < ev.seq_start) {
+    const obs::Span& ev = *of[static_cast<std::size_t>(t)];
+    if (ev.seq0 < 0 || ev.seq1 < ev.seq0) {
       std::ostringstream os;
       os << "task " << t << " (\"" << g.info(t).name
-         << "\") has no valid happens-before stamps (seq_start="
-         << ev.seq_start << ", seq_end=" << ev.seq_end << ")";
+         << "\") has no valid happens-before stamps (seq0=" << ev.seq0
+         << ", seq1=" << ev.seq1 << ")";
       return os.str();
     }
   }
   for (TaskId t = 0; t < g.size(); ++t)
     for (const TaskId s : g.successors(t)) {
-      const auto& pe = trace[static_cast<std::size_t>(t)];
-      const auto& se = trace[static_cast<std::size_t>(s)];
-      if (!(pe.seq_end < se.seq_start)) {
+      const obs::Span& pe = *of[static_cast<std::size_t>(t)];
+      const obs::Span& se = *of[static_cast<std::size_t>(s)];
+      if (!(pe.seq1 < se.seq0)) {
         std::ostringstream os;
         os << "dependency violated: task " << s << " (\"" << g.info(s).name
-           << "\", seq_start=" << se.seq_start << ") started before its "
+           << "\", seq0=" << se.seq0 << ") started before its "
            << "predecessor " << t << " (\"" << g.info(t).name
-           << "\", seq_end=" << pe.seq_end << ") finished";
+           << "\", seq1=" << pe.seq1 << ") finished";
         return os.str();
       }
     }

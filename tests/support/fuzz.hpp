@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 #include "runtime/taskgraph.hpp"
-#include "runtime/trace.hpp"
 
 namespace ptlr::testing {
 
@@ -114,10 +114,11 @@ class FuzzProgram {
 /// Every task ran exactly once.
 std::string check_ran_exactly_once(const std::vector<long long>& counts);
 
-/// Every edge t -> s satisfies seq_end(t) < seq_start(s) on the logical
-/// happens-before stamps of a recorded trace, and every task was stamped.
+/// Every edge t -> s satisfies seq1(t) < seq0(s) on the logical
+/// happens-before stamps of one run's spans (obs::run_spans, in any
+/// order), and every task has exactly one stamped span.
 std::string check_happens_before(const rt::TaskGraph& g,
-                                 const std::vector<rt::TraceEvent>& trace);
+                                 const std::vector<obs::Span>& spans);
 
 /// Bitwise equality of a parallel run's cells against the oracle's.
 std::string check_cells_match(const std::vector<double>& got,

@@ -18,6 +18,7 @@
 #include "core/solve.hpp"
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
+#include "support/obs_scope.hpp"
 #include "tlr/io.hpp"
 
 using namespace ptlr;
@@ -602,10 +603,10 @@ TEST(Factorize, TraceCoversAllPanels) {
   CholeskyConfig cfg;
   cfg.acc = {1e-6, 1 << 30};
   cfg.band_size = 1;
-  cfg.record_trace = true;
   cfg.nthreads = 2;
+  const ptlr::testing::ObsScope traced;
   auto res = factorize(a, &prob, cfg);
-  auto release = rt::panel_release_times(res.exec.trace);
+  auto release = obs::panel_release_times(obs::run_spans(res.exec.run));
   ASSERT_EQ(static_cast<int>(release.size()), a.nt());
   for (std::size_t k = 1; k < release.size(); ++k)
     EXPECT_GE(release[k], release[k - 1]);

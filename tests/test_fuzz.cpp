@@ -15,6 +15,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "support/fuzz.hpp"
+#include "support/obs_scope.hpp"
 
 using namespace ptlr;
 using namespace ptlr::testing;
@@ -23,29 +24,30 @@ namespace {
 
 rt::ExecOptions perturbed(std::uint64_t seed) {
   rt::ExecOptions opts;
-  opts.record_trace = true;
   opts.perturb = rt::PerturbConfig::with_seed(seed);
   return opts;
 }
 
-// Run `p` under `opts` with `nthreads` workers and assert all three fuzz
-// invariants against the sequential oracle.
+// Run `p` under `opts` with `nthreads` workers, recording its spans, and
+// assert all three fuzz invariants against the sequential oracle.
 void run_and_check(FuzzProgram& p, int nthreads,
                    const rt::ExecOptions& opts) {
   const std::vector<double> oracle = p.run_reference();
   p.reset();
+  const ObsScope traced;
   const auto res = rt::execute(p.graph(), nthreads, opts);
   EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "");
-  EXPECT_EQ(check_happens_before(p.graph(), res.trace), "");
+  EXPECT_EQ(check_happens_before(p.graph(), obs::run_spans(res.run)), "");
   EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
 }
 
 // Task order of a single-threaded run, from the happens-before stamps.
-std::vector<rt::TaskId> order_of(const std::vector<rt::TraceEvent>& trace) {
-  std::vector<rt::TaskId> order(trace.size());
-  for (const auto& ev : trace) {
-    const auto pos = static_cast<std::size_t>(ev.seq_start / 2);
-    order[pos] = ev.task;
+std::vector<rt::TaskId> order_of(const rt::ExecResult& res) {
+  const std::vector<obs::Span> spans = obs::run_spans(res.run);
+  std::vector<rt::TaskId> order(spans.size());
+  for (const obs::Span& s : spans) {
+    const auto pos = static_cast<std::size_t>(s.seq0 / 2);
+    order[pos] = s.task;
   }
   return order;
 }
@@ -99,7 +101,6 @@ TEST_P(PerturbFuzz, UnperturbedExecutorMatchesOracle) {
   Rng rng(seed() + 500);
   auto p = FuzzProgram::random(rng, 120, 10);
   rt::ExecOptions opts;
-  opts.record_trace = true;
   opts.perturb = {};  // chaos off: the deterministic production schedule
   for (const int nthreads : {1, 4}) run_and_check(p, nthreads, opts);
 }
@@ -111,10 +112,11 @@ TEST_P(PerturbFuzz, UnperturbedExecutorMatchesOracle) {
 TEST_P(PerturbFuzz, SingleThreadPerturbationIsReplayable) {
   Rng rng(seed() + 900);
   auto p = FuzzProgram::random(rng, 100, 8);
+  const ObsScope traced;
   const auto r1 = rt::execute(p.graph(), 1, perturbed(seed()));
   p.reset();
   const auto r2 = rt::execute(p.graph(), 1, perturbed(seed()));
-  EXPECT_EQ(order_of(r1.trace), order_of(r2.trace));
+  EXPECT_EQ(order_of(r1), order_of(r2));
 }
 
 TEST(PerturbFuzzMeta, DifferentSeedsProduceDifferentSchedules) {
@@ -125,12 +127,13 @@ TEST(PerturbFuzzMeta, DifferentSeedsProduceDifferentSchedules) {
     return FuzzProgram::random(rng, 100, 8);
   };
   int distinct = 0;
+  const ObsScope traced;
   for (const std::uint64_t s : {11u, 22u, 33u}) {
     auto pa = build();
     auto pb = build();
     const auto ra = rt::execute(pa.graph(), 1, perturbed(s));
     const auto rb = rt::execute(pb.graph(), 1, perturbed(s + 1));
-    if (order_of(ra.trace) != order_of(rb.trace)) distinct++;
+    if (order_of(ra) != order_of(rb)) distinct++;
   }
   EXPECT_GT(distinct, 0);
 }
@@ -140,16 +143,18 @@ TEST(PerturbFuzzMeta, DifferentSeedsProduceDifferentSchedules) {
 // executor bug surfaces as exactly this stamp pattern).
 TEST(PerturbFuzzMeta, HappensBeforeCheckerFlagsViolations) {
   auto p = FuzzProgram::diamond(2, 3);
+  const ObsScope traced;
   auto res = rt::execute(p.graph(), 2, perturbed(1));
-  ASSERT_EQ(check_happens_before(p.graph(), res.trace), "");
+  const auto spans = obs::run_spans(res.run);  // ordered by task id
+  ASSERT_EQ(check_happens_before(p.graph(), spans), "");
   // Forge: pretend some successor started before its predecessor ended.
-  auto forged = res.trace;
+  auto forged = spans;
   bool forged_one = false;
   for (rt::TaskId t = 0; t < p.graph().size() && !forged_one; ++t)
     if (!p.graph().successors(t).empty()) {
       const rt::TaskId s = p.graph().successors(t)[0];
-      forged[static_cast<std::size_t>(s)].seq_start =
-          forged[static_cast<std::size_t>(t)].seq_end - 1;
+      forged[static_cast<std::size_t>(s)].seq0 =
+          forged[static_cast<std::size_t>(t)].seq1 - 1;
       forged_one = true;
     }
   ASSERT_TRUE(forged_one);
@@ -158,9 +163,10 @@ TEST(PerturbFuzzMeta, HappensBeforeCheckerFlagsViolations) {
 
 TEST(PerturbFuzzMeta, MissingStampsAreReported) {
   auto p = FuzzProgram::fork_join(1, 2);
+  const ObsScope traced;
   const auto res = rt::execute(p.graph(), 2, perturbed(3));
-  auto broken = res.trace;
-  broken[0].seq_start = -1;
+  auto broken = obs::run_spans(res.run);
+  broken[0].seq0 = -1;
   EXPECT_NE(check_happens_before(p.graph(), broken), "");
 }
 

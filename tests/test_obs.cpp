@@ -1,18 +1,24 @@
 // Tests for the observability layer (src/obs): golden-trace schema checks,
-// counter exactness against the Table I flop models, zero-footprint when
-// disabled, mailbox comm events, and the end-of-run reporters.
+// counter exactness against the Table I flop models, counters as span
+// reductions matching the drivers' own accounting, run selection, simulated
+// spans, zero-footprint when disabled, mailbox comm events, and the
+// end-of-run reporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "core/cholesky.hpp"
+#include "core/dist_cholesky.hpp"
 #include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "runtime/mailbox.hpp"
+#include "runtime/simulator.hpp"
 #include "support/mini_json.hpp"
 
 using namespace ptlr;
@@ -54,6 +60,34 @@ RunSetup setup_run(int n, int b, int band) {
   return {std::move(prob), std::move(mat), cfg};
 }
 
+// A small DAG for the virtual cluster: a chain of panels, each feeding a
+// fan of independent updates, spread over 4 processes.
+rt::TaskGraph small_sim_graph() {
+  rt::TaskGraph g;
+  for (int k = 0; k < 6; ++k) {
+    rt::TaskInfo p;
+    p.name = "panel" + std::to_string(k);
+    p.kind = 0;
+    p.panel = k;
+    p.owner = k % 4;
+    p.duration = 0.5;
+    g.add_task(std::move(p), {{rt::make_key(0, 0, 0)}},
+               {{rt::make_key(0, 0, 0)}});
+    for (int i = 0; i < 5; ++i) {
+      rt::TaskInfo u;
+      u.name = "update" + std::to_string(k) + "_" + std::to_string(i);
+      u.kind = 9;
+      u.panel = k;
+      u.owner = (k + i) % 4;
+      u.duration = 0.25 + 0.1 * i;
+      u.output_bytes = 4096;
+      g.add_task(std::move(u), {{rt::make_key(0, 0, 0)}},
+                 {{rt::make_key(1, static_cast<std::uint32_t>(i), 0)}});
+    }
+  }
+  return g;
+}
+
 }  // namespace
 
 // ------------------------------------------------------- golden trace ----
@@ -61,7 +95,6 @@ RunSetup setup_run(int n, int b, int band) {
 TEST_F(ObsTest, GoldenTraceIsSchemaValidAndComplete) {
   obs::enable(true);
   auto r = setup_run(256, 64, 2);  // 4x4 tile grid
-  r.cfg.record_trace = true;
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
   const std::string path = ::testing::TempDir() + "ptlr_golden_trace.json";
   obs::write_chrome_trace(path);
@@ -231,6 +264,10 @@ TEST_F(ObsTest, DisabledLayerRecordsNothing) {
   auto r = setup_run(128, 32, 1);
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
   EXPECT_GT(res.measured_flops, 0.0);  // the run itself did real work
+  EXPECT_EQ(res.exec.run, -1);
+  const auto sim = rt::simulate(small_sim_graph(), {4, 1, {}});
+  EXPECT_GT(sim.makespan, 0.0);
+  EXPECT_EQ(sim.run, -1);
 
   EXPECT_TRUE(obs::snapshot_spans().empty());
   EXPECT_TRUE(obs::Counters::kernel_rows().empty());
@@ -299,8 +336,9 @@ TEST_F(ObsTest, MemoryReportRatiosAreConsistent) {
 
 TEST_F(ObsTest, CriticalPathBoundsTheMeasuredExecution) {
   auto r = setup_run(256, 64, 2);
-  r.cfg.record_trace = true;
+  obs::enable(true);
   const auto res = core::factorize(r.mat, &r.prob, r.cfg);
+  obs::enable(false);
   const auto cp = res.critical_path;
   EXPECT_GT(cp.path_tasks, 0);
   EXPECT_GT(cp.path_seconds, 0.0);
@@ -330,4 +368,134 @@ TEST_F(ObsTest, CountersJsonIsValidAndSumsRows) {
               1e-9 * json_flops + 1e-9);
   const auto rows = obs::Counters::kernel_rows();
   EXPECT_EQ(j.at("kernels").array.size(), rows.size());
+}
+
+// ---------------------------------------------------------- run selection ----
+
+TEST_F(ObsTest, TwoTracedFactorizationsReadOnlyTheirOwnSpans) {
+  // Two factorizations in one process, as fig09 runs them: each result's
+  // critical path and panel-release curve come from its own run's spans,
+  // not from everything recorded since the last reset.
+  auto thin = setup_run(256, 64, 1);
+  auto wide = setup_run(256, 64, 3);
+  obs::enable(true);
+  const auto a = core::factorize(thin.mat, &thin.prob, thin.cfg);
+  const auto b = core::factorize(wide.mat, &wide.prob, wide.cfg);
+  obs::enable(false);
+  ASSERT_GE(a.exec.run, 0);
+  ASSERT_GE(b.exec.run, 0);
+  EXPECT_NE(a.exec.run, b.exec.run);
+  EXPECT_EQ(static_cast<long long>(obs::snapshot_spans().size()),
+            a.stats.tasks + b.stats.tasks);
+
+  for (const core::CholeskyResult* res : {&a, &b}) {
+    const auto spans = obs::run_spans(res->exec.run);
+    ASSERT_EQ(static_cast<long long>(spans.size()), res->stats.tasks);
+    double serial = 0.0;
+    for (const obs::Span& s : spans) {
+      EXPECT_EQ(s.run, res->exec.run);
+      serial += s.t1 - s.t0;
+    }
+    const obs::CriticalPathReport& cp = res->critical_path;
+    EXPECT_EQ(cp.serial_seconds, serial);
+    // Each run's makespan fits inside its own wall clock; a selection
+    // that took in the other run would span both.
+    EXPECT_GT(cp.makespan, 0.0);
+    EXPECT_LE(cp.makespan, res->exec.seconds);
+    const auto release = obs::panel_release_times(spans);
+    ASSERT_EQ(static_cast<int>(release.size()), thin.mat.nt());
+    EXPECT_EQ(*std::max_element(release.begin(), release.end()),
+              cp.makespan);
+  }
+  // The second run starts after the first ends.
+  double a_end = 0.0;
+  for (const obs::Span& s : obs::run_spans(a.exec.run))
+    a_end = std::max(a_end, s.t1);
+  for (const obs::Span& s : obs::run_spans(b.exec.run))
+    EXPECT_GE(s.t0, a_end);
+}
+
+// ------------------------------------------- counters against the drivers ----
+
+TEST_F(ObsTest, ResilienceCountersMatchTheFactorizationsRecovery) {
+  auto r = setup_run(256, 64, 2);
+  r.cfg.faults = resil::FaultConfig::parse("seed=1,task=0.5,alloc=0.1,poison=0.1");
+  obs::enable(true);
+  const auto res = core::factorize(r.mat, &r.prob, r.cfg);
+  obs::enable(false);
+  ASSERT_GT(res.recovery.faults_injected(), 0);
+  const obs::ResilienceCounters rc = obs::Counters::resilience();
+  for (int i = 0; i < obs::kNumResilienceEvents; ++i)
+    EXPECT_EQ(rc.counts[i], res.recovery.counts[i])
+        << obs::resilience_event_name(static_cast<obs::ResilienceEvent>(i));
+}
+
+TEST_F(ObsTest, CommCountersMatchTheDistributedFactorization) {
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 192);
+  auto mat = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
+  rt::BandDistribution dist(2, 2, 2);
+  obs::enable(true);
+  const auto res = core::distributed_factorize(mat, dist, acc);
+  obs::enable(false);
+  ASSERT_GT(res.comm.messages, 0);
+  const obs::CommCounters cc = obs::Counters::comm();
+  EXPECT_EQ(cc.messages, res.comm.messages);
+  EXPECT_EQ(cc.bytes, res.comm.bytes);
+}
+
+// ---------------------------------------------------------- simulated spans ----
+
+TEST_F(ObsTest, SimulatedRunRecordsOneSpanPerTaskOnItsOwnPids) {
+  const rt::TaskGraph g = small_sim_graph();
+  const int nproc = 4;
+  obs::enable(true);
+  const auto res = rt::simulate(g, {nproc, 2, {}});
+  obs::enable(false);
+  ASSERT_GE(res.run, 0);
+
+  // Exactly one span per task, and per-process span time is the
+  // simulator's own busy account.
+  const auto spans = obs::run_spans(res.run);
+  ASSERT_EQ(static_cast<int>(spans.size()), g.size());
+  std::vector<double> busy(nproc, 0.0);
+  for (rt::TaskId t = 0; t < g.size(); ++t) {
+    const obs::Span& s = spans[static_cast<std::size_t>(t)];
+    EXPECT_EQ(s.task, t);
+    EXPECT_EQ(s.cat, obs::SpanCat::kSim);
+    EXPECT_EQ(s.name, g.info(t).name);
+    EXPECT_EQ(s.proc, g.info(t).owner);
+    busy[static_cast<std::size_t>(s.proc)] += s.t1 - s.t0;
+  }
+  for (int p = 0; p < nproc; ++p)
+    EXPECT_NEAR(busy[static_cast<std::size_t>(p)],
+                res.busy[static_cast<std::size_t>(p)], 1e-9);
+  // A model is not an execution: no kernel rows.
+  EXPECT_TRUE(obs::Counters::kernel_rows().empty());
+
+  // The written trace puts process p on its own pid, never on the comm or
+  // resilience pid, and names only the pids it writes.
+  const std::string path = ::testing::TempDir() + "ptlr_sim_trace.json";
+  obs::write_chrome_trace(path);
+  const mj::Value doc = mj::parse_file(path);
+  std::remove(path.c_str());
+  std::set<int> named, written;
+  int sim_events = 0;
+  for (const mj::Value& e : doc.at("traceEvents").array) {
+    const int pid = static_cast<int>(e.at("pid").number);
+    if (e.at("ph").string == "M") {
+      named.insert(pid);
+      continue;
+    }
+    written.insert(pid);
+    ASSERT_EQ(e.at("ph").string, "X");
+    ++sim_events;
+    EXPECT_NE(pid, 1);
+    EXPECT_NE(pid, 2);
+    EXPECT_EQ(pid, obs::kSimPidBase +
+                       static_cast<int>(e.at("args").at("proc").number));
+  }
+  EXPECT_EQ(sim_events, g.size());
+  EXPECT_EQ(named, written);
+  EXPECT_EQ(static_cast<int>(written.size()), nproc);
 }

@@ -15,6 +15,7 @@
 #include "dense/util.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/simulator.hpp"
+#include "support/obs_scope.hpp"
 
 using namespace ptlr;
 using namespace ptlr::rt;
@@ -47,7 +48,8 @@ FuzzGraph make_fuzz_graph(Rng& rng, int ntasks, int nkeys,
                                 static_cast<std::uint32_t>(
                                     rng.integer(0, nkeys - 1))));
     TaskInfo info;
-    info.name = "f" + std::to_string(t);
+    info.name = "f";  // appended: GCC 12 misreads "f" + to_string (-Wrestrict)
+    info.name += std::to_string(t);
     info.duration = rng.uniform(0.0, 0.1);
     info.owner = static_cast<int>(rng.integer(0, 3));
     info.output_bytes = static_cast<std::size_t>(rng.integer(0, 1 << 16));
@@ -91,27 +93,30 @@ TEST_P(DagFuzz, ExecutorRespectsEveryEdge) {
 TEST_P(DagFuzz, SimulatorScheduleIsCausallyValid) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   auto fg = make_fuzz_graph(rng, 150, 12, nullptr);
-  SimConfig cfg{4, 2, {}, true};
+  SimConfig cfg{4, 2, {}};
+  const ptlr::testing::ObsScope traced;
   auto res = simulate(fg.graph, cfg);
+  const auto trace = ptlr::obs::run_spans(res.run);  // ordered by task id
+  ASSERT_EQ(trace.size(), static_cast<std::size_t>(fg.graph.size()));
   // Every task starts no earlier than all its predecessors end (plus the
   // communication delay for remote edges).
   for (TaskId t = 0; t < fg.graph.size(); ++t) {
-    const auto& ev = res.trace[static_cast<std::size_t>(t)];
+    const auto& ev = trace[static_cast<std::size_t>(t)];
     ASSERT_EQ(ev.task, t);
     for (const TaskId pred : fg.preds[static_cast<std::size_t>(t)]) {
-      const auto& pv = res.trace[static_cast<std::size_t>(pred)];
-      double lower = pv.end;
+      const auto& pv = trace[static_cast<std::size_t>(pred)];
+      double lower = pv.t1;
       if (fg.graph.info(pred).owner != fg.graph.info(t).owner) {
         lower += cfg.comm.latency;  // at least the latency must pass
       }
-      EXPECT_GE(ev.start + 1e-12, lower)
+      EXPECT_GE(ev.t0 + 1e-12, lower)
           << "task " << t << " started before dependency " << pred;
     }
   }
   // Work conservation: per-process busy time equals the task durations.
   std::vector<double> busy(4, 0.0);
-  for (const auto& ev : res.trace)
-    busy[static_cast<std::size_t>(ev.proc)] += ev.end - ev.start;
+  for (const auto& ev : trace)
+    busy[static_cast<std::size_t>(ev.proc)] += ev.t1 - ev.t0;
   for (int p = 0; p < 4; ++p) EXPECT_NEAR(busy[p], res.busy[p], 1e-9);
 }
 

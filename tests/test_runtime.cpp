@@ -9,18 +9,31 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "obs/report.hpp"
 #include "runtime/distribution.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/taskgraph.hpp"
+#include "support/obs_scope.hpp"
 
 using namespace ptlr::rt;
+using ptlr::testing::ObsScope;
+namespace obs = ptlr::obs;
 
 namespace {
 
 TaskInfo named(const std::string& name) {
   TaskInfo t;
   t.name = name;
+  return t;
+}
+
+// named(prefix + i), appended: GCC 12 misreads "w" + std::to_string(i) as
+// an overlapping copy (-Wrestrict).
+TaskInfo named(const char* prefix, int i) {
+  TaskInfo t;
+  t.name = prefix;
+  t.name += std::to_string(i);
   return t;
 }
 
@@ -115,7 +128,7 @@ TEST(Executor, RunsAllTasksRespectingDependencies) {
   std::vector<int> order(20, -1);
   const DataKey x = make_key(0, 0, 0);
   for (int i = 0; i < 20; ++i) {
-    TaskInfo t = named("t" + std::to_string(i));
+    TaskInfo t = named("t", i);
     t.fn = [&, i] { order[static_cast<std::size_t>(i)] = counter++; };
     g.add_task(std::move(t), {{x}}, {{x}});  // serial chain
   }
@@ -199,16 +212,19 @@ TEST(Executor, TraceRecordsEveryTask) {
     t.fn = [] {};
     g.add_task(std::move(t), {}, {});
   }
-  auto res = execute(g, 2, /*record_trace=*/true);
-  EXPECT_EQ(res.trace.size(), 10u);
-  auto releases = panel_release_times(res.trace);
+  const ObsScope traced;
+  auto res = execute(g, 2);
+  const auto spans = obs::run_spans(res.run);
+  EXPECT_EQ(spans.size(), 10u);
+  auto releases = obs::panel_release_times(spans);
   EXPECT_EQ(releases.size(), 2u);
 }
 
 TEST(Executor, EmptyGraphIsFine) {
   TaskGraph g;
+  const ObsScope traced;
   auto res = execute(g, 2);
-  EXPECT_EQ(res.trace.size(), 0u);
+  EXPECT_EQ(obs::run_spans(res.run).size(), 0u);
 }
 
 // -------------------------------------------------------- Distribution ----
@@ -275,7 +291,7 @@ TEST(Simulator, SerialChainMakespanIsSumOfDurations) {
     t.owner = 0;
     g.add_task(std::move(t), {{x}}, {{x}});
   }
-  auto res = simulate(g, {1, 4, {}, false});
+  auto res = simulate(g, {1, 4, {}});
   EXPECT_NEAR(res.makespan, 5.0, 1e-12);
 }
 
@@ -292,8 +308,8 @@ TEST(Simulator, IndependentTasksScaleWithCores) {
   };
   auto g1 = build();
   auto g4 = build();
-  EXPECT_NEAR(simulate(g1, {1, 1, {}, false}).makespan, 16.0, 1e-12);
-  EXPECT_NEAR(simulate(g4, {1, 4, {}, false}).makespan, 4.0, 1e-12);
+  EXPECT_NEAR(simulate(g1, {1, 1, {}}).makespan, 16.0, 1e-12);
+  EXPECT_NEAR(simulate(g4, {1, 4, {}}).makespan, 4.0, 1e-12);
 }
 
 TEST(Simulator, RemoteEdgePaysCommunication) {
@@ -309,7 +325,7 @@ TEST(Simulator, RemoteEdgePaysCommunication) {
   b.owner = 1;
   g.add_task(std::move(b), {{x}}, {});
   CommModel comm;
-  auto res = simulate(g, {2, 1, comm, false});
+  auto res = simulate(g, {2, 1, comm});
   EXPECT_NEAR(res.makespan, 2.0 + comm.cost(8'000'000), 1e-9);
   EXPECT_EQ(res.messages, 1);
   EXPECT_DOUBLE_EQ(res.message_bytes, 8e6);
@@ -327,7 +343,7 @@ TEST(Simulator, LocalEdgeIsFree) {
   b.duration = 1.0;
   b.owner = 0;
   g.add_task(std::move(b), {{x}}, {});
-  auto res = simulate(g, {2, 1, {}, false});
+  auto res = simulate(g, {2, 1, {}});
   EXPECT_NEAR(res.makespan, 2.0, 1e-12);
   EXPECT_EQ(res.messages, 0);
 }
@@ -347,7 +363,7 @@ TEST(Simulator, BroadcastCountsOneMessagePerDestinationProcess) {
     c.owner = (i % 4);
     g.add_task(std::move(c), {{x}}, {});
   }
-  auto res = simulate(g, {4, 2, {}, false});
+  auto res = simulate(g, {4, 2, {}});
   EXPECT_EQ(res.messages, 3);  // PTG collective: procs 1, 2, 3 once each
 }
 
@@ -359,7 +375,7 @@ TEST(Simulator, BusyTimeMatchesDurations) {
     t.owner = i % 2;
     g.add_task(std::move(t), {}, {});
   }
-  auto res = simulate(g, {2, 3, {}, false});
+  auto res = simulate(g, {2, 3, {}});
   EXPECT_NEAR(res.busy[0], 6.0, 1e-12);
   EXPECT_NEAR(res.busy[1], 6.0, 1e-12);
   EXPECT_NEAR(res.occupancy(0, 3), 1.0, 1e-9);
@@ -375,9 +391,11 @@ TEST(Simulator, PriorityBreaksTies) {
   hi.duration = 1.0;
   hi.priority = 10.0;
   g.add_task(std::move(hi), {}, {});
-  auto res = simulate(g, {1, 1, {}, true});
-  ASSERT_EQ(res.trace.size(), 2u);
-  EXPECT_LT(res.trace[1].start, res.trace[0].start);  // hi ran first
+  const ObsScope traced;
+  auto res = simulate(g, {1, 1, {}});
+  const auto spans = obs::run_spans(res.run);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_LT(spans[1].t0, spans[0].t0);  // hi ran first
 }
 
 TEST(Simulator, TraceMatchesMakespan) {
@@ -390,11 +408,13 @@ TEST(Simulator, TraceMatchesMakespan) {
     t.panel = i;
     g.add_task(std::move(t), {{x}}, {{x}});
   }
-  auto res = simulate(g, {2, 1, {}, true});
+  const ObsScope traced;
+  auto res = simulate(g, {2, 1, {}});
+  const auto spans = obs::run_spans(res.run);
   double max_end = 0;
-  for (const auto& ev : res.trace) max_end = std::max(max_end, ev.end);
+  for (const auto& ev : spans) max_end = std::max(max_end, ev.t1);
   EXPECT_NEAR(max_end, res.makespan, 1e-12);
-  auto release = panel_release_times(res.trace);
+  auto release = obs::panel_release_times(spans);
   EXPECT_EQ(release.size(), 5u);
   for (std::size_t i = 1; i < 5; ++i) EXPECT_GT(release[i], release[i - 1]);
 }
@@ -404,7 +424,7 @@ TEST(Simulator, InvalidOwnerThrows) {
   TaskInfo t = named("t");
   t.owner = 5;
   g.add_task(std::move(t), {}, {});
-  EXPECT_THROW(simulate(g, {2, 1, {}, false}), ptlr::Error);
+  EXPECT_THROW(simulate(g, {2, 1, {}}), ptlr::Error);
 }
 
 TEST(Simulator, MoreProcessesReduceMakespanOfWideGraph) {
@@ -420,8 +440,8 @@ TEST(Simulator, MoreProcessesReduceMakespanOfWideGraph) {
   };
   auto g1 = build(1);
   auto g8 = build(8);
-  const double m1 = simulate(g1, {1, 1, {}, false}).makespan;
-  const double m8 = simulate(g8, {8, 1, {}, false}).makespan;
+  const double m1 = simulate(g1, {1, 1, {}}).makespan;
+  const double m8 = simulate(g8, {8, 1, {}}).makespan;
   EXPECT_NEAR(m1 / m8, 8.0, 1e-9);
 }
 
@@ -440,9 +460,10 @@ TEST(Trace, ChromeExportContainsAllTasks) {
     t.panel = i;
     g.add_task(std::move(t), {{x}}, {{x}});
   }
-  auto res = simulate(g, {1, 1, {}, true});
-  const std::string path = "/tmp/ptlr_trace_test.json";
-  write_chrome_trace(res.trace, g, path);
+  const ObsScope traced;
+  simulate(g, {1, 1, {}});
+  const std::string path = ::testing::TempDir() + "ptlr_trace_test.json";
+  obs::write_chrome_trace(path);
   std::ifstream is(path);
   std::stringstream ss;
   ss << is.rdbuf();
@@ -455,9 +476,7 @@ TEST(Trace, ChromeExportContainsAllTasks) {
 }
 
 TEST(Trace, ChromeExportBadPathThrows) {
-  TaskGraph g;
-  std::vector<TraceEvent> empty;
-  EXPECT_THROW(write_chrome_trace(empty, g, "/nonexistent/dir/x.json"),
+  EXPECT_THROW(obs::write_chrome_trace("/nonexistent/dir/x.json"),
                ptlr::Error);
 }
 
@@ -472,16 +491,16 @@ TEST(Distribution, ColumnBasedBandForUpperTriangular) {
 }
 
 TEST(Trace, KindBreakdownAggregates) {
-  std::vector<TraceEvent> trace;
+  std::vector<obs::Span> trace;
   for (int i = 0; i < 6; ++i) {
-    TraceEvent ev;
+    obs::Span ev;
     ev.task = i;
     ev.kind = i % 2;
-    ev.start = 0.0;
-    ev.end = i % 2 ? 2.0 : 1.0;
+    ev.t0 = 0.0;
+    ev.t1 = i % 2 ? 2.0 : 1.0;
     trace.push_back(ev);
   }
-  auto bd = kind_breakdown(trace);
+  auto bd = obs::kind_breakdown(trace);
   ASSERT_EQ(bd.size(), 2u);
   EXPECT_EQ(bd[0].kind, 1);  // sorted by time: 3 * 2.0 = 6.0 first
   EXPECT_EQ(bd[0].count, 3);
@@ -519,8 +538,8 @@ TEST(Simulator, TreeBroadcastIncreasesWideBroadcastMakespan) {
   };
   auto g1 = build();
   auto g2 = build();
-  SimConfig flat{16, 1, {}, false};
-  SimConfig tree{16, 1, {}, false};
+  SimConfig flat{16, 1, {}};
+  SimConfig tree{16, 1, {}};
   tree.comm.tree_broadcast = true;
   EXPECT_GT(simulate(g2, tree).makespan, simulate(g1, flat).makespan);
 }
@@ -541,8 +560,8 @@ TEST(Simulator, AcceleratorSpeedsUpPreferringTasks) {
   };
   auto g_cpu = build();
   auto g_gpu = build();
-  SimConfig cpu{1, 2, {}, false};
-  SimConfig gpu{1, 2, {}, false};
+  SimConfig cpu{1, 2, {}};
+  SimConfig gpu{1, 2, {}};
   gpu.accel_per_proc = 1;
   gpu.accel_speedup = 4.0;
   EXPECT_NEAR(simulate(g_cpu, cpu).makespan, 8.0, 1e-12);
@@ -557,12 +576,13 @@ TEST(Simulator, Class0TasksNeverUseAccelerators) {
     t.device_class = 0;
     g.add_task(std::move(t), {}, {});
   }
-  SimConfig cfg{1, 1, {}, true};
+  SimConfig cfg{1, 1, {}};
   cfg.accel_per_proc = 4;
   cfg.accel_speedup = 100.0;
+  const ObsScope traced;
   auto res = simulate(g, cfg);
   EXPECT_NEAR(res.makespan, 4.0, 1e-12);  // single CPU core does them all
-  for (const auto& ev : res.trace) EXPECT_EQ(ev.worker, 0);
+  for (const auto& ev : obs::run_spans(res.run)) EXPECT_EQ(ev.worker, 0);
 }
 
 TEST(Simulator, DenseTasksFallBackToCpuWhenAcceleratorsBusy) {
@@ -573,7 +593,7 @@ TEST(Simulator, DenseTasksFallBackToCpuWhenAcceleratorsBusy) {
     t.device_class = 1;
     g.add_task(std::move(t), {}, {});
   }
-  SimConfig cfg{1, 3, {}, false};
+  SimConfig cfg{1, 3, {}};
   cfg.accel_per_proc = 1;
   cfg.accel_speedup = 2.0;
   // 1 accel (0.5 s each) + 3 CPUs (1 s each): all 4 run at t=0, done at 1.
@@ -695,8 +715,8 @@ TEST(Simulator, WorkStealingBalancesSkewedLoad) {
   };
   auto g0 = build();
   auto g1 = build();
-  SimConfig off{4, 2, {}, false};
-  SimConfig on{4, 2, {}, false};
+  SimConfig off{4, 2, {}};
+  SimConfig on{4, 2, {}};
   on.work_stealing = true;
   const double t_off = simulate(g0, off).makespan;
   const double t_on = simulate(g1, on).makespan;
@@ -716,7 +736,7 @@ TEST(Simulator, WorkStealingPaysCommunication) {
   b.owner = 0;
   b.output_bytes = 8'000'000'000ull;  // 1 s at 8 GB/s
   g.add_task(std::move(b), {}, {});
-  SimConfig on{2, 1, {}, true};
+  SimConfig on{2, 1, {}};
   on.work_stealing = true;
   auto res = simulate(g, on);
   // Proc 1 steals task b but pays ~1 s shipping: no worse than serial.
@@ -733,13 +753,15 @@ TEST(Simulator, WorkStealingPreservesDependencies) {
     t.owner = 0;
     g.add_task(std::move(t), {{x}}, {{x}});
   }
-  SimConfig on{4, 1, {}, true};
+  SimConfig on{4, 1, {}};
   on.work_stealing = true;
+  const ObsScope traced;
   auto res = simulate(g, on);
+  const auto spans = obs::run_spans(res.run);
   // A serial chain cannot go faster than its length, stealing or not.
   EXPECT_GE(res.makespan, 5.0 - 1e-9);
-  for (std::size_t i = 1; i < res.trace.size(); ++i)
-    EXPECT_GE(res.trace[i].start + 1e-12, res.trace[i - 1].end);
+  for (std::size_t i = 1; i < spans.size(); ++i)
+    EXPECT_GE(spans[i].t0 + 1e-12, spans[i - 1].t1);
 }
 
 // ------------------------------------------- graph validation ----
@@ -815,7 +837,7 @@ TEST(Executor, MidGraphThrowRethrowsAfterPoolDrains) {
   std::atomic<int> ran{0};
   std::atomic<int> downstream{0};
   for (int i = 0; i < 16; ++i) {
-    TaskInfo t = named("w" + std::to_string(i));
+    TaskInfo t = named("w", i);
     t.fn = [&] { ran++; };
     g.add_task(std::move(t), {}, {});
   }
@@ -871,7 +893,7 @@ TEST(Executor, ExceptionPropagatesUnderPerturbation) {
     TaskGraph g;
     std::atomic<int> ran{0};
     for (int i = 0; i < 24; ++i) {
-      TaskInfo t = named("w" + std::to_string(i));
+      TaskInfo t = named("w", i);
       t.fn = [&] { ran++; };
       g.add_task(std::move(t), {}, {});
     }
@@ -893,7 +915,7 @@ TEST(Executor, PerturbedRunStillRespectsSerialChain) {
     std::vector<int> order(20, -1);
     const DataKey x = make_key(0, 0, 0);
     for (int i = 0; i < 20; ++i) {
-      TaskInfo t = named("t" + std::to_string(i));
+      TaskInfo t = named("t", i);
       t.fn = [&, i] { order[static_cast<std::size_t>(i)] = counter++; };
       g.add_task(std::move(t), {{x}}, {{x}});  // serial chain
     }
@@ -912,12 +934,12 @@ TEST(Executor, TraceStampsGiveHappensBeforeOrder) {
     t.fn = [] {};
     g.add_task(std::move(t), {{x}}, {{x}});
   }
-  ExecOptions opts;
-  opts.record_trace = true;
-  auto res = execute(g, 3, opts);
-  ASSERT_EQ(res.trace.size(), 10u);
-  for (std::size_t i = 1; i < res.trace.size(); ++i)
-    EXPECT_LT(res.trace[i - 1].seq_end, res.trace[i].seq_start);
+  const ObsScope traced;
+  auto res = execute(g, 3);
+  const auto spans = obs::run_spans(res.run);
+  ASSERT_EQ(spans.size(), 10u);
+  for (std::size_t i = 1; i < spans.size(); ++i)
+    EXPECT_LT(spans[i - 1].seq1, spans[i].seq0);
 }
 
 TEST(Mailbox, PerturbedCommunicatorDeliversInTagOrder) {

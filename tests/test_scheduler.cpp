@@ -32,6 +32,7 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/ws_deque.hpp"
 #include "support/fuzz.hpp"
+#include "support/obs_scope.hpp"
 #include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
@@ -42,22 +43,23 @@ namespace {
 
 rt::ExecOptions ws_options() {
   rt::ExecOptions opts;
-  opts.record_trace = true;
   opts.perturb = rt::PerturbConfig{};        // chaos off
   opts.faults = resil::FaultConfig{};        // no injection
   opts.watchdog = resil::WatchdogConfig{};   // no deadline
   return opts;
 }
 
-// Run `p` under `opts` and assert all three fuzz invariants against the
-// sequential oracle (same contract as the perturbation fuzz suite).
+// Run `p` under `opts`, recording its spans, and assert all three fuzz
+// invariants against the sequential oracle (same contract as the
+// perturbation fuzz suite).
 void run_and_check(FuzzProgram& p, int nthreads,
                    const rt::ExecOptions& opts) {
   const std::vector<double> oracle = p.run_reference();
   p.reset();
+  const ObsScope traced;
   const auto res = rt::execute(p.graph(), nthreads, opts);
   EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "");
-  EXPECT_EQ(check_happens_before(p.graph(), res.trace), "");
+  EXPECT_EQ(check_happens_before(p.graph(), obs::run_spans(res.run)), "");
   EXPECT_EQ(check_cells_match(p.cells(), oracle), "");
 }
 
@@ -315,9 +317,10 @@ TEST(WsScheduler, StealHeavyStressStealsAndStaysCorrect) {
   }
 
   auto opts = ws_options();
+  const ObsScope traced;
   const auto res = rt::execute(g, 4, opts);
   EXPECT_EQ(ran.load(), kWidth + 4);
-  EXPECT_EQ(check_happens_before(g, res.trace), "");
+  EXPECT_EQ(check_happens_before(g, obs::run_spans(res.run)), "");
   EXPECT_GT(res.sched.steals, 0);
   for (int i = 0; i < kWidth; ++i)
     EXPECT_GT(out[static_cast<std::size_t>(i)], 0.0) << "spinner " << i;
@@ -339,9 +342,10 @@ TEST(WsScheduler, SerialChainRunsInlineWithoutWakeups) {
   constexpr int kN = 1000;
   std::atomic<long long> ran{0};
   rt::TaskGraph g = serial_chain(kN, ran);
+  const ObsScope traced;
   const auto res = rt::execute(g, 2, ws_options());
   EXPECT_EQ(ran.load(), kN);
-  EXPECT_EQ(check_happens_before(g, res.trace), "");
+  EXPECT_EQ(check_happens_before(g, obs::run_spans(res.run)), "");
   EXPECT_EQ(res.sched.inline_runs, 996);
   EXPECT_EQ(res.sched.divert_suppressed, 3);
   EXPECT_EQ(res.sched.wakeups, 0);
@@ -488,10 +492,11 @@ TEST(WsScheduler, ChaosBreaksInlineChainsWithTheInversionProbability) {
     for (std::uint64_t s = 1; s <= 3; ++s) {
       std::atomic<long long> ran{0};
       rt::TaskGraph g = serial_chain(kN, ran);
+      const ObsScope traced;
       const auto kept =
           rt::execute(g, threads, chaos_options(s, /*inversion_p=*/0.0));
       EXPECT_EQ(ran.load(), kN);
-      EXPECT_EQ(check_happens_before(g, kept.trace), "");
+      EXPECT_EQ(check_happens_before(g, obs::run_spans(kept.run)), "");
       EXPECT_EQ(kept.sched.inline_runs, 996)
           << threads << " workers, seed " << s;
       EXPECT_EQ(kept.sched.divert_suppressed, 3)
@@ -502,7 +507,7 @@ TEST(WsScheduler, ChaosBreaksInlineChainsWithTheInversionProbability) {
       const auto broken =
           rt::execute(h, threads, chaos_options(s, /*inversion_p=*/1.0));
       EXPECT_EQ(ran.load(), kN);
-      EXPECT_EQ(check_happens_before(h, broken.trace), "");
+      EXPECT_EQ(check_happens_before(h, obs::run_spans(broken.run)), "");
       EXPECT_EQ(broken.sched.inline_runs, 0)
           << threads << " workers, seed " << s;
       EXPECT_EQ(broken.sched.divert_suppressed, kN - 1)
@@ -750,7 +755,6 @@ TEST(WsScheduler, WatchdogConvertsStallIntoError) {
     g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
   }
   auto opts = ws_options();
-  opts.record_trace = false;
   opts.watchdog.deadline_ms = 100;
   opts.on_stall = [&release] { release.set_value(); };
   try {
@@ -805,11 +809,13 @@ TEST(GateHook, ForeignThreadOpensGatesInAnyOrder) {
           open(t);
         }
       };
+      const ObsScope traced;
       const auto res = rt::execute(p.graph(), nthreads, opts);
       const std::string where = "nthreads=" + std::to_string(nthreads) +
                                 " seed=" + std::to_string(seed);
       EXPECT_EQ(check_ran_exactly_once(p.run_counts()), "") << where;
-      EXPECT_EQ(check_happens_before(p.graph(), res.trace), "") << where;
+      EXPECT_EQ(check_happens_before(p.graph(), obs::run_spans(res.run)), "")
+          << where;
       EXPECT_EQ(check_cells_match(p.cells(), oracle), "") << where;
     }
   }

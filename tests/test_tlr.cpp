@@ -1,4 +1,4 @@
-// Unit tests for ptlr::tlr — memory pool, tiles, TLR matrix container.
+// Unit tests for ptlr::tlr — tiles, TLR matrix container.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "dense/util.hpp"
-#include "tlr/allocator.hpp"
 #include "tlr/io.hpp"
 #include "tlr/tile.hpp"
 #include "tlr/tlr_matrix.hpp"
@@ -22,77 +21,6 @@ using namespace ptlr::tlr;
 namespace ptlr::stars {
 void PrintTo(ProblemKind kind, std::ostream* os) { *os << to_string(kind); }
 }  // namespace ptlr::stars
-
-// ---------------------------------------------------------- MemoryPool ----
-
-TEST(MemoryPool, ReusesReleasedBuffers) {
-  MemoryPool pool;
-  double* first = nullptr;
-  {
-    auto buf = pool.acquire(1000);
-    first = buf.data();
-    EXPECT_GE(buf.capacity(), 1000u);
-  }
-  auto buf2 = pool.acquire(900);  // same power-of-two bucket
-  EXPECT_EQ(buf2.data(), first);
-  const auto s = pool.stats();
-  EXPECT_EQ(s.reuse_hits, 1u);
-  EXPECT_EQ(s.fresh_allocs, 1u);
-}
-
-TEST(MemoryPool, DistinctBucketsDoNotAlias) {
-  MemoryPool pool;
-  auto a = pool.acquire(100);
-  auto b = pool.acquire(100000);
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_LT(a.capacity(), b.capacity());
-}
-
-TEST(MemoryPool, StatsTrackLiveAndCached) {
-  MemoryPool pool;
-  {
-    auto a = pool.acquire(512);
-    EXPECT_EQ(pool.stats().bytes_live, 512 * sizeof(double));
-    EXPECT_EQ(pool.stats().bytes_cached, 0u);
-  }
-  EXPECT_EQ(pool.stats().bytes_live, 0u);
-  EXPECT_EQ(pool.stats().bytes_cached, 512 * sizeof(double));
-  pool.trim();
-  EXPECT_EQ(pool.stats().bytes_cached, 0u);
-}
-
-TEST(MemoryPool, HighWaterIsMonotonic) {
-  MemoryPool pool;
-  { auto a = pool.acquire(256); }
-  const auto hw1 = pool.stats().bytes_high_water;
-  { auto a = pool.acquire(64); }
-  EXPECT_GE(pool.stats().bytes_high_water, hw1);
-}
-
-TEST(MemoryPool, MoveTransfersOwnership) {
-  MemoryPool pool;
-  auto a = pool.acquire(128);
-  double* p = a.data();
-  PoolBuffer b = std::move(a);
-  EXPECT_EQ(b.data(), p);
-  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): testing move
-}
-
-TEST(MemoryPool, ConcurrentAcquireReleaseIsSafe) {
-  MemoryPool pool;
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool] {
-      for (int i = 0; i < 500; ++i) {
-        auto buf = pool.acquire(64 + (i % 5) * 100);
-        buf.data()[0] = static_cast<double>(i);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(pool.stats().bytes_live, 0u);
-}
 
 // ---------------------------------------------------------------- Tile ----
 

@@ -1,6 +1,7 @@
 // ptlr_simulate — project a compressed matrix onto the virtual cluster:
 // tune the band, simulate the BAND-DENSE-TLR Cholesky across node counts,
-// optionally dump a Chrome trace of one configuration.
+// optionally dump a Chrome trace of one configuration (obs spans, one pid
+// per simulated process; tools/check_trace.py validates it).
 //
 //   ptlr_simulate --in sigma.ptlr [--nodes 64] [--cores 16]
 //                 [--accel 0] [--accel-speedup 8]
@@ -13,6 +14,7 @@
 #include "core/cholesky.hpp"
 #include "core/memory_model.hpp"
 #include "core/placement.hpp"
+#include "obs/trace.hpp"
 #include "tlr/io.hpp"
 
 using namespace ptlr;
@@ -76,28 +78,13 @@ int main(int argc, char** argv) {
 
     if (args.has("trace")) {
       cfg.nodes = nodes;
-      cfg.record_trace = true;
-      // Rebuild the graph explicitly so the trace has the graph at hand.
-      const auto [p, q] = rt::square_grid(cfg.nodes);
-      rt::BandDistribution dist(p, q, ranks.band_size());
-      CostModel cost(cfg.rates);
-      GraphOptions opt;
-      opt.recursive_all = true;
-      opt.recursive_block = cfg.recursive_block;
-      opt.dist = &dist;
-      opt.cost = &cost;
-      auto g = build_cholesky_graph(ranks, opt);
-      rt::SimConfig sim;
-      sim.nproc = cfg.nodes;
-      sim.cores_per_proc = cfg.cores_per_node;
-      sim.accel_per_proc = cfg.accel_per_node;
-      sim.accel_speedup = cfg.accel_speedup;
-      sim.record_trace = true;
-      auto res = rt::simulate(g, sim);
-      rt::write_chrome_trace(res.trace, g, args.str("trace", "run.json"));
+      const std::string path = args.str("trace", "run.json");
+      obs::enable(true);
+      const auto res = simulate_cholesky(ranks, cfg);
+      obs::enable(false);
+      obs::write_chrome_trace(path);
       std::printf("trace for %d nodes written to %s (makespan %.3f s)\n",
-                  cfg.nodes, args.str("trace", "run.json").c_str(),
-                  res.makespan);
+                  cfg.nodes, path.c_str(), res.sim.makespan);
     }
     return 0;
   } catch (const std::exception& e) {
