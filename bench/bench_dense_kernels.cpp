@@ -1,14 +1,16 @@
 // Machine-readable microbenchmark of the dense level-3 substrate.
 //
-// Sweeps GEMM (NN) / SYRK / TRSM / POTRF over square sizes and times both
-// kernel paths — `naive` (the seed's unblocked reference loops, forced via
-// KernelPath::kUnblocked) and `blocked` (the packed BLIS-style engine) —
-// single-threaded, so the numbers track single-tile kernel efficiency, the
-// quantity that gates TLR factorization throughput. Two TRSM shapes run:
-// `trsm` solves L X = B (Left/Lower/N, the (4)-TRSM's shape) and
-// `trsm_right` solves X L^T = B (Right/Lower/T, the (1)-TRSM's and POTRF's
-// panel solve), both with m = n. At n <= 64 both paths of `trsm_right` run
-// the same tiled substitution leaf.
+// Sweeps GEMM (NN) / SYRK / TRSM / POTRF over square sizes and times two
+// rows per kernel, single-threaded, so the numbers track single-tile kernel
+// efficiency, the quantity that gates TLR factorization throughput:
+// `naive` calls the unblocked loop on the whole matrix by name
+// (dense/unblocked.hpp; for POTRF that is DPOTF2, no recursion), and
+// `blocked` calls the public entry, which picks its implementation by size
+// (the packed BLIS-style engine above the cutoff, so at n = 64 SYRK, TRSM
+// and POTRF run the same loops as `naive`). Two TRSM shapes run: `trsm`
+// solves L X = B (Left/Lower/N, the (4)-TRSM's shape) and `trsm_right`
+// solves X L^T = B (Right/Lower/T, the (1)-TRSM's and POTRF's panel solve),
+// both with m = n.
 //
 // Output: BENCH_dense_kernels.json (override with PTLR_BENCH_OUT), one
 // record per (kernel, variant, n) with seconds and gflops, plus a summary
@@ -28,6 +30,7 @@
 #include "common/timer.hpp"
 #include "dense/blas.hpp"
 #include "dense/lapack.hpp"
+#include "dense/unblocked.hpp"
 #include "dense/util.hpp"
 
 using namespace ptlr::dense;
@@ -111,41 +114,53 @@ int main(int argc, char** argv) {
     struct Case {
       const char* kernel;
       double flops;
-      std::function<void()> setup;  // restores work's inputs, untimed
-      std::function<void()> run;    // leaves the result in work
+      std::function<void()> setup;    // restores work's inputs, untimed
+      std::function<void()> naive;    // the unblocked loop, by name
+      std::function<void()> blocked;  // the public entry
     };
     const double dn = n;
+    // The naive GEMM and SYRK accumulate, so every setup zeroes or copies
+    // work; beta = 0 also lets the public entries overwrite it. SYRK writes
+    // only the lower triangle, and the zeroed rest keeps the two rows
+    // comparable over the whole matrix.
     const Case cases[] = {
-        {"gemm", 2.0 * dn * dn * dn, [] {},
+        {"gemm", 2.0 * dn * dn * dn, [&] { work.fill(0.0); },
+         [&] {
+           gemm_unblocked(Trans::N, Trans::N, 1.0, a.view(), b.view(),
+                          work.view());
+         },
          [&] {
            gemm(Trans::N, Trans::N, 1.0, a.view(), b.view(), 0.0,
                 work.view());
          }},
-        // beta = 0 writes only the lower triangle; zero the rest so both
-        // variants compare over the whole matrix.
         {"syrk", dn * dn * dn, [&] { work.fill(0.0); },
+         [&] { syrk_unblocked(-1.0, a.view(), work.view()); },
          [&] {
            syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 0.0, work.view());
          }},
         {"trsm", dn * dn * dn, [&] { copy(b.view(), work.view()); },
+         [&] {
+           trsm_unblocked(Side::Left, Trans::N, tri.view(), work.view());
+         },
          [&] {
            trsm(Side::Left, Uplo::Lower, Trans::N, Diag::NonUnit, 1.0,
                 tri.view(), work.view());
          }},
         {"trsm_right", dn * dn * dn, [&] { copy(b.view(), work.view()); },
          [&] {
+           trsm_unblocked(Side::Right, Trans::T, tri.view(), work.view());
+         },
+         [&] {
            trsm(Side::Right, Uplo::Lower, Trans::T, Diag::NonUnit, 1.0,
                 tri.view(), work.view());
          }},
         {"potrf", dn * dn * dn / 3.0, [&] { copy(spd.view(), work.view()); },
+         [&] { potf2(work.view()); },
          [&] { potrf(Uplo::Lower, work.view()); }},
     };
     for (const Case& kc : cases) {
-      for (const KernelPath path :
-           {KernelPath::kUnblocked, KernelPath::kAuto}) {
-        set_kernel_path(path);
-        const bool naive = path == KernelPath::kUnblocked;
-        const double secs = time_best(kc.setup, kc.run);
+      for (const bool naive : {true, false}) {
+        const double secs = time_best(kc.setup, naive ? kc.naive : kc.blocked);
         const double gflops = kc.flops / secs / 1e9;
         double err = -1.0;
         if (naive) {
@@ -166,7 +181,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  set_kernel_path(KernelPath::kAuto);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

@@ -11,6 +11,22 @@
 
 namespace ptlr {
 
+/// The splitmix64 increment (2^64 / golden ratio): the step of a
+/// splitmix64 stream's state.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9E3779B97F4A7C15ull;
+
+/// splitmix64: `x` + kSplitmixGamma, avalanche-mixed — the next draw of a
+/// splitmix64 stream whose state is `x`, and a stateless,
+/// schedule-invariant hash of `x`. The chaos perturber, the fault
+/// injector, the wire's message ids and the broadcast trees' rotations all
+/// draw from it.
+constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Seedable RNG wrapper. Thin veneer over a 64-bit Mersenne twister with
 /// convenience draws used across the library.
 class Rng {

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
+#include "common/rng.hpp"
+
 namespace ptlr::core::bcast {
-
-namespace {
-
-// splitmix64 — the same mixer the wire and fault layers use, duplicated
-// here because core must not depend on src/net. Only the rotation offset
-// uses it; any fixed avalanche function would do.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::vector<int> participants(std::uint64_t tag, int origin,
                               const std::set<int>& dests) {
@@ -26,7 +14,7 @@ std::vector<int> participants(std::uint64_t tag, int origin,
     if (d != origin) out.push_back(d);  // std::set iterates sorted
   if (out.size() > 1) {
     const std::size_t rot =
-        static_cast<std::size_t>(mix(tag) % out.size());
+        static_cast<std::size_t>(splitmix64(tag) % out.size());
     std::rotate(out.begin(),
                 out.begin() + static_cast<std::ptrdiff_t>(rot), out.end());
   }

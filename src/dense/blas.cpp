@@ -6,6 +6,7 @@
 
 #include "common/flops.hpp"
 #include "dense/gemm_kernel.hpp"
+#include "dense/unblocked.hpp"
 #include "runtime/nested.hpp"
 
 namespace ptlr::dense {
@@ -37,44 +38,16 @@ void scale_matrix(MatrixView c, double beta) {
   }
 }
 
-// True when the configured path routes a triangular level-3 call (n-sized
-// triangle, `volume` = m*n*k-equivalent) through the blocked engine.
+// True when a triangular level-3 call (n-sized triangle, `volume` =
+// m*n*k-equivalent) runs on the blocked engine.
 bool blocked_l3(int n, double volume) {
-  const KernelPath path = kernel_path();
-  if (path == KernelPath::kUnblocked) return false;
-  if (path == KernelPath::kBlocked) return true;
   return n > detail::kOuterNB && volume >= 32.0 * 32.0 * 32.0;
 }
 
-// Unblocked triangle-restricted SYRK: C += alpha * op(A) * op(A)^T on the
-// `uplo` triangle only (beta already applied, flops already charged).
-void syrk_unblocked(Uplo uplo, Trans ta, double alpha, ConstMatrixView a,
-                    MatrixView c) {
-  const int n = c.rows(), k = op_cols(ta, a);
-  if (ta == Trans::N) {
-    // C(i,j) += alpha * sum_p A(i,p) * A(j,p), triangle-restricted gaxpy.
-    for (int j = 0; j < n; ++j) {
-      double* cj = c.col(j);
-      for (int p = 0; p < k; ++p) {
-        const double w = alpha * a(j, p);
-        const double* ap = a.col(p);
-        if (uplo == Uplo::Lower) {
-          for (int i = j; i < n; ++i) cj[i] += w * ap[i];
-        } else {
-          for (int i = 0; i <= j; ++i) cj[i] += w * ap[i];
-        }
-      }
-    }
-  } else {
-    // C(i,j) += alpha * dot(A(:,i), A(:,j)).
-    for (int j = 0; j < n; ++j) {
-      double* cj = c.col(j);
-      const double* aj = a.col(j);
-      const int lo = uplo == Uplo::Lower ? j : 0;
-      const int hi = uplo == Uplo::Lower ? n : j + 1;
-      for (int i = lo; i < hi; ++i) cj[i] += alpha * dot(k, a.col(i), aj);
-    }
-  }
+// The one TRSM combination the signature admits but nothing implements.
+void check_trsm_variant(Side side, Trans ta) {
+  PTLR_CHECK(side == Side::Left || ta == Trans::T,
+             "trsm: Right/Lower/N is not implemented");
 }
 
 // X * L^T = B on whole 32-row strips of B: the Right/Lower/T substitution
@@ -87,9 +60,8 @@ void syrk_unblocked(Uplo uplo, Trans ta, double alpha, ConstMatrixView a,
 // form solves the rest, and a row computes the same bits in either. Only
 // the recursion leaf's n <= kOuterNB columns are tiled: a wider strip falls
 // out of L1, where its strided column loads alias at power-of-two leading
-// dimensions, so the forced-unblocked path's wide solves keep the axpy form.
-int trsm_rlt_strips(ConstMatrixView a, MatrixView b, bool unit) {
-#ifdef PTLR_HAVE_VEC_EXT
+// dimensions, so a wide trsm_unblocked called by name keeps the axpy form.
+int trsm_rlt_strips(ConstMatrixView a, MatrixView b) {
   using detail::kVecLen;
   using detail::vec_d;
   constexpr int kSV = 4;
@@ -112,157 +84,106 @@ int trsm_rlt_strips(ConstMatrixView a, MatrixView b, bool unit) {
           acc[v] += w * x;
         }
       }
-      if (!unit) {
-        const double r = 1.0 / a(j, j);
-        for (int v = 0; v < kSV; ++v) acc[v] *= r;
-      }
+      const double r = 1.0 / a(j, j);
+      for (int v = 0; v < kSV; ++v) acc[v] *= r;
       for (int v = 0; v < kSV; ++v)
         __builtin_memcpy(bj + v * kVecLen, &acc[v], sizeof(vec_d));
     }
   }
   return i0;
-#else
-  (void)a, (void)b, (void)unit;
-  return 0;
-#endif
 }
 
-// Unblocked triangular solve (alpha already applied, flops already
-// charged): the seed's substitution loops, kept as the reference path and
-// as the diagonal-block solver of the blocked form.
-void trsm_unblocked(Side side, Uplo uplo, Trans ta, Diag diag,
-                    ConstMatrixView a, MatrixView b) {
-  const int m = b.rows(), n = b.cols();
-  const bool unit = diag == Diag::Unit;
-  if (side == Side::Left) {
-    for (int j = 0; j < n; ++j) {
-      double* bj = b.col(j);
-      if (uplo == Uplo::Lower && ta == Trans::N) {
-        // Forward substitution, axpy form.
-        for (int p = 0; p < m; ++p) {
-          if (!unit) bj[p] /= a(p, p);
-          const double w = bj[p];
-          const double* ap = a.col(p);
-          for (int i = p + 1; i < m; ++i) bj[i] -= w * ap[i];
-        }
-      } else if (uplo == Uplo::Lower && ta == Trans::T) {
-        // Backward substitution, dot form (column of A is contiguous).
-        for (int p = m - 1; p >= 0; --p) {
-          double s = bj[p] - dot(m - p - 1, a.col(p) + p + 1, bj + p + 1);
-          bj[p] = unit ? s : s / a(p, p);
-        }
-      } else if (uplo == Uplo::Upper && ta == Trans::N) {
-        // Backward substitution, axpy form.
-        for (int p = m - 1; p >= 0; --p) {
-          if (!unit) bj[p] /= a(p, p);
-          const double w = bj[p];
-          const double* ap = a.col(p);
-          for (int i = 0; i < p; ++i) bj[i] -= w * ap[i];
-        }
-      } else {  // Upper, T: forward substitution, dot form.
-        for (int p = 0; p < m; ++p) {
-          double s = bj[p] - dot(p, a.col(p), bj);
-          bj[p] = unit ? s : s / a(p, p);
-        }
-      }
+}  // namespace
+
+void syrk_unblocked(double alpha, ConstMatrixView a, MatrixView c) {
+  // C(i,j) += alpha * sum_p A(i,p) * A(j,p), triangle-restricted gaxpy.
+  const int n = c.rows(), k = a.cols();
+  for (int j = 0; j < n; ++j) {
+    double* cj = c.col(j);
+    for (int p = 0; p < k; ++p) {
+      const double w = alpha * a(j, p);
+      const double* ap = a.col(p);
+      for (int i = j; i < n; ++i) cj[i] += w * ap[i];
     }
-  } else {  // Side::Right — X * op(A) = B, column-block recurrences.
-    // No `w == 0` shortcuts here (reference BLAS propagates 0 * NaN).
-    if (uplo == Uplo::Lower && ta == Trans::T) {
-      // Forward over columns: X(:,j) = (B(:,j) - sum_{p<j} X(:,p)A(j,p))/A(j,j).
-      // Whole strips in registers, the leftover rows i0.. in axpy form.
-      const int i0 = trsm_rlt_strips(a, b, unit);
-      for (int j = 0; j < n; ++j) {
-        double* bj = b.col(j) + i0;
-        for (int p = 0; p < j; ++p) axpy(m - i0, -a(j, p), b.col(p) + i0, bj);
-        if (!unit) scal(m - i0, 1.0 / a(j, j), bj);
+  }
+}
+
+void trsm_unblocked(Side side, Trans ta, ConstMatrixView a, MatrixView b) {
+  check_trsm_variant(side, ta);
+  const int m = b.rows(), n = b.cols();
+  if (side == Side::Right) {
+    // X * L^T = B, forward over columns:
+    // X(:,j) = (B(:,j) - sum_{p<j} X(:,p)A(j,p))/A(j,j). Whole strips in
+    // registers, the leftover rows i0.. in axpy form. No `w == 0`
+    // shortcuts (reference BLAS propagates 0 * NaN).
+    const int i0 = trsm_rlt_strips(a, b);
+    for (int j = 0; j < n; ++j) {
+      double* bj = b.col(j) + i0;
+      for (int p = 0; p < j; ++p) axpy(m - i0, -a(j, p), b.col(p) + i0, bj);
+      scal(m - i0, 1.0 / a(j, j), bj);
+    }
+    return;
+  }
+  for (int j = 0; j < n; ++j) {
+    double* bj = b.col(j);
+    if (ta == Trans::N) {
+      // L X = B: forward substitution, axpy form.
+      for (int p = 0; p < m; ++p) {
+        bj[p] /= a(p, p);
+        const double w = bj[p];
+        const double* ap = a.col(p);
+        for (int i = p + 1; i < m; ++i) bj[i] -= w * ap[i];
       }
-    } else if (uplo == Uplo::Lower && ta == Trans::N) {
-      // Backward: X(:,j) = (B(:,j) - sum_{p>j} X(:,p)A(p,j))/A(j,j).
-      for (int j = n - 1; j >= 0; --j) {
-        double* bj = b.col(j);
-        for (int p = j + 1; p < n; ++p) axpy(m, -a(p, j), b.col(p), bj);
-        if (!unit) scal(m, 1.0 / a(j, j), bj);
-      }
-    } else if (uplo == Uplo::Upper && ta == Trans::N) {
-      // Forward: X(:,j) = (B(:,j) - sum_{p<j} X(:,p)A(p,j))/A(j,j).
-      for (int j = 0; j < n; ++j) {
-        double* bj = b.col(j);
-        for (int p = 0; p < j; ++p) axpy(m, -a(p, j), b.col(p), bj);
-        if (!unit) scal(m, 1.0 / a(j, j), bj);
-      }
-    } else {  // Upper, T — backward.
-      for (int j = n - 1; j >= 0; --j) {
-        double* bj = b.col(j);
-        for (int p = j + 1; p < n; ++p) axpy(m, -a(j, p), b.col(p), bj);
-        if (!unit) scal(m, 1.0 / a(j, j), bj);
+    } else {
+      // L^T X = B: backward substitution, dot form (column of L is
+      // contiguous).
+      for (int p = m - 1; p >= 0; --p) {
+        const double s = bj[p] - dot(m - p - 1, a.col(p) + p + 1, bj + p + 1);
+        bj[p] = s / a(p, p);
       }
     }
   }
 }
+
+namespace {
 
 // Recursive triangular solve (alpha already applied, flops already
 // charged): split the triangle in half, solve the independent half first,
 // fold its contribution into the other half with one fat GEMM on the
-// blocked engine, recurse. Bottoms out on the reference substitution at
+// blocked engine, recurse. Bottoms out on the substitution loops at
 // kOuterNB, so the unblocked fraction of the O(na^2 * nrhs) volume decays
 // like kOuterNB / na.
-void trsm_body(Side side, Uplo uplo, Trans ta, Diag diag, ConstMatrixView a,
-               MatrixView b) {
+void trsm_body(Side side, Trans ta, ConstMatrixView a, MatrixView b) {
   const int m = b.rows(), n = b.cols();
   const int na = side == Side::Left ? m : n;
   const int nrhs = side == Side::Left ? n : m;
-  if (!blocked_l3(na, static_cast<double>(na) * na * nrhs) ||
-      na <= detail::kOuterNB) {
-    trsm_unblocked(side, uplo, ta, diag, a, b);
+  if (!blocked_l3(na, static_cast<double>(na) * na * nrhs)) {
+    trsm_unblocked(side, ta, a, b);
     return;
   }
   const int n1 = na / 2, n2 = na - n1;
   auto a11 = a.block(0, 0, n1, n1);
+  auto a21 = a.block(n1, 0, n2, n1);
   auto a22 = a.block(n1, n1, n2, n2);
-  // The off-diagonal block of the triangle: A21 for Lower, A12 for Upper.
-  auto aoff = uplo == Uplo::Lower ? a.block(n1, 0, n2, n1)
-                                  : a.block(0, n1, n1, n2);
-  if (side == Side::Left) {
-    auto b1 = b.block(0, 0, n1, n), b2 = b.block(n1, 0, n2, n);
-    // op(A) lower (Lower/N, Upper/T) solves top-down; upper bottom-up.
-    if ((uplo == Uplo::Lower) == (ta == Trans::N)) {
-      trsm_body(side, uplo, ta, diag, a11, b1);
-      if (uplo == Uplo::Lower) {
-        detail::gemm_body(Trans::N, Trans::N, -1.0, aoff, b1, b2);
-      } else {
-        detail::gemm_body(Trans::T, Trans::N, -1.0, aoff, b1, b2);
-      }
-      trsm_body(side, uplo, ta, diag, a22, b2);
-    } else {
-      trsm_body(side, uplo, ta, diag, a22, b2);
-      if (uplo == Uplo::Lower) {
-        detail::gemm_body(Trans::T, Trans::N, -1.0, aoff, b2, b1);
-      } else {
-        detail::gemm_body(Trans::N, Trans::N, -1.0, aoff, b2, b1);
-      }
-      trsm_body(side, uplo, ta, diag, a11, b1);
-    }
-  } else {
+  if (side == Side::Right) {
+    // X L^T = B: L^T is upper, so the columns solve left to right.
     auto b1 = b.block(0, 0, m, n1), b2 = b.block(0, n1, m, n2);
-    // X op(A) = B: op(A) upper (Upper/N, Lower/T) solves left-to-right.
-    if ((uplo == Uplo::Upper) == (ta == Trans::N)) {
-      trsm_body(side, uplo, ta, diag, a11, b1);
-      if (uplo == Uplo::Upper) {
-        detail::gemm_body(Trans::N, Trans::N, -1.0, b1, aoff, b2);
-      } else {
-        detail::gemm_body(Trans::N, Trans::T, -1.0, b1, aoff, b2);
-      }
-      trsm_body(side, uplo, ta, diag, a22, b2);
-    } else {
-      trsm_body(side, uplo, ta, diag, a22, b2);
-      if (uplo == Uplo::Upper) {
-        detail::gemm_body(Trans::N, Trans::T, -1.0, b2, aoff, b1);
-      } else {
-        detail::gemm_body(Trans::N, Trans::N, -1.0, b2, aoff, b1);
-      }
-      trsm_body(side, uplo, ta, diag, a11, b1);
-    }
+    trsm_body(side, ta, a11, b1);
+    detail::gemm_body(Trans::N, Trans::T, -1.0, b1, a21, b2);
+    trsm_body(side, ta, a22, b2);
+    return;
+  }
+  auto b1 = b.block(0, 0, n1, n), b2 = b.block(n1, 0, n2, n);
+  if (ta == Trans::N) {
+    // L X = B solves top-down.
+    trsm_body(side, ta, a11, b1);
+    detail::gemm_body(Trans::N, Trans::N, -1.0, a21, b1, b2);
+    trsm_body(side, ta, a22, b2);
+  } else {
+    // L^T X = B solves bottom-up.
+    trsm_body(side, ta, a22, b2);
+    detail::gemm_body(Trans::T, Trans::N, -1.0, a21, b2, b1);
+    trsm_body(side, ta, a11, b1);
   }
 }
 
@@ -329,43 +250,40 @@ void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   detail::gemm_body(ta, tb, alpha, a, b, c);
 }
 
-void syrk(Uplo uplo, Trans ta, double alpha, ConstMatrixView a, double beta,
+void syrk(Uplo, Trans ta, double alpha, ConstMatrixView a, double beta,
           MatrixView c) {
-  const int n = c.rows(), k = op_cols(ta, a);
-  PTLR_CHECK(c.cols() == n && op_rows(ta, a) == n, "syrk dimension mismatch");
-  // Scale the referenced triangle only.
+  PTLR_CHECK(ta == Trans::N, "syrk: Lower/T is not implemented");
+  const int n = c.rows(), k = a.cols();
+  PTLR_CHECK(c.cols() == n && a.rows() == n, "syrk dimension mismatch");
+  // Scale the lower triangle only.
   for (int j = 0; j < n; ++j) {
-    const int lo = uplo == Uplo::Lower ? j : 0;
-    const int hi = uplo == Uplo::Lower ? n : j + 1;
     double* cj = c.col(j);
     if (beta == 0.0) {
-      for (int i = lo; i < hi; ++i) cj[i] = 0.0;
+      for (int i = j; i < n; ++i) cj[i] = 0.0;
     } else if (beta != 1.0) {
-      for (int i = lo; i < hi; ++i) cj[i] *= beta;
+      for (int i = j; i < n; ++i) cj[i] *= beta;
     }
   }
   if (alpha == 0.0 || n == 0 || k == 0) return;
   flops::Counter::add(flops::syrk(n, k));
 
   if (!blocked_l3(n, static_cast<double>(n) * n * k)) {
-    syrk_unblocked(uplo, ta, alpha, a, c);
+    syrk_unblocked(alpha, a, c);
     return;
   }
-  // Ride the packed GEMM engine with a triangle mask: C += alpha * op(A) *
-  // op(A)^T restricted to `uplo`. One packing pass, full microkernel speed;
-  // microtiles outside the triangle are skipped, straddlers masked at
+  // Ride the packed GEMM engine with a triangle mask: C += alpha * A * A^T
+  // restricted to the lower triangle. One packing pass, full microkernel
+  // speed; microtiles above the diagonal are skipped, straddlers masked at
   // write-back. No extra flops charged — the model above covers it all.
-  const Trans tb = ta == Trans::N ? Trans::T : Trans::N;
-  const detail::TriMask mask = uplo == Uplo::Lower ? detail::TriMask::kLower
-                                                   : detail::TriMask::kUpper;
+  constexpr detail::TriMask kMask = detail::TriMask::kLower;
   if (rt::nested_available() && n >= 2 * detail::kNestedMinChunk &&
       static_cast<double>(n) * n * k >= detail::kNestedMinVolume) {
     // Child tasks over row-blocks of C: each child owns its diagonal
     // triangle block (the mask condition is local — the block sits on the
-    // diagonal) plus its in-triangle off-diagonal rectangle. Bitwise-safe
-    // for the same reason as the GEMM chunking: every in-triangle element
-    // is produced by the identical packed k-sum; the decomposition only
-    // redraws blocking boundaries and re-labels which call skips the
+    // diagonal) plus the rectangle left of it. Bitwise-safe for the same
+    // reason as the GEMM chunking: every in-triangle element is produced
+    // by the identical packed k-sum; the decomposition only redraws
+    // blocking boundaries and re-labels which call skips the
     // out-of-triangle area. Children call gemm_blocked directly, so no
     // size-dependent dispatch can diverge from the undivided call.
     const int nchunks =
@@ -375,41 +293,24 @@ void syrk(Uplo uplo, Trans ta, double alpha, ConstMatrixView a, double beta,
       const int r0 = chunk_lo(n, nchunks, t);
       const int r1 = chunk_lo(n, nchunks, t + 1);
       const int nb = r1 - r0;
-      const ConstMatrixView ai = ta == Trans::N ? a.block(r0, 0, nb, k)
-                                                : a.block(0, r0, k, nb);
+      const ConstMatrixView ai = a.block(r0, 0, nb, k);
       const MatrixView cd = c.block(r0, r0, nb, nb);
-      if (uplo == Uplo::Lower) {
-        tg.spawn([ta, tb, alpha, a, ai, cd, mask, r0, nb, k, &c] {
-          detail::gemm_blocked(ta, tb, alpha, ai, ai, cd, mask);
-          if (r0 > 0) {
-            const ConstMatrixView a0 = ta == Trans::N
-                                           ? a.block(0, 0, r0, k)
-                                           : a.block(0, 0, k, r0);
-            detail::gemm_blocked(ta, tb, alpha, ai, a0,
-                                 c.block(r0, 0, nb, r0));
-          }
-        });
-      } else {
-        tg.spawn([ta, tb, alpha, a, ai, cd, mask, r1, r0, nb, k, n, &c] {
-          detail::gemm_blocked(ta, tb, alpha, ai, ai, cd, mask);
-          if (r1 < n) {
-            const ConstMatrixView a2 = ta == Trans::N
-                                           ? a.block(r1, 0, n - r1, k)
-                                           : a.block(0, r1, k, n - r1);
-            detail::gemm_blocked(ta, tb, alpha, ai, a2,
-                                 c.block(r0, r1, nb, n - r1));
-          }
-        });
-      }
+      tg.spawn([alpha, a, ai, cd, r0, nb, k, &c] {
+        detail::gemm_blocked(Trans::N, Trans::T, alpha, ai, ai, cd, kMask);
+        if (r0 > 0)
+          detail::gemm_blocked(Trans::N, Trans::T, alpha, ai,
+                               a.block(0, 0, r0, k), c.block(r0, 0, nb, r0));
+      });
     }
     tg.sync();
     return;
   }
-  detail::gemm_blocked(ta, tb, alpha, a, a, c, mask);
+  detail::gemm_blocked(Trans::N, Trans::T, alpha, a, a, c, kMask);
 }
 
-void trsm(Side side, Uplo uplo, Trans ta, Diag diag, double alpha,
-          ConstMatrixView a, MatrixView b) {
+void trsm(Side side, Uplo, Trans ta, Diag, double alpha, ConstMatrixView a,
+          MatrixView b) {
+  check_trsm_variant(side, ta);
   const int m = b.rows(), n = b.cols();
   const int na = side == Side::Left ? m : n;
   PTLR_CHECK(a.rows() == na && a.cols() == na, "trsm dimension mismatch");
@@ -439,14 +340,12 @@ void trsm(Side side, Uplo uplo, Trans ta, Diag diag, double alpha,
       const MatrixView bc = side == Side::Left
                                 ? b.block(0, s0, m, s1 - s0)
                                 : b.block(s0, 0, s1 - s0, n);
-      tg.spawn([side, uplo, ta, diag, a, bc] {
-        trsm_body(side, uplo, ta, diag, a, bc);
-      });
+      tg.spawn([side, ta, a, bc] { trsm_body(side, ta, a, bc); });
     }
     tg.sync();
     return;
   }
-  trsm_body(side, uplo, ta, diag, a, b);
+  trsm_body(side, ta, a, b);
 }
 
 void gemv(Trans ta, double alpha, ConstMatrixView a, const double* x,

@@ -7,17 +7,12 @@
 #include <cstdint>
 #include <memory>
 
+#include "dense/unblocked.hpp"
 #include "runtime/nested.hpp"
 
 namespace ptlr::dense::detail {
 
 namespace {
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PTLR_RESTRICT __restrict__
-#else
-#define PTLR_RESTRICT
-#endif
 
 // MR x NR register microkernel: acc = sum_p apanel(:, p) * bpanel(p, :)
 // over the packed panels, then C(0:mr, 0:nr) += acc. Panels are
@@ -31,18 +26,17 @@ namespace {
 // vectorizes the scalar form across the N axis and drowns the FMAs in
 // cross-lane shuffles. Every lane runs the same multiply-add chain over p,
 // so the footprint never enters a result.
-void micro_kernel(int kc, const double* PTLR_RESTRICT ap,
-                  const double* PTLR_RESTRICT bp, double* PTLR_RESTRICT c,
+void micro_kernel(int kc, const double* __restrict__ ap,
+                  const double* __restrict__ bp, double* __restrict__ c,
                   int ldc, int mr, int nr) {
-#ifdef PTLR_HAVE_VEC_EXT
   constexpr int kMV = kMR / kVecLen;
   vec_d acc[kNR][kMV] = {};
   for (int p = 0; p < kc; ++p) {
-    const double* PTLR_RESTRICT arow = ap + static_cast<std::size_t>(p) * kMR;
+    const double* __restrict__ arow = ap + static_cast<std::size_t>(p) * kMR;
     vec_d av[kMV];
     for (int v = 0; v < kMV; ++v)
       __builtin_memcpy(&av[v], arow + v * kVecLen, sizeof(vec_d));
-    const double* PTLR_RESTRICT brow = bp + static_cast<std::size_t>(p) * kNR;
+    const double* __restrict__ brow = bp + static_cast<std::size_t>(p) * kNR;
     for (int j = 0; j < kNR; ++j)
       for (int v = 0; v < kMV; ++v) acc[j][v] += av[v] * brow[j];
   }
@@ -62,21 +56,6 @@ void micro_kernel(int kc, const double* PTLR_RESTRICT ap,
       for (int i = 0; i < mr; ++i) cj[i] += acc[j][i / kVecLen][i % kVecLen];
     }
   }
-#else
-  double acc[kNR][kMR] = {};
-  for (int p = 0; p < kc; ++p) {
-    const double* PTLR_RESTRICT arow = ap + static_cast<std::size_t>(p) * kMR;
-    const double* PTLR_RESTRICT brow = bp + static_cast<std::size_t>(p) * kNR;
-    for (int j = 0; j < kNR; ++j) {
-      const double bj = brow[j];
-      for (int i = 0; i < kMR; ++i) acc[j][i] += arow[i] * bj;
-    }
-  }
-  for (int j = 0; j < nr; ++j) {
-    double* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (int i = 0; i < mr; ++i) cj[i] += acc[j][i];
-  }
-#endif
 }
 
 // Reusable per-thread packing workspace. Sized once to the largest block
@@ -111,11 +90,6 @@ double* line_aligned(double* p) {
   return off == 0 ? p : p + (kLineBytes - off) / sizeof(double);
 }
 
-KernelPath& kernel_path_state() {
-  static KernelPath path = KernelPath::kAuto;
-  return path;
-}
-
 }  // namespace
 
 void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
@@ -135,9 +109,8 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
       pack_b(tb, b, pc, jc, kc, nc, bpack);
       for (int ic = 0; ic < m; ic += kMC) {
         const int mc = m - ic < kMC ? m - ic : kMC;
-        // A cache-block fully outside the requested triangle never packs.
+        // A cache-block fully above the diagonal never packs.
         if (mask == TriMask::kLower && jc > ic + mc - 1) continue;
-        if (mask == TriMask::kUpper && ic > jc + nc - 1) continue;
         pack_a(ta, alpha, a, ic, pc, mc, kc, apack);
         for (int jr = 0; jr < nc; jr += kNR) {
           const int nr = nc - jr < kNR ? nc - jr : kNR;
@@ -147,14 +120,11 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
             const int mr = mc - ir < kMR ? mc - ir : kMR;
             const int r0 = ic + ir, c0 = jc + jr;
             if (mask == TriMask::kLower && c0 > r0 + mr - 1) continue;
-            if (mask == TriMask::kUpper && r0 > c0 + nr - 1) continue;
             const double* ap =
                 apack + static_cast<std::size_t>(ir / kMR) * kc * kMR;
             // Straddling microtiles land in a scratch tile and copy the
             // in-triangle lanes; interior tiles write C directly.
-            const bool straddle =
-                (mask == TriMask::kLower && c0 + nr - 1 > r0) ||
-                (mask == TriMask::kUpper && r0 + mr - 1 > c0);
+            const bool straddle = mask == TriMask::kLower && c0 + nr - 1 > r0;
             if (!straddle) {
               micro_kernel(kc, ap, bp, c.col(c0) + r0, ldc, mr, nr);
             } else {
@@ -162,12 +132,8 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
               micro_kernel(kc, ap, bp, tile, kMR, mr, nr);
               for (int j = 0; j < nr; ++j) {
                 double* cj = c.col(c0 + j) + r0;
-                for (int i = 0; i < mr; ++i) {
-                  const bool in_tri = mask == TriMask::kLower
-                                          ? r0 + i >= c0 + j
-                                          : r0 + i <= c0 + j;
-                  if (in_tri) cj[i] += tile[j * kMR + i];
-                }
+                for (int i = 0; i < mr; ++i)
+                  if (r0 + i >= c0 + j) cj[i] += tile[j * kMR + i];
               }
             }
           }
@@ -176,6 +142,10 @@ void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
     }
   }
 }
+
+}  // namespace ptlr::dense::detail
+
+namespace ptlr::dense {
 
 void gemm_unblocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                     ConstMatrixView b, MatrixView c) {
@@ -228,6 +198,10 @@ void gemm_unblocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   }
 }
 
+}  // namespace ptlr::dense
+
+namespace ptlr::dense::detail {
+
 bool worth_blocking(int m, int n, int k) {
   // Packing moves O(m*k + k*n) bytes to save O(m*n*k) strided accesses;
   // below ~32^3 of volume the naive unit-stride loops win.
@@ -239,11 +213,7 @@ void gemm_body(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   const int m = c.rows();
   const int n = c.cols();
   const int k = ta == Trans::N ? a.cols() : a.rows();
-  const KernelPath path = kernel_path();
-  const bool blocked =
-      path == KernelPath::kBlocked ||
-      (path == KernelPath::kAuto && worth_blocking(m, n, k));
-  if (!blocked) {
+  if (!worth_blocking(m, n, k)) {
     gemm_unblocked(ta, tb, alpha, a, b, c);
     return;
   }
@@ -277,11 +247,3 @@ void gemm_body(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 }
 
 }  // namespace ptlr::dense::detail
-
-namespace ptlr::dense {
-
-void set_kernel_path(KernelPath path) { detail::kernel_path_state() = path; }
-
-KernelPath kernel_path() { return detail::kernel_path_state(); }
-
-}  // namespace ptlr::dense

@@ -40,13 +40,10 @@ inline constexpr int kNR = 6;
 #endif
 static_assert(kMR % kVecLen == 0, "microtile columns are whole vectors");
 
-#if defined(__GNUC__) || defined(__clang__)
-#define PTLR_HAVE_VEC_EXT 1
 // kVecLen doubles spelled with GNU vector extensions: one zmm on AVX-512,
 // two ymm halves on AVX2. Used by the GEMM microkernel, the TRSM leaf and
 // the Householder apply (qr.cpp) to pin vectorization to the row axis.
 using vec_d = double __attribute__((vector_size(kVecLen * sizeof(double))));
-#endif
 
 // Cache blocks: an MR x KC sliver of packed A plus a KC x NR sliver of packed
 // B stay in L1 (16*256*8B = 32 KiB plus 8*256*8B = 16 KiB fill a 48 KiB L1d
@@ -58,16 +55,17 @@ inline constexpr int kKC = 256;
 inline constexpr int kNC = 2048;
 
 // Outer block size used by the blocked SYRK/TRSM/POTRF wrappers: diagonal
-// (triangular) blocks of this size run the unblocked reference kernels,
-// everything else is GEMM volume.
+// (triangular) blocks of this size run the unblocked kernels
+// (dense/unblocked.hpp), everything else is GEMM volume.
 inline constexpr int kOuterNB = 64;
 
 // Nested child-task decomposition thresholds (docs/performance.md). The
 // level-3 entry points cut their output into per-child chunks and spawn
 // them through rt::TaskGroup when running inside a ws-engine task. Every
-// chunk keeps at least kNestedMinChunk rows/columns so each child's
-// blocked-vs-unblocked dispatch (worth_blocking, blocked_l3) takes the
-// same branch the undivided call would — that branch-stability is what
+// chunk keeps at least kNestedMinChunk rows/columns so each child's size
+// rule (worth_blocking, blocked_l3), the only selector between the blocked
+// and unblocked kernels, takes the branch the undivided call would — that
+// branch-stability is what
 // keeps chunked results bitwise identical to the serial evaluation; see
 // the proofs next to each use. kNestedMinVolume (64^3 fused multiply-adds,
 // tens of microseconds of work) keeps spawn overhead invisible, and
@@ -77,25 +75,19 @@ inline constexpr int kNestedMinChunk = 64;
 inline constexpr double kNestedMinVolume = 64.0 * 64.0 * 64.0;
 inline constexpr int kNestedMaxChunks = 8;
 
-/// Restrict a blocked update to one triangle of C (diagonal included).
-/// Microtiles fully outside the triangle are skipped before they compute;
+/// Restrict a blocked update to the lower triangle of C (diagonal
+/// included). Microtiles fully above it are skipped before they compute;
 /// straddling microtiles mask the write-back elementwise. This is how SYRK
 /// rides the GEMM engine at full speed with a single packing pass.
-enum class TriMask { kNone, kLower, kUpper };
+enum class TriMask { kNone, kLower };
 
 /// Blocked, packed path: C += alpha * op(A) * op(B). Any m/n/k, any ld.
 void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                   ConstMatrixView b, MatrixView c,
                   TriMask mask = TriMask::kNone);
 
-/// Unblocked reference path with identical contract (the seed gaxpy/dot
-/// loops, minus the BLAS-violating zero shortcuts). Kept as the oracle and
-/// as the small-size fallback.
-void gemm_unblocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                    ConstMatrixView b, MatrixView c);
-
-/// Dispatch helper used by gemm/syrk/trsm bodies: picks blocked vs
-/// unblocked from the configured kernel path and the problem volume.
+/// Dispatch helper used by gemm/syrk/trsm bodies: gemm_blocked when
+/// worth_blocking, else gemm_unblocked (dense/unblocked.hpp).
 void gemm_body(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                ConstMatrixView b, MatrixView c);
 
@@ -113,7 +105,7 @@ void pack_a(Trans ta, double alpha, ConstMatrixView a, int i0, int p0,
 void pack_b(Trans tb, ConstMatrixView b, int p0, int j0, int kc, int nc,
             double* buf);
 
-/// True when (m, n, k) is worth the packing overhead under kAuto.
+/// True when (m, n, k) is worth the packing overhead.
 bool worth_blocking(int m, int n, int k);
 
 }  // namespace ptlr::dense::detail

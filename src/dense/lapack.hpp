@@ -12,8 +12,9 @@
 
 namespace ptlr::dense {
 
-/// Blocked Cholesky factorization (DPOTRF). On exit the `uplo` triangle of
-/// `a` holds the factor; the opposite triangle is untouched.
+/// Blocked lower Cholesky factorization (DPOTRF, `uplo` = Lower). On exit
+/// the lower triangle of `a` holds L; the strict upper triangle is
+/// untouched.
 /// Throws NumericalError with the 1-based pivot index if `a` is not SPD.
 void potrf(Uplo uplo, MatrixView a);
 

@@ -22,7 +22,6 @@ double larfg(double& alpha, int n, double* x) {
   return tau;
 }
 
-#ifdef PTLR_HAVE_VEC_EXT
 using detail::kVecLen;
 using detail::vec_d;
 
@@ -56,7 +55,6 @@ void apply_pass(int full, const double* v, double* const* ax,
     }
   }
 }
-#endif
 
 // Apply H = I - tau*v*v^T (v(0)=1 implicit, tail `v` of length n-1) from the
 // left to the n-by-k block whose first row is `c0` with leading dim ld.
@@ -73,7 +71,6 @@ void apply_pass(int full, const double* v, double* const* ax,
 void larf_left(int n, int k, const double* v, double tau, double* c0,
                int ld) {
   if (tau == 0.0 || k == 0) return;
-#ifdef PTLR_HAVE_VEC_EXT
   const int len = n - 1;  // rows below the implicit v(0) = 1
   const int full = len - len % kVecLen;
   const int groups = (k + kCols - 1) / kCols;
@@ -126,14 +123,6 @@ void larf_left(int n, int k, const double* v, double tau, double* c0,
     std::copy_n(next, kCols, cur);
     live = next_live;
   }
-#else
-  for (int j = 0; j < k; ++j) {
-    double* c = c0 + static_cast<std::size_t>(j) * ld;
-    const double w = c[0] + dot(n - 1, v, c + 1);
-    c[0] -= tau * w;
-    axpy(n - 1, -tau * w, v, c + 1);
-  }
-#endif
 }
 
 }  // namespace

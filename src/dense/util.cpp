@@ -48,15 +48,6 @@ bool all_finite(ConstMatrixView a) {
   return s == 0.0;
 }
 
-double max_abs(ConstMatrixView a) {
-  double s = 0.0;
-  for (int j = 0; j < a.cols(); ++j) {
-    const double* c = a.col(j);
-    for (int i = 0; i < a.rows(); ++i) s = std::max(s, std::abs(c[i]));
-  }
-  return s;
-}
-
 double frob_diff(ConstMatrixView a, ConstMatrixView b) {
   PTLR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
              "frob_diff dimension mismatch");
@@ -126,27 +117,17 @@ Matrix random_lowrank(int m, int n, int r, double smin, Rng& rng) {
   return out;
 }
 
-void symmetrize(Uplo stored, MatrixView a) {
+void symmetrize(Uplo, MatrixView a) {
   PTLR_CHECK(a.rows() == a.cols(), "symmetrize needs a square matrix");
   const int n = a.rows();
   for (int j = 0; j < n; ++j)
-    for (int i = j + 1; i < n; ++i) {
-      if (stored == Uplo::Lower)
-        a(j, i) = a(i, j);
-      else
-        a(i, j) = a(j, i);
-    }
+    for (int i = j + 1; i < n; ++i) a(j, i) = a(i, j);
 }
 
-void zero_opposite_triangle(Uplo stored, MatrixView a) {
+void zero_opposite_triangle(Uplo, MatrixView a) {
   const int n = std::min(a.rows(), a.cols());
   for (int j = 0; j < n; ++j)
-    for (int i = j + 1; i < n && i < a.rows(); ++i) {
-      if (stored == Uplo::Lower)
-        a(j, i) = 0.0;
-      else
-        a(i, j) = 0.0;
-    }
+    for (int i = j + 1; i < n; ++i) a(j, i) = 0.0;
 }
 
 }  // namespace ptlr::dense

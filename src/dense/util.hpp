@@ -10,9 +10,6 @@ namespace ptlr::dense {
 /// Frobenius norm.
 double frob_norm(ConstMatrixView a);
 
-/// Largest absolute entry.
-double max_abs(ConstMatrixView a);
-
 /// ||A - B||_F.
 double frob_diff(ConstMatrixView a, ConstMatrixView b);
 
@@ -39,10 +36,11 @@ Matrix random_spd(int n, Rng& rng);
 /// geometrically from 1 to `smin` (for compression tests).
 Matrix random_lowrank(int m, int n, int r, double smin, Rng& rng);
 
-/// Mirror the `uplo` triangle onto the other to make `a` fully symmetric.
+/// Mirror the stored lower triangle onto the upper to make `a` fully
+/// symmetric.
 void symmetrize(Uplo stored, MatrixView a);
 
-/// Zero the strictly-upper (stored==Lower) or strictly-lower triangle.
+/// Zero the strictly-upper triangle of the stored lower triangle.
 void zero_opposite_triangle(Uplo stored, MatrixView a);
 
 }  // namespace ptlr::dense

@@ -17,6 +17,10 @@ using rt::dist::PeerState;
 
 namespace {
 
+/// Per-peer backpressure bound: data frames wait while this many bytes are
+/// queued for one peer.
+constexpr std::size_t kMaxQueueBytes = 64u << 20;
+
 std::string rank_str(int r) { return "rank " + std::to_string(r); }
 
 /// The k-step a mailbox tag belongs to (make_tag packs k into bits 40..59).
@@ -356,7 +360,7 @@ void PeerMesh::enqueue(Peer& p, Frame f, bool retransmit, bool control) {
     // flow once the respawn's socket is swapped in; only a terminal
     // failure (window expired / no window) throws.
     p.cv_space.wait(lk, [&] {
-      return p.queued_bytes + cost <= cfg_.max_queue_bytes ||
+      return p.queued_bytes + cost <= kMaxQueueBytes ||
              closing_.load(std::memory_order_acquire) || p.failed;
     });
     if (closing_.load(std::memory_order_acquire))

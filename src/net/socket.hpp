@@ -64,7 +64,6 @@ struct NetConfig {
   long long rto_ms = 25;
   /// Set when PTLR_NET_RTO_MS was given explicitly: disables adaptation.
   bool rto_fixed = false;
-  std::size_t max_queue_bytes = 64u << 20;  ///< per-peer backpressure bound
   /// Session epoch of THIS process: 0 for a first launch, the restart
   /// count for a respawned rank (the launcher sets PTLR_EPOCH). A nonzero
   /// epoch makes connect() REJOIN-dial every peer instead of running the

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "resilience/stats.hpp"
 
@@ -37,7 +38,7 @@ void SocketTransport::send(int to, std::uint64_t tag, Bytes payload) {
   // id, so receiver-side dedup makes delivery exactly-once across rank
   // restarts. Zero is reserved ("no id"), hence the guard.
   std::uint64_t id =
-      mix64(tag ^ mix64(static_cast<std::uint64_t>(cfg_.rank) + 1));
+      splitmix64(tag ^ splitmix64(static_cast<std::uint64_t>(cfg_.rank) + 1));
   if (id == 0) id = 1;
 
   if (to == cfg_.rank) {

@@ -4,20 +4,19 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace ptlr::net {
 
 namespace {
 
 // Endian-independent little-endian stores/loads.
-void put_u32(std::vector<char>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i)
-    v.push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
+void put_u32(char* p, std::uint32_t x) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((x >> (8 * i)) & 0xFF);
 }
 
-void put_u64(std::vector<char>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i)
-    v.push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
+void put_u64(char* p, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((x >> (8 * i)) & 0xFF);
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -36,25 +35,35 @@ std::uint64_t get_u64(const char* p) {
   return x;
 }
 
-}  // namespace
+// The Hello fields, as HELLO and WELCOME carry them and REJOIN leads with
+// them: protocol, nranks, build.
+constexpr std::size_t kHelloBytes = 16;
 
-// splitmix64, same mixer the fault injector uses for schedule invariance.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+void put_hello(char* p, const Hello& h) {
+  put_u32(p, h.protocol);
+  put_u32(p + 4, h.nranks);
+  put_u64(p + 8, h.build);
 }
+
+Hello get_hello(const char* p) {
+  Hello h;
+  h.protocol = get_u32(p);
+  h.nranks = get_u32(p + 4);
+  h.build = get_u64(p + 8);
+  return h;
+}
+
+}  // namespace
 
 std::uint64_t build_hash() {
   // Stable across ranks of one build: wire constants + compiler identity.
-  std::uint64_t h = mix64((static_cast<std::uint64_t>(kWireVersion) << 32) ^
-                          kProtocolVersion);
+  std::uint64_t h = splitmix64(
+      (static_cast<std::uint64_t>(kWireVersion) << 32) ^ kProtocolVersion);
 #if defined(__VERSION__)
   for (const char* p = __VERSION__; *p != '\0'; ++p)
-    h = mix64(h ^ static_cast<std::uint64_t>(*p));
+    h = splitmix64(h ^ static_cast<std::uint64_t>(*p));
 #endif
-  h = mix64(h ^ sizeof(void*));
+  h = splitmix64(h ^ sizeof(void*));
   return h;
 }
 
@@ -62,25 +71,15 @@ std::array<char, kHeaderBytes> encode_header(const Frame& f) {
   PTLR_CHECK(f.payload.size() <= kMaxFramePayload,
              "frame payload exceeds wire limit");
   std::array<char, kHeaderBytes> h{};
-  auto put32 = [&h](std::size_t at, std::uint32_t x) {
-    for (int i = 0; i < 4; ++i)
-      h[at + static_cast<std::size_t>(i)] =
-          static_cast<char>((x >> (8 * i)) & 0xFF);
-  };
-  auto put64 = [&h](std::size_t at, std::uint64_t x) {
-    for (int i = 0; i < 8; ++i)
-      h[at + static_cast<std::size_t>(i)] =
-          static_cast<char>((x >> (8 * i)) & 0xFF);
-  };
-  put32(0, kMagic);
+  put_u32(h.data(), kMagic);
   h[4] = static_cast<char>(kWireVersion);
   h[5] = static_cast<char>(f.type);
   h[6] = static_cast<char>(f.flags);
   h[7] = static_cast<char>(f.epoch);
-  put32(8, static_cast<std::uint32_t>(f.from));
-  put32(12, static_cast<std::uint32_t>(f.payload.size()));
-  put64(16, f.id);
-  put64(24, f.tag);
+  put_u32(h.data() + 8, static_cast<std::uint32_t>(f.from));
+  put_u32(h.data() + 12, static_cast<std::uint32_t>(f.payload.size()));
+  put_u64(h.data() + 16, f.id);
+  put_u64(h.data() + 24, f.tag);
   return h;
 }
 
@@ -96,73 +95,51 @@ std::vector<char> encode_frame(const Frame& f) {
 }
 
 std::vector<char> hello_payload(const Hello& h) {
-  std::vector<char> out;
-  out.reserve(16);
-  put_u32(out, h.protocol);
-  put_u32(out, h.nranks);
-  put_u64(out, h.build);
+  std::vector<char> out(kHelloBytes);
+  put_hello(out.data(), h);
   return out;
 }
 
 std::vector<char> encode_hello(const Hello& h, int from_rank) {
-  Frame f;
-  f.type = FrameType::kHello;
-  f.from = from_rank;
-  f.payload = hello_payload(h);
-  return encode_frame(f);
+  return encode_frame(Frame{.type = FrameType::kHello,
+                            .from = from_rank,
+                            .payload = hello_payload(h)});
 }
 
 Hello decode_hello(const Frame& f) {
   PTLR_CHECK(f.type == FrameType::kHello || f.type == FrameType::kWelcome,
              "not a HELLO/WELCOME frame");
-  PTLR_CHECK(f.payload.size() == 16, "HELLO payload size mismatch");
-  Hello h;
-  h.protocol = get_u32(f.payload.data());
-  h.nranks = get_u32(f.payload.data() + 4);
-  h.build = get_u64(f.payload.data() + 8);
-  return h;
+  PTLR_CHECK(f.payload.size() == kHelloBytes, "HELLO payload size mismatch");
+  return get_hello(f.payload.data());
 }
 
 std::vector<char> encode_rejoin(const Rejoin& r, int from_rank,
                                 std::uint8_t epoch) {
-  Frame f;
-  f.type = FrameType::kRejoin;
-  f.from = from_rank;
-  f.epoch = epoch;
-  std::vector<char> pl;
-  pl.reserve(24);
-  put_u32(pl, r.hello.protocol);
-  put_u32(pl, r.hello.nranks);
-  put_u64(pl, r.hello.build);
-  put_u64(pl, r.frontier);
-  f.payload = std::move(pl);
-  return encode_frame(f);
+  std::vector<char> pl(kHelloBytes + 8);
+  put_hello(pl.data(), r.hello);
+  put_u64(pl.data() + kHelloBytes, r.frontier);
+  return encode_frame(Frame{.type = FrameType::kRejoin,
+                            .epoch = epoch,
+                            .from = from_rank,
+                            .payload = std::move(pl)});
 }
 
 Rejoin decode_rejoin(const Frame& f) {
   PTLR_CHECK(f.type == FrameType::kRejoin, "not a REJOIN frame");
-  PTLR_CHECK(f.payload.size() == 24, "REJOIN payload size mismatch");
+  PTLR_CHECK(f.payload.size() == kHelloBytes + 8,
+             "REJOIN payload size mismatch");
   Rejoin r;
-  r.hello.protocol = get_u32(f.payload.data());
-  r.hello.nranks = get_u32(f.payload.data() + 4);
-  r.hello.build = get_u64(f.payload.data() + 8);
-  r.frontier = get_u64(f.payload.data() + 16);
+  r.hello = get_hello(f.payload.data());
+  r.frontier = get_u64(f.payload.data() + kHelloBytes);
   return r;
 }
 
 std::vector<char> encode_welcome(const Hello& h, int from_rank,
                                  std::uint8_t epoch) {
-  Frame f;
-  f.type = FrameType::kWelcome;
-  f.from = from_rank;
-  f.epoch = epoch;
-  std::vector<char> pl;
-  pl.reserve(16);
-  put_u32(pl, h.protocol);
-  put_u32(pl, h.nranks);
-  put_u64(pl, h.build);
-  f.payload = std::move(pl);
-  return encode_frame(f);
+  return encode_frame(Frame{.type = FrameType::kWelcome,
+                            .epoch = epoch,
+                            .from = from_rank,
+                            .payload = hello_payload(h)});
 }
 
 void FrameDecoder::feed(const char* data, std::size_t n) {

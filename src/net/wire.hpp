@@ -89,12 +89,6 @@ struct Rejoin {
 /// ranks launched from the same build always agree.
 std::uint64_t build_hash();
 
-/// splitmix64 — the schedule-invariant mixer shared with the fault
-/// injector. Exposed so the transport can derive deterministic message ids
-/// from (rank, tag): a replayed send after a rank respawn produces the
-/// SAME id, so receiver dedup gives exactly-once across epochs.
-std::uint64_t mix64(std::uint64_t x);
-
 /// Serialize just the fixed 32-byte header of `f` (the payload is written
 /// separately from the shared buffer — the zero-copy send path: one
 /// header on the stack, zero payload copies). Throws ptlr::Error if the

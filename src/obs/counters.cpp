@@ -131,6 +131,19 @@ CompressionCounters Counters::compressions() {
 
 ResilienceCounters Counters::resilience() { return totals().resilience; }
 
+std::string ResilienceCounters::to_string() const {
+  std::ostringstream os;
+  bool first = true;
+  for (int i = 0; i < kNumResilienceEvents; ++i) {
+    if (counts[i] == 0) continue;
+    if (!first) os << ' ';
+    first = false;
+    os << resilience_event_name(static_cast<ResilienceEvent>(i)) << '='
+       << counts[i];
+  }
+  return os.str();
+}
+
 double Counters::total_flops() { return obs::total_flops(totals()); }
 
 void Counters::reset() { obs::reset(); }

@@ -24,6 +24,7 @@
 // the caller is quiesced (no worker pool running).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -101,9 +102,12 @@ enum class ResilienceEvent : int {
 constexpr int kNumResilienceEvents =
     static_cast<int>(ResilienceEvent::kRankRestart) + 1;
 
-/// Per-event totals of the resilience channel.
+/// Per-event totals of the resilience channel: what obs::Counters reduces
+/// from the recorded spans, and (as resil::RecoveryStats) what the drivers
+/// embed in their results from the always-on registry.
 struct ResilienceCounters {
   long long counts[kNumResilienceEvents] = {};
+
   [[nodiscard]] long long of(ResilienceEvent ev) const {
     return counts[static_cast<int>(ev)];
   }
@@ -112,6 +116,51 @@ struct ResilienceCounters {
     for (const long long c : counts) t += c;
     return t;
   }
+
+  // Named accessors for the common questions.
+  [[nodiscard]] long long faults_injected() const {
+    return of(ResilienceEvent::kFaultException) +
+           of(ResilienceEvent::kFaultAlloc) + of(ResilienceEvent::kFaultPoison);
+  }
+  [[nodiscard]] long long retries() const {
+    return of(ResilienceEvent::kRetry);
+  }
+  [[nodiscard]] long long tasks_recovered() const {
+    return of(ResilienceEvent::kTaskRecovered);
+  }
+  [[nodiscard]] long long messages_dropped() const {
+    return of(ResilienceEvent::kMsgDrop);
+  }
+  [[nodiscard]] long long messages_duplicated() const {
+    return of(ResilienceEvent::kMsgDup);
+  }
+  [[nodiscard]] long long messages_recovered() const {
+    return of(ResilienceEvent::kMsgRecovered);
+  }
+  [[nodiscard]] long long shifts() const {
+    return of(ResilienceEvent::kShiftRestart);
+  }
+  [[nodiscard]] long long dense_fallbacks() const {
+    return of(ResilienceEvent::kDenseFallback);
+  }
+  [[nodiscard]] long long watchdog_fires() const {
+    return of(ResilienceEvent::kWatchdogFire);
+  }
+  [[nodiscard]] long long checkpoint_writes() const {
+    return of(ResilienceEvent::kCkptWrite);
+  }
+  [[nodiscard]] long long checkpoint_loads() const {
+    return of(ResilienceEvent::kCkptLoad);
+  }
+  [[nodiscard]] long long rank_restarts() const {
+    return of(ResilienceEvent::kRankRestart);
+  }
+
+  /// One line per nonzero event ("retry=3 task_recovered=3"); empty string
+  /// when nothing happened.
+  [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const ResilienceCounters&) const = default;
 };
 
 /// Reductions over every span recorded in this process (all runs since

@@ -8,23 +8,16 @@
 #include "common/error.hpp"
 #include "common/knobs.hpp"
 #include "common/parse.hpp"
+#include "common/rng.hpp"
 
 namespace ptlr::resil {
 
 namespace {
 
-// splitmix64 finalizer: the same mixer perturb.cpp uses, applied here as a
-// stateless hash so every site draws an independent, schedule-invariant
-// value.
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
+// splitmix64 as a stateless hash, so every site draws an independent,
+// schedule-invariant value.
 std::uint64_t hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return mix(mix(mix(a) ^ b) ^ c);
+  return splitmix64(splitmix64(splitmix64(a) ^ b) ^ c);
 }
 
 }  // namespace
@@ -109,8 +102,9 @@ std::optional<std::uint64_t> FaultInjector::poison(std::uint64_t task,
 bool FaultInjector::drop_message(std::uint64_t tag, int from, int to) const {
   if (!cfg_.enabled) return false;
   const std::uint64_t site =
-      mix(tag) ^ (static_cast<std::uint64_t>(from) << 32 |
-                  static_cast<std::uint64_t>(static_cast<unsigned>(to)));
+      splitmix64(tag) ^
+      (static_cast<std::uint64_t>(from) << 32 |
+       static_cast<std::uint64_t>(static_cast<unsigned>(to)));
   return roll(site, kSaltDrop) < cfg_.message_drop_probability;
 }
 
@@ -130,8 +124,9 @@ bool FaultInjector::duplicate_message(std::uint64_t tag, int from,
                                       int to) const {
   if (!cfg_.enabled) return false;
   const std::uint64_t site =
-      mix(tag) ^ (static_cast<std::uint64_t>(from) << 32 |
-                  static_cast<std::uint64_t>(static_cast<unsigned>(to)));
+      splitmix64(tag) ^
+      (static_cast<std::uint64_t>(from) << 32 |
+       static_cast<std::uint64_t>(static_cast<unsigned>(to)));
   return roll(site, kSaltDup) < cfg_.message_duplicate_probability;
 }
 

@@ -1,7 +1,6 @@
 #include "resilience/stats.hpp"
 
 #include <atomic>
-#include <sstream>
 
 #include "obs/trace.hpp"
 
@@ -18,19 +17,6 @@ std::atomic<long long>& slot(int i) {
 }
 
 }  // namespace
-
-std::string RecoveryStats::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  for (int i = 0; i < obs::kNumResilienceEvents; ++i) {
-    if (counts[i] == 0) continue;
-    if (!first) os << ' ';
-    first = false;
-    os << obs::resilience_event_name(static_cast<ResilienceEvent>(i)) << '='
-       << counts[i];
-  }
-  return os.str();
-}
 
 void note(ResilienceEvent ev, const std::string& detail) {
   const int i = static_cast<int>(ev);

@@ -22,61 +22,7 @@ using obs::ResilienceEvent;
 
 /// Per-event recovery totals for one run (a snapshot() diff). Embedded in
 /// CholeskyResult / DistCholeskyResult / ExecResult.
-struct RecoveryStats {
-  long long counts[obs::kNumResilienceEvents] = {};
-
-  [[nodiscard]] long long of(ResilienceEvent ev) const {
-    return counts[static_cast<int>(ev)];
-  }
-  [[nodiscard]] long long total() const {
-    long long t = 0;
-    for (const long long c : counts) t += c;
-    return t;
-  }
-
-  // Named accessors for the common questions.
-  [[nodiscard]] long long faults_injected() const {
-    return of(ResilienceEvent::kFaultException) +
-           of(ResilienceEvent::kFaultAlloc) + of(ResilienceEvent::kFaultPoison);
-  }
-  [[nodiscard]] long long retries() const {
-    return of(ResilienceEvent::kRetry);
-  }
-  [[nodiscard]] long long tasks_recovered() const {
-    return of(ResilienceEvent::kTaskRecovered);
-  }
-  [[nodiscard]] long long messages_dropped() const {
-    return of(ResilienceEvent::kMsgDrop);
-  }
-  [[nodiscard]] long long messages_duplicated() const {
-    return of(ResilienceEvent::kMsgDup);
-  }
-  [[nodiscard]] long long messages_recovered() const {
-    return of(ResilienceEvent::kMsgRecovered);
-  }
-  [[nodiscard]] long long shifts() const {
-    return of(ResilienceEvent::kShiftRestart);
-  }
-  [[nodiscard]] long long dense_fallbacks() const {
-    return of(ResilienceEvent::kDenseFallback);
-  }
-  [[nodiscard]] long long watchdog_fires() const {
-    return of(ResilienceEvent::kWatchdogFire);
-  }
-  [[nodiscard]] long long checkpoint_writes() const {
-    return of(ResilienceEvent::kCkptWrite);
-  }
-  [[nodiscard]] long long checkpoint_loads() const {
-    return of(ResilienceEvent::kCkptLoad);
-  }
-  [[nodiscard]] long long rank_restarts() const {
-    return of(ResilienceEvent::kRankRestart);
-  }
-
-  /// One line per nonzero event ("retry=3 task_recovered=3"); empty string
-  /// when nothing happened.
-  [[nodiscard]] std::string to_string() const;
-};
+using RecoveryStats = obs::ResilienceCounters;
 
 /// How the executor retries tasks that fail with ptlr::TransientError.
 struct RetryPolicy {

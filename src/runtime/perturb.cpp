@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/knobs.hpp"
+#include "common/rng.hpp"
 
 namespace ptlr::rt {
 
@@ -15,12 +16,8 @@ PerturbConfig PerturbConfig::from_env() {
 std::uint64_t Perturber::next() {
   // splitmix64 over a shared atomic counter: lock-free, deterministic
   // stream per seed.
-  std::uint64_t z =
-      state_.fetch_add(0x9E3779B97F4A7C15ull, std::memory_order_relaxed) +
-      0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return splitmix64(
+      state_.fetch_add(kSplitmixGamma, std::memory_order_relaxed));
 }
 
 bool Perturber::decide(double p) {

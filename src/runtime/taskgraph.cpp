@@ -137,10 +137,4 @@ int TaskGraph::critical_path_length() const {
   return best;
 }
 
-double TaskGraph::total_duration() const {
-  double s = 0.0;
-  for (const Node& n : nodes_) s += n.info.duration;
-  return s;
-}
-
 }  // namespace ptlr::rt

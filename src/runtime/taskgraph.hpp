@@ -150,9 +150,6 @@ class TaskGraph {
   /// Longest path length in task count (sanity metric for tests).
   [[nodiscard]] int critical_path_length() const;
 
-  /// Sum of task durations (serial time of the modelled execution).
-  [[nodiscard]] double total_duration() const;
-
  private:
   struct Node {
     TaskInfo info;

@@ -15,10 +15,6 @@
 
 namespace ptlr::rt::dist {
 
-/// Which transport backs a distributed run. Parsed from strings at the
-/// driver/tool layer ("sim" | "socket"); typos throw there.
-enum class TransportKind : int { kSim = 0, kSocket };
-
 /// One rank's endpoint: send to peers, receive by tag, abort the mesh.
 class Transport {
  public:

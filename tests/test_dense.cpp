@@ -1,11 +1,14 @@
 // Unit tests for ptlr::dense — the BLAS/LAPACK substrate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <string>
 #include <thread>
 
 #ifdef __linux__
@@ -15,7 +18,10 @@
 #include "common/flops.hpp"
 #include "dense/blas.hpp"
 #include "dense/lapack.hpp"
+#include "dense/unblocked.hpp"
 #include "dense/util.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/taskgraph.hpp"
 #include "support/reference_lapack.hpp"
 
 using namespace ptlr::dense;
@@ -50,13 +56,16 @@ Matrix ref_gemm(Trans ta, Trans tb, double alpha, const Matrix& a,
 
 namespace {
 
-// Restore the kAuto kernel path when a test that forces a path exits.
-struct KernelPathGuard {
-  KernelPathGuard() = default;
-  KernelPathGuard(const KernelPathGuard&) = delete;
-  KernelPathGuard& operator=(const KernelPathGuard&) = delete;
-  ~KernelPathGuard() { set_kernel_path(KernelPath::kAuto); }
-};
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+bool same_bits(ConstMatrixView x, ConstMatrixView y) {
+  for (int j = 0; j < x.cols(); ++j)
+    for (int i = 0; i < x.rows(); ++i)
+      if (!same_bits(x(i, j), y(i, j))) return false;
+  return true;
+}
 
 // View-based reference GEMM (handles ld > rows sub-views).
 void ref_gemm_view(Trans ta, Trans tb, double alpha, ConstMatrixView a,
@@ -178,24 +187,29 @@ TEST(Gemm, FreshThreadMakesOnlyPackedPagesResident) {
 }
 #endif
 
-// Exhaustive oracle for the blocked engine: every Trans combination at
-// sizes straddling the MR/NR/MC/KC blocking edges (plus odd/prime shapes),
-// alpha/beta corner values, and a componentwise error bound scaled by the
-// accumulation depth k. The blocked path is forced so even sub-threshold
-// sizes exercise packing, microtile edges, and write-back masking.
+// Exhaustive oracle for gemm: every Trans combination at sizes straddling
+// the MR/NR/MC/KC blocking edges (plus odd/prime shapes), alpha/beta corner
+// values, and a componentwise error bound scaled by the accumulation depth
+// k. gemm runs the blocked engine from a volume of 32^3 up, so the
+// microtile-edge shapes come twice: with a short k they run the unblocked
+// loops, and with a k that lifts them over the cutoff (crossing kKC = 256
+// where it can) they end in partial microtiles of both footprints, 8 x 6
+// and 16 x 8.
 TEST(GemmOracle, BlockedMatchesNaiveAcrossBlockingEdges) {
-  KernelPathGuard guard;
-  // (m, n, k) triples: microkernel edges around kMR / kNR (8 x 6, or
-  // 16 x 8 on AVX-512), cache-block edges around kMC = 256 / kKC = 256,
-  // primes, and degenerate slivers.
   const int cases[][3] = {
-      {1, 1, 1},    {8, 6, 4},     {9, 7, 5},    {7, 5, 3},
-      {16, 12, 8},  {17, 13, 9},   {63, 47, 31}, {64, 48, 32},
-      {65, 49, 33}, {97, 101, 103}, {129, 6, 129}, {257, 7, 9},
-      {7, 259, 9},  {13, 11, 257}, {255, 255, 31}, {256, 12, 256},
-      {33, 65, 130}, {1, 259, 257},
-      {15, 7, 3},   {16, 8, 4},    {17, 9, 5},   {33, 17, 9},
-      {48, 24, 16},
+      // Below the cutoff: the unblocked loops.
+      {1, 1, 1},     {8, 6, 4},     {9, 7, 5},      {7, 5, 3},
+      {16, 12, 8},   {17, 13, 9},   {15, 7, 3},     {16, 8, 4},
+      {17, 9, 5},    {33, 17, 9},   {48, 24, 16},   {257, 7, 9},
+      {7, 259, 9},
+      // The same microtile edges above it, then cache-block edges around
+      // kMC = 256 / kKC = 256, primes, and degenerate slivers.
+      {8, 6, 700},   {9, 7, 530},   {7, 5, 940},    {16, 12, 171},
+      {17, 13, 149}, {15, 7, 320},  {16, 8, 260},   {17, 9, 215},
+      {33, 17, 59},  {48, 24, 29},  {53, 29, 24},   {257, 7, 19},
+      {7, 259, 19},  {63, 47, 31},  {64, 48, 32},   {65, 49, 33},
+      {97, 101, 103}, {129, 6, 129}, {13, 11, 257}, {255, 255, 31},
+      {256, 12, 256}, {33, 65, 130}, {1, 259, 257},
   };
   const double alphas[] = {0.0, 1.0, -1.0, 0.5};
   const double betas[] = {0.0, 1.0, -1.0, 0.5};
@@ -218,9 +232,7 @@ TEST(GemmOracle, BlockedMatchesNaiveAcrossBlockingEdges) {
         fill_uniform(c.view(), rng);
         ref_gemm_view(ta, tb, alpha, a.view(), b.view(), beta, c.view(),
                       want.view());
-        set_kernel_path(KernelPath::kBlocked);
         gemm(ta, tb, alpha, a.view(), b.view(), beta, c.view());
-        set_kernel_path(KernelPath::kAuto);
         // Componentwise: |err| <= O(k) * eps with |a|,|b| <= 1 entries.
         const double tol = 40.0 * (k + 4) * 2.2e-16 *
                                (std::abs(alpha) + 1e-30) +
@@ -237,9 +249,9 @@ TEST(GemmOracle, BlockedMatchesNaiveAcrossBlockingEdges) {
   }
 }
 
-// Sub-views with ld > rows must pack and write back correctly.
+// Sub-views with ld > rows must pack and write back correctly (67 x 51 x 70
+// is above the cutoff, so this is the blocked engine).
 TEST(GemmOracle, BlockedHandlesPaddedLeadingDimensions) {
-  KernelPathGuard guard;
   Rng rng(101);
   const int m = 67, n = 51, k = 70;
   Matrix pa(m + 9, k + 3), pb(n + 5, k + 7), pc(m + 11, n + 2);
@@ -251,7 +263,6 @@ TEST(GemmOracle, BlockedHandlesPaddedLeadingDimensions) {
   auto c = pc.block(7, 1, m, n);    // ld = m + 11
   Matrix want(m, n);
   ref_gemm_view(Trans::N, Trans::T, -0.5, a, b, 1.0, c, want.view());
-  set_kernel_path(KernelPath::kBlocked);
   gemm(Trans::N, Trans::T, -0.5, a, b, 1.0, c);
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < m; ++i) ASSERT_NEAR(c(i, j), want(i, j), 1e-12);
@@ -263,126 +274,125 @@ TEST(GemmOracle, BlockedHandlesPaddedLeadingDimensions) {
 // ----------------------------------------------- BLAS NaN/Inf semantics ----
 
 // Reference BLAS computes 0 * NaN = NaN; the seed's `if (w == 0) continue`
-// shortcuts silently swallowed non-finite operands. Both kernel paths must
-// propagate them.
+// shortcuts silently swallowed non-finite operands. Both implementations
+// must propagate them: each test runs one shape below the blocking cutoff
+// (the unblocked loops) and one above it (the blocked engine, or the
+// recursive TRSM).
 TEST(NanPropagation, GemmPropagatesNanThroughZeroWeight) {
-  KernelPathGuard guard;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const KernelPath path : {KernelPath::kUnblocked, KernelPath::kBlocked}) {
-    set_kernel_path(path);
-    Matrix a(5, 2), b(2, 3), c(5, 3);
+  for (const auto& [m, n, k] : {std::array{5, 3, 2}, std::array{40, 40, 40}}) {
+    Matrix a(m, k), b(k, n), c(m, n);
     a.fill(1.0);
     a(2, 0) = nan;
     b.fill(0.0);     // B == 0, so every weight alpha*b is zero
     c.fill(7.0);
     gemm(Trans::N, Trans::N, 1.0, a.view(), b.view(), 1.0, c.view());
-    for (int j = 0; j < 3; ++j)
-      EXPECT_TRUE(std::isnan(c(2, j))) << "path did not propagate NaN";
+    for (int j = 0; j < n; ++j)
+      EXPECT_TRUE(std::isnan(c(2, j))) << "m=" << m << " did not propagate";
     // Rows without NaN stay finite (0 contribution added).
-    EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
+    EXPECT_DOUBLE_EQ(c(0, 0), 7.0) << "m=" << m;
   }
 }
 
 TEST(NanPropagation, GemmInfTimesZeroIsNan) {
-  KernelPathGuard guard;
   const double inf = std::numeric_limits<double>::infinity();
-  for (const KernelPath path : {KernelPath::kUnblocked, KernelPath::kBlocked}) {
-    set_kernel_path(path);
-    Matrix a(4, 1), b(2, 1), c(4, 2);  // op(B) = B^T is 1 x 2
+  for (const auto& [m, n, k] : {std::array{4, 2, 1}, std::array{40, 40, 40}}) {
+    Matrix a(m, k), b(n, k), c(m, n);  // op(B) = B^T is k x n
     a.fill(inf);
     b.fill(0.0);
     c.fill(0.0);
     gemm(Trans::N, Trans::T, 1.0, a.view(), b.view(), 0.0, c.view());
-    for (int j = 0; j < 2; ++j)
-      for (int i = 0; i < 4; ++i) EXPECT_TRUE(std::isnan(c(i, j)));
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < m; ++i) EXPECT_TRUE(std::isnan(c(i, j))) << "m=" << m;
   }
 }
 
 TEST(NanPropagation, SyrkPropagatesNan) {
-  KernelPathGuard guard;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const KernelPath path : {KernelPath::kUnblocked, KernelPath::kBlocked}) {
-    set_kernel_path(path);
-    Matrix a(6, 2), c(6, 6);
+  // n = 70 > kOuterNB and 70^2 * 8 > 32^3: the blocked engine.
+  for (const auto& [n, k] : {std::array{6, 2}, std::array{70, 8}}) {
+    Matrix a(n, k), c(n, n);
     a.fill(0.0);          // row j weights are all zero
     a(4, 0) = nan;        // NaN in another row of the same column
     c.fill(1.0);
     syrk(Uplo::Lower, Trans::N, 1.0, a.view(), 1.0, c.view());
     // c(4, j) for j <= 4 accumulates a(4,p)*a(j,p) = NaN * 0 = NaN.
-    for (int j = 0; j <= 4; ++j) EXPECT_TRUE(std::isnan(c(4, j)));
+    for (int j = 0; j <= 4; ++j) EXPECT_TRUE(std::isnan(c(4, j))) << "n=" << n;
   }
 }
 
 TEST(NanPropagation, TrsmPropagatesNanThroughZeroOffdiagonal) {
-  KernelPathGuard guard;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const KernelPath path : {KernelPath::kUnblocked, KernelPath::kBlocked}) {
-    set_kernel_path(path);
-    Matrix a(2, 2);
-    a(0, 0) = 1.0;
-    a(1, 0) = 0.0;  // zero multiplier of the NaN column
-    a(1, 1) = 1.0;
-    Matrix b(3, 2);
-    for (int i = 0; i < 3; ++i) {
-      b(i, 0) = nan;
-      b(i, 1) = 1.0;
-    }
+  // na = 70 > kOuterNB: the recursive solve.
+  for (const auto& [m, na] : {std::array{3, 2}, std::array{40, 70}}) {
+    const Matrix a = identity(na);  // a(1, 0) = 0 multiplies the NaN column
+    Matrix b(m, na);
+    b.fill(1.0);
+    for (int i = 0; i < m; ++i) b(i, 0) = nan;
     // X * A^T = B forward-substitutes X(:,1) -= X(:,0) * a(1,0) = NaN * 0.
     trsm(Side::Right, Uplo::Lower, Trans::T, Diag::NonUnit, 1.0, a.view(),
          b.view());
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(std::isnan(b(i, 1)));
+    for (int i = 0; i < m; ++i) EXPECT_TRUE(std::isnan(b(i, 1))) << "na=" << na;
   }
 }
 
 // ------------------------------------- blocked-vs-reference equivalence ----
 
+namespace {
+
+// C = beta * C on the lower triangle, then the reference SYRK update.
+void ref_syrk(double alpha, ConstMatrixView a, double beta, MatrixView c) {
+  for (int j = 0; j < c.cols(); ++j)
+    for (int i = j; i < c.rows(); ++i) c(i, j) *= beta;
+  syrk_unblocked(alpha, a, c);
+}
+
+}  // namespace
+
 TEST(BlockedPath, SyrkMatchesUnblocked) {
-  KernelPathGuard guard;
   Rng rng(61);
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-      const int n = 150, k = 131;
-      Matrix a(ta == Trans::N ? n : k, ta == Trans::N ? k : n);
-      fill_uniform(a.view(), rng);
-      Matrix c(n, n), cu(n, n);
-      fill_uniform(c.view(), rng);
-      cu = c;
-      set_kernel_path(KernelPath::kBlocked);
-      syrk(uplo, ta, -1.0, a.view(), 0.5, c.view());
-      set_kernel_path(KernelPath::kUnblocked);
-      syrk(uplo, ta, -1.0, a.view(), 0.5, cu.view());
-      set_kernel_path(KernelPath::kAuto);
-      for (int j = 0; j < n; ++j)
-        for (int i = 0; i < n; ++i)
-          ASSERT_NEAR(c(i, j), cu(i, j), 1e-11) << "uplo/ta mismatch";
-    }
+  // n = 150 runs the blocked engine, n = 64 (= kOuterNB) the unblocked
+  // loops whatever k is.
+  for (const int n : {150, 64}) {
+    const int k = 131;
+    Matrix a(n, k);
+    fill_uniform(a.view(), rng);
+    Matrix c(n, n), cu(n, n);
+    fill_uniform(c.view(), rng);
+    cu = c;
+    syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 0.5, c.view());
+    ref_syrk(-1.0, a.view(), 0.5, cu.view());
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i)
+        ASSERT_NEAR(c(i, j), cu(i, j), 1e-11) << "n=" << n;
   }
 }
 
 TEST(BlockedPath, TrsmMatchesUnblockedAllVariants) {
-  KernelPathGuard guard;
   Rng rng(62);
-  const int m = 137, n = 75;
-  for (const Side side : {Side::Left, Side::Right}) {
-    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-      for (const Trans ta : {Trans::N, Trans::T}) {
-        for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
-          const int na = side == Side::Left ? m : n;
-          Matrix a(na, na);
-          fill_uniform(a.view(), rng, 0.01, 0.5);
-          for (int j = 0; j < na; ++j) a(j, j) = 2.0 + j * 0.01;
-          Matrix b(m, n), bu(m, n);
-          fill_uniform(b.view(), rng);
-          bu = b;
-          set_kernel_path(KernelPath::kBlocked);
-          trsm(side, uplo, ta, diag, 1.5, a.view(), b.view());
-          set_kernel_path(KernelPath::kUnblocked);
-          trsm(side, uplo, ta, diag, 1.5, a.view(), bu.view());
-          set_kernel_path(KernelPath::kAuto);
-          const double scale = frob_norm(bu.view());
-          EXPECT_LT(frob_diff(b.view(), bu.view()), 1e-10 * (1.0 + scale));
-        }
-      }
+  const struct {
+    Side side;
+    Trans ta;
+  } variants[] = {{Side::Left, Trans::N},
+                  {Side::Left, Trans::T},
+                  {Side::Right, Trans::T}};
+  // 137 x 75 recurses for every variant; 64 x 64 is one unblocked leaf.
+  for (const auto& [m, n] : {std::array{137, 75}, std::array{64, 64}}) {
+    for (const auto& v : variants) {
+      const int na = v.side == Side::Left ? m : n;
+      Matrix a(na, na);
+      fill_uniform(a.view(), rng, 0.01, 0.5);
+      for (int j = 0; j < na; ++j) a(j, j) = 2.0 + j * 0.01;
+      Matrix b(m, n), bu(m, n);
+      fill_uniform(b.view(), rng);
+      bu = b;
+      trsm(v.side, Uplo::Lower, v.ta, Diag::NonUnit, 1.5, a.view(), b.view());
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < m; ++i) bu(i, j) *= 1.5;
+      trsm_unblocked(v.side, v.ta, a.view(), bu.view());
+      const double scale = frob_norm(bu.view());
+      EXPECT_LT(frob_diff(b.view(), bu.view()), 1e-10 * (1.0 + scale))
+          << "m=" << m << " n=" << n;
     }
   }
 }
@@ -393,15 +403,10 @@ TEST(BlockedPath, TrsmMatchesUnblockedAllVariants) {
 // duplicated into the last, partial microtile / strip must come out bit
 // for bit equal to its original. m = 53, n = 29 leave partial edges for
 // kMR = 8 or 16 and kNR = 6, 8 or 12; m = 69 is two 32-row TRSM strips
-// plus 5 rows.
+// plus 5 rows. Every shape but the na = 40 TRSM is above the blocking
+// cutoff.
 TEST(BlockedPath, DuplicatedRowsStayBitwiseEqualAcrossEdges) {
-  KernelPathGuard guard;
   Rng rng(65);
-  const auto same_bits = [](double x, double y) {
-    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-  };
-  set_kernel_path(KernelPath::kBlocked);
-
   const int m = 53, n = 29, k = 37;
   for (const Trans ta : {Trans::N, Trans::T}) {
     for (const Trans tb : {Trans::N, Trans::T}) {
@@ -427,75 +432,56 @@ TEST(BlockedPath, DuplicatedRowsStayBitwiseEqualAcrossEdges) {
     }
   }
 
-  // SYRK-lower: rows 2 and 52 both own columns 0..2; row 2's microtile
-  // straddles the diagonal (masked scratch tile), row 52's is a partial
-  // edge tile below it.
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    Matrix a(ta == Trans::N ? m : k, ta == Trans::N ? k : m);
-    Matrix c(m, m);
+  // SYRK-lower at n = 69 (> kOuterNB): rows 2 and 68 both own columns
+  // 0..2; row 2's microtile straddles the diagonal (masked scratch tile),
+  // row 68's is a partial edge tile below it.
+  {
+    const int ns = 69;
+    Matrix a(ns, k);
+    Matrix c(ns, ns);
     fill_uniform(a.view(), rng);
     fill_uniform(c.view(), rng);
-    for (int p = 0; p < k; ++p) {
-      if (ta == Trans::N) {
-        a(52, p) = a(2, p);
-      } else {
-        a(p, 52) = a(p, 2);
-      }
-    }
-    for (int j = 0; j <= 2; ++j) c(52, j) = c(2, j);
-    syrk(Uplo::Lower, ta, -1.0, a.view(), 1.0, c.view());
+    for (int p = 0; p < k; ++p) a(68, p) = a(2, p);
+    for (int j = 0; j <= 2; ++j) c(68, j) = c(2, j);
+    syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 1.0, c.view());
     for (int j = 0; j <= 2; ++j)
-      ASSERT_TRUE(same_bits(c(2, j), c(52, j)))
-          << "syrk ta=" << (ta == Trans::N ? "N" : "T") << " col " << j;
+      ASSERT_TRUE(same_bits(c(2, j), c(68, j))) << "syrk col " << j;
   }
 
   // Right/Lower/T TRSM: row 3 sits in the first 32-row strip, row 68 in
-  // the axpy-form leftover. na = 40 is one leaf; on the blocked path
-  // na = 150 recurses, with GEMM folds whose microtile edges also separate
-  // the two rows.
+  // the axpy-form leftover. na = 40 is one leaf; na = 150 recurses, with
+  // GEMM folds whose microtile edges also separate the two rows.
   const int mt = 69;
-  for (const KernelPath path : {KernelPath::kBlocked, KernelPath::kUnblocked}) {
-    set_kernel_path(path);
-    for (const int na : {40, 150}) {
-      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
-        Matrix l(na, na);
-        fill_uniform(l.view(), rng, -0.5, 0.5);
-        for (int j = 0; j < na; ++j) l(j, j) = 2.0 + 0.01 * j;
-        Matrix x(mt, na);
-        fill_uniform(x.view(), rng);
-        for (int j = 0; j < na; ++j) x(68, j) = x(3, j);
-        trsm(Side::Right, Uplo::Lower, Trans::T, diag, 1.5, l.view(),
-             x.view());
-        for (int j = 0; j < na; ++j)
-          ASSERT_TRUE(same_bits(x(3, j), x(68, j)))
-              << "trsm na=" << na << " col " << j
-              << (path == KernelPath::kBlocked ? " blocked" : " unblocked")
-              << (diag == Diag::Unit ? " unit" : " non-unit");
-      }
-    }
+  for (const int na : {40, 150}) {
+    Matrix l(na, na);
+    fill_uniform(l.view(), rng, -0.5, 0.5);
+    for (int j = 0; j < na; ++j) l(j, j) = 2.0 + 0.01 * j;
+    Matrix x(mt, na);
+    fill_uniform(x.view(), rng);
+    for (int j = 0; j < na; ++j) x(68, j) = x(3, j);
+    trsm(Side::Right, Uplo::Lower, Trans::T, Diag::NonUnit, 1.5, l.view(),
+         x.view());
+    for (int j = 0; j < na; ++j)
+      ASSERT_TRUE(same_bits(x(3, j), x(68, j)))
+          << "trsm na=" << na << " col " << j;
   }
 }
 
 TEST(BlockedPath, PotrfMatchesUnblocked) {
-  KernelPathGuard guard;
   Rng rng(63);
-  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-    const int n = 200;
+  // n = 200 recurses onto TRSM/SYRK; n = 64 (= kOuterNB) is one potf2.
+  for (const int n : {200, 64}) {
     Matrix a = random_spd(n, rng);
     Matrix lb = a, lu = a;
-    set_kernel_path(KernelPath::kBlocked);
-    potrf(uplo, lb.view());
-    set_kernel_path(KernelPath::kUnblocked);
-    potrf(uplo, lu.view());
-    set_kernel_path(KernelPath::kAuto);
+    potrf(Uplo::Lower, lb.view());
+    potf2(lu.view());
     EXPECT_LT(frob_diff(lb.view(), lu.view()),
-              1e-11 * (1.0 + frob_norm(lu.view())));
+              1e-11 * (1.0 + frob_norm(lu.view())))
+        << "n=" << n;
   }
 }
 
 TEST(BlockedPath, ChargesModelFlopsExactlyOnce) {
-  KernelPathGuard guard;
-  set_kernel_path(KernelPath::kBlocked);
   const int n = 160, k = 96;
   Rng rng(64);
   Matrix a(n, k), c(n, n);
@@ -523,6 +509,233 @@ TEST(BlockedPath, ChargesModelFlopsExactlyOnce) {
               static_cast<double>(n) * n * n / 3.0, 1.0);
 }
 
+// ------------------------------------------------------ the size rule ----
+
+// The problem size is the only selector (blas.cpp's blocked_l3,
+// gemm_kernel.cpp's worth_blocking): below a cutoff a public entry must
+// compute its unblocked reference bit for bit, above it the blocked engine
+// must agree with the reference within rounding, and inside a ws task the
+// child chunking from 2 * kNestedMinChunk rows up must reproduce the serial
+// bits. The cutoffs are a volume of 32^3, kOuterNB = 64 and
+// kNestedMinChunk = 64 (gemm_kernel.hpp).
+namespace {
+
+struct EntryRun {
+  Matrix out;
+  double flops;
+  long long spawned;
+};
+
+// `entry` applied to a copy of `in`, serially or inside one task of a
+// two-worker ws run, where the level-3 entries may spawn child tasks.
+EntryRun run_entry(const Matrix& in,
+                   const std::function<void(MatrixView)>& entry, bool nested) {
+  EntryRun r{in, 0.0, 0};
+  ptlr::flops::Counter::reset();
+  if (nested) {
+    ptlr::rt::TaskGraph g;
+    ptlr::rt::TaskInfo t;
+    t.name = "entry";
+    t.fn = [&] { entry(r.out.view()); };
+    g.add_task(std::move(t), {}, {{ptlr::rt::make_key(0, 0, 0)}});
+    r.spawned = ptlr::rt::execute(g, 2).sched.nested_spawned;
+  } else {
+    entry(r.out.view());
+  }
+  r.flops = ptlr::flops::Counter::total();
+  return r;
+}
+
+// One shape of one entry: the serial result against the reference
+// (bitwise when `unblocked`), the Table I model charged exactly once, and
+// the nested run bitwise equal to the serial one, spawning children
+// exactly when `chunked`.
+void check_entry(const std::string& what, const Matrix& in,
+                 const std::function<void(MatrixView)>& entry,
+                 const std::function<void(MatrixView)>& reference,
+                 double model, bool unblocked, bool chunked) {
+  SCOPED_TRACE(what);
+  const EntryRun serial = run_entry(in, entry, false);
+  Matrix want = in;
+  reference(want.view());
+  if (unblocked) {
+    EXPECT_TRUE(same_bits(serial.out.view(), want.view()));
+  } else {
+    EXPECT_LT(frob_diff(serial.out.view(), want.view()),
+              1e-12 * (1.0 + frob_norm(want.view())));
+  }
+  // The int64 counter truncates potrf's n^3 / 3 once.
+  EXPECT_EQ(serial.flops, std::floor(model));
+  const EntryRun nested = run_entry(in, entry, true);
+  EXPECT_TRUE(same_bits(nested.out.view(), serial.out.view()));
+  EXPECT_EQ(nested.spawned > 0, chunked);
+  EXPECT_EQ(nested.flops, std::floor(model));
+}
+
+std::string shape_name(const char* entry, int m, int n, int k) {
+  return std::string(entry) + " " + std::to_string(m) + "x" +
+         std::to_string(n) + "x" + std::to_string(k);
+}
+
+}  // namespace
+
+TEST(SizeRule, GemmMatchesReferenceOnEachSideOfTheCutoffs) {
+  struct Shape {
+    int m, n, k;
+    bool unblocked, chunked;
+  };
+  const Shape shapes[] = {
+      {32, 32, 31, true, false},    // volume below 32^3
+      {32, 32, 32, false, false},   // volume 32^3
+      {127, 64, 64, false, false},  // m < 2 * kNestedMinChunk
+      {128, 64, 64, false, true},
+      {129, 64, 64, false, true},
+  };
+  Rng rng(66);
+  for (const Shape& s : shapes) {
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        Matrix a(ta == Trans::N ? s.m : s.k, ta == Trans::N ? s.k : s.m);
+        Matrix b(tb == Trans::N ? s.k : s.n, tb == Trans::N ? s.n : s.k);
+        Matrix c(s.m, s.n);
+        fill_uniform(a.view(), rng);
+        fill_uniform(b.view(), rng);
+        fill_uniform(c.view(), rng);
+        const char* name = ta == Trans::N
+                               ? (tb == Trans::N ? "gemm NN" : "gemm NT")
+                               : (tb == Trans::N ? "gemm TN" : "gemm TT");
+        check_entry(
+            shape_name(name, s.m, s.n, s.k), c,
+            [&](MatrixView x) {
+              gemm(ta, tb, -0.75, a.view(), b.view(), 1.0, x);
+            },
+            [&](MatrixView x) {
+              gemm_unblocked(ta, tb, -0.75, a.view(), b.view(), x);
+            },
+            ptlr::flops::gemm(s.m, s.n, s.k), s.unblocked, s.chunked);
+      }
+    }
+  }
+}
+
+TEST(SizeRule, SyrkMatchesReferenceOnEachSideOfTheCutoffs) {
+  struct Shape {
+    int n, k;
+    bool unblocked, chunked;
+  };
+  const Shape shapes[] = {
+      {64, 64, true, false},    // n = kOuterNB, volume 64^3
+      {65, 7, true, false},     // volume below 32^3
+      {65, 8, false, false},    // 65^2 * 8 > 32^3
+      {127, 64, false, false},  // n < 2 * kNestedMinChunk
+      {128, 64, false, true},
+      {129, 64, false, true},
+  };
+  Rng rng(67);
+  for (const Shape& s : shapes) {
+    Matrix a(s.n, s.k), c(s.n, s.n);
+    fill_uniform(a.view(), rng);
+    fill_uniform(c.view(), rng);
+    check_entry(
+        shape_name("syrk", s.n, s.n, s.k), c,
+        [&](MatrixView x) {
+          syrk(Uplo::Lower, Trans::N, -1.0, a.view(), 1.0, x);
+        },
+        [&](MatrixView x) { syrk_unblocked(-1.0, a.view(), x); },
+        ptlr::flops::syrk(s.n, s.k), s.unblocked, s.chunked);
+  }
+}
+
+TEST(SizeRule, TrsmMatchesReferenceOnEachSideOfTheCutoffs) {
+  struct Shape {
+    int na, nrhs;
+    bool unblocked, chunked;
+  };
+  const Shape shapes[] = {
+      {64, 64, true, false},    // na = kOuterNB
+      {65, 7, true, false},     // volume below 32^3
+      {65, 8, false, false},    // 65^2 * 8 > 32^3
+      {65, 127, false, false},  // nrhs < 2 * kNestedMinChunk
+      {65, 128, false, true},
+      {129, 129, false, true},
+  };
+  const struct {
+    const char* name;
+    Side side;
+    Trans ta;
+  } variants[] = {{"trsm Left/Lower/N", Side::Left, Trans::N},
+                  {"trsm Left/Lower/T", Side::Left, Trans::T},
+                  {"trsm Right/Lower/T", Side::Right, Trans::T}};
+  Rng rng(68);
+  for (const Shape& s : shapes) {
+    for (const auto& v : variants) {
+      // Diagonally dominant, so the solve is well conditioned.
+      Matrix l(s.na, s.na);
+      fill_uniform(l.view(), rng, -0.5, 0.5);
+      for (int j = 0; j < s.na; ++j) l(j, j) = s.na;
+      const int m = v.side == Side::Left ? s.na : s.nrhs;
+      const int n = v.side == Side::Left ? s.nrhs : s.na;
+      Matrix b(m, n);
+      fill_uniform(b.view(), rng);
+      check_entry(
+          shape_name(v.name, m, n, s.na), b,
+          [&](MatrixView x) {
+            trsm(v.side, Uplo::Lower, v.ta, Diag::NonUnit, 1.0, l.view(), x);
+          },
+          [&](MatrixView x) { trsm_unblocked(v.side, v.ta, l.view(), x); },
+          ptlr::flops::trsm(s.na, s.nrhs), s.unblocked, s.chunked);
+    }
+  }
+}
+
+TEST(SizeRule, PotrfMatchesReferenceOnEachSideOfTheCutoffs) {
+  struct Shape {
+    int n;
+    bool unblocked, chunked;
+  };
+  // n = 255 and 257 split into a 127 / 128-column panel TRSM and a 128 /
+  // 129-row downdate SYRK: the first recursion level spawns children.
+  const Shape shapes[] = {
+      {64, true, false}, {65, false, false}, {255, false, true},
+      {257, false, true}};
+  Rng rng(69);
+  for (const Shape& s : shapes) {
+    const Matrix a = random_spd(s.n, rng);
+    check_entry(
+        shape_name("potrf", s.n, s.n, s.n), a,
+        [](MatrixView x) { potrf(Uplo::Lower, x); },
+        [](MatrixView x) { potf2(x); }, ptlr::flops::potrf(s.n), s.unblocked,
+        s.chunked);
+  }
+}
+
+// The BLAS signatures admit two combinations nothing implements; each
+// throws a ptlr::Error that names it instead of computing another variant.
+TEST(SizeRule, UnimplementedVariantsThrowNamingThem) {
+  Matrix l = identity(4), b(4, 4), c(4, 4);
+  const auto message = [](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const ptlr::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message([&] {
+              trsm(Side::Right, Uplo::Lower, Trans::N, Diag::NonUnit, 1.0,
+                   l.view(), b.view());
+            }).find("Right/Lower/N"),
+            std::string::npos);
+  EXPECT_NE(message([&] {
+              trsm_unblocked(Side::Right, Trans::N, l.view(), b.view());
+            }).find("Right/Lower/N"),
+            std::string::npos);
+  EXPECT_NE(message([&] {
+              syrk(Uplo::Lower, Trans::T, 1.0, b.view(), 0.0, c.view());
+            }).find("Lower/T"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------- SYRK ----
 
 TEST(Syrk, LowerNotransMatchesGemm) {
@@ -536,19 +749,6 @@ TEST(Syrk, LowerNotransMatchesGemm) {
   gemm(Trans::N, Trans::T, -1.0, a.view(), a.view(), 1.0, cg.view());
   for (int j = 0; j < 9; ++j)
     for (int i = j; i < 9; ++i) EXPECT_NEAR(c(i, j), cg(i, j), 1e-13);
-}
-
-TEST(Syrk, UpperTransMatchesGemm) {
-  Rng rng(6);
-  Matrix a(4, 9), c(9, 9), cg(9, 9);
-  fill_uniform(a.view(), rng);
-  fill_uniform(c.view(), rng);
-  symmetrize(Uplo::Upper, c.view());
-  cg = c;
-  syrk(Uplo::Upper, Trans::T, 2.0, a.view(), 0.5, c.view());
-  gemm(Trans::T, Trans::N, 2.0, a.view(), a.view(), 0.5, cg.view());
-  for (int j = 0; j < 9; ++j)
-    for (int i = 0; i <= j; ++i) EXPECT_NEAR(c(i, j), cg(i, j), 1e-13);
 }
 
 TEST(Syrk, LeavesOppositeTriangleUntouched) {
@@ -565,16 +765,12 @@ TEST(Syrk, LeavesOppositeTriangleUntouched) {
 
 struct TrsmCase {
   Side side;
-  Uplo uplo;
   Trans trans;
-  Diag diag;
 };
 
 void PrintTo(const TrsmCase& c, std::ostream* os) {
-  *os << (c.side == Side::Left ? "Left" : "Right") << " "
-      << (c.uplo == Uplo::Lower ? "Lower" : "Upper") << " "
-      << (c.trans == Trans::N ? "N" : "T") << " "
-      << (c.diag == Diag::Unit ? "Unit" : "NonUnit");
+  *os << (c.side == Side::Left ? "Left" : "Right") << " Lower "
+      << (c.trans == Trans::N ? "N" : "T") << " NonUnit";
 }
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
@@ -586,34 +782,25 @@ TEST_P(TrsmTest, SolvesSystem) {
   const int na = p.side == Side::Left ? m : n;
   Matrix a(na, na);
   fill_uniform(a.view(), rng, 0.1, 1.0);
-  for (int j = 0; j < na; ++j) a(j, j) = p.diag == Diag::Unit ? 1.0 : 3.0 + j;
+  for (int j = 0; j < na; ++j) a(j, j) = 3.0 + j;
   // Zero the non-referenced triangle so the reference multiply is exact.
-  zero_opposite_triangle(p.uplo, a.view());
+  zero_opposite_triangle(Uplo::Lower, a.view());
   Matrix x(m, n);
   fill_uniform(x.view(), rng);
-  // Build B = alpha^-1 * op(A)*X (left) or X*op(A) (right), then solve.
+  // Build B = op(A)*X (left) or X*op(A) (right), then solve.
   Matrix bm(m, n);
   if (p.side == Side::Left)
     gemm(p.trans, Trans::N, 1.0, a.view(), x.view(), 0.0, bm.view());
   else
     gemm(Trans::N, p.trans, 1.0, x.view(), a.view(), 0.0, bm.view());
-  trsm(p.side, p.uplo, p.trans, p.diag, 1.0, a.view(), bm.view());
+  trsm(p.side, Uplo::Lower, p.trans, Diag::NonUnit, 1.0, a.view(), bm.view());
   EXPECT_LT(frob_diff(bm.view(), x.view()), 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, TrsmTest,
-    ::testing::Values(
-        TrsmCase{Side::Left, Uplo::Lower, Trans::N, Diag::NonUnit},
-        TrsmCase{Side::Left, Uplo::Lower, Trans::T, Diag::NonUnit},
-        TrsmCase{Side::Left, Uplo::Upper, Trans::N, Diag::NonUnit},
-        TrsmCase{Side::Left, Uplo::Upper, Trans::T, Diag::NonUnit},
-        TrsmCase{Side::Right, Uplo::Lower, Trans::N, Diag::NonUnit},
-        TrsmCase{Side::Right, Uplo::Lower, Trans::T, Diag::NonUnit},
-        TrsmCase{Side::Right, Uplo::Upper, Trans::N, Diag::NonUnit},
-        TrsmCase{Side::Right, Uplo::Upper, Trans::T, Diag::NonUnit},
-        TrsmCase{Side::Left, Uplo::Lower, Trans::N, Diag::Unit},
-        TrsmCase{Side::Right, Uplo::Upper, Trans::T, Diag::Unit}));
+INSTANTIATE_TEST_SUITE_P(AllVariants, TrsmTest,
+                         ::testing::Values(TrsmCase{Side::Left, Trans::N},
+                                           TrsmCase{Side::Left, Trans::T},
+                                           TrsmCase{Side::Right, Trans::T}));
 
 TEST(Trsm, AppliesAlpha) {
   Matrix a = identity(3);
@@ -638,18 +825,6 @@ TEST(Potrf, FactorizesSpdLower) {
     EXPECT_LT(frob_diff(rec.view(), a.view()), 1e-10 * frob_norm(a.view()))
         << "n=" << n;
   }
-}
-
-TEST(Potrf, FactorizesSpdUpper) {
-  Rng rng(22);
-  const int n = 70;
-  Matrix a = random_spd(n, rng);
-  Matrix u = a;
-  potrf(Uplo::Upper, u.view());
-  zero_opposite_triangle(Uplo::Upper, u.view());
-  Matrix rec(n, n);
-  gemm(Trans::T, Trans::N, 1.0, u.view(), u.view(), 0.0, rec.view());
-  EXPECT_LT(frob_diff(rec.view(), a.view()), 1e-10 * frob_norm(a.view()));
 }
 
 TEST(Potrf, ThrowsOnIndefiniteWithPivotIndex) {

@@ -425,9 +425,8 @@ TEST_F(ObsTest, ResilienceCountersMatchTheFactorizationsRecovery) {
   obs::enable(false);
   ASSERT_GT(res.recovery.faults_injected(), 0);
   const obs::ResilienceCounters rc = obs::Counters::resilience();
-  for (int i = 0; i < obs::kNumResilienceEvents; ++i)
-    EXPECT_EQ(rc.counts[i], res.recovery.counts[i])
-        << obs::resilience_event_name(static_cast<obs::ResilienceEvent>(i));
+  EXPECT_EQ(rc, res.recovery)
+      << "obs: " << rc.to_string() << "\ndriver: " << res.recovery.to_string();
 }
 
 TEST_F(ObsTest, CommCountersMatchTheDistributedFactorization) {
