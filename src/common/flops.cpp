@@ -34,4 +34,9 @@ double model(Kernel kernel, std::int64_t b_, std::int64_t rank_) noexcept {
   return 0.0;
 }
 
+bool is_dense_class(Kernel k) noexcept {
+  return k == Kernel::kPotrf1 || k == Kernel::kTrsm1 || k == Kernel::kSyrk1 ||
+         k == Kernel::kGemm1;
+}
+
 }  // namespace ptlr::flops

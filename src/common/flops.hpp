@@ -20,9 +20,9 @@ enum class Kernel : int {
   kSyrk1 = 3,   ///< (1)-SYRK   dense symmetric rank-k update
   kSyrk3 = 4,   ///< (3)-SYRK   low-rank symmetric rank-k update
   kGemm1 = 5,   ///< (1)-GEMM   dense GEMM
-  kGemm2 = 6,   ///< (2)-GEMM   dense C -= A_lr * B_lr^T accumulated dense
-  kGemm3 = 7,   ///< (3)-GEMM   dense C -= A_dense * B_lr^T
-  kGemm5 = 8,   ///< (5)-GEMM   LR C -= A_dense * B_lr^T (C stays LR)
+  kGemm2 = 6,   ///< (2)-GEMM   dense C -= one dense, one low-rank operand
+  kGemm3 = 7,   ///< (3)-GEMM   dense C -= A_lr * B_lr^T
+  kGemm5 = 8,   ///< (5)-GEMM   LR C -= one dense, one low-rank operand
   kGemm6 = 9,   ///< (6)-GEMM   LR C -= A_lr * B_lr^T (HCORE_DGEMM)
 };
 
@@ -32,6 +32,10 @@ inline constexpr int kNumKernels = 10;
 /// Table I closed-form flop count for kernel `k` on tile size `b` with
 /// operand rank `rank` (ignored by the dense kernels).
 double model(Kernel k, std::int64_t b, std::int64_t rank) noexcept;
+
+/// True for the dense region-(1) kernels (POTRF, TRSM, SYRK, GEMM), the
+/// class the simulator runs at the dense rate and on accelerators.
+bool is_dense_class(Kernel k) noexcept;
 
 /// Dense GEMM model: 2*m*n*k flops for C(m,n) += A(m,k)*B(k,n).
 inline double gemm(std::int64_t m, std::int64_t n, std::int64_t k) noexcept {

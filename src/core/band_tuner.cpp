@@ -3,60 +3,22 @@
 #include <algorithm>
 #include <limits>
 
-#include "hcore/kernels.hpp"
+#include "core/task_costs.hpp"
 
 namespace ptlr::core {
 
 namespace {
 
-using flops::Kernel;
-
-// The Table I cost of each task of the tile Cholesky when the band is W.
-// `Ranks` is a RankMap or a matrix under construction; a tile is read only
-// when it lies outside the band (i-j >= W), where it is dense only if its
-// rank exceeded the cap.
-template <class Ranks>
-class TaskCosts {
- public:
-  TaskCosts(const Ranks& r, int b, int w) : r_(r), b_(b), w_(w) {}
-
-  [[nodiscard]] bool dense(int i, int j) const {
-    return i - j < w_ || r_.is_dense(i, j);
+// The TRSM and GEMMs writing sub-diagonal d (the Fig. 6c marginal).
+double writing(const TaskCosts<RankMap>& c, int nt, int d) {
+  double f = 0.0;
+  for (int i = d; i < nt; ++i) {
+    const int j = i - d;
+    f += c.trsm(i, j).flops;
+    for (int k = 0; k < j; ++k) f += c.gemm(i, j, k).flops;
   }
-  /// SYRK of step k on diagonal tile (i, i), reading (i, k).
-  [[nodiscard]] double syrk(int i, int k) const {
-    return dense(i, k) ? flops::model(Kernel::kSyrk1, b_, 0)
-                       : flops::model(Kernel::kSyrk3, b_, r_.rank(i, k));
-  }
-  /// TRSM writing (i, j).
-  [[nodiscard]] double trsm(int i, int j) const {
-    return dense(i, j) ? flops::model(Kernel::kTrsm1, b_, 0)
-                       : flops::model(Kernel::kTrsm4, b_, r_.rank(i, j));
-  }
-  /// GEMM of step k writing (i, j), reading (i, k) and (j, k).
-  [[nodiscard]] double gemm(int i, int j, int k) const {
-    const bool ad = dense(i, k), bd = dense(j, k), cd = dense(i, j);
-    int kk = 1;
-    if (!ad) kk = std::max(kk, r_.rank(i, k));
-    if (!bd) kk = std::max(kk, r_.rank(j, k));
-    if (!cd) kk = std::max(kk, r_.rank(i, j));
-    return hcore::gemm_model_flops(ad, bd, cd, b_, kk);
-  }
-  /// The TRSM and GEMMs writing sub-diagonal d (the Fig. 6c marginal).
-  [[nodiscard]] double writing(int nt, int d) const {
-    double f = 0.0;
-    for (int i = d; i < nt; ++i) {
-      const int j = i - d;
-      f += trsm(i, j);
-      for (int k = 0; k < j; ++k) f += gemm(i, j, k);
-    }
-    return f;
-  }
-
- private:
-  const Ranks& r_;
-  int b_, w_;
-};
+  return f;
+}
 
 // F(W) from the widest candidate inward: F(wmax) sums every task, and
 // F(W) = F(W+1) plus the change of the tasks that touch sub-diagonal W,
@@ -86,13 +48,13 @@ class OutsideInFlops {
     const TaskCosts<Ranks> c(r, b_, w);
     double f = 0.0;
     for (int i = 0; i < nt_; ++i) {
-      f += flops::model(Kernel::kPotrf1, b_, 0);
-      for (int k = 0; k < i; ++k) f += c.syrk(i, k);
+      f += c.potrf().flops;
+      for (int k = 0; k < i; ++k) f += c.syrk(i, k).flops;
     }
     for (int i = 1; i < nt_; ++i)
       for (int j = 0; j < i; ++j) {
-        f += c.trsm(i, j);
-        for (int k = 0; k < j; ++k) f += c.gemm(i, j, k);
+        f += c.trsm(i, j).flops;
+        for (int k = 0; k < j; ++k) f += c.gemm(i, j, k).flops;
       }
     return f;
   }
@@ -107,13 +69,14 @@ class OutsideInFlops {
     double f = 0.0;
     for (int p = w; p < nt_; ++p) {
       const int q = p - w;
-      f += lo.syrk(p, q) - hi.syrk(p, q);
-      f += lo.trsm(p, q) - hi.trsm(p, q);
-      for (int k = 0; k < q; ++k) f += lo.gemm(p, q, k) - hi.gemm(p, q, k);
+      f += lo.syrk(p, q).flops - hi.syrk(p, q).flops;
+      f += lo.trsm(p, q).flops - hi.trsm(p, q).flops;
+      for (int k = 0; k < q; ++k)
+        f += lo.gemm(p, q, k).flops - hi.gemm(p, q, k).flops;
       for (int j = q + 1; j < p; ++j)
-        f += lo.gemm(p, j, q) - hi.gemm(p, j, q);
+        f += lo.gemm(p, j, q).flops - hi.gemm(p, j, q).flops;
       for (int i = p + 1; i < nt_; ++i)
-        if (i - p != w) f += lo.gemm(i, p, q) - hi.gemm(i, p, q);
+        if (i - p != w) f += lo.gemm(i, p, q).flops - hi.gemm(i, p, q).flops;
     }
     return f;
   }
@@ -187,17 +150,12 @@ BandTuneResult tune_band_size(const RankMap& ranks, int wmax,
   for (int d = 1; d < nt; ++d) {
     if (d + 1 <= wmax)
       out.dense_subdiag[static_cast<std::size_t>(d)] =
-          TaskCosts<RankMap>(ranks, b, d + 1).writing(nt, d);
+          writing(TaskCosts<RankMap>(ranks, b, d + 1), nt, d);
     if (d <= wmax)
       out.tlr_subdiag[static_cast<std::size_t>(d)] =
-          TaskCosts<RankMap>(ranks, b, d).writing(nt, d);
+          writing(TaskCosts<RankMap>(ranks, b, d), nt, d);
   }
   return out;
-}
-
-double cholesky_model_flops(const RankMap& ranks, int band_size) {
-  OutsideInFlops model(ranks.nt(), ranks.tile_size(), band_size);
-  return model.price(ranks);
 }
 
 tlr::TlrMatrix build_auto_band(const stars::CovarianceProblem& prob,

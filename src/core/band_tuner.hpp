@@ -1,7 +1,8 @@
 // BAND_SIZE auto-tuning via the flop-count performance model (Algorithm 1).
 //
 // The tuner prices F(W), the total flops of the BAND-DENSE-TLR Cholesky
-// when the tiles with i-j < W are rolled back to dense, and picks a W
+// when the tiles with i-j < W are rolled back to dense, each task priced
+// by core::TaskCosts as the task graph prices it, and picks a W
 // inside the fluctuation box [F_min, F_min/0.67] of the optimum (Section
 // V-B, Fig. 6). Choosing inside the box (not the argmin) hedges against
 // TRSM/SYRK flop growth near the critical path and rank growth during the
@@ -40,10 +41,6 @@ struct BandTuneResult {
 /// scan's.
 BandTuneResult tune_band_size(const RankMap& ranks, int wmax = 0,
                               double fluctuation_lo = 0.67);
-
-/// Total model flops of the factorization under a fixed band width
-/// (diagnostic; equals total_by_band[w-1] of tune_band_size up to rounding).
-double cholesky_model_flops(const RankMap& ranks, int band_size);
 
 /// What the scan of build_auto_band priced. It stopped at W = band_size - 1
 /// (none when the band is 1, where it reached W = 1).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/task_costs.hpp"
 #include "hcore/kernels.hpp"
 #include "tlr/io.hpp"
 
@@ -31,34 +32,19 @@ class Builder {
   Builder(tlr::TlrMatrix* mat, const RankMap* ranks, const GraphOptions& opt,
           bool skip_tlr_gemm)
       : mat_(mat), opt_(opt), slice_(opt.slice),
-        skip_tlr_gemm_(skip_tlr_gemm) {
-    if (mat_ != nullptr) {
-      nt_ = mat_->nt();
-      b_ = mat_->tile_size();
-      n_ = mat_->n();
-    } else {
-      PTLR_CHECK(ranks != nullptr, "need a matrix or a rank map");
-      nt_ = ranks->nt();
-      b_ = ranks->tile_size();
-      n_ = nt_ * b_;
-    }
-    // Working copies of format/rank: the generator tracks densification-on-
-    // demand (a dense·dense last update) so kernel selection stays
-    // consistent along the unrolling.
-    fmt_.resize(static_cast<std::size_t>(nt_) * (nt_ + 1) / 2);
-    rank_.resize(fmt_.size());
-    for (int i = 0; i < nt_; ++i)
-      for (int j = 0; j <= i; ++j) {
-        const bool d = mat_ != nullptr ? mat_->at(i, j).is_dense()
-                                       : ranks->is_dense(i, j);
-        const int k = mat_ != nullptr ? mat_->at(i, j).rank()
-                                      : ranks->rank(i, j);
-        fmt_[tri(i, j)] = d ? 1 : 0;
-        rank_[tri(i, j)] = k;
-      }
+        skip_tlr_gemm_(skip_tlr_gemm),
+        // A working copy: the generator tracks densification on demand (a
+        // dense·dense last update), so every task is priced on the formats
+        // its operands have when it runs.
+        work_(mat != nullptr ? RankMap::from_matrix(*mat) : *ranks),
+        costs_(work_, work_.tile_size(), 1) {
+    nt_ = work_.nt();
+    b_ = work_.tile_size();
+    n_ = mat_ != nullptr ? mat_->n() : nt_ * b_;
     rb_ = opt_.recursive_block > 0 ? opt_.recursive_block
                                    : std::max(b_ / 4, 16);
-    if (slice_ != nullptr) received_.assign(fmt_.size(), 0);
+    if (slice_ != nullptr)
+      received_.assign(static_cast<std::size_t>(nt_) * (nt_ + 1) / 2, 0);
   }
 
   rt::TaskGraph build(GraphStats* stats) {
@@ -86,10 +72,6 @@ class Builder {
   [[nodiscard]] std::size_t tri(int i, int j) const {
     return static_cast<std::size_t>(i) * (i + 1) / 2 + j;
   }
-  [[nodiscard]] bool is_dense(int i, int j) const {
-    return fmt_[tri(i, j)] != 0;
-  }
-  [[nodiscard]] int rank_of(int i, int j) const { return rank_[tri(i, j)]; }
   [[nodiscard]] int rows_of(int i) const { return std::min(b_, n_ - i * b_); }
   [[nodiscard]] int owner(int i, int j) const {
     return opt_.dist != nullptr ? opt_.dist->owner(i, j) : 0;
@@ -101,10 +83,10 @@ class Builder {
            (owner(i, j) == slice_->rank && k >= slice_->frontier);
   }
   [[nodiscard]] std::size_t tile_bytes(int i, int j) const {
-    if (is_dense(i, j))
+    if (work_.is_dense(i, j))
       return static_cast<std::size_t>(rows_of(i)) * rows_of(j) * 8;
-    return 2ull * static_cast<std::size_t>(b_) * std::max(rank_of(i, j), 1) *
-           8;
+    return 2ull * static_cast<std::size_t>(b_) *
+           std::max(work_.rank(i, j), 1) * 8;
   }
   [[nodiscard]] static DataKey tile_key(int i, int j) {
     return make_key(0, static_cast<std::uint32_t>(i),
@@ -119,9 +101,6 @@ class Builder {
     return make_key(2, static_cast<std::uint32_t>(c >> 24),
                     static_cast<std::uint32_t>(c & 0xFFFFFF));
   }
-  [[nodiscard]] double dur(Kernel kernel, int bb, int kk) const {
-    return opt_.cost != nullptr ? opt_.cost->duration(kernel, bb, kk) : 0.0;
-  }
   [[nodiscard]] double dur_flops(double f, bool dense_class) const {
     return opt_.cost != nullptr ? opt_.cost->duration_flops(f, dense_class)
                                 : 0.0;
@@ -129,10 +108,17 @@ class Builder {
   [[nodiscard]] double prio(int panel, double boost) const {
     return (nt_ - panel) * 16.0 + boost;
   }
-  void charge(Kernel kernel, int bb, int kk) {
-    const double f = flops::model(kernel, bb, kk);
-    stats_.model_flops += f;
-    if (CostModel::is_dense_kernel(kernel)) stats_.model_flops_dense += f;
+  void charge(const hcore::TaskCost& c) {
+    stats_.model_flops += c.flops;
+    if (flops::is_dense_class(c.charged)) stats_.model_flops_dense += c.flops;
+  }
+  // The task's kind, device class and modelled duration on `rows` rows.
+  void set_kernel(TaskInfo& t, const hcore::TaskCost& c, int rows) const {
+    t.kind = static_cast<int>(c.kernel);
+    t.device_class = flops::is_dense_class(c.kernel) ? 1 : 0;
+    t.duration = opt_.cost != nullptr
+                     ? opt_.cost->duration(c.kernel, rows, c.rank)
+                     : 0.0;
   }
 
   // Declare tile (i, j) as the task's (sole) output so the executor's
@@ -234,8 +220,9 @@ class Builder {
   // ------------------------------------------------------ whole kernels --
   void add_potrf(int k) {
     if (!kept(k, k, k)) return;
+    const hcore::TaskCost c = costs_.potrf();
+    charge(c);
     const int bk = rows_of(k);
-    charge(Kernel::kPotrf1, bk, 0);
     const bool recurse = (opt_.recursive_all || opt_.recursive_potrf) &&
                          bk > rb_;
     if (recurse) {
@@ -244,14 +231,12 @@ class Builder {
     }
     TaskInfo t;
     t.name = "potrf(" + std::to_string(k) + ")";
-    t.kind = static_cast<int>(Kernel::kPotrf1);
     t.panel = k;
     t.ti = k;
     t.tj = k;
     t.priority = prio(k, 12.0);
     t.owner = owner(k, k);
-    t.device_class = 1;  // dense critical-path kernel
-    t.duration = dur(Kernel::kPotrf1, bk, 0);
+    set_kernel(t, c, bk);
     t.output_bytes = tile_bytes(k, k);
     if (mat_ != nullptr) {
       auto* m = mat_;
@@ -279,24 +264,21 @@ class Builder {
 
   void add_trsm(int k, int i) {
     if (!kept(i, k, k)) return;
-    const bool dense_tile = is_dense(i, k);
-    const Kernel kernel = dense_tile ? Kernel::kTrsm1 : Kernel::kTrsm4;
-    const int kk = dense_tile ? 0 : rank_of(i, k);
-    charge(kernel, rows_of(i), kk);
+    const hcore::TaskCost c = costs_.trsm(i, k);
+    charge(c);
+    const bool dense_tile = work_.is_dense(i, k);
     if (dense_tile && opt_.recursive_all && rows_of(i) > rb_) {
       rec_trsm(k, i);
       return;
     }
     TaskInfo t;
     t.name = "trsm(" + std::to_string(i) + "," + std::to_string(k) + ")";
-    t.kind = static_cast<int>(kernel);
     t.panel = k;
     t.ti = i;
     t.tj = k;
     t.priority = prio(k, 8.0);
     t.owner = owner(i, k);
-    t.device_class = dense_tile ? 1 : 0;
-    t.duration = dur(kernel, rows_of(i), kk);
+    set_kernel(t, c, rows_of(i));
     t.output_bytes = tile_bytes(i, k);
     if (mat_ != nullptr) {
       auto* m = mat_;
@@ -311,24 +293,21 @@ class Builder {
 
   void add_syrk(int k, int i) {
     if (!kept(i, i, k)) return;
-    const bool dense_a = is_dense(i, k);
-    const Kernel kernel = dense_a ? Kernel::kSyrk1 : Kernel::kSyrk3;
-    const int kk = dense_a ? 0 : rank_of(i, k);
-    charge(kernel, rows_of(i), kk);
+    const hcore::TaskCost c = costs_.syrk(i, k);
+    charge(c);
+    const bool dense_a = work_.is_dense(i, k);
     if (dense_a && opt_.recursive_all && rows_of(i) > rb_) {
       rec_syrk(k, i);
       return;
     }
     TaskInfo t;
     t.name = "syrk(" + std::to_string(i) + "," + std::to_string(k) + ")";
-    t.kind = static_cast<int>(kernel);
     t.panel = k;
     t.ti = i;
     t.tj = i;
     t.priority = prio(k, 6.0);
     t.owner = owner(i, i);
-    t.device_class = dense_a ? 1 : 0;
-    t.duration = dur(kernel, rows_of(i), kk);
+    set_kernel(t, c, rows_of(i));
     t.output_bytes = tile_bytes(i, i);
     if (mat_ != nullptr) {
       auto* m = mat_;
@@ -343,48 +322,35 @@ class Builder {
   // The step-k update of C = (i, j). A dense C takes a (1)/(2)/(3)-GEMM.
   // A low-rank C is accumulated densely: its updates before step j-1 run
   // as the dense-output GEMM of their operands, and the one at step j-1
-  // also compresses the tile once — modelled as the Table I (5)/(6)-GEMM.
-  // Every update charges the Table I flops of its class, (5)/(6) for a
-  // low-rank C, so the flop model is that of the right-looking algorithm.
+  // also compresses the tile once, the (5)/(6)-GEMM. Each update is charged
+  // what Algorithm 1 charges for it (TaskCosts): (5)/(6) for every update
+  // of a low-rank C, so the flop model is that of the right-looking
+  // algorithm.
   void add_gemm(int k, int i, int j) {
-    const bool ad = is_dense(i, k), bd = is_dense(j, k), cd = is_dense(i, j);
-    int kk = 0;
-    if (!ad) kk = std::max(kk, rank_of(i, k));
-    if (!bd) kk = std::max(kk, rank_of(j, k));
-    if (!cd) kk = std::max(kk, rank_of(i, j));
-    const Kernel dense_out = ad && bd ? Kernel::kGemm1
-                                      : (ad || bd ? Kernel::kGemm2
-                                                  : Kernel::kGemm3);
-    Kernel table =
-        cd ? dense_out : ((ad || bd) ? Kernel::kGemm5 : Kernel::kGemm6);
+    const bool cd = work_.is_dense(i, j);
     const bool round = !cd && k == j - 1;
-    if (round && ad && bd) {
-      // Densification on demand: a dense·dense last update leaves C dense
-      // (later kernels on it are the dense variants).
-      fmt_[tri(i, j)] = 1;
-      rank_[tri(i, j)] = std::min(rows_of(i), rows_of(j));
-      table = Kernel::kGemm1;
-    }
+    // Densification on demand: a dense·dense last update leaves C dense
+    // (it and later kernels on C are the dense variants).
+    if (round && work_.is_dense(i, k) && work_.is_dense(j, k))
+      work_.densify(i, j);
     if (!kept(i, j, k)) return;
     if (skip_tlr_gemm_ && !cd) return;  // Fig. 10 "No_TLR_GEMM" variant
-    charge(table, b_, kk);
-    const Kernel kernel = round ? table : dense_out;
-    if (kernel == Kernel::kGemm1 && opt_.recursive_all && rows_of(i) > rb_ &&
-        cd) {
+    const hcore::TaskCost c = costs_.gemm(i, j, k);
+    charge(c);
+    if (c.kernel == Kernel::kGemm1 && opt_.recursive_all &&
+        rows_of(i) > rb_ && cd) {
       rec_gemm(k, i, j);
       return;
     }
     TaskInfo t;
     t.name = "gemm(" + std::to_string(i) + "," + std::to_string(j) + "," +
              std::to_string(k) + ")";
-    t.kind = static_cast<int>(kernel);
     t.panel = k;
     t.ti = i;
     t.tj = j;
     t.priority = prio(k, cd ? 4.0 : 0.0);
     t.owner = owner(i, j);
-    t.device_class = kernel == Kernel::kGemm1 ? 1 : 0;
-    t.duration = dur(kernel, b_, std::max(kk, 1));
+    set_kernel(t, c, b_);
     // Until its last update a low-rank C is held dense.
     t.output_bytes =
         cd || round ? tile_bytes(i, j)
@@ -399,7 +365,7 @@ class Builder {
     need(i, k);
     need(j, k);
     add(std::move(t), {tile_key(i, k), tile_key(j, k)}, {tile_key(i, j)});
-    if (cd || kernel == Kernel::kGemm1) stats_.tasks_band++;
+    if (cd || c.kernel == Kernel::kGemm1) stats_.tasks_band++;
   }
 
   // -------------------------------------------------- recursive kernels --
@@ -562,9 +528,9 @@ class Builder {
   std::vector<char> received_;  ///< per tile: recv task emitted (slice)
   std::vector<rt::TaskId> sends_;  ///< sends since the last barrier
   rt::TaskId last_barrier_ = -1;
+  RankMap work_;                    ///< formats as the unrolling reaches them
+  TaskCosts<RankMap> costs_;        ///< prices every task on work_
   int nt_ = 0, b_ = 0, n_ = 0, rb_ = 0;
-  std::vector<char> fmt_;
-  std::vector<int> rank_;
   std::uint64_t token_ = 0;
   rt::TaskGraph g_;
   GraphStats stats_;

@@ -4,7 +4,8 @@
 // Cholesky (POTRF → TRSMs → SYRK/GEMM updates per panel) unrolled over data
 // keys — a low-rank tile (i, j) accumulates its GEMM updates densely and
 // only the one at step j-1 compresses it (hcore::gemm) — with
-//   * kernel variants chosen from the per-tile formats (Section VI),
+//   * kernel variants chosen from the per-tile formats (Section VI), each
+//     task priced by the tuner's own TaskCosts (core/task_costs.hpp),
 //   * critical-path-aware priorities (panel-ordered, band-boosted),
 //   * owners from a pluggable data distribution (Section VII-C), which
 //     classifies every dataflow edge LOCAL or REMOTE (Section VII-A),
@@ -92,8 +93,8 @@ struct GraphOptions {
 
 /// Statistics the generator gathers while unrolling the graph.
 struct GraphStats {
-  double model_flops = 0.0;        ///< Table I flops of all kernels
-  double model_flops_dense = 0.0;  ///< flops of region-(1) kernels only
+  double model_flops = 0.0;        ///< Algorithm 1's Table I charge, all tasks
+  double model_flops_dense = 0.0;  ///< the part charged to region-(1) kernels
   long long tasks = 0;
   long long tasks_band = 0;        ///< tasks writing on-band tiles
 };

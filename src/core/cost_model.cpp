@@ -10,21 +10,9 @@
 
 namespace ptlr::core {
 
-bool CostModel::is_dense_kernel(flops::Kernel kernel) {
-  switch (kernel) {
-    case flops::Kernel::kPotrf1:
-    case flops::Kernel::kTrsm1:
-    case flops::Kernel::kSyrk1:
-    case flops::Kernel::kGemm1:
-      return true;
-    default:
-      return false;
-  }
-}
-
 double CostModel::duration(flops::Kernel kernel, int b, int k) const {
   return duration_flops(flops::model(kernel, b, k),
-                        is_dense_kernel(kernel));
+                        flops::is_dense_class(kernel));
 }
 
 KernelRates KernelRates::calibrate(int b, int k) {
@@ -43,7 +31,8 @@ KernelRates KernelRates::calibrate(int b, int k) {
     if (secs > 0) rates.dense_rate = 2.0 * b * double(b) * b / secs;
   }
 
-  // LR class: time a (6)-GEMM including its recompression.
+  // LR class: time a (6)-GEMM including its recompression, priced as the
+  // tuner prices it.
   {
     auto mk = [&](int r) {
       auto m = dense::random_lowrank(b, b, r, 1e-6, rng);
@@ -54,9 +43,9 @@ KernelRates KernelRates::calibrate(int b, int k) {
     WallTimer t;
     hcore::gemm(a, bt, c, {1e-9, 1 << 30});
     const double secs = t.seconds();
-    if (secs > 0)
-      rates.lr_rate =
-          flops::model(flops::Kernel::kGemm6, b, k) / secs;
+    const hcore::Operand lr{false, k};
+    const double f = hcore::gemm_cost(lr, lr, lr, /*last=*/true, b).flops;
+    if (secs > 0) rates.lr_rate = f / secs;
   }
   return rates;
 }

@@ -37,9 +37,6 @@ class CostModel {
 
   [[nodiscard]] const KernelRates& rates() const { return rates_; }
 
-  /// True if `kernel` belongs to the dense (region-1) class.
-  static bool is_dense_kernel(flops::Kernel kernel);
-
  private:
   KernelRates rates_;
 };

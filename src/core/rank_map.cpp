@@ -92,14 +92,16 @@ bool RankMap::is_dense(int i, int j) const { return dense_[index(i, j)] != 0; }
 
 int RankMap::rank(int i, int j) const { return rank_[index(i, j)]; }
 
+void RankMap::densify(int i, int j) {
+  const auto idx = index(i, j);
+  dense_[idx] = 1;
+  rank_[idx] = std::min(tile_rows(i), tile_rows(j));
+}
+
 void RankMap::set_band(int band_size) {
   PTLR_CHECK(band_size >= 1, "band must include the diagonal");
   for (int i = 0; i < nt_; ++i)
-    for (int j = std::max(0, i - band_size + 1); j <= i; ++j) {
-      const auto idx = index(i, j);
-      dense_[idx] = 1;
-      rank_[idx] = std::min(tile_rows(i), tile_rows(j));
-    }
+    for (int j = std::max(0, i - band_size + 1); j <= i; ++j) densify(i, j);
   band_ = std::max(band_, band_size);
 }
 

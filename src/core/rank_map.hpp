@@ -51,7 +51,9 @@ class RankMap {
   /// full tile size for dense ones.
   [[nodiscard]] int rank(int i, int j) const;
 
-  /// Mark every tile with i-j < band_size dense (the densification the
+  /// Mark tile (i, j) dense at its full rank (densification on demand).
+  void densify(int i, int j);
+  /// densify() every tile with i-j < band_size (the densification the
   /// auto-tuner decides on). Never un-densifies.
   void set_band(int band_size);
   [[nodiscard]] int band_size() const { return band_; }

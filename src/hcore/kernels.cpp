@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "dense/blas.hpp"
@@ -52,12 +51,13 @@ flops::Kernel potrf(Tile& akk) {
 
 flops::Kernel trsm(const Tile& akk, Tile& amk) {
   PTLR_CHECK(akk.is_dense(), "TRSM needs a dense factored diagonal tile");
+  const Kernel kind = trsm_kind(amk.is_dense());
   const ConstMatrixView l = akk.dense_data().view();
   if (amk.is_dense()) {
     // (1)-TRSM: X · L^T = A, i.e. right-solve against the lower factor.
     dense::trsm(dense::Side::Right, dense::Uplo::Lower, Trans::T,
                 dense::Diag::NonUnit, 1.0, l, amk.dense_data().view());
-    return observed(Kernel::kTrsm1);
+    return observed(kind);
   }
   // (4)-TRSM: (U V^T) L^-T = U (L^-1 V)^T — solve L X = V in place.
   compress::LowRankFactor& f = amk.lr();
@@ -65,17 +65,18 @@ flops::Kernel trsm(const Tile& akk, Tile& amk) {
     dense::trsm(dense::Side::Left, dense::Uplo::Lower, Trans::N,
                 dense::Diag::NonUnit, 1.0, l, f.v.view());
   }
-  return observed(Kernel::kTrsm4, f.rank(), f.rank());
+  return observed(kind, f.rank(), f.rank());
 }
 
 flops::Kernel syrk(const Tile& amk, Tile& amm) {
   PTLR_CHECK(amm.is_dense(), "SYRK output (diagonal tile) must be dense");
+  const Kernel kind = syrk_kind(amk.is_dense());
   MatrixView c = amm.dense_data().view();
   if (amk.is_dense()) {
     // (1)-SYRK.
     dense::syrk(dense::Uplo::Lower, Trans::N, -1.0,
                 amk.dense_data().view(), 1.0, c);
-    return observed(Kernel::kSyrk1);
+    return observed(kind);
   }
   // (3)-SYRK: C -= U (V^T V) U^T.
   const compress::LowRankFactor& f = amk.lr();
@@ -94,22 +95,22 @@ flops::Kernel syrk(const Tile& amk, Tile& amm) {
     // but the tile is stored dense; update it fully for simplicity.
     dense::gemm(Trans::N, Trans::T, -1.0, t1, f.u.view(), 1.0, c);
   }
-  return observed(Kernel::kSyrk3, f.rank(), /*rank_out=*/-1);
+  return observed(kind, f.rank(), /*rank_out=*/-1);
 }
 
 namespace {
 
 // C -= A·Bᵀ into a dense C, for any operand formats: (1)/(2)/(3)-GEMM.
-// Returns the kernel and the operand rank flowing through it (-1 for the
-// all-dense (1)-GEMM). Temporaries come from the caller's arena frame.
-std::pair<Kernel, int> gemm_into_dense(const Tile& amk, const Tile& ank,
-                                       MatrixView c, ScratchArena& ar) {
+// Returns the operand rank flowing through it (-1 for the all-dense
+// (1)-GEMM). Temporaries come from the caller's arena frame.
+int gemm_into_dense(const Tile& amk, const Tile& ank, MatrixView c,
+                    ScratchArena& ar) {
   const bool a_d = amk.is_dense(), b_d = ank.is_dense();
   if (a_d && b_d) {
     // (1)-GEMM.
     dense::gemm(Trans::N, Trans::T, -1.0, amk.dense_data().view(),
                 ank.dense_data().view(), 1.0, c);
-    return {Kernel::kGemm1, -1};
+    return -1;
   }
   if (a_d) {
     // C -= A (U_B V_B^T)^T = A V_B U_B^T. Cannot arise in a pure band
@@ -124,7 +125,7 @@ std::pair<Kernel, int> gemm_into_dense(const Tile& amk, const Tile& ank,
                   b.v.view(), 0.0, t);
       dense::gemm(Trans::N, Trans::T, -1.0, t, b.u.view(), 1.0, c);
     }
-    return {Kernel::kGemm2, kb};
+    return kb;
   }
   const compress::LowRankFactor& a = amk.lr();
   const int ka = a.rank();
@@ -137,7 +138,7 @@ std::pair<Kernel, int> gemm_into_dense(const Tile& amk, const Tile& ank,
                   a.v.view(), 0.0, t);
       dense::gemm(Trans::N, Trans::T, -1.0, a.u.view(), t, 1.0, c);
     }
-    return {Kernel::kGemm2, ka};
+    return ka;
   }
   // (3)-GEMM: C -= U_A (V_A^T V_B) U_B^T.
   const compress::LowRankFactor& b = ank.lr();
@@ -152,33 +153,31 @@ std::pair<Kernel, int> gemm_into_dense(const Tile& amk, const Tile& ank,
     dense::gemm(Trans::N, Trans::N, 1.0, a.u.view(), w, 0.0, t);
     dense::gemm(Trans::N, Trans::T, -1.0, t, b.u.view(), 1.0, c);
   }
-  return {Kernel::kGemm3, std::max(ka, kb)};
+  return std::max(ka, kb);
 }
 
 }  // namespace
 
 flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
                    const Accuracy& acc, bool round) {
+  const Kernel kind = gemm_kind(amk.is_dense(), ank.is_dense(), round);
   // A low-rank C becomes its own dense accumulator at its first update.
   if (amn.is_lowrank()) amn.densify();
   ScratchArena& ar = ScratchArena::local();
-  Kernel applied = Kernel::kGemm1;
   int rank_in = -1;
   {
     // Temporaries die with this frame; the thread-local arena hands the
     // same bytes to the next GEMM on this worker.
     const ScratchArena::Frame frame(ar);
-    std::tie(applied, rank_in) =
-        gemm_into_dense(amk, ank, amn.dense_data().view(), ar);
+    rank_in = gemm_into_dense(amk, ank, amn.dense_data().view(), ar);
   }
-  // A dense·dense product has no low-rank form: a tile whose last update
-  // is one stays dense (densification on demand).
-  if (!round || applied == Kernel::kGemm1)
-    return observed(applied, rank_in, /*rank_out=*/-1);
+  // Only a (5)/(6)-GEMM compresses. A dense·dense product has no low-rank
+  // form: a tile whose last update is one stays dense (densification on
+  // demand, a (1)-GEMM).
+  if (kind != Kernel::kGemm5 && kind != Kernel::kGemm6)
+    return observed(kind, rank_in, /*rank_out=*/-1);
 
   // The tile's last update: compress the accumulated sum once.
-  const Kernel kernel = amk.is_dense() || ank.is_dense() ? Kernel::kGemm5
-                                                         : Kernel::kGemm6;
   const int full = std::min(amn.rows(), amn.cols());
   std::optional<compress::LowRankFactor> f =
       compress::compress(amn.dense_data().view(), acc);
@@ -187,32 +186,21 @@ flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
     // accuracy loss, and every later kernel dispatches on the format.
     resil::note(resil::ResilienceEvent::kDenseFallback,
                 "rank exceeds maxrank " + std::to_string(acc.maxrank));
-    return observed(kernel, full, full);
+    return observed(kind, full, full);
   }
   const int knew = f->rank();
   // Adaptive on-demand densification (Section IX future work): past the
   // admissible ratio, low-rank arithmetic on this tile has stopped paying
   // off, so it keeps the exact sum dense.
   if (acc.densify_ratio > 0.0 && knew > acc.densify_ratio * full)
-    return observed(kernel, full, knew);
+    return observed(kind, full, knew);
   amn = Tile::make_lowrank(std::move(*f));
-  return observed(kernel, full, knew);
+  return observed(kind, full, knew);
 }
 
 flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
                    const Accuracy& acc) {
   return gemm(amk, ank, amn, acc, amn.is_lowrank());
-}
-
-double gemm_model_flops(bool a_dense, bool b_dense, bool c_dense,
-                        std::int64_t b, std::int64_t k) {
-  if (c_dense) {
-    if (a_dense) return flops::model(Kernel::kGemm1, b, k);
-    if (b_dense) return flops::model(Kernel::kGemm2, b, k);
-    return flops::model(Kernel::kGemm3, b, k);
-  }
-  if (b_dense) return flops::model(Kernel::kGemm5, b, k);
-  return flops::model(Kernel::kGemm6, b, k);
 }
 
 }  // namespace ptlr::hcore

@@ -21,7 +21,15 @@
 // GEMM), and only the last one, at step n-1, compresses the accumulated
 // tile back to U·Vᵀ ((5)/(6)-GEMM). The per-update work thus stays off the
 // critical path, which carries one compression per tile.
+//
+// The *_kind functions below are the one map from operand formats to the
+// Table I kernel a task runs, and the entry points return their kind
+// through them. The *_cost functions add the rank it runs at and the flops
+// Algorithm 1 charges for it: the BAND_SIZE tuner and the task graph price
+// every task through them (core/task_costs.hpp).
 #pragma once
+
+#include <algorithm>
 
 #include "common/flops.hpp"
 #include "compress/compress.hpp"
@@ -64,10 +72,79 @@ flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
 flops::Kernel gemm(const Tile& amk, const Tile& ank, Tile& amn,
                    const Accuracy& acc);
 
-/// Table I model flops for the kernel that `gemm` would select for these
-/// operand formats (b = tile size, k = max operand rank). Used by the
-/// BAND_SIZE auto-tuner's performance model (Algorithm 1).
-double gemm_model_flops(bool a_dense, bool b_dense, bool c_dense,
-                        std::int64_t b, std::int64_t k);
+// ---- the Table I task model (inline: Algorithm 1 prices O(NT³) tasks) --
+
+/// The Table I kernel trsm() runs on a dense or a low-rank A[m][k].
+inline flops::Kernel trsm_kind(bool a_dense) {
+  return a_dense ? flops::Kernel::kTrsm1 : flops::Kernel::kTrsm4;
+}
+
+/// The Table I kernel syrk() runs on a dense or a low-rank A[m][k].
+inline flops::Kernel syrk_kind(bool a_dense) {
+  return a_dense ? flops::Kernel::kSyrk1 : flops::Kernel::kSyrk3;
+}
+
+/// The Table I kernel gemm() runs: (1)-GEMM when A and B are both dense,
+/// else the dense-output (2)/(3)-GEMM, or with `round` the compressing
+/// (5)/(6)-GEMM (one operand dense → (2)/(5), none → (3)/(6)).
+inline flops::Kernel gemm_kind(bool a_dense, bool b_dense, bool round) {
+  using K = flops::Kernel;
+  if (a_dense && b_dense) return K::kGemm1;
+  if (round) return a_dense || b_dense ? K::kGemm5 : K::kGemm6;
+  return a_dense || b_dense ? K::kGemm2 : K::kGemm3;
+}
+
+/// A task operand's format: dense, or low-rank of rank `rank`.
+struct Operand {
+  bool dense = true;
+  int rank = 0;  ///< ignored when dense
+};
+
+/// One tile task in Algorithm 1's performance model.
+struct TaskCost {
+  flops::Kernel kernel;   ///< the Table I kernel the entry point runs
+  flops::Kernel charged;  ///< the Table I entry Algorithm 1 charges for it
+  int rank;               ///< the operand rank both are priced at
+  double flops;           ///< `charged` at tile size b and `rank`
+};
+
+/// (1)-POTRF of a b-tile.
+inline TaskCost potrf_cost(int b) {
+  const flops::Kernel k = flops::Kernel::kPotrf1;
+  return {k, k, 0, flops::model(k, b, 0)};
+}
+
+/// TRSM on A[m][k]; a dense A runs at rank 0.
+inline TaskCost trsm_cost(Operand a, int b) {
+  const flops::Kernel k = trsm_kind(a.dense);
+  const int r = a.dense ? 0 : a.rank;
+  return {k, k, r, flops::model(k, b, r)};
+}
+
+/// SYRK reading A[m][k]; a dense A runs at rank 0.
+inline TaskCost syrk_cost(Operand a, int b) {
+  const flops::Kernel k = syrk_kind(a.dense);
+  const int r = a.dense ? 0 : a.rank;
+  return {k, k, r, flops::model(k, b, r)};
+}
+
+/// GEMM C -= A·Bᵀ. `last` marks C's last update, the one that compresses a
+/// low-rank C. The rank is the largest low-rank operand's, floored at 1.
+/// Every update of a low-rank C is charged its Table I (5)/(6) entry, as if
+/// each recompressed, though only the last one does: that is the flop model
+/// Algorithm 1 picks BAND_SIZE by.
+inline TaskCost gemm_cost(Operand a, Operand bt, Operand c, bool last,
+                          int b) {
+  int r = 1;
+  if (!a.dense) r = std::max(r, a.rank);
+  if (!bt.dense) r = std::max(r, bt.rank);
+  if (!c.dense) r = std::max(r, c.rank);
+  const flops::Kernel k = gemm_kind(a.dense, bt.dense, !c.dense && last);
+  const flops::Kernel charged =
+      c.dense ? k
+              : (a.dense || bt.dense ? flops::Kernel::kGemm5
+                                     : flops::Kernel::kGemm6);
+  return {k, charged, r, flops::model(charged, b, r)};
+}
 
 }  // namespace ptlr::hcore

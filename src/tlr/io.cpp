@@ -1,5 +1,6 @@
 #include "tlr/io.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -20,74 +21,78 @@ namespace {
 constexpr std::uint64_t kMagic = 0x50544C523153ull;  // "PTLR1S"
 constexpr std::uint32_t kVersion = 1;
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// A file is a header of seven 8-byte fields and then, tile by tile in
+// row-major lower-triangle order, the tile_to_bytes record of each tile:
+// one codec for files and wire payloads.
+
+void append_u64(std::vector<char>& buf, std::uint64_t v) {
+  const auto* p = reinterpret_cast<const char*>(&v);
+  buf.insert(buf.end(), p, p + sizeof(v));
 }
-void write_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+
+void append_matrix(std::vector<char>& buf, const dense::Matrix& m) {
+  append_u64(buf, static_cast<std::uint64_t>(m.rows()));
+  append_u64(buf, static_cast<std::uint64_t>(m.cols()));
+  const auto* p = reinterpret_cast<const char*>(m.data());
+  buf.insert(buf.end(), p, p + m.size() * sizeof(double));
 }
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  PTLR_CHECK(is.good(), "truncated input");
-  return v;
-}
-double read_f64(std::istream& is) {
-  double v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  PTLR_CHECK(is.good(), "truncated input");
+
+// The bounded cursor: each take reads at `pos` and advances it, checking
+// first that the bytes are there.
+std::uint64_t take_u64(const char* buf, std::size_t size, std::size_t& pos) {
+  PTLR_CHECK(size - pos >= sizeof(std::uint64_t), "truncated input");
+  std::uint64_t v;
+  std::memcpy(&v, buf + pos, sizeof(v));
+  pos += sizeof(v);
   return v;
 }
 
-void write_matrix(std::ostream& os, const dense::Matrix& m) {
-  write_u64(os, static_cast<std::uint64_t>(m.rows()));
-  write_u64(os, static_cast<std::uint64_t>(m.cols()));
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(double)));
-}
-
-/// `budget` is the total input size; the declared payload must fit between
-/// the current stream position and the end before the matrix is allocated.
-dense::Matrix read_matrix(std::istream& is, std::uint64_t budget) {
-  const std::uint64_t rows = read_u64(is);
-  const std::uint64_t cols = read_u64(is);
-  PTLR_CHECK(rows < (1u << 24) && cols < (1u << 24),
-             "corrupt matrix header");
+dense::Matrix take_matrix(const char* buf, std::size_t size,
+                          std::size_t& pos) {
+  const std::uint64_t rows = take_u64(buf, size, pos);
+  const std::uint64_t cols = take_u64(buf, size, pos);
+  PTLR_CHECK(rows < (1u << 24) && cols < (1u << 24), "corrupt matrix header");
+  // Bound the declared payload by the actual buffer BEFORE allocating, in
+  // 64-bit arithmetic — a bit-flipped dimension must throw, not OOM.
   const std::uint64_t bytes = rows * cols * sizeof(double);
-  const auto pos = static_cast<std::uint64_t>(is.tellg());
-  PTLR_CHECK(pos <= budget && bytes <= budget - pos,
-             "matrix payload exceeds input size");
+  PTLR_CHECK(bytes <= size - pos, "matrix payload exceeds input size");
   dense::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
-  if (bytes > 0) {
-    is.read(reinterpret_cast<char*>(m.data()),
-            static_cast<std::streamsize>(bytes));
-    PTLR_CHECK(is.good(), "truncated input");
-  }
+  if (bytes > 0)
+    std::memcpy(m.data(), buf + pos, static_cast<std::size_t>(bytes));
+  pos += static_cast<std::size_t>(bytes);
   return m;
+}
+
+std::size_t matrix_byte_size(const dense::Matrix& m) {
+  return 2 * sizeof(std::uint64_t) + m.size() * sizeof(double);
+}
+
+Tile take_tile(const char* buf, std::size_t size, std::size_t& pos) {
+  const std::uint64_t tag = take_u64(buf, size, pos);
+  PTLR_CHECK(tag <= 1, "corrupt tile tag");
+  if (tag == 0) return Tile::make_dense(take_matrix(buf, size, pos));
+  dense::Matrix u = take_matrix(buf, size, pos);
+  dense::Matrix v = take_matrix(buf, size, pos);
+  return Tile::make_lowrank({std::move(u), std::move(v)});
 }
 
 }  // namespace
 
 void save(const TlrMatrix& m, const std::string& path) {
+  const auto u64 = [](int v) { return static_cast<std::uint64_t>(v); };
+  std::vector<char> header;
+  for (const std::uint64_t v :
+       {kMagic, std::uint64_t{kVersion}, u64(m.n()), u64(m.tile_size()),
+        u64(m.band_size()), std::bit_cast<std::uint64_t>(m.accuracy().tol),
+        u64(m.accuracy().maxrank)})
+    append_u64(header, v);
   std::ofstream os(path, std::ios::binary);
   PTLR_CHECK(os.good(), "cannot open for writing: " + path);
-  write_u64(os, kMagic);
-  write_u64(os, kVersion);
-  write_u64(os, static_cast<std::uint64_t>(m.n()));
-  write_u64(os, static_cast<std::uint64_t>(m.tile_size()));
-  write_u64(os, static_cast<std::uint64_t>(m.band_size()));
-  write_f64(os, m.accuracy().tol);
-  write_u64(os, static_cast<std::uint64_t>(m.accuracy().maxrank));
+  os.write(header.data(), static_cast<std::streamsize>(header.size()));
   for (int i = 0; i < m.nt(); ++i)
     for (int j = 0; j <= i; ++j) {
-      const Tile& t = m.at(i, j);
-      write_u64(os, t.is_dense() ? 0 : 1);
-      if (t.is_dense()) {
-        write_matrix(os, t.dense_data());
-      } else {
-        write_matrix(os, t.lr().u);
-        write_matrix(os, t.lr().v);
-      }
+      const std::vector<char> record = tile_to_bytes(m.at(i, j));
+      os.write(record.data(), static_cast<std::streamsize>(record.size()));
     }
   PTLR_CHECK(os.good(), "write failed: " + path);
 }
@@ -95,19 +100,29 @@ void save(const TlrMatrix& m, const std::string& path) {
 TlrMatrix load(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   PTLR_CHECK(is.good(), "cannot open for reading: " + path);
+  // One buffer the size of the file itself: no field read from it sizes
+  // an allocation before the cursor has bounded it by these bytes.
   is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  const std::streamoff file_size = is.tellg();
+  PTLR_CHECK(file_size >= 0, "cannot read: " + path);
+  std::vector<char> file(static_cast<std::size_t>(file_size));
   is.seekg(0, std::ios::beg);
+  is.read(file.data(), static_cast<std::streamsize>(file.size()));
   PTLR_CHECK(is.good(), "cannot read: " + path);
+  const char* buf = file.data();
+  const std::size_t size = file.size();
+  std::size_t pos = 0;
 
-  PTLR_CHECK(read_u64(is) == kMagic, "not a PTLR matrix file: " + path);
-  PTLR_CHECK(read_u64(is) == kVersion, "unsupported format version");
-  const std::uint64_t n64 = read_u64(is);
-  const std::uint64_t b64 = read_u64(is);
-  const std::uint64_t band64 = read_u64(is);
+  PTLR_CHECK(take_u64(buf, size, pos) == kMagic,
+             "not a PTLR matrix file: " + path);
+  PTLR_CHECK(take_u64(buf, size, pos) == kVersion,
+             "unsupported format version");
+  const std::uint64_t n64 = take_u64(buf, size, pos);
+  const std::uint64_t b64 = take_u64(buf, size, pos);
+  const std::uint64_t band64 = take_u64(buf, size, pos);
   compress::Accuracy acc;
-  acc.tol = read_f64(is);
-  const std::uint64_t maxrank64 = read_u64(is);
+  acc.tol = std::bit_cast<double>(take_u64(buf, size, pos));
+  const std::uint64_t maxrank64 = take_u64(buf, size, pos);
 
   // Header sanity before any size-dependent allocation: dimensions must be
   // structurally possible, and the implied tile table must fit the actual
@@ -122,7 +137,7 @@ TlrMatrix load(const std::string& path) {
   acc.maxrank = static_cast<int>(maxrank64);
   const std::uint64_t nt64 = (n64 + b64 - 1) / b64;
   const std::uint64_t ntiles = nt64 * (nt64 + 1) / 2;
-  PTLR_CHECK(ntiles <= file_size / 24, "file too small for tile table");
+  PTLR_CHECK(ntiles <= size / 24, "file too small for tile table");
   PTLR_CHECK(band64 <= nt64, "corrupt band size header");
 
   const int n = static_cast<int>(n64);
@@ -130,86 +145,18 @@ TlrMatrix load(const std::string& path) {
   TlrMatrix m(n, b);
   for (int i = 0; i < m.nt(); ++i)
     for (int j = 0; j <= i; ++j) {
-      // Expected tile geometry from (n, b); stored dimensions that
-      // disagree are corruption, caught before the tile is accepted.
-      const int ri = std::min(b, n - i * b);
-      const int rj = std::min(b, n - j * b);
-      const std::uint64_t tag = read_u64(is);
-      PTLR_CHECK(tag <= 1, "corrupt tile tag");
-      if (tag == 0) {
-        dense::Matrix d = read_matrix(is, file_size);
-        PTLR_CHECK(d.rows() == ri && d.cols() == rj,
-                   "dense tile dimensions disagree with header");
-        m.at(i, j) = Tile::make_dense(std::move(d));
-      } else {
-        dense::Matrix u = read_matrix(is, file_size);
-        dense::Matrix v = read_matrix(is, file_size);
-        PTLR_CHECK(u.rows() == ri && v.rows() == rj && u.cols() == v.cols(),
-                   "low-rank tile dimensions disagree with header");
-        m.at(i, j) =
-            Tile::make_lowrank({std::move(u), std::move(v)});
-      }
-      PTLR_CHECK(is.good(), "truncated file: " + path);
+      // Stored dimensions that disagree with the tile geometry of (n, b)
+      // are corruption, caught before the tile is accepted.
+      Tile t = take_tile(buf, size, pos);
+      PTLR_CHECK(t.rows() == m.tile_rows(i) && t.cols() == m.tile_rows(j),
+                 "tile dimensions disagree with header");
+      m.at(i, j) = std::move(t);
     }
   // Restore the metadata the constructor cannot take.
   m.densify_band(static_cast<int>(band64));  // records band_size
   m.set_accuracy(acc);
   return m;
 }
-
-namespace {
-
-void append_u64(std::vector<char>& buf, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
-}
-
-void append_matrix(std::vector<char>& buf, const dense::Matrix& m) {
-  append_u64(buf, static_cast<std::uint64_t>(m.rows()));
-  append_u64(buf, static_cast<std::uint64_t>(m.cols()));
-  const auto* p = reinterpret_cast<const char*>(m.data());
-  buf.insert(buf.end(), p, p + m.size() * sizeof(double));
-}
-
-std::uint64_t take_u64(const char* buf, std::size_t size, std::size_t& pos) {
-  PTLR_CHECK(pos + sizeof(std::uint64_t) <= size, "truncated tile buffer");
-  std::uint64_t v;
-  std::memcpy(&v, buf + pos, sizeof(v));
-  pos += sizeof(v);
-  return v;
-}
-
-dense::Matrix take_matrix(const char* buf, std::size_t size,
-                          std::size_t& pos) {
-  const std::uint64_t rows = take_u64(buf, size, pos);
-  const std::uint64_t cols = take_u64(buf, size, pos);
-  PTLR_CHECK(rows < (1u << 24) && cols < (1u << 24), "corrupt tile buffer");
-  // Bound the declared payload by the actual buffer BEFORE allocating, in
-  // 64-bit arithmetic — a bit-flipped dimension must throw, not OOM.
-  const std::uint64_t bytes = rows * cols * sizeof(double);
-  PTLR_CHECK(bytes <= size - pos, "truncated tile buffer");
-  dense::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
-  if (bytes > 0)
-    std::memcpy(m.data(), buf + pos, static_cast<std::size_t>(bytes));
-  pos += static_cast<std::size_t>(bytes);
-  return m;
-}
-
-std::size_t matrix_byte_size(const dense::Matrix& m) {
-  return 2 * sizeof(std::uint64_t) + m.size() * sizeof(double);
-}
-
-Tile tile_from_buffer(const char* buf, std::size_t size) {
-  std::size_t pos = 0;
-  const std::uint64_t tag = take_u64(buf, size, pos);
-  PTLR_CHECK(tag <= 1, "corrupt tile buffer tag");
-  if (tag == 0) return Tile::make_dense(take_matrix(buf, size, pos));
-  dense::Matrix u = take_matrix(buf, size, pos);
-  dense::Matrix v = take_matrix(buf, size, pos);
-  return Tile::make_lowrank({std::move(u), std::move(v)});
-}
-
-}  // namespace
 
 std::size_t tile_byte_size(const Tile& t) {
   std::size_t n = sizeof(std::uint64_t);  // dense/low-rank discriminator
@@ -222,7 +169,7 @@ std::size_t tile_byte_size(const Tile& t) {
 }
 
 std::vector<char> tile_to_bytes(const Tile& t) {
-  // One exact-size reservation: the append helpers below may not grow the
+  // One exact-size reservation: the append helpers above may not grow the
   // buffer past it, so the serialized payload never pays a realloc — the
   // tests hold capacity() == size() to pin this down.
   std::vector<char> buf;
@@ -238,11 +185,13 @@ std::vector<char> tile_to_bytes(const Tile& t) {
 }
 
 Tile tile_from_bytes(const std::vector<char>& bytes) {
-  return tile_from_buffer(bytes.data(), bytes.size());
+  std::size_t pos = 0;
+  return take_tile(bytes.data(), bytes.size(), pos);
 }
 
 Tile tile_from_bytes(const Bytes& bytes) {
-  return tile_from_buffer(bytes.data(), bytes.size());
+  std::size_t pos = 0;
+  return take_tile(bytes.data(), bytes.size(), pos);
 }
 
 }  // namespace ptlr::tlr

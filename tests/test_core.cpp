@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <numbers>
 #include <set>
@@ -96,10 +97,10 @@ TEST(RankMap, DecayFitRecoversSyntheticModel) {
 // ----------------------------------------------------------- CostModel ----
 
 TEST(CostModel, DenseKernelsClassified) {
-  EXPECT_TRUE(CostModel::is_dense_kernel(flops::Kernel::kPotrf1));
-  EXPECT_TRUE(CostModel::is_dense_kernel(flops::Kernel::kGemm1));
-  EXPECT_FALSE(CostModel::is_dense_kernel(flops::Kernel::kGemm6));
-  EXPECT_FALSE(CostModel::is_dense_kernel(flops::Kernel::kTrsm4));
+  EXPECT_TRUE(flops::is_dense_class(flops::Kernel::kPotrf1));
+  EXPECT_TRUE(flops::is_dense_class(flops::Kernel::kGemm1));
+  EXPECT_FALSE(flops::is_dense_class(flops::Kernel::kGemm6));
+  EXPECT_FALSE(flops::is_dense_class(flops::Kernel::kTrsm4));
 }
 
 TEST(CostModel, DurationsScaleWithFlops) {
@@ -152,10 +153,12 @@ TEST(BandTuner, MarginalComparisonFavorsDensifyingHighRankSubdiagonals) {
 }
 
 TEST(BandTuner, TotalFlopsMatchesStandaloneEvaluation) {
+  // F(w) priced alone (the whole-task sum a scan from wmax = w starts
+  // with) against the running total of a scan from wmax = 8.
   auto map = hard_map(16, 64);
   auto tuned = tune_band_size(map, 8);
   for (int w = 1; w <= 8; ++w) {
-    EXPECT_NEAR(cholesky_model_flops(map, w),
+    EXPECT_NEAR(tune_band_size(map, w).total_by_band.back(),
                 tuned.total_by_band[static_cast<std::size_t>(w - 1)],
                 1e-6 * tuned.total_by_band[0]);
   }
@@ -284,7 +287,7 @@ TEST(BandScan, PriceReadsNoRankInsideTheCandidate) {
   EXPECT_NE(a.total_by_band[0], b.total_by_band[0]);
   // And the one-W evaluation agrees with the scan's running total.
   for (const int w : {1, 8, 64})
-    EXPECT_NEAR(cholesky_model_flops(map, w),
+    EXPECT_NEAR(tune_band_size(map, w).total_by_band.back(),
                 a.total_by_band[static_cast<std::size_t>(w - 1)],
                 1e-12 * a.total_by_band[static_cast<std::size_t>(w - 1)]);
 }
@@ -308,6 +311,127 @@ TEST(BandScan, ExitIsTheFirstCandidateOutsideTheRunningBox) {
                                 tuned.total_by_band.end()) /
                   tuned.fluctuation_lo)
         << "F(" << w << ") left the box of the running minimum";
+}
+
+// ------------------------------------------------- one Table I pricer ----
+// tune_band_size's F(W) and the GraphStats of the graph built at band W
+// price every task through one TaskCosts. They part only where the graph
+// densifies a tile on demand (a dense·dense last update of a low-rank
+// tile), which the graph tracks and the outside-in scan, by design, does
+// not; each input below says at which W that happens, and is checked at
+// every other W.
+
+namespace {
+
+// The bands W at which the unrolling densifies a tile on demand: some
+// GEMM(i, j, j-1) reads a dense A and B and writes a low-rank C. The first
+// such GEMM of the unrolling still sees the banded map's formats, so a
+// band none of whose GEMMs does flips no tile at all.
+std::vector<int> bands_that_flip(const RankMap& map, int wmax) {
+  std::vector<int> out;
+  for (int w = 1; w <= wmax; ++w) {
+    RankMap m = map;
+    m.set_band(w);
+    bool flips = false;
+    for (int i = 2; i < m.nt(); ++i)
+      for (int j = 1; j < i; ++j)
+        flips = flips || (!m.is_dense(i, j) && m.is_dense(i, j - 1) &&
+                          m.is_dense(j, j - 1));
+    if (flips) out.push_back(w);
+  }
+  return out;
+}
+
+// At every W outside `flipping`, F(W) equals the model_flops of
+// graph_at(W), the graph built at band W.
+void expect_tuner_prices_the_graph(
+    const RankMap& map, const std::function<GraphStats(int)>& graph_at,
+    const std::vector<int>& flipping) {
+  const auto tuned = tune_band_size(map);
+  const int wmax = static_cast<int>(tuned.total_by_band.size());
+  ASSERT_EQ(bands_that_flip(map, wmax), flipping);
+  for (int w = 1; w <= wmax; ++w) {
+    if (std::find(flipping.begin(), flipping.end(), w) != flipping.end())
+      continue;
+    const double f = tuned.total_by_band[static_cast<std::size_t>(w - 1)];
+    EXPECT_NEAR(graph_at(w).model_flops, f, 1e-12 * f) << "W = " << w;
+  }
+}
+
+GraphStats modelled_graph_at(const RankMap& map, int w) {
+  RankMap banded = map;
+  banded.set_band(w);
+  const CostModel cm({1e9, 1e9});
+  GraphOptions opt;
+  opt.cost = &cm;
+  GraphStats stats;
+  build_cholesky_graph(banded, opt, &stats);
+  return stats;
+}
+
+GraphStats real_graph_at(const tlr::TlrMatrix& m, int w) {
+  tlr::TlrMatrix banded = m;
+  banded.densify_band(w);
+  GraphStats stats;
+  build_cholesky_graph(banded, GraphOptions{}, &stats);
+  return stats;
+}
+
+}  // namespace
+
+TEST(TaskCosts, TunerPricesTheGraphOfASyntheticMap) {
+  // Every off-diagonal tile is low-rank: no W flips a tile.
+  const RankMap map = hard_map();
+  expect_tuner_prices_the_graph(
+      map, [&](int w) { return modelled_graph_at(map, w); }, {});
+}
+
+TEST(TaskCosts, TunerPricesTheGraphOfACompressedProblem) {
+  // N = 1000 leaves a 40-row last tile, which both price at b. No rank
+  // reaches the cap, so every tile outside the band is low-rank and no W
+  // flips a tile.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 1000);
+  const auto m = tlr::TlrMatrix::from_problem(prob, 64, {1e-6, 1 << 30});
+  ASSERT_EQ(m.tile_rows(m.nt() - 1), 40);
+  expect_tuner_prices_the_graph(
+      RankMap::from_matrix(m), [&](int w) { return real_graph_at(m, w); },
+      {});
+}
+
+TEST(TaskCosts, TunerPricesTheGraphWithAStrayDenseTile) {
+  // nt = 4 with tile (3, 0) dense outside the band, as a rank past the cap
+  // leaves it, and every other off-diagonal tile low-rank. At W = 1,
+  // GEMM(3, 1, 0) and GEMM(3, 2, 0) read a dense A and a low-rank B: both
+  // are charged the (5)-GEMM, and the first, the last update of (3, 1),
+  // runs it. At W = 2, (1, 0) joins the band, so GEMM(3, 1, 0) is a
+  // dense·dense last update that flips (3, 1) dense: that W is left out.
+  const int b = 16, nt = 4;
+  Rng rng(5);
+  tlr::TlrMatrix m(nt * b, b);
+  for (int i = 0; i < nt; ++i)
+    for (int j = 0; j <= i; ++j) {
+      if (i == j || (i == 3 && j == 0)) {
+        Matrix d(b, b);
+        dense::fill_uniform(d.view(), rng);
+        m.at(i, j) = tlr::Tile::make_dense(std::move(d));
+        continue;
+      }
+      const int r = 2 + i - j;
+      Matrix u(b, r), v(b, r);
+      dense::fill_uniform(u.view(), rng);
+      dense::fill_uniform(v.view(), rng);
+      m.at(i, j) = tlr::Tile::make_lowrank({std::move(u), std::move(v)});
+    }
+  expect_tuner_prices_the_graph(
+      RankMap::from_matrix(m), [&](int w) { return real_graph_at(m, w); },
+      {2});
+
+  const auto g = build_cholesky_graph(m, GraphOptions{});
+  std::map<std::string, int> kind;
+  for (rt::TaskId t = 0; t < g.size(); ++t)
+    kind[g.info(t).name] = g.info(t).kind;
+  EXPECT_EQ(kind["gemm(3,1,0)"], static_cast<int>(flops::Kernel::kGemm5));
+  EXPECT_EQ(kind["gemm(3,2,0)"], static_cast<int>(flops::Kernel::kGemm2));
 }
 
 // ----------------------------------------------------- graph generation ---

@@ -275,18 +275,55 @@ TEST(HcoreGemm, RectangularTilesAreSupported) {
             1e-8 * frob_norm(want.view()) + 1e-9);
 }
 
-TEST(HcoreGemm, ModelFlopsSelectTableOneEntries) {
-  const std::int64_t b = 2700, k = 300;
-  EXPECT_DOUBLE_EQ(gemm_model_flops(true, true, true, b, k),
-                   flops::model(Kernel::kGemm1, b, k));
-  EXPECT_DOUBLE_EQ(gemm_model_flops(false, true, true, b, k),
-                   flops::model(Kernel::kGemm2, b, k));
-  EXPECT_DOUBLE_EQ(gemm_model_flops(false, false, true, b, k),
-                   flops::model(Kernel::kGemm3, b, k));
-  EXPECT_DOUBLE_EQ(gemm_model_flops(false, true, false, b, k),
-                   flops::model(Kernel::kGemm5, b, k));
-  EXPECT_DOUBLE_EQ(gemm_model_flops(false, false, false, b, k),
-                   flops::model(Kernel::kGemm6, b, k));
+TEST(HcoreDispatch, ReturnsTheTaskModelKind) {
+  // Every operand-format combination on real tiles: each entry point
+  // returns the kind the Table I task model names for the same formats —
+  // the model the BAND_SIZE tuner and the task graph price tasks by. A
+  // low-rank C runs with `round` off and on; a dense C with it off, as the
+  // graph runs it. The dense-A, low-rank-B GEMMs arise with a stray dense
+  // tile left outside the band by a rank cap.
+  Rng rng(29);
+  const auto tile = [&](bool dense) {
+    if (!dense) return lr_tile(kB, kB, kRank, rng);
+    Matrix m(kB, kB);
+    fill_uniform(m.view(), rng);
+    return Tile::make_dense(std::move(m));
+  };
+  const auto operand = [](const Tile& t) {
+    return Operand{t.is_dense(), t.is_dense() ? 0 : t.rank()};
+  };
+  Tile l = spd_tile(kB, rng);
+  potrf(l);
+  for (const bool ad : {true, false}) {
+    Tile panel = tile(ad);
+    const TaskCost tc = trsm_cost(operand(panel), kB);
+    EXPECT_EQ(trsm(l, panel), tc.kernel) << "A dense " << ad;
+    Tile diag = spd_tile(kB, rng);
+    const TaskCost sc = syrk_cost(operand(panel), kB);
+    EXPECT_EQ(syrk(panel, diag), sc.kernel) << "A dense " << ad;
+    for (const TaskCost& c : {tc, sc}) {
+      EXPECT_EQ(c.charged, c.kernel);
+      EXPECT_DOUBLE_EQ(c.flops, flops::model(c.kernel, kB, ad ? 0 : kRank));
+    }
+    for (const bool bd : {true, false})
+      for (const bool cd : {true, false})
+        for (const bool round : {false, true}) {
+          if (cd && round) continue;
+          SCOPED_TRACE(testing::Message() << "A dense " << ad << ", B dense "
+                                          << bd << ", C dense " << cd
+                                          << ", round " << round);
+          Tile a = tile(ad), b = tile(bd), c = tile(cd);
+          const TaskCost gc =
+              gemm_cost(operand(a), operand(b), operand(c), round, kB);
+          EXPECT_EQ(gemm(a, b, c, kAcc, round), gc.kernel);
+          // Every update of a low-rank C is charged its (5)/(6) entry.
+          EXPECT_EQ(gc.charged,
+                    cd ? gc.kernel
+                       : (ad || bd ? Kernel::kGemm5 : Kernel::kGemm6));
+          EXPECT_EQ(gc.rank, ad && bd && cd ? 1 : kRank);
+          EXPECT_DOUBLE_EQ(gc.flops, flops::model(gc.charged, kB, gc.rank));
+        }
+  }
 }
 
 // ------------------------------------------ low-rank update accumulation ----
