@@ -1,7 +1,8 @@
 // Extra — cross-validation of the two distributed modes: the virtual-
 // cluster *simulator* (timing model) predicts a message count and volume
-// for a given problem and distribution; the MPI-lite *distributed
-// execution* measures the real ones while producing the actual factors.
+// for a given problem and distribution; the *distributed execution*
+// (rank threads on a loopback socket mesh) measures the real ones while
+// producing the actual factors.
 // Both follow the PTG collective rule (one message per producer →
 // consumer-process pair), so the counts should closely agree — this bench
 // quantifies how closely.

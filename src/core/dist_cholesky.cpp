@@ -1,7 +1,9 @@
 #include "core/dist_cholesky.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <exception>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 #include "common/timer.hpp"
 #include "core/bcast_tree.hpp"
 #include "core/cholesky_graph.hpp"
+#include "net/loopback.hpp"
 #include "runtime/executor.hpp"
 #include "tlr/io.hpp"
 
@@ -22,12 +25,13 @@ namespace {
 /// One rank of the factorization on replica `a`: build the rank's slice
 /// from the replica's tile formats, restore a checkpoint when respawned,
 /// then run the slice on one worker while the receive thread opens the
-/// recv gates. Written against the transport seam only, so in-process
-/// rank threads and socket-mesh rank processes run the same code.
+/// recv gates. `abort_mesh` tears the mesh down when the run is cancelled;
+/// it must unblock the receive thread.
 RankCommStats run_rank(tlr::TlrMatrix& a, const rt::Distribution& dist,
                        const compress::Accuracy& acc,
-                       rt::dist::Transport& t,
-                       const RankRecoveryOptions& rec) {
+                       net::SocketTransport& t,
+                       const RankRecoveryOptions& rec,
+                       const std::function<void()>& abort_mesh) {
   const int rank = t.rank();
   const int nt = a.nt();
   RankCommStats cs;
@@ -127,7 +131,7 @@ RankCommStats run_rank(tlr::TlrMatrix& a, const rt::Distribution& dist,
   eo.open_gates = [&flow](const std::function<void(rt::TaskId)>& open) {
     flow->run(open);
   };
-  eo.on_stall = [&t] { t.abort(); };
+  eo.on_stall = abort_mesh;
   const rt::ExecResult res = rt::execute(g, 1, eo);
   cs.messages += flow->forwards();
   cs.bytes += flow->forward_bytes();
@@ -150,27 +154,37 @@ DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
                                          const compress::Accuracy& acc) {
   const int nt = a.nt();
   const int nranks = dist.nproc();
+  const auto n = static_cast<std::size_t>(nranks);
 
-  const resil::RecoveryStats recovery_before = resil::snapshot();
-  rt::dist::Communicator comm(nranks);
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-  std::vector<RankCommStats> rank_comm(static_cast<std::size_t>(nranks));
   // Every rank thread gets a private copy of the matrix, as a rank process
-  // of the socket backend compresses its own replica.
-  std::vector<tlr::TlrMatrix> replicas(static_cast<std::size_t>(nranks), a);
+  // compresses its own replica.
+  std::vector<tlr::TlrMatrix> replicas(n, a);
+  net::LoopbackMesh mesh(nranks);
+  const resil::RecoveryStats recovery_before = resil::snapshot();
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<RankCommStats> rank_comm(n);
+  // The first rank to fail claims this slot BEFORE its abort tears the
+  // mesh down; every later failure is a peer reporting the lost link.
+  std::atomic<int> first_failed{-1};
   WallTimer timer;
   {
     std::vector<std::thread> ranks;
-    ranks.reserve(static_cast<std::size_t>(nranks));
+    ranks.reserve(n);
     for (int r = 0; r < nranks; ++r) {
       ranks.emplace_back([&, r] {
         const auto ur = static_cast<std::size_t>(r);
-        rt::dist::SimTransport transport(comm, r);
+        net::SocketTransport& t = mesh[r];
+        const auto abort_mesh = [&] {
+          int none = -1;
+          first_failed.compare_exchange_strong(none, r);
+          t.abort();
+        };
         try {
-          rank_comm[ur] = run_rank(replicas[ur], dist, acc, transport, {});
+          rank_comm[ur] = run_rank(replicas[ur], dist, acc, t, {}, abort_mesh);
+          t.drain();
         } catch (...) {
           errors[ur] = std::current_exception();
-          transport.abort();  // wake peers blocked on recv
+          abort_mesh();
         }
       });
     }
@@ -179,27 +193,31 @@ DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
   DistCholeskyResult result;
   result.seconds = timer.seconds();
   result.recovery = resil::diff(recovery_before, resil::snapshot());
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (const int r = first_failed.load(); r >= 0)
+    std::rethrow_exception(errors[static_cast<std::size_t>(r)]);
   for (int i = 0; i < nt; ++i)
     for (int j = 0; j <= i; ++j)
       a.at(i, j) = std::move(
           replicas[static_cast<std::size_t>(dist.owner(i, j))].at(i, j));
-  result.comm = comm.stats();
+  for (int r = 0; r < nranks; ++r) {
+    const obs::CommCounters c = mesh[r].stats();
+    result.comm.messages += c.messages;
+    result.comm.bytes += c.bytes;
+  }
   result.rank_comm = std::move(rank_comm);
   return result;
 }
 
 DistCholeskyResult distributed_factorize_rank(
     tlr::TlrMatrix& a, const rt::Distribution& dist,
-    const compress::Accuracy& acc, rt::dist::Transport& transport,
+    const compress::Accuracy& acc, net::SocketTransport& transport,
     const RankRecoveryOptions& recovery, const DistCommOptions&) {
   const resil::RecoveryStats recovery_before = resil::snapshot();
   WallTimer timer;
   DistCholeskyResult result;
   try {
-    result.rank_comm.push_back(run_rank(a, dist, acc, transport, recovery));
+    result.rank_comm.push_back(run_rank(a, dist, acc, transport, recovery,
+                                        [&transport] { transport.abort(); }));
     transport.drain();
   } catch (...) {
     transport.abort();  // wake local receivers, tear the mesh down

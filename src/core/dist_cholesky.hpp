@@ -1,4 +1,4 @@
-// Distributed-memory BAND-DENSE-TLR Cholesky over the transport seam:
+// Distributed-memory BAND-DENSE-TLR Cholesky over the socket mesh:
 // each of N ranks with private tile storage runs its slice of the one
 // task graph (core/cholesky_graph.hpp, RankSlice) on the shared-memory
 // executor with one worker — the PTG execution of the paper, with the
@@ -21,10 +21,10 @@
 //     dense accumulators included — after step k (checkpoint format v3),
 //     and a seeded rank kill is a kill(k) task of the same shape.
 //
-// The driver is written against rt::dist::Transport only, so the same
-// code runs over the in-process Communicator (distributed_factorize, N
-// rank threads) and over the real socket mesh (distributed_factorize_rank,
-// one OS process per rank, see src/net and tools/ptlr-launch).
+// Every rank runs the same program over a net::SocketTransport: as one OS
+// process per rank (distributed_factorize_rank, see tools/ptlr-launch), or
+// as N threads of one process on a loopback mesh (distributed_factorize,
+// net/loopback.hpp).
 #pragma once
 
 #include <vector>
@@ -32,10 +32,11 @@
 #include "compress/compress.hpp"
 #include "core/checkpoint.hpp"
 #include "core/tile_flow.hpp"
+#include "net/transport.hpp"
+#include "obs/counters.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/stats.hpp"
 #include "runtime/distribution.hpp"
-#include "runtime/transport.hpp"
 #include "tlr/tlr_matrix.hpp"
 
 namespace ptlr::core {
@@ -43,21 +44,24 @@ namespace ptlr::core {
 /// Outcome of a distributed factorization.
 struct DistCholeskyResult {
   double seconds = 0.0;
-  rt::dist::Communicator::Stats comm;  ///< real messages/bytes exchanged
+  obs::CommCounters comm;  ///< real messages/bytes exchanged
   /// Recovery events over this run (message drops/duplicates injected by
-  /// the communicator's fault config, and their recoveries).
+  /// the transport's fault config, and their recoveries).
   resil::RecoveryStats recovery;
   /// Per-rank communication-path counters (broadcast egress, tree
-  /// forwards, blocked-receive time). One entry per rank for the
-  /// in-process driver; exactly one entry — this endpoint's — for
+  /// forwards, blocked-receive time). One entry per rank for
+  /// distributed_factorize; exactly one entry — this endpoint's — for
   /// distributed_factorize_rank.
   std::vector<RankCommStats> rank_comm;
 };
 
 /// Factorize `a` in place with dist.nproc() ranks owning tiles per `dist`,
-/// over the in-process transport. Each rank thread runs its slice on a
-/// private copy of `a`, exactly as a rank process of the socket backend
-/// does; the owned tiles move back into `a` at the end. Kernels are the
+/// as threads of this process on a loopback socket mesh. Each rank thread
+/// runs the program of a rank process (distributed_factorize_rank) on a
+/// private copy of `a`; the owned tiles move back into `a` at the end.
+/// The mesh connects before the clock starts, so `seconds` is factor
+/// time. When ranks fail, the first failing rank's own exception is
+/// rethrown, not a peer's report of the lost connection. Kernels are the
 /// hcore set of the shared-memory path; `acc` controls low-rank
 /// compression as in the shared-memory path.
 DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
@@ -103,7 +107,7 @@ struct RankRecoveryOptions {
 /// stays until bench/ptlr_bench stops passing it.
 DistCholeskyResult distributed_factorize_rank(
     tlr::TlrMatrix& a, const rt::Distribution& dist,
-    const compress::Accuracy& acc, rt::dist::Transport& transport,
+    const compress::Accuracy& acc, net::SocketTransport& transport,
     const RankRecoveryOptions& recovery = {},
     const DistCommOptions& = {});
 

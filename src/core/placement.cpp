@@ -144,7 +144,7 @@ double get_f64(const char* p) {
 
 }  // namespace
 
-PlacementChoice negotiate_placement(rt::dist::Transport& t,
+PlacementChoice negotiate_placement(net::SocketTransport& t,
                                     const PlacementProblem& prob) {
   // Configured parameters short-circuit the wire protocol entirely: every
   // rank scores the same model with the same inputs and agrees silently.

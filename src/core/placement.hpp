@@ -26,8 +26,8 @@
 #include <optional>
 #include <string>
 
+#include "net/transport.hpp"
 #include "runtime/distribution.hpp"
-#include "runtime/transport.hpp"
 
 namespace ptlr::core {
 
@@ -88,6 +88,6 @@ struct PlacementChoice {
 /// factorization); all ranks return the same choice. Single-rank meshes
 /// decide locally.
 [[nodiscard]] PlacementChoice negotiate_placement(
-    rt::dist::Transport& t, const PlacementProblem& prob);
+    net::SocketTransport& t, const PlacementProblem& prob);
 
 }  // namespace ptlr::core

@@ -12,7 +12,7 @@ std::uint64_t tile_tag(int i, int k) {
                                      uk);
 }
 
-TileFlow::TileFlow(rt::dist::Transport& t, const rt::Distribution& dist,
+TileFlow::TileFlow(net::SocketTransport& t, const rt::Distribution& dist,
                    int nt, const rt::TaskGraph& slice)
     : t_(t) {
   for (rt::TaskId task = 0; task < slice.size(); ++task) {

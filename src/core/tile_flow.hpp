@@ -32,9 +32,9 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "net/transport.hpp"
 #include "runtime/distribution.hpp"
 #include "runtime/taskgraph.hpp"
-#include "runtime/transport.hpp"
 
 namespace ptlr::core {
 
@@ -78,7 +78,7 @@ class TileFlow {
  public:
   /// Expect the tile of every gated recv task in `slice`, the graph of
   /// rank t.rank() for matrices of `nt` tile rows.
-  TileFlow(rt::dist::Transport& t, const rt::Distribution& dist, int nt,
+  TileFlow(net::SocketTransport& t, const rt::Distribution& dist, int nt,
            const rt::TaskGraph& slice);
 
   /// Receive, forward, hand over and open until every expected tile is in.
@@ -97,7 +97,7 @@ class TileFlow {
     Bytes payload;              ///< from arrival until take()
   };
 
-  rt::dist::Transport& t_;
+  net::SocketTransport& t_;
   std::map<std::uint64_t, Expected> expected_;  ///< by tag, fixed keys
   std::set<std::uint64_t> outstanding_;  ///< not yet arrived (run() only)
   long long forwards_ = 0;

@@ -42,7 +42,7 @@ void SocketTransport::send(int to, std::uint64_t tag, Bytes payload) {
   if (id == 0) id = 1;
 
   if (to == cfg_.rank) {
-    // Self-sends never touch the wire (or the stats), same as in-process.
+    // Self-sends never touch the wire (or the stats).
     rt::dist::Envelope env;
     env.id = id;
     env.tag = tag;
@@ -61,10 +61,9 @@ void SocketTransport::send(int to, std::uint64_t tag, Bytes payload) {
   if (obs::enabled())
     obs::record_comm(cfg_.rank, to, static_cast<long long>(payload.size()));
 
-  // Same seeded (tag, from, to) fault decisions as the in-process
-  // Communicator — a seed drops the same logical messages on both
-  // transports. Here a drop is a *real* suppressed transmission recovered
-  // by a flagged retransmission (see PeerMesh::send).
+  // Seeded (tag, from, to) fault decisions: a seed drops the same logical
+  // messages under any schedule. A drop is a *real* suppressed
+  // transmission recovered by a flagged retransmission (PeerMesh::send).
   const bool drop = injector_.drop_message(tag, cfg_.rank, to);
   const bool dup = !drop && injector_.duplicate_message(tag, cfg_.rank, to);
   if (drop || dup) {
@@ -95,7 +94,7 @@ void SocketTransport::abort() {
 
 void SocketTransport::drain() { mesh_.drain(); }
 
-rt::dist::Communicator::Stats SocketTransport::stats() const {
+obs::CommCounters SocketTransport::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
 }

@@ -6,7 +6,7 @@
 // store. Per Table I kernel class: task count, measured flops, bytes
 // produced, and the min/mean/max of the operand ranks flowing in and out
 // — the numbers behind the paper's flop breakdowns and rank-traffic
-// analysis — from the executed-task spans. Mailbox messages come from the
+// analysis — from the executed-task spans. Logical messages come from the
 // "send" spans, wire frames from the net_* spans, recovery events from the
 // resilience spans, and recompressions from the (5)/(6)-GEMM task spans
 // (each compresses its tile once and reports the ranks in and out).
@@ -47,17 +47,18 @@ struct KernelCounterRow {
   double rank_out_mean = 0.0;
 };
 
-/// Communication channel totals (mailbox deposits, self-sends excluded by
-/// the caller's convention — the Communicator reports what it counts).
+/// Logical message totals: one per message a rank sends to another
+/// (self-sends, retransmissions and injected duplicates excluded). The
+/// socket transport counts its own sends this way (SocketTransport::stats).
 struct CommCounters {
   long long messages = 0;
   long long bytes = 0;
 };
 
 /// Wire-level totals of the socket transport (src/net): what actually
-/// crossed an OS process boundary, as opposed to the logical mailbox
-/// deposits of CommCounters. Retransmits count frames resent by the
-/// sender's RTO loop (injected drops being recovered, or slow acks).
+/// crossed a socket, as opposed to the logical messages of CommCounters.
+/// Retransmits count frames resent by the sender's RTO loop (injected
+/// drops being recovered, or slow acks).
 struct NetCounters {
   long long msgs_sent = 0;
   long long bytes_sent = 0;
@@ -87,8 +88,8 @@ enum class ResilienceEvent : int {
   kFaultException = 0,  ///< injected transient task-body exception
   kFaultAlloc,          ///< injected (simulated) tile-allocation failure
   kFaultPoison,         ///< injected NaN poisoning of an output tile
-  kMsgDrop,             ///< injected mailbox message drop
-  kMsgDup,              ///< injected mailbox message duplication
+  kMsgDrop,             ///< injected message drop
+  kMsgDup,              ///< injected message duplication
   kRetry,               ///< task retried after restoring its snapshot
   kTaskRecovered,       ///< retried task completed successfully
   kMsgRecovered,        ///< dropped message retransmitted to a receiver
@@ -176,7 +177,7 @@ class Counters {
   /// uncategorized row.
   static KernelCounterRow row(int kind);
 
-  /// Mailbox deposits ("send" spans).
+  /// Logical messages sent ("send" spans).
   static CommCounters comm();
   /// Wire frames (net_* spans); a retransmit counts as a frame sent, and a
   /// rejoin handshake is not payload traffic.

@@ -13,8 +13,9 @@
 //     happens-before stamps;
 //   * one span per simulated task of the virtual cluster (runtime/
 //     simulator.hpp), on simulated seconds, with its virtual process;
-//   * communication events from the in-process Communicator (mailbox) and
-//     the socket mesh, and recovery events from the resilience layer;
+//   * communication events from the socket transport (a "send" per
+//     logical message, net_* per wire frame), and recovery events from the
+//     resilience layer;
 //   * run-level metadata set by the drivers (problem size, BAND_SIZE,
 //     thread count, accuracy).
 //

@@ -4,9 +4,9 @@
 // at that scale transient faults are a certainty, not an edge case. This
 // injector manufactures them on demand — transient task-body exceptions,
 // NaN poisoning of output tiles, simulated tile-allocation failures, and
-// dropped/duplicated mailbox messages — so the recovery machinery
-// (executor retry, mailbox retransmission) is exercised deterministically
-// in tests and CI.
+// dropped/duplicated transport messages — so the recovery machinery
+// (executor retry, the socket mesh's retransmission and dedup) is
+// exercised deterministically in tests and CI.
 //
 // Decisions are pure hashes of (seed, site), NOT a shared decision stream:
 // the same seed faults the same tasks and the same messages regardless of
@@ -38,11 +38,10 @@ struct FaultConfig {
   /// Probability that a task's outputs are poisoned with a NaN after the
   /// body ran — caught by the executor's output scan and retried.
   double poison_probability = 0.03;
-  /// Probability that a mailbox deposit is "dropped": parked in a
-  /// dead-letter queue until a blocked receiver detects the gap and
-  /// requeues it (detect-and-retransmit recovery).
+  /// Probability that a message's first transmission is suppressed; the
+  /// sender's retransmit timer recovers it (net/peer_mesh.hpp).
   double message_drop_probability = 0.05;
-  /// Probability that a mailbox deposit is duplicated; receivers dedupe
+  /// Probability that a message is transmitted twice; receivers dedupe
   /// by envelope id, so duplicates must be harmless.
   double message_duplicate_probability = 0.05;
   /// Probability that one whole rank process is SIGKILLed mid-run (the

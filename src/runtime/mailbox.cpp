@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 #include "resilience/stats.hpp"
 
 namespace ptlr::rt::dist {
@@ -63,16 +62,6 @@ void Mailbox::deposit(Envelope env) {
   cv_.notify_all();
 }
 
-void Mailbox::park(Envelope env) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dead_letters_[env.tag].push(std::move(env));
-  }
-  // Notify even for a parked message: a receiver already blocked on the
-  // tag must wake to run the dead-letter recovery in recv().
-  cv_.notify_all();
-}
-
 Bytes Mailbox::recv(std::uint64_t tag, int from) {
   return recv_any({tag}, from).payload;
 }
@@ -81,7 +70,7 @@ TaggedMessage Mailbox::recv_any(const std::vector<std::uint64_t>& tags,
                                 int from) {
   PTLR_CHECK(!tags.empty(), "recv_any: empty tag set");
   // One absolute deadline for the whole receive: the CV waits below sleep
-  // until a real wake (message, abort, requeue) or this point in time —
+  // until a real wake (message, abort) or this point in time —
   // no periodic polling wakeups, no drift from re-deriving the remainder.
   const auto deadline_tp =
       std::chrono::steady_clock::now() + watchdog_.deadline();
@@ -89,7 +78,7 @@ TaggedMessage Mailbox::recv_any(const std::vector<std::uint64_t>& tags,
   for (;;) {
     if (aborted_.load(std::memory_order_acquire)) {
       std::string why =
-          fail_reason_.empty() ? "communicator aborted" : fail_reason_;
+          fail_reason_.empty() ? "mailbox aborted" : fail_reason_;
       if (extra_failures_ > 0)
         why += " (+" + std::to_string(extra_failures_) +
                " earlier/later failures)";
@@ -114,25 +103,6 @@ TaggedMessage Mailbox::recv_any(const std::vector<std::uint64_t>& tags,
         }
       }
     }
-
-    // Dead-letter recovery: the receiver is blocked on a tag set nothing
-    // fresh arrived for — exactly the condition under which a real
-    // runtime's receiver would detect the gap and request retransmission.
-    // Requeue every parked message across the whole set and retry the
-    // drain above.
-    bool requeued = false;
-    for (const std::uint64_t tag : tags) {
-      auto dl = dead_letters_.find(tag);
-      if (dl == dead_letters_.end() || dl->second.empty()) continue;
-      while (!dl->second.empty()) {
-        resil::note(resil::ResilienceEvent::kMsgRecovered,
-                    describe(tag, from));
-        slots_[tag].push(std::move(dl->second.front()));
-        dl->second.pop();
-      }
-      requeued = true;
-    }
-    if (requeued) continue;
 
     if (!watchdog_.enabled()) {
       cv_.wait(lock);
@@ -206,83 +176,6 @@ long long Mailbox::stale_discards() const {
 void Mailbox::set_peer_state_fn(std::function<PeerState(int)> fn) {
   std::lock_guard<std::mutex> lock(mu_);
   peer_state_ = std::move(fn);
-}
-
-Communicator::Communicator(int nranks, const PerturbConfig& perturb,
-                           const resil::FaultConfig& faults,
-                           const resil::WatchdogConfig& watchdog)
-    : nranks_(nranks), perturber_(perturb), injector_(faults) {
-  PTLR_CHECK(nranks >= 1, "need at least one rank");
-  boxes_.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    boxes_.push_back(std::make_unique<Mailbox>(r, watchdog));
-    // In-process peers are threads: they cannot half-fail, so every peer
-    // is permanently connected.
-    boxes_.back()->set_peer_state_fn(
-        [](int) { return PeerState::kConnected; });
-  }
-}
-
-void Communicator::send(int from, int to, std::uint64_t tag, Bytes payload) {
-  PTLR_CHECK(to >= 0 && to < nranks_, "send to invalid rank");
-  // Chaos mode: hold the message in flight for a moment so a later send
-  // (to another tag or another rank) can overtake it.
-  perturber_.maybe_delay_delivery();
-  if (from != to) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.messages++;
-      stats_.bytes += static_cast<long long>(payload.size());
-    }
-    // Observability: comm event in the sender's lane (self-sends excluded,
-    // matching the Stats convention above).
-    if (obs::enabled())
-      obs::record_comm(from, to, static_cast<long long>(payload.size()));
-  }
-
-  Envelope env;
-  env.id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  env.tag = tag;
-  env.payload = std::move(payload);
-  // Fault decisions hash (tag, from, to), not the send order, so a seed
-  // drops/duplicates the same messages in every schedule.
-  const bool drop = injector_.drop_message(tag, from, to);
-  const bool dup = !drop && injector_.duplicate_message(tag, from, to);
-
-  Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
-  std::ostringstream site;
-  site << "rank " << to << ", tag 0x" << std::hex << tag;
-  if (drop) {
-    resil::note(resil::ResilienceEvent::kMsgDrop, site.str());
-    box.park(std::move(env));
-  } else if (dup) {
-    resil::note(resil::ResilienceEvent::kMsgDup, site.str());
-    box.deposit(env);  // same id twice; receiver dedups
-    box.deposit(std::move(env));
-  } else {
-    box.deposit(std::move(env));
-  }
-}
-
-Bytes Communicator::recv(int rank, std::uint64_t tag, int from) {
-  PTLR_CHECK(rank >= 0 && rank < nranks_, "recv on invalid rank");
-  return boxes_[static_cast<std::size_t>(rank)]->recv(tag, from);
-}
-
-TaggedMessage Communicator::recv_any(int rank,
-                                     const std::vector<std::uint64_t>& tags,
-                                     int from) {
-  PTLR_CHECK(rank >= 0 && rank < nranks_, "recv on invalid rank");
-  return boxes_[static_cast<std::size_t>(rank)]->recv_any(tags, from);
-}
-
-void Communicator::abort() {
-  for (auto& box : boxes_) box->abort();
-}
-
-Communicator::Stats Communicator::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
 }
 
 }  // namespace ptlr::rt::dist

@@ -1,19 +1,18 @@
-// An in-process message-passing communicator (MPI-lite) and the per-rank
-// mailbox it is built from.
+// One rank's tagged inbox: the receiver half of the distributed backend's
+// message contract.
 //
-// The virtual-cluster simulator reproduces distributed *timing*; this
-// layer reproduces distributed *execution*: N ranks with private data
-// exchange real byte buffers through tagged mailboxes — blocking receives,
+// The virtual-cluster simulator reproduces distributed *timing*; the
+// socket mesh (src/net) reproduces distributed *execution*: N ranks with
+// private data exchange real byte buffers — blocking receives,
 // non-blocking sends, full message accounting. The distributed
 // BAND-DENSE-TLR Cholesky (core/dist_cholesky.hpp) runs on it with
 // owner-computes semantics and per-rank tile storage, so the communication
 // pattern of Section VII-A is exercised for real.
 //
-// Two transports feed the same Mailbox contract (id-stamped envelopes,
-// receiver-side dedup, dead-letter retransmit, deadline-aware recv):
-//   * Communicator — N ranks as threads of one process (below);
-//   * net::SocketTransport — N ranks as OS processes on a socket mesh
-//     (src/net), where a receiver thread deposits decoded wire envelopes.
+// net::SocketTransport's receiver threads deposit decoded wire envelopes
+// here; the Mailbox supplies the rest of the contract: receiver-side
+// dedup by envelope id, the epoch fence of a rejoined peer, and the
+// deadline-aware recv that turns a hang into a named ptlr::Error.
 #pragma once
 
 #include <atomic>
@@ -21,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -29,9 +27,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "resilience/fault.hpp"
 #include "resilience/watchdog.hpp"
-#include "runtime/perturb.hpp"
 
 namespace ptlr::rt::dist {
 
@@ -46,27 +42,26 @@ constexpr std::uint64_t make_tag(std::uint32_t space, std::uint32_t k,
 }
 
 /// Connection state of a peer as seen by the transport feeding a mailbox.
-/// The in-process Communicator reports every peer kConnected (threads
-/// cannot half-fail); the socket mesh distinguishes a peer that finished
-/// sending (kDraining, BYE received) from one whose connection died
-/// (kLost), so a deadline-recv timeout can say which kind of hang it hit.
+/// The socket mesh distinguishes a peer that finished sending (kDraining,
+/// BYE received) from one whose connection died (kLost), so a
+/// deadline-recv timeout can say which kind of hang it hit.
 enum class PeerState : int { kConnected = 0, kDraining, kLost };
 
 /// "connected" / "draining" / "lost".
 const char* peer_state_name(PeerState s) noexcept;
 
-/// The unit every transport moves: an id-stamped payload. Ids are unique
-/// per communicator (in-process) or carry the sender rank in the high bits
-/// (wire), so receiver-side dedup works across sources.
+/// The unit the transport moves: an id-stamped payload. The socket
+/// transport derives the id from (tag, sender), so receiver-side dedup
+/// works across sources.
 struct Envelope {
   std::uint64_t id = 0;
   std::uint64_t tag = 0;
-  /// Wire transports set this on a retransmission that recovers an
-  /// injected drop; delivering such a fresh envelope notes kMsgRecovered.
+  /// Set on a retransmission that recovers an injected drop; delivering
+  /// such a fresh envelope notes kMsgRecovered.
   bool recovered_drop = false;
-  /// Sender rank and session epoch, set by wire transports so the mailbox
-  /// can fence out stale pre-crash deposits after a peer rejoins. The
-  /// in-process Communicator leaves `from` at -1 (no fencing).
+  /// Sender rank and session epoch, set by the socket transport so the
+  /// mailbox can fence out stale pre-crash deposits after a peer rejoins.
+  /// An envelope with `from` -1 is never fenced.
   int from = -1;
   std::uint64_t epoch = 0;
   /// Refcounted: an envelope shares its buffer with the sender's queue /
@@ -94,12 +89,6 @@ class Mailbox {
   /// ids are kept here and discarded by recv()'s dedup.
   void deposit(Envelope env);
 
-  /// Park a message in the dead-letter queue: the in-process transport's
-  /// injected-drop path. Requeued into the live slots by the first
-  /// receiver that blocks on the tag and finds it empty (deterministic
-  /// detect-and-retransmit), noting kMsgRecovered.
-  void park(Envelope env);
-
   /// Block until a fresh message with `tag` is available; pop its payload.
   /// `from` is the rank expected to produce the message (-1 when unknown);
   /// a watchdog timeout then names the peer's connection state so a
@@ -109,10 +98,7 @@ class Mailbox {
 
   /// Block until a fresh message with ANY of `tags` is available; pop the
   /// first one found (tags are checked in the given order each wake-up).
-  /// The dead-letter recovery sweeps the whole tag set: a receiver blocked
-  /// on a window of expected broadcasts detects and requeues every parked
-  /// drop among them. Same abort/watchdog semantics as recv(). `tags` must
-  /// be non-empty.
+  /// Same abort/watchdog semantics as recv(). `tags` must be non-empty.
   TaggedMessage recv_any(const std::vector<std::uint64_t>& tags,
                          int from = -1);
 
@@ -152,7 +138,6 @@ class Mailbox {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, std::queue<Envelope>> slots_;
-  std::map<std::uint64_t, std::queue<Envelope>> dead_letters_;
   std::unordered_set<std::uint64_t> delivered_;
   std::function<PeerState(int)> peer_state_;
   std::string fail_reason_;
@@ -160,71 +145,6 @@ class Mailbox {
   std::map<int, std::uint64_t> epoch_fence_;
   long long stale_discards_ = 0;
   std::atomic<bool> aborted_{false};
-};
-
-/// Tagged mailboxes between `nranks` ranks sharing one process.
-class Communicator {
- public:
-  /// `perturb` (chaos mode, see perturb.hpp) injects seeded random delays
-  /// before a deposit becomes visible, so messages on different tags
-  /// arrive out of their send order — the reordering a real network is
-  /// allowed to do and the in-process FIFO would otherwise hide. Defaults
-  /// honour PTLR_PERTURB_SEED, like the executor.
-  ///
-  /// `faults` (see resilience/fault.hpp, defaults honour PTLR_FAULTS) can
-  /// drop or duplicate deposits. Both are recovered transparently: every
-  /// message travels in an id-stamped envelope, receivers deduplicate by
-  /// id, and a dropped message is parked in a dead-letter queue until a
-  /// blocked receiver detects the gap and requeues it (deterministic
-  /// detect-and-retransmit) — so delivered payloads are identical to a
-  /// fault-free run's.
-  ///
-  /// `watchdog` (defaults honour PTLR_WATCHDOG_MS) bounds every blocking
-  /// receive: a wait past the deadline throws a descriptive ptlr::Error
-  /// naming the rank and tag instead of hanging forever.
-  explicit Communicator(
-      int nranks, const PerturbConfig& perturb = PerturbConfig::from_env(),
-      const resil::FaultConfig& faults = resil::FaultConfig::from_env(),
-      const resil::WatchdogConfig& watchdog =
-          resil::WatchdogConfig::from_env());
-
-  [[nodiscard]] int nranks() const { return nranks_; }
-
-  /// Deposit a message for `to` (non-blocking). Self-sends are allowed.
-  /// The payload buffer is shared, not copied — a duplicate fault deposits
-  /// the same Bytes twice.
-  void send(int from, int to, std::uint64_t tag, Bytes payload);
-
-  /// Block until a message with `tag` is available for `rank`; pop it.
-  /// `from` is the expected producer rank (-1 unknown), threaded into the
-  /// timeout diagnostics. Throws ptlr::Error if the communicator was
-  /// aborted while waiting, or if the watchdog deadline passes.
-  Bytes recv(int rank, std::uint64_t tag, int from = -1);
-
-  /// recv over a tag set (Mailbox::recv_any) for `rank`.
-  TaggedMessage recv_any(int rank, const std::vector<std::uint64_t>& tags,
-                         int from = -1);
-
-  /// Wake every blocked receiver with an error — called by a rank that
-  /// hit an exception so its peers do not deadlock waiting for messages
-  /// that will never arrive.
-  void abort();
-
-  /// Messages and payload bytes sent so far (excluding self-sends).
-  struct Stats {
-    long long messages = 0;
-    long long bytes = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-
- private:
-  int nranks_;
-  Perturber perturber_;
-  resil::FaultInjector injector_;
-  std::vector<std::unique_ptr<Mailbox>> boxes_;
-  std::atomic<std::uint64_t> next_msg_id_{1};
-  mutable std::mutex stats_mu_;
-  Stats stats_;
 };
 
 }  // namespace ptlr::rt::dist

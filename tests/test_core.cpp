@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <numbers>
+#include <optional>
 #include <set>
 
 #include "core/band_tuner.hpp"
@@ -1271,13 +1272,43 @@ TEST(DistributedCholesky, SingleRankNeedsNoMessages) {
 
 TEST(DistributedCholesky, NonSpdInputAbortsAllRanksCleanly) {
   auto prob = test_problem(96, 97);
-  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
-  // Break SPD-ness of a late diagonal tile.
-  auto& d = a.at(2, 2).dense_data();
-  for (int r = 0; r < d.rows(); ++r) d(r, r) = -1.0;
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  const auto broken = [&](int k) {
+    auto a = tlr::TlrMatrix::from_problem(prob, 32, acc, 1);
+    auto& d = a.at(k, k).dense_data();
+    for (int r = 0; r < d.rows(); ++r) d(r, r) = -1.0;
+    return a;
+  };
   rt::TwoDBlockCyclic dist(2, 2);
-  EXPECT_THROW(core::distributed_factorize(a, dist, {1e-6, 1 << 30}),
-               ptlr::Error);
+  // Break SPD-ness of a late diagonal tile.
+  auto a = broken(2);
+  EXPECT_THROW(core::distributed_factorize(a, dist, acc), ptlr::Error);
+
+  // Tile (1, 1) belongs to rank 3. The caller must get rank 3's own error,
+  // the one the shared-memory factorization throws, not a peer's report of
+  // the connection that rank 3's abort closed.
+  ASSERT_EQ(dist.owner(1, 1), 3);
+  CholeskyConfig cfg;
+  cfg.acc = acc;
+  cfg.band_size = 1;
+  cfg.nthreads = 1;
+  auto shared = broken(1);
+  std::optional<long long> want;
+  try {
+    factorize(shared, nullptr, cfg);
+  } catch (const NumericalError& e) {
+    want = e.info();
+  }
+  ASSERT_TRUE(want.has_value()) << "the shared-memory factorization passed";
+  auto b = broken(1);
+  try {
+    core::distributed_factorize(b, dist, acc);
+    ADD_FAILURE() << "the distributed factorization passed";
+  } catch (const NumericalError& e) {
+    EXPECT_EQ(e.info(), *want) << e.what();
+  } catch (const Error& e) {
+    ADD_FAILURE() << "not the failing rank's error: " << e.what();
+  }
 }
 
 // --------------------------------- broadcast trees & placement heuristic ----
@@ -1286,8 +1317,8 @@ TEST(DistributedCholesky, NonSpdInputAbortsAllRanksCleanly) {
 
 #include "core/bcast_tree.hpp"
 #include "core/placement.hpp"
+#include "net/loopback.hpp"
 #include "resilience/watchdog.hpp"
-#include "runtime/transport.hpp"
 #include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
@@ -1440,15 +1471,15 @@ TEST(Placement, EnvParamsMustComeTogether) {
   }
 }
 
-// Four in-process ranks negotiate: the probe measures the (near-zero)
-// in-process α/β, rank 0 decides, and every rank must come back with the
+// Four ranks negotiate over a loopback mesh: the probe measures the
+// loopback α/β, rank 0 decides, and every rank must come back with the
 // identical choice and parameters.
 TEST(Placement, NegotiationAgreesAcrossRanks) {
   constexpr int kRanks = 4;
   resil::WatchdogConfig watchdog;
   watchdog.deadline_ms = 20000;
-  rt::dist::Communicator comm(kRanks, rt::PerturbConfig{},
-                              resil::FaultConfig{}, watchdog);
+  net::LoopbackMesh mesh(kRanks, rt::PerturbConfig{}, resil::FaultConfig{},
+                         watchdog);
   core::PlacementProblem prob;
   prob.nt = 12;
   prob.block = 32;
@@ -1461,9 +1492,8 @@ TEST(Placement, NegotiationAgreesAcrossRanks) {
   std::vector<std::thread> ranks;
   for (int r = 0; r < kRanks; ++r)
     ranks.emplace_back([&, r] {
-      rt::dist::SimTransport t(comm, r);
       choices[static_cast<std::size_t>(r)] =
-          core::negotiate_placement(t, prob);
+          core::negotiate_placement(mesh[r], prob);
     });
   for (auto& th : ranks) th.join();
 

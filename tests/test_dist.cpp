@@ -6,7 +6,7 @@
 //
 // The acceptance criterion of the distributed backend rides here: on 2-
 // and 4-process meshes, under the 8-seed message drop/duplicate fault
-// sweep, every rank's owned tiles are bitwise identical to the in-process
+// sweep, every rank's owned tiles are bitwise identical to the
 // shared-memory oracle — the factor does not know what transport computed
 // it, and injected drops are recovered by real retransmissions on a real
 // wire (drop/recover totals are aggregated across the rank processes).
@@ -24,11 +24,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/cholesky_graph.hpp"
 #include "core/dist_cholesky.hpp"
 #include "net/transport.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/stats.hpp"
 #include "runtime/distribution.hpp"
+#include "runtime/executor.hpp"
 #include "stars/problem.hpp"
 #include "support/multiproc.hpp"
 #include "support/scoped_env.hpp"
@@ -56,6 +58,17 @@ std::unique_ptr<rt::Distribution> make_dist(const std::string& kind,
 tlr::TlrMatrix replica(const compress::Accuracy& acc) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, kN);
   return tlr::TlrMatrix::from_problem(prob, kB, acc, 1);
+}
+
+// The shared-memory factorization of the replica: the one task graph on
+// rt::execute, with no transport code in the loop.
+tlr::TlrMatrix shared_memory_oracle(const compress::Accuracy& acc) {
+  tlr::TlrMatrix oracle = replica(acc);
+  core::GraphOptions gopt;
+  gopt.acc = acc;
+  rt::TaskGraph g = core::build_cholesky_graph(oracle, gopt);
+  rt::execute(g, 2);
+  return oracle;
 }
 
 std::string faults_spec(std::uint64_t seed) {
@@ -123,8 +136,8 @@ PTLR_RANK_CASE(net_pingpong) {
 }
 
 // One rank of the distributed factorization over the socket mesh, checked
-// bitwise against the in-process shared-memory oracle (computed locally,
-// faults and chaos disabled — deterministic by construction). Prints
+// bitwise against the shared-memory oracle (computed locally, faults and
+// chaos disabled — deterministic by construction). Prints
 // "DROPS=… RECOVERED=… RETRANSMITS=…" so the launching test can aggregate
 // the recovery accounting across the rank processes.
 PTLR_RANK_CASE(dist_bitwise) {
@@ -142,8 +155,7 @@ PTLR_RANK_CASE(dist_bitwise) {
 
   const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
   const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
-  tlr::TlrMatrix oracle = replica(acc);
-  core::distributed_factorize(oracle, *dist, acc);
+  const tlr::TlrMatrix oracle = shared_memory_oracle(acc);
 
   for (int i = 0; i < a.nt(); ++i)
     for (int j = 0; j <= i; ++j) {
@@ -162,7 +174,7 @@ PTLR_RANK_CASE(dist_bitwise) {
 // seeded plan SIGKILLs one rank at one k-step, the launcher respawns it
 // (PTLR_EPOCH > 0), and the respawn reloads its checkpoint, rejoins the
 // mesh and replays. Every rank — including the restarted one — must end
-// bitwise identical to the in-process oracle. Prints "RESTARTS=…
+// bitwise identical to the shared-memory oracle. Prints "RESTARTS=…
 // CKPT_WRITES=… CKPT_LOADS=… REJOINS=…" for cross-process aggregation.
 PTLR_RANK_CASE(dist_kill_recover) {
   const std::string kind = mp::rank_case_args();
@@ -201,8 +213,7 @@ PTLR_RANK_CASE(dist_kill_recover) {
 
   const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
   const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
-  tlr::TlrMatrix oracle = replica(acc);
-  core::distributed_factorize(oracle, *dist, acc);
+  const tlr::TlrMatrix oracle = shared_memory_oracle(acc);
 
   for (int i = 0; i < a.nt(); ++i)
     for (int j = 0; j <= i; ++j) {

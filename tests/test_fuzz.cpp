@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "net/loopback.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "support/fuzz.hpp"
@@ -172,43 +173,48 @@ TEST(PerturbFuzzMeta, MissingStampsAreReported) {
 
 // ------------------------------------------------ mailbox under chaos ----
 
-// N ranks exchange `rounds` rounds of tagged messages while the perturbed
-// communicator delays deliveries; every payload must still arrive intact
-// on the right (rank, tag). TSan watches the mailbox internals meanwhile.
+// N ranks exchange `rounds` rounds of tagged messages over a loopback
+// socket mesh while the perturbed transport delays sends; every payload
+// must still arrive intact on the right (rank, tag). TSan watches the
+// mailbox and the mesh's session threads meanwhile.
 TEST_P(PerturbFuzz, MailboxDeliversEverythingUnderChaos) {
   const int nranks = 4, rounds = 16;
-  rt::dist::Communicator comm(nranks, rt::PerturbConfig::with_seed(seed()));
+  net::LoopbackMesh mesh(nranks, rt::PerturbConfig::with_seed(seed()));
   std::atomic<int> mismatches{0};
   std::vector<std::thread> ranks;
   ranks.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     ranks.emplace_back([&, r] {
+      net::SocketTransport& t = mesh[r];
       for (int m = 0; m < rounds; ++m) {
         for (int q = 0; q < nranks; ++q) {
           if (q == r) continue;
-          comm.send(r, q,
-                    rt::dist::make_tag(1, static_cast<std::uint32_t>(m),
-                                       static_cast<std::uint32_t>(r),
-                                       static_cast<std::uint32_t>(q)),
-                    {static_cast<char>(r), static_cast<char>(m)});
+          t.send(q,
+                 rt::dist::make_tag(1, static_cast<std::uint32_t>(m),
+                                    static_cast<std::uint32_t>(r),
+                                    static_cast<std::uint32_t>(q)),
+                 {static_cast<char>(r), static_cast<char>(m)});
         }
         for (int q = 0; q < nranks; ++q) {
           if (q == r) continue;
-          const auto got = comm.recv(
-              r, rt::dist::make_tag(1, static_cast<std::uint32_t>(m),
-                                    static_cast<std::uint32_t>(q),
-                                    static_cast<std::uint32_t>(r)));
+          const auto got = t.recv(
+              rt::dist::make_tag(1, static_cast<std::uint32_t>(m),
+                                 static_cast<std::uint32_t>(q),
+                                 static_cast<std::uint32_t>(r)),
+              q);
           if (got.size() != 2 || got[0] != static_cast<char>(q) ||
               got[1] != static_cast<char>(m))
             mismatches++;
         }
       }
+      t.drain();
     });
   }
   for (auto& th : ranks) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(comm.stats().messages,
-            static_cast<long long>(nranks) * (nranks - 1) * rounds);
+  long long messages = 0;
+  for (int r = 0; r < nranks; ++r) messages += mesh[r].stats().messages;
+  EXPECT_EQ(messages, static_cast<long long>(nranks) * (nranks - 1) * rounds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PerturbFuzz, ::testing::Range(1, 9));

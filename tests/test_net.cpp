@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "net/loopback.hpp"
 #include "net/peer_mesh.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -79,33 +80,22 @@ resil::WatchdogConfig watchdog_ms(long long ms) {
   return w;
 }
 
-// Quiet defaults: no faults, no chaos, generous watchdog.
-struct TransportSet {
-  std::vector<std::unique_ptr<net::SocketTransport>> t;
-
-  TransportSet(const std::string& dir, int nranks,
-               const resil::FaultConfig& faults = resil::FaultConfig{},
-               long long watchdog = 20000) {
-    t.resize(static_cast<std::size_t>(nranks));
-    std::vector<std::thread> builders;
-    builders.reserve(t.size());
-    for (int r = 0; r < nranks; ++r)
-      builders.emplace_back([&, r] {
-        t[static_cast<std::size_t>(r)] = std::make_unique<net::SocketTransport>(
-            uds_config(dir, r, nranks), rt::PerturbConfig{}, faults,
-            watchdog_ms(watchdog));
-      });
-    for (auto& b : builders) b.join();
-    for (const auto& p : t) EXPECT_NE(p, nullptr);
-  }
-};
+// A quiet in-process mesh: no chaos, no faults unless given, a generous
+// watchdog.
+net::LoopbackMesh quiet_mesh(int nranks,
+                             const resil::FaultConfig& faults = {},
+                             long long watchdog = 20000) {
+  return net::LoopbackMesh(nranks, rt::PerturbConfig{}, faults,
+                           watchdog_ms(watchdog));
+}
 
 // drain() is collective — a BYE exchange, like MPI_Finalize — so the
 // endpoints of a mesh must drain concurrently, as real rank processes do.
-void drain_all(TransportSet& set) {
+void drain_all(net::LoopbackMesh& mesh) {
   std::vector<std::thread> drains;
-  drains.reserve(set.t.size());
-  for (auto& p : set.t) drains.emplace_back([&p] { p->drain(); });
+  drains.reserve(static_cast<std::size_t>(mesh.nranks()));
+  for (int r = 0; r < mesh.nranks(); ++r)
+    drains.emplace_back([&mesh, r] { mesh[r].drain(); });
   for (auto& th : drains) th.join();
 }
 
@@ -397,66 +387,56 @@ TEST(Handshake, MeshSizeMismatchIsRejected) {
 // --------------------------------------------- in-process socket meshes
 
 TEST(SocketMesh, TwoEndpointsExchangePayloads) {
-  const std::string dir = make_mesh_dir();
-  {
-    TransportSet set(dir, 2);
-    const std::uint64_t tag = make_tag(0, 1, 2, 3);
-    const std::vector<char> payload{'h', 'i'};
-    set.t[0]->send(1, tag, payload);
-    EXPECT_EQ(set.t[1]->recv(tag, 0), payload);
+  net::LoopbackMesh mesh = quiet_mesh(2);
+  const std::uint64_t tag = make_tag(0, 1, 2, 3);
+  const std::vector<char> payload{'h', 'i'};
+  mesh[0].send(1, tag, payload);
+  EXPECT_EQ(mesh[1].recv(tag, 0), payload);
 
-    // Self-send stays local and uncounted.
-    set.t[1]->send(1, make_tag(0, 9, 9, 9), {'s'});
-    EXPECT_EQ(set.t[1]->recv(make_tag(0, 9, 9, 9), 1),
-              std::vector<char>{'s'});
+  // Self-send stays local and uncounted.
+  mesh[1].send(1, make_tag(0, 9, 9, 9), {'s'});
+  EXPECT_EQ(mesh[1].recv(make_tag(0, 9, 9, 9), 1), std::vector<char>{'s'});
 
-    drain_all(set);
-    EXPECT_EQ(set.t[0]->stats().messages, 1);
-    EXPECT_EQ(set.t[1]->stats().messages, 0);  // self-send excluded
-    const auto wire = set.t[0]->wire_stats();
-    EXPECT_EQ(wire.msgs_sent, 1);
-    EXPECT_EQ(wire.bytes_sent, 2);
-  }
-  remove_mesh_dir(dir, 2);
+  drain_all(mesh);
+  EXPECT_EQ(mesh[0].stats().messages, 1);
+  EXPECT_EQ(mesh[1].stats().messages, 0);  // self-send excluded
+  const auto wire = mesh[0].wire_stats();
+  EXPECT_EQ(wire.msgs_sent, 1);
+  EXPECT_EQ(wire.bytes_sent, 2);
 }
 
 TEST(SocketMesh, FourEndpointsAllToAll) {
-  const std::string dir = make_mesh_dir();
-  {
-    TransportSet set(dir, 4);
-    std::vector<std::thread> ranks;
-    std::atomic<int> failures{0};
-    for (int r = 0; r < 4; ++r)
-      ranks.emplace_back([&, r] {
-        try {
-          auto& t = *set.t[static_cast<std::size_t>(r)];
-          for (int to = 0; to < 4; ++to)
-            if (to != r)
-              t.send(to, make_tag(0, static_cast<std::uint32_t>(r),
-                                  static_cast<std::uint32_t>(to), 0),
-                     std::vector<char>{static_cast<char>('a' + r)});
-          for (int from = 0; from < 4; ++from)
-            if (from != r) {
-              const auto got =
-                  t.recv(make_tag(0, static_cast<std::uint32_t>(from),
-                                  static_cast<std::uint32_t>(r), 0),
-                         from);
-              if (got != std::vector<char>{static_cast<char>('a' + from)})
-                failures.fetch_add(1);
-            }
-          t.drain();
-        } catch (const Error&) {
-          failures.fetch_add(1);
-        }
-      });
-    for (auto& th : ranks) th.join();
-    EXPECT_EQ(failures.load(), 0);
-  }
-  remove_mesh_dir(dir, 4);
+  net::LoopbackMesh mesh = quiet_mesh(4);
+  std::vector<std::thread> ranks;
+  std::atomic<int> failures{0};
+  for (int r = 0; r < 4; ++r)
+    ranks.emplace_back([&, r] {
+      try {
+        auto& t = mesh[r];
+        for (int to = 0; to < 4; ++to)
+          if (to != r)
+            t.send(to, make_tag(0, static_cast<std::uint32_t>(r),
+                                static_cast<std::uint32_t>(to), 0),
+                   std::vector<char>{static_cast<char>('a' + r)});
+        for (int from = 0; from < 4; ++from)
+          if (from != r) {
+            const auto got =
+                t.recv(make_tag(0, static_cast<std::uint32_t>(from),
+                                static_cast<std::uint32_t>(r), 0),
+                       from);
+            if (got != std::vector<char>{static_cast<char>('a' + from)})
+              failures.fetch_add(1);
+          }
+        t.drain();
+      } catch (const Error&) {
+        failures.fetch_add(1);
+      }
+    });
+  for (auto& th : ranks) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(SocketMesh, InjectedDropsRecoverViaRealRetransmission) {
-  const std::string dir = make_mesh_dir();
   resil::FaultConfig faults;
   faults.enabled = true;
   faults.seed = 7;
@@ -464,24 +444,24 @@ TEST(SocketMesh, InjectedDropsRecoverViaRealRetransmission) {
   faults.message_duplicate_probability = 0.0;
   const auto before = resil::snapshot();
   {
-    TransportSet set(dir, 2, faults);
+    net::LoopbackMesh mesh = quiet_mesh(2, faults);
     constexpr int kMsgs = 24;
     std::thread receiver([&] {
       for (int k = 0; k < kMsgs; ++k) {
-        const auto got = set.t[1]->recv(
+        const auto got = mesh[1].recv(
             make_tag(0, static_cast<std::uint32_t>(k), 0, 0), 0);
         ASSERT_EQ(got.size(), 1u);
         EXPECT_EQ(got[0], static_cast<char>(k));
       }
-      set.t[1]->drain();
+      mesh[1].drain();
     });
     for (int k = 0; k < kMsgs; ++k)
-      set.t[0]->send(1, make_tag(0, static_cast<std::uint32_t>(k), 0, 0),
-                     std::vector<char>{static_cast<char>(k)});
-    set.t[0]->drain();
+      mesh[0].send(1, make_tag(0, static_cast<std::uint32_t>(k), 0, 0),
+                   std::vector<char>{static_cast<char>(k)});
+    mesh[0].drain();
     receiver.join();
 
-    const auto wire = set.t[0]->wire_stats();
+    const auto wire = mesh[0].wire_stats();
     const auto after = resil::snapshot();
     const long long dropped =
         after.of(resil::ResilienceEvent::kMsgDrop) -
@@ -496,92 +476,78 @@ TEST(SocketMesh, InjectedDropsRecoverViaRealRetransmission) {
     EXPECT_EQ(wire.msgs_sent, kMsgs - dropped + wire.retransmits)
         << "wire frames = surviving first transmissions + retransmissions";
   }
-  remove_mesh_dir(dir, 2);
 }
 
 TEST(SocketMesh, InjectedDuplicatesAreDeduped) {
-  const std::string dir = make_mesh_dir();
   resil::FaultConfig faults;
   faults.enabled = true;
   faults.seed = 11;
   faults.message_drop_probability = 0.0;
   faults.message_duplicate_probability = 0.6;
   {
-    TransportSet set(dir, 2, faults);
+    net::LoopbackMesh mesh = quiet_mesh(2, faults);
     constexpr int kMsgs = 24;
     for (int k = 0; k < kMsgs; ++k)
-      set.t[0]->send(1, make_tag(0, static_cast<std::uint32_t>(k), 0, 0),
-                     std::vector<char>{static_cast<char>(k)});
+      mesh[0].send(1, make_tag(0, static_cast<std::uint32_t>(k), 0, 0),
+                   std::vector<char>{static_cast<char>(k)});
     for (int k = 0; k < kMsgs; ++k) {
-      const auto got = set.t[1]->recv(
+      const auto got = mesh[1].recv(
           make_tag(0, static_cast<std::uint32_t>(k), 0, 0), 0);
       EXPECT_EQ(got, std::vector<char>{static_cast<char>(k)});
     }
-    drain_all(set);
+    drain_all(mesh);
     // Logical accounting ignores the duplicates; the wire saw them.
-    EXPECT_EQ(set.t[0]->stats().messages, kMsgs);
-    EXPECT_GT(set.t[0]->wire_stats().msgs_sent, kMsgs);
+    EXPECT_EQ(mesh[0].stats().messages, kMsgs);
+    EXPECT_GT(mesh[0].wire_stats().msgs_sent, kMsgs);
   }
-  remove_mesh_dir(dir, 2);
 }
 
 TEST(SocketMesh, DeadPeerFailsBlockedReceiversByName) {
-  const std::string dir = make_mesh_dir();
-  {
-    TransportSet set(dir, 2);
-    std::string what;
-    std::thread receiver([&] {
-      try {
-        set.t[0]->recv(make_tag(0, 1, 1, 1), 1);
-      } catch (const Error& e) {
-        what = e.what();
-      }
-    });
-    // Rank 1 dies hard: no BYE, just closed sockets.
-    set.t[1]->abort();
-    receiver.join();
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("lost"), std::string::npos) << what;
-  }
-  remove_mesh_dir(dir, 2);
+  net::LoopbackMesh mesh = quiet_mesh(2);
+  std::string what;
+  std::thread receiver([&] {
+    try {
+      mesh[0].recv(make_tag(0, 1, 1, 1), 1);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+  });
+  // Rank 1 dies hard: no BYE, just closed sockets.
+  mesh[1].abort();
+  receiver.join();
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("lost"), std::string::npos) << what;
 }
 
 TEST(SocketMesh, WatchdogTimeoutNamesPeerConnectionState) {
-  const std::string dir = make_mesh_dir();
-  {
-    // Short watchdog: the recv deadline fires while the peer is healthy.
-    TransportSet set(dir, 2, resil::FaultConfig{}, /*watchdog=*/200);
-    std::string what;
-    try {
-      set.t[0]->recv(make_tag(0, 5, 5, 5), 1);
-    } catch (const Error& e) {
-      what = e.what();
-    }
-    EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
-    EXPECT_NE(what.find("from rank 1 (connected)"), std::string::npos)
-        << what;
-
-    // Peer 1 finishes sending (BYE on the wire): the same timeout now
-    // reports "draining" — a done-peer hang reads differently from a
-    // slow-peer hang.
-    set.t[1]->mesh().begin_drain();
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (set.t[0]->mesh().peer_state(1) !=
-               rt::dist::PeerState::kDraining &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    try {
-      what.clear();
-      set.t[0]->recv(make_tag(0, 6, 6, 6), 1);
-    } catch (const Error& e) {
-      what = e.what();
-    }
-    EXPECT_NE(what.find("from rank 1 (draining)"), std::string::npos)
-        << what;
-    drain_all(set);
+  // Short watchdog: the recv deadline fires while the peer is healthy.
+  net::LoopbackMesh mesh = quiet_mesh(2, {}, /*watchdog=*/200);
+  std::string what;
+  try {
+    mesh[0].recv(make_tag(0, 5, 5, 5), 1);
+  } catch (const Error& e) {
+    what = e.what();
   }
-  remove_mesh_dir(dir, 2);
+  EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
+  EXPECT_NE(what.find("from rank 1 (connected)"), std::string::npos) << what;
+
+  // Peer 1 finishes sending (BYE on the wire): the same timeout now
+  // reports "draining" — a done-peer hang reads differently from a
+  // slow-peer hang.
+  mesh[1].mesh().begin_drain();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (mesh[0].mesh().peer_state(1) != rt::dist::PeerState::kDraining &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  try {
+    what.clear();
+    mesh[0].recv(make_tag(0, 6, 6, 6), 1);
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("from rank 1 (draining)"), std::string::npos) << what;
+  drain_all(mesh);
 }
 
 // ------------------------------------------------------------ mesh rejoin
@@ -624,7 +590,7 @@ net::NetConfig recovery_config(const std::string& dir, int rank,
   return cfg;
 }
 
-// TransportSet with a rejoin window on every endpoint: loss holds the slot
+// A mesh with a rejoin window on every endpoint: loss holds the slot
 // open instead of failing the mailbox.
 struct RecoverySet {
   std::vector<std::unique_ptr<net::SocketTransport>> t;
@@ -760,23 +726,19 @@ TEST(SocketMesh, RejoinWindowExpiryDegradesToOrderlyFailure) {
 }
 
 TEST(SocketMesh, DrainNamesEveryLostPeer) {
-  const std::string dir = make_mesh_dir();
-  {
-    TransportSet set(dir, 3);
-    // Both peers of rank 0 die hard, in either order.
-    set.t[1]->abort();
-    set.t[2]->abort();
-    std::string what;
-    try {
-      set.t[0]->drain();
-    } catch (const Error& e) {
-      what = e.what();
-    }
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("lost"), std::string::npos) << what;
+  net::LoopbackMesh mesh = quiet_mesh(3);
+  // Both peers of rank 0 die hard, in either order.
+  mesh[1].abort();
+  mesh[2].abort();
+  std::string what;
+  try {
+    mesh[0].drain();
+  } catch (const Error& e) {
+    what = e.what();
   }
-  remove_mesh_dir(dir, 3);
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("lost"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------- mailbox epoch fence
@@ -886,23 +848,18 @@ TEST(Rtt, ClampsToConfiguredBounds) {
 // first-transmission frames; the per-peer RTO follows the link instead of
 // the configured seed.
 TEST(SocketMesh, AdaptiveRtoSamplesAckedTraffic) {
-  const std::string dir = make_mesh_dir();
-  {
-    TransportSet set(dir, 2);
-    for (int i = 0; i < 5; ++i) {
-      set.t[0]->send(1, make_tag(0, static_cast<std::uint32_t>(i), 0, 0),
-                     std::vector<char>{'r'});
-      (void)set.t[1]->recv(make_tag(0, static_cast<std::uint32_t>(i), 0, 0),
-                           0);
-    }
-    set.t[0]->flush();  // every send acked => every first send sampled
-    EXPECT_GT(set.t[0]->mesh().peer_srtt_ms(1), 0.0);
-    const long long rto = set.t[0]->mesh().peer_rto_ms(1);
-    EXPECT_GE(rto, 5);
-    EXPECT_LE(rto, 2000);
-    drain_all(set);
+  net::LoopbackMesh mesh = quiet_mesh(2);
+  for (int i = 0; i < 5; ++i) {
+    mesh[0].send(1, make_tag(0, static_cast<std::uint32_t>(i), 0, 0),
+                 std::vector<char>{'r'});
+    (void)mesh[1].recv(make_tag(0, static_cast<std::uint32_t>(i), 0, 0), 0);
   }
-  remove_mesh_dir(dir, 2);
+  mesh[0].flush();  // every send acked => every first send sampled
+  EXPECT_GT(mesh[0].mesh().peer_srtt_ms(1), 0.0);
+  const long long rto = mesh[0].mesh().peer_rto_ms(1);
+  EXPECT_GE(rto, 5);
+  EXPECT_LE(rto, 2000);
+  drain_all(mesh);
 }
 
 // PTLR_NET_RTO_MS pins the timeout: with rto_fixed the per-peer RTO stays

@@ -36,6 +36,7 @@
 #include "core/dist_cholesky.hpp"
 #include "dense/util.hpp"
 #include "hcore/kernels.hpp"
+#include "net/loopback.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/stats.hpp"
 #include "resilience/watchdog.hpp"
@@ -463,53 +464,21 @@ FaultConfig message_faults(std::uint64_t seed, double drop, double dup) {
   return c;
 }
 
-TEST(MailboxRecovery, DroppedMessageIsRetransmitted) {
-  rt::dist::Communicator comm(2, rt::PerturbConfig{},
-                              message_faults(3, /*drop=*/1.0, /*dup=*/0.0),
-                              resil::WatchdogConfig{});
-  const std::vector<char> payload{'h', 'i'};
-  const auto ev = events_of([&] {
-    comm.send(0, 1, rt::dist::make_tag(0, 1, 2, 3), payload);
-    EXPECT_EQ(comm.recv(1, rt::dist::make_tag(0, 1, 2, 3)), payload);
-  });
-  EXPECT_EQ(ev.messages_dropped(), 1);
-  EXPECT_EQ(ev.messages_recovered(), 1);
-}
-
-TEST(MailboxRecovery, DuplicatesAreSuppressedByEnvelopeId) {
-  rt::dist::Communicator comm(2, rt::PerturbConfig{},
-                              message_faults(5, /*drop=*/0.0, /*dup=*/1.0),
-                              resil::WatchdogConfig{});
-  const auto ev = events_of([&] {
-    for (int i = 0; i < 3; ++i) {
-      comm.send(0, 1, static_cast<std::uint64_t>(i),
-                {static_cast<char>('a' + i)});
-    }
-    for (int i = 0; i < 3; ++i) {
-      const auto p = comm.recv(1, static_cast<std::uint64_t>(i));
-      ASSERT_EQ(p.size(), 1u);
-      EXPECT_EQ(p[0], static_cast<char>('a' + i));
-    }
-  });
-  EXPECT_EQ(ev.messages_duplicated(), 3);
-  // Stats count logical sends, not injected copies.
-  EXPECT_EQ(comm.stats().messages, 3);
-}
-
 TEST(MailboxRecovery, SeedSweepDeliversIdenticalPayloads) {
   // Under any drop/dup seed the delivered payload per tag must be exactly
-  // what a fault-free run delivers, and every drop must be recovered.
+  // what a fault-free run delivers, and every drop must be recovered by a
+  // retransmission on the loopback mesh.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    rt::dist::Communicator comm(2, rt::PerturbConfig{},
-                                message_faults(seed, 0.4, 0.4),
-                                resil::WatchdogConfig{});
+    net::LoopbackMesh mesh(2, rt::PerturbConfig{},
+                           message_faults(seed, 0.4, 0.4),
+                           resil::WatchdogConfig{});
     const auto ev = events_of([&] {
       for (std::uint32_t i = 0; i < 32; ++i) {
         std::vector<char> payload(8, static_cast<char>(i + seed));
-        comm.send(0, 1, rt::dist::make_tag(1, i, 0, 0), std::move(payload));
+        mesh[0].send(1, rt::dist::make_tag(1, i, 0, 0), std::move(payload));
       }
       for (std::uint32_t i = 0; i < 32; ++i) {
-        const auto p = comm.recv(1, rt::dist::make_tag(1, i, 0, 0));
+        const auto p = mesh[1].recv(rt::dist::make_tag(1, i, 0, 0), 0);
         ASSERT_EQ(p, std::vector<char>(8, static_cast<char>(i + seed)))
             << "seed " << seed << " message " << i;
       }
@@ -519,31 +488,14 @@ TEST(MailboxRecovery, SeedSweepDeliversIdenticalPayloads) {
   }
 }
 
-TEST(MailboxRecovery, AbortWakesBlockedReceiver) {
-  rt::dist::Communicator comm(2, rt::PerturbConfig{}, FaultConfig{},
-                              resil::WatchdogConfig{});
-  std::atomic<bool> threw{false};
-  std::thread receiver([&] {
-    try {
-      comm.recv(1, rt::dist::make_tag(0, 0, 0, 0));
-    } catch (const ptlr::Error&) {
-      threw.store(true, std::memory_order_release);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  comm.abort();
-  receiver.join();
-  EXPECT_TRUE(threw.load(std::memory_order_acquire));
-}
-
 TEST(MailboxWatchdog, DeadlockBecomesDescriptiveError) {
   resil::WatchdogConfig wd;
   wd.deadline_ms = 50;
-  rt::dist::Communicator comm(2, rt::PerturbConfig{}, FaultConfig{}, wd);
+  rt::dist::Mailbox box(1, wd);
   std::string what;
   const auto ev = events_of([&] {
     try {
-      comm.recv(1, rt::dist::make_tag(0, 4, 2, 2));  // never sent
+      box.recv(rt::dist::make_tag(0, 4, 2, 2));  // never sent
       FAIL() << "expected the receive watchdog to fire";
     } catch (const ptlr::Error& e) {
       what = e.what();

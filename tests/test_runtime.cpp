@@ -600,27 +600,30 @@ TEST(Simulator, DenseTasksFallBackToCpuWhenAcceleratorsBusy) {
   EXPECT_NEAR(simulate(g, cfg).makespan, 1.0, 1e-12);
 }
 
-// ------------------------------------------------ MPI-lite mailboxes ----
+// ------------------------------------------------------- mailboxes ----
 
 #include <thread>
 
 #include "runtime/mailbox.hpp"
 
-TEST(Mailbox, SendRecvRoundTrip) {
-  dist::Communicator comm(2);
-  std::vector<char> msg{'h', 'i'};
-  comm.send(0, 1, dist::make_tag(0, 1, 2, 3), msg);
-  auto got = comm.recv(1, dist::make_tag(0, 1, 2, 3));
-  EXPECT_EQ(got, msg);
-  EXPECT_EQ(comm.stats().messages, 1);
-  EXPECT_EQ(comm.stats().bytes, 2);
+namespace {
+
+dist::Envelope envelope(std::uint64_t id, std::uint64_t tag,
+                        ptlr::Bytes payload) {
+  dist::Envelope env;
+  env.id = id;
+  env.tag = tag;
+  env.payload = std::move(payload);
+  return env;
 }
 
+}  // namespace
+
 TEST(Mailbox, RecvBlocksUntilSendArrives) {
-  dist::Communicator comm(2);
+  dist::Mailbox box(1, ptlr::resil::WatchdogConfig{});
   ptlr::Bytes got;
-  std::thread receiver([&] { got = comm.recv(1, 42); });
-  std::thread sender([&] { comm.send(0, 1, 42, {'x'}); });
+  std::thread receiver([&] { got = box.recv(42); });
+  std::thread sender([&] { box.deposit(envelope(1, 42, {'x'})); });
   sender.join();
   receiver.join();
   ASSERT_EQ(got.size(), 1u);
@@ -628,12 +631,11 @@ TEST(Mailbox, RecvBlocksUntilSendArrives) {
 }
 
 TEST(Mailbox, TagsKeepMessagesSeparate) {
-  dist::Communicator comm(1);
-  comm.send(0, 0, 1, {'a'});
-  comm.send(0, 0, 2, {'b'});
-  EXPECT_EQ(comm.recv(0, 2)[0], 'b');
-  EXPECT_EQ(comm.recv(0, 1)[0], 'a');
-  EXPECT_EQ(comm.stats().messages, 0);  // self-sends are not counted
+  dist::Mailbox box(0, ptlr::resil::WatchdogConfig{});
+  box.deposit(envelope(1, 1, {'a'}));
+  box.deposit(envelope(2, 2, {'b'}));
+  EXPECT_EQ(box.recv(2)[0], 'b');
+  EXPECT_EQ(box.recv(1)[0], 'a');
 }
 
 TEST(Mailbox, AbortWakesBlockedReceiver) {
@@ -641,22 +643,22 @@ TEST(Mailbox, AbortWakesBlockedReceiver) {
   // Each round waits a bounded time for the receiver to throw, so a lost
   // wakeup fails the test instead of hanging it.
   for (int round = 0; round < 10000; ++round) {
-    dist::Communicator comm(2);
+    dist::Mailbox box(1, ptlr::resil::WatchdogConfig{});
     std::atomic<bool> threw{false};
     std::promise<void> done;
     std::future<void> finished = done.get_future();
     std::thread receiver([&] {
       try {
-        comm.recv(1, 7);
+        box.recv(7);
       } catch (const ptlr::Error&) {
         threw.store(true);
       }
       done.set_value();
     });
-    comm.abort();
+    box.abort();
     if (finished.wait_for(std::chrono::seconds(10)) !=
         std::future_status::ready) {
-      comm.send(0, 1, 7, {'x'});  // wake the stranded receiver to join it
+      box.deposit(envelope(1, 7, {'x'}));  // wake the stranded receiver
       receiver.join();
       FAIL() << "abort() lost its wakeup in round " << round;
     }
@@ -942,10 +944,19 @@ TEST(Executor, TraceStampsGiveHappensBeforeOrder) {
     EXPECT_LT(spans[i - 1].seq1, spans[i].seq0);
 }
 
-TEST(Mailbox, PerturbedCommunicatorDeliversInTagOrder) {
-  // Delays reorder cross-tag arrival but must never corrupt or reorder the
-  // per-(tag, rank) FIFO.
-  dist::Communicator comm(2, PerturbConfig::with_seed(5));
-  for (char c = 0; c < 10; ++c) comm.send(0, 1, 42, {c});
-  for (char c = 0; c < 10; ++c) EXPECT_EQ(comm.recv(1, 42)[0], c);
+TEST(Mailbox, DeliversEachTagInDepositOrder) {
+  // Chaos-mode delays let the receiver race the depositor and interleave
+  // two tags, but must never corrupt or reorder one tag's FIFO.
+  dist::Mailbox box(1, ptlr::resil::WatchdogConfig{});
+  Perturber perturber(PerturbConfig::with_seed(5));
+  std::thread depositor([&] {
+    for (char c = 0; c < 10; ++c) {
+      perturber.maybe_delay_delivery();
+      box.deposit(envelope(2 * static_cast<std::uint64_t>(c) + 1, 42, {c}));
+      box.deposit(envelope(2 * static_cast<std::uint64_t>(c) + 2, 43, {c}));
+    }
+  });
+  for (char c = 0; c < 10; ++c) EXPECT_EQ(box.recv(42)[0], c);
+  for (char c = 0; c < 10; ++c) EXPECT_EQ(box.recv(43)[0], c);
+  depositor.join();
 }

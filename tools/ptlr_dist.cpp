@@ -9,10 +9,10 @@
 // as real bytes on the wire. --dist auto (the default) measures the mesh's
 // (α, β) by ping-ponging rank 1 and lets core::negotiate_placement pick
 // band vs 2d vs 1d; band/2d/1d force a candidate (CI pins these).
-// --verify 1 recomputes the in-process sim-distributed factor (faults and
-// chaos disabled) and checks every tile this rank owns is bitwise
-// identical — the cross-transport oracle the dist tests use, available at
-// tool scale.
+// --verify 1 recomputes the shared-memory factorization of the same input
+// (the one task graph on rt::execute, no transport; faults and chaos
+// disabled) and checks that every tile this rank owns is bitwise
+// identical.
 //
 // Observability: PTLR_TRACE=1 records the rank's task spans plus wire
 // events; PTLR_TRACE_FILE=trace_rank{rank}.json (via ptlr-launch
@@ -25,12 +25,14 @@
 
 #include "args.hpp"
 #include "common/error.hpp"
+#include "core/cholesky_graph.hpp"
 #include "core/dist_cholesky.hpp"
 #include "core/placement.hpp"
 #include "net/transport.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "runtime/distribution.hpp"
+#include "runtime/executor.hpp"
 #include "stars/problem.hpp"
 #include "tlr/io.hpp"
 #include "tlr/tlr_matrix.hpp"
@@ -154,21 +156,24 @@ int main(int argc, char** argv) try {
               << " ckpt_loads=" << res.recovery.checkpoint_loads() << "\n";
 
   // Flush the trace before any --verify oracle runs: the trace documents
-  // the wire run, and the oracle's in-process rank threads would interleave
-  // extra task spans into the same worker lanes.
+  // the wire run, and the oracle's execution would add its own task spans
+  // to the same worker lanes.
   const std::string trace = obs::write_chrome_trace_from_env();
   if (!trace.empty())
     std::cout << "rank " << cfg.rank << ": trace written to " << trace
               << "\n";
 
   if (verify) {
-    // Oracle: the in-process sim-distributed factor of the same input,
-    // computed fault-free (the wire run already recovered any injected
-    // faults; the factors must still match bitwise).
+    // Oracle: the shared-memory factorization of the same input, computed
+    // fault-free (the wire run already recovered any injected faults; the
+    // factors must still match bitwise).
     unsetenv("PTLR_FAULTS");
     unsetenv("PTLR_PERTURB_SEED");
     tlr::TlrMatrix oracle = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
-    core::distributed_factorize(oracle, *dist, acc);
+    core::GraphOptions gopt;
+    gopt.acc = acc;
+    rt::TaskGraph g = core::build_cholesky_graph(oracle, gopt);
+    rt::execute(g, 1);
     long long tiles = 0;
     for (int i = 0; i < a.nt(); ++i)
       for (int j = 0; j <= i; ++j) {
@@ -179,7 +184,7 @@ int main(int argc, char** argv) try {
                    "verify: tile (" + std::to_string(i) + "," +
                        std::to_string(j) + ") of rank " +
                        std::to_string(cfg.rank) +
-                       " differs from the in-process oracle");
+                       " differs from the shared-memory oracle");
       }
     std::cout << "rank " << cfg.rank << ": verify OK (" << tiles
               << " owned tiles bitwise identical)\n";
