@@ -1,6 +1,5 @@
 #include "common/knobs.hpp"
 
-#include <cfloat>
 #include <climits>
 #include <cstdlib>
 #include <stdexcept>
@@ -17,19 +16,14 @@ using enum Kind;
 // One day: now() + timeout + rejoin window stays far from overflow.
 constexpr std::uint64_t kMaxMs = 24ull * 3600 * 1000;
 
-// name, kind, default, integer range, real range. A real range from
-// DBL_TRUE_MIN, the smallest positive double, is "> 0".
+// name, kind, default, integer range.
 constexpr Knob kTable[] = {
     {"PTLR_NET", kText},  // uds:<dir> | tcp:<host>:<port 1..65535>
     {"PTLR_RANK", kInteger, "", 0, INT_MAX},  // below PTLR_NRANKS
     {"PTLR_NRANKS", kInteger, "", 1, INT_MAX},
     {"PTLR_EPOCH", kInteger, "0", 0, 255},
     {"PTLR_NET_TIMEOUT_MS", kInteger, "15000", 1, kMaxMs},
-    {"PTLR_NET_RTO_MS", kInteger, "", 1, kMaxMs},  // unset: adaptive
     {"PTLR_NET_REJOIN_MS", kInteger, "0", 0, kMaxMs},
-    // Set both or neither; unset, the mesh is probed.
-    {"PTLR_MESH_ALPHA", kReal, "", 0, 0, DBL_TRUE_MIN, DBL_MAX},
-    {"PTLR_MESH_BETA", kReal, "", 0, 0, DBL_TRUE_MIN, DBL_MAX},
     {"PTLR_PERTURB_SEED", kInteger, "", 0, UINT64_MAX},  // unset: off
     {"PTLR_FAULTS", kText},  // <s> | seed=<s>,task=<p>,...: p in 0..1
     {"PTLR_WATCHDOG_MS", kInteger, "0", 0, kMaxMs},
@@ -45,14 +39,6 @@ std::string_view value(const Knob& k) {
   return v != nullptr && v[0] != '\0' ? std::string_view(v) : k.fallback;
 }
 
-template <class T>
-std::optional<T> number(std::string_view name, T Knob::*lo, T Knob::*hi) {
-  const Knob& k = knob(name);
-  const std::string_view v = value(k);
-  if (v.empty()) return std::nullopt;
-  return parse_number(k.name, v, k.*lo, k.*hi);
-}
-
 }  // namespace
 
 std::span<const Knob> table() { return kTable; }
@@ -64,11 +50,10 @@ const Knob& knob(std::string_view name) {
 }
 
 std::optional<std::uint64_t> integer(std::string_view name) {
-  return number(name, &Knob::min, &Knob::max);
-}
-
-std::optional<double> real(std::string_view name) {
-  return number(name, &Knob::min_real, &Knob::max_real);
+  const Knob& k = knob(name);
+  const std::string_view v = value(k);
+  if (v.empty()) return std::nullopt;
+  return parse_number(k.name, v, k.min, k.max);
 }
 
 bool flag(std::string_view name) {

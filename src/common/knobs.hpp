@@ -13,14 +13,13 @@
 
 namespace ptlr::knobs {
 
-enum class Kind { kInteger, kReal, kFlag, kText };
+enum class Kind { kInteger, kFlag, kText };
 
 struct Knob {
   std::string_view name;
   Kind kind = Kind::kText;
-  std::string_view fallback = "";     ///< the default; "" = none
-  std::uint64_t min = 0, max = 0;     ///< kInteger range
-  double min_real = 0, max_real = 0;  ///< kReal range
+  std::string_view fallback = "";  ///< the default; "" = none
+  std::uint64_t min = 0, max = 0;  ///< kInteger range
 };
 
 /// Every row, and the row named `name`: a name that is not in the table is
@@ -31,7 +30,6 @@ const Knob& knob(std::string_view name);
 /// The value, or nullopt when unset with no default. Every integer range
 /// fits in int except PTLR_PERTURB_SEED's.
 std::optional<std::uint64_t> integer(std::string_view name);
-std::optional<double> real(std::string_view name);
 
 /// "1" is on; unset, empty or "0" is off; any other text throws.
 bool flag(std::string_view name);

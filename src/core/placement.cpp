@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/knobs.hpp"
 #include "core/bcast_tree.hpp"
 #include "runtime/mailbox.hpp"
 
@@ -56,15 +55,6 @@ const char* placement_name(PlacementKind kind) {
     case PlacementKind::kHybridBand: return "band";
   }
   return "?";
-}
-
-std::optional<MeshParams> MeshParams::from_env() {
-  const auto alpha = knobs::real("PTLR_MESH_ALPHA");
-  const auto beta = knobs::real("PTLR_MESH_BETA");
-  if (!alpha && !beta) return std::nullopt;
-  PTLR_CHECK(alpha && beta,
-             "PTLR_MESH_ALPHA and PTLR_MESH_BETA must be set together");
-  return MeshParams{*alpha, *beta};
 }
 
 double placement_comm_cost(const PlacementProblem& prob,
@@ -146,10 +136,6 @@ double get_f64(const char* p) {
 
 PlacementChoice negotiate_placement(net::SocketTransport& t,
                                     const PlacementProblem& prob) {
-  // Configured parameters short-circuit the wire protocol entirely: every
-  // rank scores the same model with the same inputs and agrees silently.
-  if (const auto env = MeshParams::from_env())
-    return choose_placement(prob, *env);
   if (t.nranks() < 2) return choose_placement(prob, MeshParams{});
 
   using Clock = std::chrono::steady_clock;

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/transport.hpp"
@@ -36,15 +35,10 @@ enum class PlacementKind : int { kOneD = 0, kTwoD = 1, kHybridBand = 2 };
 
 [[nodiscard]] const char* placement_name(PlacementKind kind);
 
-/// Measured (or configured) mesh parameters of the α + β·bytes model.
+/// Measured (or modelled) mesh parameters of the α + β·bytes model.
 struct MeshParams {
   double alpha_seconds = 2e-6;        ///< per-message latency
   double beta_seconds_per_byte = 1.25e-10;  ///< inverse bandwidth
-
-  /// Both PTLR_MESH_ALPHA (seconds) and PTLR_MESH_BETA (seconds/byte) set
-  /// → those values, skipping any probing. Neither set → nullopt. Only
-  /// one set, or a malformed value → throws.
-  static std::optional<MeshParams> from_env();
 };
 
 /// What the cost walk needs to know about the factorization.
@@ -83,10 +77,9 @@ struct PlacementChoice {
 /// Collective placement decision over a live transport. Rank 0 measures α
 /// (minimum small-payload round trip / 2) and β (large-vs-small round-trip
 /// difference / payload) against rank 1, scores the candidates, and sends
-/// every rank the decision; PTLR_MESH_ALPHA/PTLR_MESH_BETA skip the
-/// measurement. Every rank must call this at the same point (before the
-/// factorization); all ranks return the same choice. Single-rank meshes
-/// decide locally.
+/// every rank the decision. Every rank must call this at the same point
+/// (before the factorization); all ranks return the same choice.
+/// Single-rank meshes decide locally.
 [[nodiscard]] PlacementChoice negotiate_placement(
     net::SocketTransport& t, const PlacementProblem& prob);
 

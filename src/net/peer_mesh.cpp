@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +22,14 @@ namespace {
 /// queued for one peer.
 constexpr std::size_t kMaxQueueBytes = 64u << 20;
 
+/// How long after the suppressed send an injected drop's one flagged copy
+/// is written.
+constexpr std::chrono::milliseconds kDropResendDelay{5};
+
+/// Longest wait of the accept loop between two rejoin-window checks, and
+/// of a rejoin handshake read between two looks at `closing_`.
+constexpr std::chrono::milliseconds kAcceptPoll{200};
+
 std::string rank_str(int r) { return "rank " + std::to_string(r); }
 
 /// The k-step a mailbox tag belongs to (make_tag packs k into bits 40..59).
@@ -35,18 +44,10 @@ PeerMesh::PeerMesh(const NetConfig& cfg, rt::dist::Mailbox& inbox)
     if (r != cfg_.rank) {
       peers_[static_cast<std::size_t>(r)] = std::make_unique<Peer>();
       peers_[static_cast<std::size_t>(r)]->rank = r;
-      // Seed the per-link estimator from the configured RTO so a cold
-      // link retransmits on the same schedule as before adaptation.
-      peers_[static_cast<std::size_t>(r)]->rtt =
-          RttEstimator(static_cast<double>(cfg_.rto_ms));
     }
 }
 
 PeerMesh::~PeerMesh() { close(); }
-
-long long PeerMesh::rto_for(const Peer& p) const {
-  return cfg_.rto_fixed ? cfg_.rto_ms : p.rtt.rto_ms();
-}
 
 std::chrono::milliseconds PeerMesh::drain_deadline() const {
   // Drain must outlive a pending rejoin: a rank killed near the last step
@@ -78,7 +79,7 @@ Frame PeerMesh::rejoin_read(int fd, FrameDecoder& dec, Clock::time_point dl) {
                "rejoin: mesh is closing");
     const auto now = Clock::now();
     PTLR_CHECK(now < dl, "rejoin: timeout waiting for the REJOIN frame");
-    if (!wait_readable(fd, std::min(dl, now + std::chrono::milliseconds(200))))
+    if (!wait_readable(fd, std::min(dl, now + kAcceptPoll)))
       continue;
     const long r = recv_some(fd, buf, sizeof(buf));
     if (r == 0)
@@ -167,7 +168,6 @@ void PeerMesh::connect() {
 
   for (auto& p : peers_)
     if (p) start_session(*p);
-  rto_ = std::thread([this] { rto_loop(); });
   if (cfg_.rejoin_window_ms > 0)
     accept_ = std::thread([this] { accept_loop(); });
 }
@@ -202,10 +202,12 @@ void PeerMesh::rejoin_connect(Clock::time_point dl) {
 }
 
 void PeerMesh::accept_loop() {
+  // close() shuts the listener down, which wakes this wait at once.
   while (!closing_.load(std::memory_order_acquire)) {
-    if (!wait_readable(listener_.get(),
-                       Clock::now() + std::chrono::milliseconds(200)))
-      continue;
+    const bool readable =
+        wait_readable(listener_.get(), Clock::now() + kAcceptPoll);
+    expire_rejoin_windows();
+    if (!readable || closing_.load(std::memory_order_acquire)) continue;
     Fd fd(::accept(listener_.get(), nullptr, nullptr));
     if (!fd.valid()) continue;
     try {
@@ -216,6 +218,29 @@ void PeerMesh::accept_loop() {
       // the mesh intact: the descriptive error is accounted per peer where
       // one exists, and the dialer observes EOF instead of a WELCOME.
     }
+  }
+}
+
+void PeerMesh::expire_rejoin_windows() {
+  const auto now = Clock::now();
+  for (auto& up : peers_) {
+    if (!up) continue;
+    Peer& p = *up;
+    std::string expired;
+    {
+      std::lock_guard<std::mutex> lk(p.mu);
+      // Once the window passes with no rejoin, the loss becomes terminal
+      // and blocked receivers fail exactly as they would without a window.
+      if (p.state.load() != static_cast<int>(PeerState::kLost) || p.failed ||
+          now < p.lost_at + std::chrono::milliseconds(cfg_.rejoin_window_ms))
+        continue;
+      p.failed = true;
+      expired = p.lost_reason + " (no rejoin within " +
+                std::to_string(cfg_.rejoin_window_ms) + " ms)";
+      p.cv_space.notify_all();
+      p.cv_state.notify_all();
+    }
+    inbox_.fail(expired);
   }
 }
 
@@ -286,24 +311,6 @@ void PeerMesh::handle_rejoin(Fd fd) {
     p.epoch = f.epoch;
     p.bye_received = false;
     p.lost_reason.clear();
-    const auto now = Clock::now();
-    // Everything still unacked is due for immediate retransmission on the
-    // new socket.
-    for (auto& [id, pend] : p.unacked) pend.due = now;
-    // Replay acked-but-lost frames the respawned peer cannot reconstruct:
-    // every logged MSG at or past its resume frontier re-enters the
-    // unacked set (deterministic ids make redundant deliveries dedup).
-    for (auto it = p.sent_log.begin(); it != p.sent_log.end();) {
-      if (tag_step(it->second.frame.tag) >= rj.frontier) {
-        Pending pend = std::move(it->second);
-        pend.due = now;
-        pend.injected_drop = false;  // its drop accounting already closed
-        p.unacked.insert_or_assign(it->first, std::move(pend));
-        it = p.sent_log.erase(it);
-      } else {
-        ++it;
-      }
-    }
     // If our BYE was already sent (or lost from the queue), the respawned
     // peer never saw it — make sure one reaches the new socket.
     if (p.bye_enqueued) {
@@ -323,13 +330,37 @@ void PeerMesh::handle_rejoin(Fd fd) {
     }
     // WELCOME must be the FIRST frame on the new socket — the dialer's
     // handshake read expects it before any replayed MSG.
-    Frame wf;
-    wf.type = FrameType::kWelcome;
-    wf.from = cfg_.rank;
-    wf.epoch = static_cast<std::uint8_t>(cfg_.epoch);
-    wf.payload = hello_payload(mine);
-    p.queued_bytes += kHeaderBytes + wf.payload.size();
-    p.queue.push_front(QueueItem{std::move(wf), false});
+    std::vector<QueueItem> head(1);
+    head[0].frame.type = FrameType::kWelcome;
+    head[0].frame.from = cfg_.rank;
+    head[0].frame.epoch = static_cast<std::uint8_t>(cfg_.epoch);
+    head[0].frame.payload = hello_payload(mine);
+    // Right behind it, what the dead socket may have taken with it: every
+    // unacked MSG that is neither still queued nor a held drop (both of
+    // those reach the new socket anyway)...
+    std::set<std::uint64_t> pending;
+    for (const QueueItem& qi : p.queue)
+      if (qi.frame.type == FrameType::kMsg) pending.insert(qi.frame.id);
+    for (const HeldDrop& d : p.drops) pending.insert(d.frame.id);
+    for (const auto& [id, frame] : p.unacked)
+      if (pending.count(id) == 0) head.push_back(QueueItem{frame, true});
+    // ...and every acked MSG logged at or past the respawn's resume
+    // frontier, which it cannot reconstruct (deterministic ids make
+    // redundant deliveries dedup).
+    for (auto it = p.sent_log.begin(); it != p.sent_log.end();) {
+      if (tag_step(it->second.tag) >= rj.frontier) {
+        Frame frame = std::move(it->second);
+        frame.flags &= static_cast<std::uint8_t>(~kFlagDropRetransmit);
+        head.push_back(QueueItem{frame, true});  // drop accounting closed
+        p.unacked.insert_or_assign(it->first, std::move(frame));
+        it = p.sent_log.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (const QueueItem& qi : head)
+      p.queued_bytes += kHeaderBytes + qi.frame.payload.size();
+    p.queue.insert(p.queue.begin(), head.begin(), head.end());
     p.state.store(static_cast<int>(PeerState::kConnected));
     p.stats.rejoins += 1;
     p.cv_send.notify_all();
@@ -348,17 +379,17 @@ void PeerMesh::start_session(Peer& p) {
   p.receiver = std::thread([this, &p] { receiver_loop(p); });
 }
 
-void PeerMesh::enqueue(Peer& p, Frame f, bool retransmit, bool control) {
+void PeerMesh::enqueue(Peer& p, Frame f, bool control) {
   f.epoch = static_cast<std::uint8_t>(cfg_.epoch);
   const std::size_t cost = kHeaderBytes + f.payload.size();
   std::unique_lock<std::mutex> lk(p.mu);
   if (!control) {
     // Backpressure: cap the bytes parked for one peer. Control frames
-    // (ACK/BYE/retransmits) bypass the cap so the receiver and RTO loops
-    // can never block behind a full data queue. A peer that is lost but
-    // still inside its rejoin window keeps accepting queued sends — they
-    // flow once the respawn's socket is swapped in; only a terminal
-    // failure (window expired / no window) throws.
+    // (ACK/BYE) bypass the cap so the receiver thread can never block
+    // behind a full data queue. A peer that is lost but still inside its
+    // rejoin window keeps accepting queued sends — they flow once the
+    // respawn's socket is swapped in; only a terminal failure (window
+    // expired / no window) throws.
     p.cv_space.wait(lk, [&] {
       return p.queued_bytes + cost <= kMaxQueueBytes ||
              closing_.load(std::memory_order_acquire) || p.failed;
@@ -369,7 +400,7 @@ void PeerMesh::enqueue(Peer& p, Frame f, bool retransmit, bool control) {
       throw Error("send to " + rank_str(p.rank) + ": connection lost");
   }
   p.queued_bytes += cost;
-  p.queue.push_back(QueueItem{std::move(f), retransmit});
+  p.queue.push_back(QueueItem{std::move(f)});
   p.cv_send.notify_one();
 }
 
@@ -387,23 +418,21 @@ void PeerMesh::send(int to, std::uint64_t tag, std::uint64_t id,
   f.tag = tag;
   f.payload = std::move(payload);
 
+  if (drop_first_send) f.flags |= kFlagDropRetransmit;
   {
     std::lock_guard<std::mutex> lk(p.mu);
-    Pending pend;
-    pend.frame = f;  // shares the payload buffer, no byte copy
-    const auto now = Clock::now();
-    pend.due = now + std::chrono::milliseconds(rto_for(p));
-    pend.sent_at = now;
-    pend.injected_drop = drop_first_send;
-    p.unacked.emplace(id, std::move(pend));
+    p.unacked.emplace(id, f);  // shares the payload buffer, no byte copy
+    // An injected drop suppresses only the FIRST transmission: the sender
+    // thread writes the one flagged copy kDropResendDelay later — a real
+    // drop recovered over a real wire.
+    if (drop_first_send) {
+      p.drops.push_back(HeldDrop{Clock::now() + kDropResendDelay, f});
+      p.cv_send.notify_one();
+      return;
+    }
   }
-  // An injected drop suppresses only the FIRST transmission: the frame
-  // stays unacked, so the RTO loop recovers it with a retransmission
-  // flagged kFlagDropRetransmit — a real drop recovered over a real wire.
-  if (!drop_first_send) {
-    if (duplicate) enqueue(p, f, /*retransmit=*/false, /*control=*/false);
-    enqueue(p, std::move(f), /*retransmit=*/false, /*control=*/false);
-  }
+  if (duplicate) enqueue(p, f, /*control=*/false);
+  enqueue(p, std::move(f), /*control=*/false);
 }
 
 void PeerMesh::sender_loop(Peer& p) {
@@ -411,20 +440,29 @@ void PeerMesh::sender_loop(Peer& p) {
     QueueItem item;
     {
       std::unique_lock<std::mutex> lk(p.mu);
-      p.cv_send.wait(lk, [&] {
-        return !p.queue.empty() ||
-               closing_.load(std::memory_order_acquire) ||
-               p.state.load() == static_cast<int>(PeerState::kLost);
-      });
-      if (closing_.load(std::memory_order_acquire)) return;
-      // Leave the queue intact on loss: a rejoin swap restarts a fresh
-      // sender that drains it onto the new socket.
-      if (p.state.load() == static_cast<int>(PeerState::kLost)) return;
-      item = std::move(p.queue.front());
-      p.queue.pop_front();
-      p.queued_bytes -= kHeaderBytes + item.frame.payload.size();
-      p.cv_space.notify_all();
-      p.cv_state.notify_all();
+      for (;;) {
+        if (closing_.load(std::memory_order_acquire)) return;
+        // Leave the queue and the held drops intact on loss: a rejoin swap
+        // restarts a fresh sender that writes them onto the new socket.
+        if (p.state.load() == static_cast<int>(PeerState::kLost)) return;
+        if (!p.drops.empty() && p.drops.front().due <= Clock::now()) {
+          item = QueueItem{std::move(p.drops.front().frame), true};
+          p.drops.pop_front();
+          break;
+        }
+        if (!p.queue.empty()) {
+          item = std::move(p.queue.front());
+          p.queue.pop_front();
+          p.queued_bytes -= kHeaderBytes + item.frame.payload.size();
+          p.cv_space.notify_all();
+          p.cv_state.notify_all();
+          break;
+        }
+        if (p.drops.empty())
+          p.cv_send.wait(lk);
+        else
+          p.cv_send.wait_until(lk, p.drops.front().due);
+      }
     }
     // Zero-copy write: the 32-byte header lives on the stack, the payload
     // goes straight from its shared buffer to the socket. No per-frame
@@ -520,7 +558,7 @@ void PeerMesh::dispatch(Peer& p, Frame f) {
       ack.type = FrameType::kAck;
       ack.from = cfg_.rank;
       ack.id = f.id;
-      enqueue(p, std::move(ack), /*retransmit=*/false, /*control=*/true);
+      enqueue(p, std::move(ack), /*control=*/true);
       rt::dist::Envelope env;
       env.id = f.id;
       env.tag = f.tag;
@@ -534,14 +572,6 @@ void PeerMesh::dispatch(Peer& p, Frame f) {
     case FrameType::kAck: {
       std::lock_guard<std::mutex> lk(p.mu);
       if (auto it = p.unacked.find(f.id); it != p.unacked.end()) {
-        // Karn's rule: only a frame that was never retransmitted yields an
-        // unambiguous round trip. Injected drops are excluded too — their
-        // first "transmission" never left this process.
-        if (!it->second.retransmitted && !it->second.injected_drop) {
-          const std::chrono::duration<double, std::milli> rtt =
-              Clock::now() - it->second.sent_at;
-          p.rtt.sample(rtt.count());
-        }
         if (cfg_.rejoin_window_ms > 0) {
           // Retain the acked frame for rejoin replay: a respawned peer
           // cannot re-request data it acked before crashing.
@@ -570,50 +600,6 @@ void PeerMesh::dispatch(Peer& p, Frame f) {
   }
 }
 
-void PeerMesh::rto_loop() {
-  const auto rto = std::chrono::milliseconds(std::max<long long>(
-      1, cfg_.rto_ms));
-  while (!closing_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(rto / 2 + std::chrono::milliseconds(1));
-    const auto now = Clock::now();
-    for (auto& up : peers_) {
-      if (!up) continue;
-      Peer& p = *up;
-      std::string expired;
-      {
-        std::lock_guard<std::mutex> lk(p.mu);
-        if (p.state.load() == static_cast<int>(PeerState::kLost)) {
-          // The RTO thread doubles as the rejoin-window timer: once the
-          // window passes with no rejoin, the loss becomes terminal and
-          // blocked receivers fail exactly as they would without a window.
-          if (!p.failed && cfg_.rejoin_window_ms > 0 &&
-              now >= p.lost_at +
-                         std::chrono::milliseconds(cfg_.rejoin_window_ms)) {
-            p.failed = true;
-            expired = p.lost_reason + " (no rejoin within " +
-                      std::to_string(cfg_.rejoin_window_ms) + " ms)";
-            p.cv_space.notify_all();
-            p.cv_state.notify_all();
-          }
-        } else {
-          for (auto& [id, pend] : p.unacked) {
-            if (pend.due > now) continue;
-            pend.due = now + std::chrono::milliseconds(rto_for(p));
-            pend.retransmitted = true;  // Karn: its ack is now ambiguous
-            Frame copy = pend.frame;    // payload buffer shared, not copied
-            if (pend.injected_drop) copy.flags |= kFlagDropRetransmit;
-            p.queued_bytes += kHeaderBytes + copy.payload.size();
-            p.queue.push_back(
-                QueueItem{std::move(copy), /*retransmit=*/true});
-            p.cv_send.notify_one();
-          }
-        }
-      }
-      if (!expired.empty()) inbox_.fail(expired);
-    }
-  }
-}
-
 void PeerMesh::mark_lost(Peer& p, const std::string& why) {
   bool fail_now;
   {
@@ -622,9 +608,9 @@ void PeerMesh::mark_lost(Peer& p, const std::string& why) {
     p.state.store(static_cast<int>(PeerState::kLost));
     p.lost_at = Clock::now();
     p.lost_reason = why;
-    // Without a rejoin window the loss is immediately terminal (today's
-    // behavior); with one, the slot stays open and the RTO loop escalates
-    // only if no rejoin lands in time.
+    // Without a rejoin window the loss is immediately terminal; with one,
+    // the slot stays open and the accept loop escalates only if no rejoin
+    // lands in time.
     fail_now = cfg_.rejoin_window_ms <= 0;
     if (fail_now) p.failed = true;
     p.cv_send.notify_all();
@@ -640,24 +626,6 @@ rt::dist::PeerState PeerMesh::peer_state(int peer) const {
     return PeerState::kConnected;
   return static_cast<PeerState>(
       peers_[static_cast<std::size_t>(peer)]->state.load());
-}
-
-double PeerMesh::peer_srtt_ms(int peer) const {
-  if (peer < 0 || peer >= cfg_.nranks || peer == cfg_.rank ||
-      !peers_[static_cast<std::size_t>(peer)])
-    return 0.0;
-  Peer& p = *peers_[static_cast<std::size_t>(peer)];
-  std::lock_guard<std::mutex> lk(p.mu);
-  return p.rtt.srtt_ms();
-}
-
-long long PeerMesh::peer_rto_ms(int peer) const {
-  if (peer < 0 || peer >= cfg_.nranks || peer == cfg_.rank ||
-      !peers_[static_cast<std::size_t>(peer)])
-    return cfg_.rto_ms;
-  Peer& p = *peers_[static_cast<std::size_t>(peer)];
-  std::lock_guard<std::mutex> lk(p.mu);
-  return rto_for(p);
 }
 
 int PeerMesh::peer_epoch(int peer) const {
@@ -733,7 +701,7 @@ void PeerMesh::begin_drain() {
     Frame bye;
     bye.type = FrameType::kBye;
     bye.from = cfg_.rank;
-    enqueue(p, std::move(bye), /*retransmit=*/false, /*control=*/true);
+    enqueue(p, std::move(bye), /*control=*/true);
   }
   if (!lost.empty()) {
     std::string all = lost.front();
@@ -779,7 +747,8 @@ void PeerMesh::close() {
   closing_.store(true, std::memory_order_release);
   // The accept loop must settle first: an in-flight rejoin swap may be
   // reassigning session threads, and it finishes in bounded time once
-  // closing_ is set.
+  // closing_ is set. Shutting the listener down wakes its wait at once.
+  listener_.shutdown_both();
   if (accept_.joinable()) accept_.join();
   for (auto& up : peers_) {
     if (!up) continue;
@@ -794,7 +763,6 @@ void PeerMesh::close() {
     if (up->sender.joinable()) up->sender.join();
     if (up->receiver.joinable()) up->receiver.join();
   }
-  if (rto_.joinable()) rto_.join();
   listener_.reset();
   joined_ = true;
 }

@@ -7,16 +7,17 @@
 //   * one sender thread per peer draining a bounded byte queue
 //     (backpressure: a send blocks while the peer's queue is over budget);
 //   * one receiver thread per peer feeding decoded MSG frames straight
-//     into the rank's Mailbox, so dedup / retransmit accounting / deadline
-//     recv run unchanged over the wire;
-//   * positive acks + a retransmit (RTO) loop — every MSG is held until
-//     the peer acks its id; unacked frames are resent on a timer. The
-//     timeout adapts per link: acks of first transmissions feed a
-//     Jacobson/Karels RTT estimator (net/rtt.hpp, Karn's rule excludes
-//     retransmitted frames) unless PTLR_NET_RTO_MS pins it. An
-//     injected drop (resilience fault) suppresses only the FIRST
-//     transmission, so recovery exercises a real retransmission on a real
-//     wire; receivers dedup by envelope id as always;
+//     into the rank's Mailbox, so dedup / drop-recovery accounting /
+//     deadline recv run unchanged over the wire;
+//   * positive acks — every MSG is held until the peer acks its id, so
+//     flush() before a checkpoint and drain() know what has arrived. A
+//     connected UDS/TCP stream delivers every written frame once and in
+//     order, so nothing is resent on a timer; only two paths resend. An
+//     injected drop (resilience fault) suppresses the first transmission,
+//     and the peer's sender thread writes the one copy, flagged
+//     kFlagDropRetransmit, kDropResendDelay later: a real drop recovered
+//     over a real wire. A rejoin (below) resends what the dead socket
+//     took with it. Receivers dedup by envelope id as always;
 //   * zero-copy frames — a payload is a refcounted immutable Bytes
 //     buffer; queue, unacked set, rejoin sent log, and duplicates all
 //     share it, and the sender writes header and payload separately so no
@@ -31,14 +32,16 @@
 //
 // Rank-death recovery (PTLR_NET_REJOIN_MS > 0): instead of failing the
 // mailbox on loss, survivors hold the lost peer's slot open for a bounded
-// rejoin window and run an accept loop on their listener. A respawned rank
-// (PTLR_EPOCH > 0) re-dials every peer with a REJOIN frame carrying the
-// HELLO fields, its new session epoch, and the task frontier it resumes
-// from. The survivor re-runs the HELLO validation, requires the epoch to
-// advance by exactly one (regressions and skips are rejected), swaps the
-// socket under the peer lock, replays acked-but-lost MSG frames at or past
-// the frontier from a per-peer sent log, answers WELCOME, and fences the
-// mailbox so stale pre-crash envelopes are discarded by epoch. If the
+// rejoin window and run an accept loop on their listener, which also
+// expires the window. A respawned rank (PTLR_EPOCH > 0) re-dials every
+// peer with a REJOIN frame carrying the HELLO fields, its new session
+// epoch, and the task frontier it resumes from. The survivor re-runs the
+// HELLO validation, requires the epoch to advance by exactly one
+// (regressions and skips are rejected), swaps the socket under the peer
+// lock, answers WELCOME and queues right behind it every frame the dead
+// socket may have lost: each unacked MSG it had written, and each acked
+// MSG at or past the frontier from a per-peer sent log. It then fences
+// the mailbox so stale pre-crash envelopes are discarded by epoch. If the
 // window expires first, behavior degrades to the orderly failure above.
 #pragma once
 
@@ -54,7 +57,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "net/rtt.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "runtime/mailbox.hpp"
@@ -69,6 +71,7 @@ struct PeerWireStats {
   long long bytes_sent = 0;
   long long msgs_recv = 0;
   long long bytes_recv = 0;
+  /// MSG frames written again: injected-drop resends and rejoin resends.
   long long retransmits = 0;
   /// Frames from a stale session epoch discarded by the dispatch fence.
   long long stale_frames = 0;
@@ -99,7 +102,8 @@ class PeerMesh {
   /// copy, the rejoin sent-log copy, and an injected duplicate all share
   /// ONE buffer — a broadcast serializes its tile exactly once.
   /// `drop_first_send` suppresses the initial transmission (injected
-  /// drop: the RTO loop recovers it with a flagged retransmission);
+  /// drop: the sender thread writes one flagged copy kDropResendDelay
+  /// later);
   /// `duplicate` transmits the frame twice (receiver dedups by id).
   void send(int to, std::uint64_t tag, std::uint64_t id, Bytes payload,
             bool drop_first_send = false, bool duplicate = false);
@@ -127,18 +131,9 @@ class PeerMesh {
   /// or on a deadline pass.
   void flush();
 
-  /// Smoothed RTT the adaptive RTO tracks for `peer`, in ms (test hook;
-  /// 0 before the first sample).
-  [[nodiscard]] double peer_srtt_ms(int peer) const;
-
-  /// Effective retransmit timeout for `peer` right now (test hook): the
-  /// fixed cfg value under PTLR_NET_RTO_MS, the adaptive estimate
-  /// otherwise.
-  [[nodiscard]] long long peer_rto_ms(int peer) const;
-
-  /// Abrupt teardown: shut every socket down and join the session
-  /// threads. Peers observe EOF-without-BYE and mark this rank lost.
-  /// Idempotent; also run by the destructor.
+  /// Abrupt teardown: shut the listener and every socket down and join
+  /// the session threads. Peers observe EOF-without-BYE and mark this
+  /// rank lost. Idempotent; also run by the destructor.
   void close();
 
   [[nodiscard]] PeerWireStats peer_stats(int peer) const;
@@ -152,15 +147,10 @@ class PeerMesh {
     Frame frame;
     bool retransmit = false;
   };
-  struct Pending {
-    Frame frame;
+  /// The flagged copy of an injected drop, written at `due`.
+  struct HeldDrop {
     std::chrono::steady_clock::time_point due;
-    /// When the frame FIRST hit the send path — the RTT sample an ack
-    /// yields, valid only while `retransmitted` stays false (Karn's rule:
-    /// an ack after a retransmission cannot be attributed).
-    std::chrono::steady_clock::time_point sent_at;
-    bool retransmitted = false;
-    bool injected_drop = false;
+    Frame frame;
   };
   struct Peer {
     int rank = -1;
@@ -173,7 +163,11 @@ class PeerMesh {
     std::condition_variable cv_state;  ///< drain: acks/queue/bye progress
     std::deque<QueueItem> queue;
     std::size_t queued_bytes = 0;
-    std::map<std::uint64_t, Pending> unacked;
+    /// Injected drops awaiting their one resend, in `due` order.
+    std::deque<HeldDrop> drops;
+    /// Every MSG sent or held as a drop, until its ack arrives. An
+    /// injected drop's entry carries kFlagDropRetransmit.
+    std::map<std::uint64_t, Frame> unacked;
     /// Acked MSG frames retained for rejoin replay (only populated while
     /// a rejoin window is configured). A respawned peer cannot recover
     /// remote tiles it already acked before the crash — the survivor
@@ -181,7 +175,7 @@ class PeerMesh {
     /// deterministic message ids make the replay exactly-once. The log is
     /// unbounded within one factorization — the documented memory cost of
     /// enabling recovery.
-    std::map<std::uint64_t, Pending> sent_log;
+    std::map<std::uint64_t, Frame> sent_log;
     /// Stream decoder; seeded during the handshake so bytes the HELLO read
     /// over-consumed (an eager peer's first MSG) are not lost.
     FrameDecoder decoder;
@@ -202,9 +196,6 @@ class PeerMesh {
     bool failed = false;
     std::atomic<int> state{static_cast<int>(rt::dist::PeerState::kConnected)};
     PeerWireStats stats;  // guarded by mu
-    /// Per-link smoothed RTT feeding the adaptive RTO (guarded by mu);
-    /// seeded from cfg.rto_ms, sampled on first-transmission acks only.
-    RttEstimator rtt;
   };
 
   Frame handshake_read(int fd, FrameDecoder& dec,
@@ -219,21 +210,19 @@ class PeerMesh {
   void dispatch(Peer& p, Frame f);
   void sender_loop(Peer& p);
   void receiver_loop(Peer& p);
-  void rto_loop();
   void accept_loop();
+  /// Fail every peer whose rejoin window has passed without a rejoin.
+  void expire_rejoin_windows();
   void handle_rejoin(Fd fd);
   void rejoin_connect(std::chrono::steady_clock::time_point dl);
-  void enqueue(Peer& p, Frame f, bool retransmit, bool control);
+  void enqueue(Peer& p, Frame f, bool control);
   void mark_lost(Peer& p, const std::string& why);
   [[nodiscard]] std::chrono::milliseconds drain_deadline() const;
-  /// Effective RTO for one peer; call with p.mu held.
-  [[nodiscard]] long long rto_for(const Peer& p) const;
 
   NetConfig cfg_;
   rt::dist::Mailbox& inbox_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< index = rank; self null
   Fd listener_;
-  std::thread rto_;
   std::thread accept_;
   std::mutex lifecycle_mu_;
   std::atomic<bool> closing_{false};

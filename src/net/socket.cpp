@@ -81,12 +81,6 @@ NetConfig NetConfig::from_env() {
              "PTLR_NET tcp base port " + std::to_string(cfg.port) +
                  " leaves no port for rank " + std::to_string(cfg.nranks - 1));
   cfg.connect_timeout_ms = *knobs::integer("PTLR_NET_TIMEOUT_MS");
-  // An explicit PTLR_NET_RTO_MS pins the timeout (the pre-adaptive
-  // contract); otherwise the 25 ms default only seeds the RTT estimator.
-  if (const auto rto = knobs::integer("PTLR_NET_RTO_MS")) {
-    cfg.rto_ms = *rto;
-    cfg.rto_fixed = true;
-  }
   cfg.epoch = *knobs::integer("PTLR_EPOCH");
   cfg.rejoin_window_ms = *knobs::integer("PTLR_NET_REJOIN_MS");
   return cfg;
@@ -160,9 +154,9 @@ Fd accept_endpoint(const Fd& listener,
              "rendezvous timeout waiting for an inbound peer connection");
   Fd fd(::accept(listener.get(), nullptr, nullptr));
   PTLR_CHECK(fd.valid(), "accept() failed: " + std::string(strerror(errno)));
-  // Acks must not sit in Nagle's buffer: a delayed ACK past the RTO reads
-  // as a loss and triggers spurious retransmissions. A no-op (rejected
-  // option) on AF_UNIX sockets.
+  // Acks must not sit in Nagle's buffer: a delayed ACK stalls every
+  // flush() and drain() waiting on it. A no-op (rejected option) on
+  // AF_UNIX sockets.
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;

@@ -58,20 +58,14 @@ struct NetConfig {
   int rank = -1;
   int nranks = 0;
   long long connect_timeout_ms = 15000;  ///< rendezvous/drain deadline
-  /// Retransmit timeout seed. Unless rto_fixed, this only initializes the
-  /// per-peer RTT estimator (net/rtt.hpp) and the effective timeout adapts
-  /// to ACK round trips; with rto_fixed it is the timeout, verbatim.
-  long long rto_ms = 25;
-  /// Set when PTLR_NET_RTO_MS was given explicitly: disables adaptation.
-  bool rto_fixed = false;
   /// Session epoch of THIS process: 0 for a first launch, the restart
   /// count for a respawned rank (the launcher sets PTLR_EPOCH). A nonzero
   /// epoch makes connect() REJOIN-dial every peer instead of running the
   /// initial rendezvous.
   int epoch = 0;
   /// How long survivors hold a lost peer's slot open for a rejoin before
-  /// failing the mailbox. 0 (the default) keeps today's behavior: a lost
-  /// peer fails blocked receivers immediately.
+  /// failing the mailbox. 0 (the default): a lost peer fails blocked
+  /// receivers immediately.
   long long rejoin_window_ms = 0;
   /// Task frontier a respawned rank resumes from (carried in REJOIN so
   /// survivors replay acked-but-lost frames at or past it). Set by the
@@ -79,8 +73,8 @@ struct NetConfig {
   std::uint64_t rejoin_frontier = 0;
 
   /// Parse PTLR_NET ("uds:<dir>" | "tcp:<host>:<base_port>"), PTLR_RANK,
-  /// PTLR_NRANKS, and the optional PTLR_NET_TIMEOUT_MS / PTLR_NET_RTO_MS /
-  /// PTLR_EPOCH / PTLR_NET_REJOIN_MS (common/knobs.hpp). Throws
+  /// PTLR_NRANKS, and the optional PTLR_NET_TIMEOUT_MS / PTLR_EPOCH /
+  /// PTLR_NET_REJOIN_MS (common/knobs.hpp). Throws
   /// ptlr::Error on missing or malformed values.
   static NetConfig from_env();
 

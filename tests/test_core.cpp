@@ -1319,12 +1319,10 @@ TEST(DistributedCholesky, NonSpdInputAbortsAllRanksCleanly) {
 #include "core/placement.hpp"
 #include "net/loopback.hpp"
 #include "resilience/watchdog.hpp"
-#include "support/scoped_env.hpp"
 #include "tlr/io.hpp"
 
 namespace {
 
-using ptlr::testing::ScopedEnv;
 using rt::dist::make_tag;
 
 }  // namespace
@@ -1445,32 +1443,6 @@ TEST(Placement, SingleRankCostsNothingAndKeepsBand) {
   EXPECT_EQ(choice.kind, core::PlacementKind::kHybridBand);  // tie → band
 }
 
-TEST(Placement, EnvParamsMustComeTogether) {
-  {
-    const ScopedEnv a("PTLR_MESH_ALPHA", nullptr);
-    const ScopedEnv b("PTLR_MESH_BETA", nullptr);
-    EXPECT_FALSE(core::MeshParams::from_env().has_value());
-  }
-  {
-    const ScopedEnv a("PTLR_MESH_ALPHA", "1e-6");
-    const ScopedEnv b("PTLR_MESH_BETA", nullptr);
-    EXPECT_THROW(core::MeshParams::from_env(), ptlr::Error);
-  }
-  {
-    const ScopedEnv a("PTLR_MESH_ALPHA", "1e-6");
-    const ScopedEnv b("PTLR_MESH_BETA", "2.5e-10");
-    const auto p = core::MeshParams::from_env();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_DOUBLE_EQ(p->alpha_seconds, 1e-6);
-    EXPECT_DOUBLE_EQ(p->beta_seconds_per_byte, 2.5e-10);
-  }
-  for (const char* bad : {"banana", "inf", "nan", "0"}) {
-    const ScopedEnv a("PTLR_MESH_ALPHA", bad);
-    const ScopedEnv b("PTLR_MESH_BETA", "2.5e-10");
-    EXPECT_THROW(core::MeshParams::from_env(), ptlr::Error) << bad;
-  }
-}
-
 // Four ranks negotiate over a loopback mesh: the probe measures the
 // loopback α/β, rank 0 decides, and every rank must come back with the
 // identical choice and parameters.
@@ -1486,8 +1458,6 @@ TEST(Placement, NegotiationAgreesAcrossRanks) {
   prob.band = 2;
   prob.nranks = kRanks;
 
-  const ScopedEnv a("PTLR_MESH_ALPHA", nullptr);
-  const ScopedEnv b("PTLR_MESH_BETA", nullptr);
   std::vector<core::PlacementChoice> choices(kRanks);
   std::vector<std::thread> ranks;
   for (int r = 0; r < kRanks; ++r)

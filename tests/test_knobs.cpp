@@ -21,7 +21,6 @@
 #include "common/knobs.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dist_cholesky.hpp"
-#include "core/placement.hpp"
 #include "net/socket.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/watchdog.hpp"
@@ -74,11 +73,8 @@ std::vector<std::string> real_outside(double lo, double hi) {
 NumberCase row_case(std::string label, const char* knob, std::string valid,
                     Reader read) {
   const knobs::Knob& k = knobs::knob(knob);
-  const bool real = k.kind == knobs::Kind::kReal;
-  return {std::move(label), knob, real, std::move(valid),
-          real ? real_outside(k.min_real, k.max_real)
-               : int_outside(k.min, k.max),
-          std::move(read)};
+  return {std::move(label), knob, false, std::move(valid),
+          int_outside(k.min, k.max), std::move(read)};
 }
 
 // NetConfig::from_env on a two-rank UDS mesh, with `name` set to `text`.
@@ -110,22 +106,8 @@ std::vector<NumberCase> number_cases() {
                }),
       row_case("NetTimeout", "PTLR_NET_TIMEOUT_MS", "15000",
                net_reader("PTLR_NET_TIMEOUT_MS")),
-      row_case("NetRto", "PTLR_NET_RTO_MS", "25",
-               net_reader("PTLR_NET_RTO_MS")),
       row_case("NetRejoin", "PTLR_NET_REJOIN_MS", "20000",
                net_reader("PTLR_NET_REJOIN_MS")),
-      row_case("MeshAlpha", "PTLR_MESH_ALPHA", "1e-6",
-               [](const std::string& text) {
-                 const ScopedEnv a("PTLR_MESH_ALPHA", text.c_str()),
-                     b("PTLR_MESH_BETA", "2.5e-10");
-                 (void)core::MeshParams::from_env();
-               }),
-      row_case("MeshBeta", "PTLR_MESH_BETA", "2.5e-10",
-               [](const std::string& text) {
-                 const ScopedEnv a("PTLR_MESH_ALPHA", "1e-6"),
-                     b("PTLR_MESH_BETA", text.c_str());
-                 (void)core::MeshParams::from_env();
-               }),
       row_case("PerturbSeed", "PTLR_PERTURB_SEED", "18446744073709551615",
                [](const std::string& text) {
                  const ScopedEnv seed("PTLR_PERTURB_SEED", text.c_str());
@@ -253,10 +235,6 @@ TEST(Knobs, EmptyIsUnsetForEveryRow) {
       case knobs::Kind::kInteger: {
         const auto v = knobs::integer(k.name);
         return v ? std::to_string(*v) : "none";
-      }
-      case knobs::Kind::kReal: {
-        const auto v = knobs::real(k.name);
-        return v ? show(*v) : "none";
       }
       case knobs::Kind::kFlag: return knobs::flag(k.name) ? "on" : "off";
       case knobs::Kind::kText: return knobs::text(k.name);

@@ -11,12 +11,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "net/loopback.hpp"
 #include "net/peer_mesh.hpp"
@@ -59,7 +61,6 @@ net::NetConfig uds_config(const std::string& dir, int rank, int nranks) {
   cfg.rank = rank;
   cfg.nranks = nranks;
   cfg.connect_timeout_ms = 10000;
-  cfg.rto_ms = 10;
   return cfg;
 }
 
@@ -384,6 +385,46 @@ TEST(Handshake, MeshSizeMismatchIsRejected) {
   remove_mesh_dir(dir, 2);
 }
 
+// A connected stream delivers every frame written to it, so a live link
+// resends nothing, however long the ack takes. A fake rank 0 answers the
+// HELLO, then reads for ~200 ms without ever acking the one MSG sent.
+TEST(Handshake, LiveLinkNeverResendsAWrittenFrame) {
+  using Clock = std::chrono::steady_clock;
+  const std::string dir = make_mesh_dir();
+  net::Fd listener = net::listen_endpoint(uds_config(dir, 0, 2));
+  int copies = 0;
+  std::thread fake([&] {
+    net::Fd conn = net::accept_endpoint(
+        listener, Clock::now() + std::chrono::seconds(10));
+    const auto hello = net::encode_hello(
+        net::Hello{net::kProtocolVersion, 2, net::build_hash()}, 0);
+    FrameDecoder dec;
+    char buf[4096];
+    auto until = Clock::now() + std::chrono::seconds(10);
+    while (net::wait_readable(conn.get(), until)) {
+      const long r = net::recv_some(conn.get(), buf, sizeof(buf));
+      if (r <= 0) break;
+      dec.feed(buf, static_cast<std::size_t>(r));
+      while (auto f = dec.next()) {
+        if (f->type == FrameType::kHello)
+          net::send_all(conn.get(), hello.data(), hello.size());
+        if (f->type == FrameType::kMsg && copies++ == 0)
+          until = Clock::now() + std::chrono::milliseconds(200);
+      }
+    }
+  });
+
+  rt::dist::Mailbox inbox(1, watchdog_ms(10000));
+  net::PeerMesh mesh(uds_config(dir, 1, 2), inbox);
+  mesh.connect();
+  mesh.send(0, make_tag(0, 1, 0, 0), /*id=*/42, Bytes(std::vector<char>{'t'}));
+  fake.join();
+  EXPECT_EQ(copies, 1);
+  EXPECT_EQ(mesh.peer_stats(0).retransmits, 0);
+  mesh.close();
+  remove_mesh_dir(dir, 2);
+}
+
 // --------------------------------------------- in-process socket meshes
 
 TEST(SocketMesh, TwoEndpointsExchangePayloads) {
@@ -472,9 +513,10 @@ TEST(SocketMesh, InjectedDropsRecoverViaRealRetransmission) {
     EXPECT_GT(dropped, 0) << "seed 7 at 50% must drop something";
     EXPECT_EQ(dropped, recovered)
         << "every injected drop must be recovered by a flagged retransmit";
-    EXPECT_GE(wire.retransmits, dropped);
-    EXPECT_EQ(wire.msgs_sent, kMsgs - dropped + wire.retransmits)
-        << "wire frames = surviving first transmissions + retransmissions";
+    EXPECT_EQ(wire.retransmits, dropped)
+        << "an injected drop is resent exactly once, nothing else is";
+    EXPECT_EQ(wire.msgs_sent, kMsgs)
+        << "wire frames = surviving first transmissions + one resend each";
   }
 }
 
@@ -725,11 +767,35 @@ TEST(SocketMesh, RejoinWindowExpiryDegradesToOrderlyFailure) {
   remove_mesh_dir(dir, 2);
 }
 
+// Closing an endpoint waits on no timer: after a drain, each endpoint of a
+// mesh with a rejoin window closes at once, because shutting its listener
+// down wakes the accept loop.
+TEST(SocketMesh, DrainedEndpointsWithRejoinWindowCloseAtOnce) {
+  const std::string dir = make_mesh_dir();
+  {
+    RecoverySet set(dir, 2);
+    std::thread d([&] { set.t[1]->drain(); });
+    set.t[0]->drain();
+    d.join();
+    for (auto& t : set.t) {
+      const auto start = std::chrono::steady_clock::now();
+      t.reset();
+      EXPECT_LT(std::chrono::steady_clock::now() - start,
+                std::chrono::milliseconds(100));
+    }
+  }
+  remove_mesh_dir(dir, 2);
+}
+
 TEST(SocketMesh, DrainNamesEveryLostPeer) {
   net::LoopbackMesh mesh = quiet_mesh(3);
-  // Both peers of rank 0 die hard, in either order.
+  // Both peers of rank 0 die hard, in either order. abort() returns before
+  // rank 0 reads the EOFs, so wait until it has seen both losses: drain
+  // can name only a loss it has observed.
   mesh[1].abort();
   mesh[2].abort();
+  wait_for_lost(mesh[0], 1);
+  wait_for_lost(mesh[0], 2);
   std::string what;
   try {
     mesh[0].drain();
@@ -802,99 +868,6 @@ TEST(Mailbox, MultipleFailuresSurfaceTheCount) {
       << what;
 }
 
-// ----------------------------------------------------------- adaptive RTO
-
-TEST(Rtt, SeedHoldsUntilFirstSample) {
-  net::RttEstimator e;
-  EXPECT_EQ(e.rto_ms(), 25);
-  EXPECT_EQ(e.samples(), 0);
-  net::RttEstimator custom(60.0);
-  EXPECT_EQ(custom.rto_ms(), 60);
-}
-
-TEST(Rtt, FirstSampleFollowsRfc6298Init) {
-  net::RttEstimator e;
-  e.sample(100.0);
-  EXPECT_DOUBLE_EQ(e.srtt_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(e.rttvar_ms(), 50.0);
-  EXPECT_EQ(e.rto_ms(), 300);  // srtt + 4·rttvar
-  EXPECT_EQ(e.samples(), 1);
-}
-
-TEST(Rtt, ConvergesToASteadyRtt) {
-  net::RttEstimator e;
-  for (int i = 0; i < 200; ++i) e.sample(10.0);
-  EXPECT_NEAR(e.srtt_ms(), 10.0, 1e-9);
-  EXPECT_NEAR(e.rttvar_ms(), 0.0, 1e-9);
-  EXPECT_EQ(e.rto_ms(), 10);
-  EXPECT_EQ(e.samples(), 200);
-}
-
-TEST(Rtt, ClampsToConfiguredBounds) {
-  net::RttEstimator slow;
-  slow.sample(1e7);
-  EXPECT_EQ(slow.rto_ms(), 2000);
-
-  net::RttEstimator fast;
-  for (int i = 0; i < 200; ++i) fast.sample(0.01);
-  EXPECT_EQ(fast.rto_ms(), 5);
-
-  net::RttEstimator negative;
-  negative.sample(-3.0);  // clamped to zero, still within [min, max]
-  EXPECT_EQ(negative.rto_ms(), 5);
-}
-
-// Real traffic on a UDS pair feeds the estimator via acks of
-// first-transmission frames; the per-peer RTO follows the link instead of
-// the configured seed.
-TEST(SocketMesh, AdaptiveRtoSamplesAckedTraffic) {
-  net::LoopbackMesh mesh = quiet_mesh(2);
-  for (int i = 0; i < 5; ++i) {
-    mesh[0].send(1, make_tag(0, static_cast<std::uint32_t>(i), 0, 0),
-                 std::vector<char>{'r'});
-    (void)mesh[1].recv(make_tag(0, static_cast<std::uint32_t>(i), 0, 0), 0);
-  }
-  mesh[0].flush();  // every send acked => every first send sampled
-  EXPECT_GT(mesh[0].mesh().peer_srtt_ms(1), 0.0);
-  const long long rto = mesh[0].mesh().peer_rto_ms(1);
-  EXPECT_GE(rto, 5);
-  EXPECT_LE(rto, 2000);
-  drain_all(mesh);
-}
-
-// PTLR_NET_RTO_MS pins the timeout: with rto_fixed the per-peer RTO stays
-// at the configured value no matter what the link measures.
-TEST(SocketMesh, FixedRtoOverridesTheEstimator) {
-  const std::string dir = make_mesh_dir();
-  {
-    std::vector<std::unique_ptr<net::SocketTransport>> t(2);
-    std::vector<std::thread> builders;
-    for (int r = 0; r < 2; ++r)
-      builders.emplace_back([&, r] {
-        net::NetConfig cfg = uds_config(dir, r, 2);
-        cfg.rto_ms = 77;
-        cfg.rto_fixed = true;
-        t[static_cast<std::size_t>(r)] =
-            std::make_unique<net::SocketTransport>(
-                cfg, rt::PerturbConfig{}, resil::FaultConfig{},
-                watchdog_ms(20000));
-      });
-    for (auto& b : builders) b.join();
-    for (int i = 0; i < 5; ++i) {
-      t[0]->send(1, make_tag(0, static_cast<std::uint32_t>(i), 0, 0),
-                 std::vector<char>{'f'});
-      (void)t[1]->recv(make_tag(0, static_cast<std::uint32_t>(i), 0, 0), 0);
-    }
-    t[0]->flush();
-    EXPECT_GT(t[0]->mesh().peer_srtt_ms(1), 0.0);  // still measured
-    EXPECT_EQ(t[0]->mesh().peer_rto_ms(1), 77);    // but not used
-    std::vector<std::thread> drains;
-    for (auto& p : t) drains.emplace_back([&p] { p->drain(); });
-    for (auto& th : drains) th.join();
-  }
-  remove_mesh_dir(dir, 2);
-}
-
 // ----------------------------------------------- PTLR_NET port parsing ----
 
 namespace {
@@ -914,17 +887,13 @@ std::string net_config_error(const std::string& net, int nranks) {
 }  // namespace
 
 TEST(NetConfig, TcpSpecParsesHostAndBasePort) {
-  // An empty PTLR_NET_RTO_MS is unset: the RTO stays adaptive.
   const ScopedEnv spec("PTLR_NET", "tcp:127.0.0.1:39310"),
-      rank("PTLR_RANK", "0"), size("PTLR_NRANKS", "4"),
-      rto("PTLR_NET_RTO_MS", "");
+      rank("PTLR_RANK", "0"), size("PTLR_NRANKS", "4");
   const net::NetConfig cfg = net::NetConfig::from_env();
   EXPECT_EQ(cfg.kind, net::NetConfig::Kind::kTcp);
   EXPECT_EQ(cfg.host, "127.0.0.1");
   EXPECT_EQ(cfg.port, 39310);
   EXPECT_EQ(cfg.endpoint_of(3), "127.0.0.1:39313");
-  EXPECT_FALSE(cfg.rto_fixed);
-  EXPECT_EQ(cfg.rto_ms, 25);
 }
 
 TEST(NetConfig, TcpPortMustBeAWholeNumberInRange) {
