@@ -3,7 +3,7 @@
 //
 // A tile is serialized exactly once (tlr::tile_to_bytes) into one Bytes;
 // every holder after that — the broadcast fan-out, the per-peer send
-// queues, the RTO retransmit set, the rejoin sent-log, the mailbox
+// queues, the unacked set, the rejoin sent-log, the mailbox
 // envelope — shares the same allocation through a shared_ptr to a const
 // vector. Immutability is what makes the sharing safe: a retransmission
 // and a fresh send can reference one buffer concurrently because nobody

@@ -22,12 +22,8 @@ namespace {
 /// queued for one peer.
 constexpr std::size_t kMaxQueueBytes = 64u << 20;
 
-/// How long after the suppressed send an injected drop's one flagged copy
-/// is written.
-constexpr std::chrono::milliseconds kDropResendDelay{5};
-
-/// Longest wait of the accept loop between two rejoin-window checks, and
-/// of a rejoin handshake read between two looks at `closing_`.
+/// Longest wait of the accept thread between two rejoin-window checks,
+/// and of a rejoin handshake read between two looks at `closing_`.
 constexpr std::chrono::milliseconds kAcceptPoll{200};
 
 std::string rank_str(int r) { return "rank " + std::to_string(r); }
@@ -77,10 +73,11 @@ Frame PeerMesh::rejoin_read(int fd, FrameDecoder& dec, Clock::time_point dl) {
     if (auto f = dec.next()) return std::move(*f);
     PTLR_CHECK(!closing_.load(std::memory_order_acquire),
                "rejoin: mesh is closing");
-    const auto now = Clock::now();
-    PTLR_CHECK(now < dl, "rejoin: timeout waiting for the REJOIN frame");
-    if (!wait_readable(fd, std::min(dl, now + kAcceptPoll)))
-      continue;
+    PTLR_CHECK(Clock::now() < dl,
+               "rejoin: timeout waiting for the REJOIN frame");
+    // This read runs on the accept thread: keep every other peer's rejoin
+    // window expiring on time while it waits.
+    if (!wait_readable(fd, std::min(dl, expire_rejoin_windows()))) continue;
     const long r = recv_some(fd, buf, sizeof(buf));
     if (r == 0)
       throw Error("rejoin: peer disconnected in the middle of the handshake");
@@ -204,10 +201,9 @@ void PeerMesh::rejoin_connect(Clock::time_point dl) {
 void PeerMesh::accept_loop() {
   // close() shuts the listener down, which wakes this wait at once.
   while (!closing_.load(std::memory_order_acquire)) {
-    const bool readable =
-        wait_readable(listener_.get(), Clock::now() + kAcceptPoll);
-    expire_rejoin_windows();
-    if (!readable || closing_.load(std::memory_order_acquire)) continue;
+    if (!wait_readable(listener_.get(), expire_rejoin_windows()) ||
+        closing_.load(std::memory_order_acquire))
+      continue;
     Fd fd(::accept(listener_.get(), nullptr, nullptr));
     if (!fd.valid()) continue;
     try {
@@ -221,19 +217,26 @@ void PeerMesh::accept_loop() {
   }
 }
 
-void PeerMesh::expire_rejoin_windows() {
+Clock::time_point PeerMesh::expire_rejoin_windows() {
+  const std::chrono::milliseconds window(cfg_.rejoin_window_ms);
   const auto now = Clock::now();
+  // A loss that begins after this check ends its window no sooner than one
+  // window length from now, so waking by then keeps its expiry on time.
+  auto next = now + std::min(kAcceptPoll, window);
   for (auto& up : peers_) {
     if (!up) continue;
     Peer& p = *up;
     std::string expired;
     {
       std::lock_guard<std::mutex> lk(p.mu);
+      if (p.state.load() != static_cast<int>(PeerState::kLost) || p.failed)
+        continue;
+      if (now < p.lost_at + window) {
+        next = std::min(next, p.lost_at + window);
+        continue;
+      }
       // Once the window passes with no rejoin, the loss becomes terminal
       // and blocked receivers fail exactly as they would without a window.
-      if (p.state.load() != static_cast<int>(PeerState::kLost) || p.failed ||
-          now < p.lost_at + std::chrono::milliseconds(cfg_.rejoin_window_ms))
-        continue;
       p.failed = true;
       expired = p.lost_reason + " (no rejoin within " +
                 std::to_string(cfg_.rejoin_window_ms) + " ms)";
@@ -242,6 +245,7 @@ void PeerMesh::expire_rejoin_windows() {
     }
     inbox_.fail(expired);
   }
+  return next;
 }
 
 void PeerMesh::handle_rejoin(Fd fd) {
@@ -271,8 +275,10 @@ void PeerMesh::handle_rejoin(Fd fd) {
     const auto lost_dl = Clock::now() + std::chrono::milliseconds(2000);
     while (p.state.load() != static_cast<int>(PeerState::kLost) &&
            Clock::now() < lost_dl &&
-           !closing_.load(std::memory_order_acquire))
+           !closing_.load(std::memory_order_acquire)) {
+      expire_rejoin_windows();
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     PTLR_CHECK(p.state.load() == static_cast<int>(PeerState::kLost),
                "rejoin: " + rank_str(f.from) + " is not lost");
     {
@@ -336,14 +342,13 @@ void PeerMesh::handle_rejoin(Fd fd) {
     head[0].frame.epoch = static_cast<std::uint8_t>(cfg_.epoch);
     head[0].frame.payload = hello_payload(mine);
     // Right behind it, what the dead socket may have taken with it: every
-    // unacked MSG that is neither still queued nor a held drop (both of
-    // those reach the new socket anyway)...
-    std::set<std::uint64_t> pending;
+    // unacked MSG that is not still queued (a queued one reaches the new
+    // socket anyway)...
+    std::set<std::uint64_t> queued;
     for (const QueueItem& qi : p.queue)
-      if (qi.frame.type == FrameType::kMsg) pending.insert(qi.frame.id);
-    for (const HeldDrop& d : p.drops) pending.insert(d.frame.id);
+      if (qi.frame.type == FrameType::kMsg) queued.insert(qi.frame.id);
     for (const auto& [id, frame] : p.unacked)
-      if (pending.count(id) == 0) head.push_back(QueueItem{frame, true});
+      if (queued.count(id) == 0) head.push_back(QueueItem{frame, true});
     // ...and every acked MSG logged at or past the respawn's resume
     // frontier, which it cannot reconstruct (deterministic ids make
     // redundant deliveries dedup).
@@ -379,7 +384,7 @@ void PeerMesh::start_session(Peer& p) {
   p.receiver = std::thread([this, &p] { receiver_loop(p); });
 }
 
-void PeerMesh::enqueue(Peer& p, Frame f, bool control) {
+void PeerMesh::enqueue(Peer& p, Frame f, bool control, bool retransmit) {
   f.epoch = static_cast<std::uint8_t>(cfg_.epoch);
   const std::size_t cost = kHeaderBytes + f.payload.size();
   std::unique_lock<std::mutex> lk(p.mu);
@@ -400,7 +405,7 @@ void PeerMesh::enqueue(Peer& p, Frame f, bool control) {
       throw Error("send to " + rank_str(p.rank) + ": connection lost");
   }
   p.queued_bytes += cost;
-  p.queue.push_back(QueueItem{std::move(f)});
+  p.queue.push_back(QueueItem{std::move(f), retransmit});
   p.cv_send.notify_one();
 }
 
@@ -422,17 +427,12 @@ void PeerMesh::send(int to, std::uint64_t tag, std::uint64_t id,
   {
     std::lock_guard<std::mutex> lk(p.mu);
     p.unacked.emplace(id, f);  // shares the payload buffer, no byte copy
-    // An injected drop suppresses only the FIRST transmission: the sender
-    // thread writes the one flagged copy kDropResendDelay later — a real
-    // drop recovered over a real wire.
-    if (drop_first_send) {
-      p.drops.push_back(HeldDrop{Clock::now() + kDropResendDelay, f});
-      p.cv_send.notify_one();
-      return;
-    }
   }
+  // An injected drop suppresses only the FIRST transmission: its one
+  // flagged resend is queued in its place, so the receiver counts the
+  // recovery and the sender counts one retransmit.
   if (duplicate) enqueue(p, f, /*control=*/false);
-  enqueue(p, std::move(f), /*control=*/false);
+  enqueue(p, std::move(f), /*control=*/false, /*retransmit=*/drop_first_send);
 }
 
 void PeerMesh::sender_loop(Peer& p) {
@@ -440,29 +440,20 @@ void PeerMesh::sender_loop(Peer& p) {
     QueueItem item;
     {
       std::unique_lock<std::mutex> lk(p.mu);
-      for (;;) {
-        if (closing_.load(std::memory_order_acquire)) return;
-        // Leave the queue and the held drops intact on loss: a rejoin swap
-        // restarts a fresh sender that writes them onto the new socket.
-        if (p.state.load() == static_cast<int>(PeerState::kLost)) return;
-        if (!p.drops.empty() && p.drops.front().due <= Clock::now()) {
-          item = QueueItem{std::move(p.drops.front().frame), true};
-          p.drops.pop_front();
-          break;
-        }
-        if (!p.queue.empty()) {
-          item = std::move(p.queue.front());
-          p.queue.pop_front();
-          p.queued_bytes -= kHeaderBytes + item.frame.payload.size();
-          p.cv_space.notify_all();
-          p.cv_state.notify_all();
-          break;
-        }
-        if (p.drops.empty())
-          p.cv_send.wait(lk);
-        else
-          p.cv_send.wait_until(lk, p.drops.front().due);
-      }
+      p.cv_send.wait(lk, [&] {
+        return !p.queue.empty() ||
+               closing_.load(std::memory_order_acquire) ||
+               p.state.load() == static_cast<int>(PeerState::kLost);
+      });
+      if (closing_.load(std::memory_order_acquire)) return;
+      // Leave the queue intact on loss: a rejoin swap restarts a fresh
+      // sender that drains it onto the new socket.
+      if (p.state.load() == static_cast<int>(PeerState::kLost)) return;
+      item = std::move(p.queue.front());
+      p.queue.pop_front();
+      p.queued_bytes -= kHeaderBytes + item.frame.payload.size();
+      p.cv_space.notify_all();
+      p.cv_state.notify_all();
     }
     // Zero-copy write: the 32-byte header lives on the stack, the payload
     // goes straight from its shared buffer to the socket. No per-frame

@@ -13,11 +13,10 @@
 //     flush() before a checkpoint and drain() know what has arrived. A
 //     connected UDS/TCP stream delivers every written frame once and in
 //     order, so nothing is resent on a timer; only two paths resend. An
-//     injected drop (resilience fault) suppresses the first transmission,
-//     and the peer's sender thread writes the one copy, flagged
-//     kFlagDropRetransmit, kDropResendDelay later: a real drop recovered
-//     over a real wire. A rejoin (below) resends what the dead socket
-//     took with it. Receivers dedup by envelope id as always;
+//     injected drop (resilience fault) suppresses the first transmission
+//     and queues the one resend in its place, flagged kFlagDropRetransmit
+//     so the receiver counts the recovery. A rejoin (below) resends what
+//     the dead socket took with it. Receivers dedup by envelope id;
 //   * zero-copy frames — a payload is a refcounted immutable Bytes
 //     buffer; queue, unacked set, rejoin sent log, and duplicates all
 //     share it, and the sender writes header and payload separately so no
@@ -102,8 +101,7 @@ class PeerMesh {
   /// copy, the rejoin sent-log copy, and an injected duplicate all share
   /// ONE buffer — a broadcast serializes its tile exactly once.
   /// `drop_first_send` suppresses the initial transmission (injected
-  /// drop: the sender thread writes one flagged copy kDropResendDelay
-  /// later);
+  /// drop: one flagged resend is queued in its place);
   /// `duplicate` transmits the frame twice (receiver dedups by id).
   void send(int to, std::uint64_t tag, std::uint64_t id, Bytes payload,
             bool drop_first_send = false, bool duplicate = false);
@@ -147,11 +145,6 @@ class PeerMesh {
     Frame frame;
     bool retransmit = false;
   };
-  /// The flagged copy of an injected drop, written at `due`.
-  struct HeldDrop {
-    std::chrono::steady_clock::time_point due;
-    Frame frame;
-  };
   struct Peer {
     int rank = -1;
     Fd sock;
@@ -163,10 +156,8 @@ class PeerMesh {
     std::condition_variable cv_state;  ///< drain: acks/queue/bye progress
     std::deque<QueueItem> queue;
     std::size_t queued_bytes = 0;
-    /// Injected drops awaiting their one resend, in `due` order.
-    std::deque<HeldDrop> drops;
-    /// Every MSG sent or held as a drop, until its ack arrives. An
-    /// injected drop's entry carries kFlagDropRetransmit.
+    /// Every MSG queued or written, until its ack arrives. An injected
+    /// drop's entry carries kFlagDropRetransmit.
     std::map<std::uint64_t, Frame> unacked;
     /// Acked MSG frames retained for rejoin replay (only populated while
     /// a rejoin window is configured). A respawned peer cannot recover
@@ -211,11 +202,13 @@ class PeerMesh {
   void sender_loop(Peer& p);
   void receiver_loop(Peer& p);
   void accept_loop();
-  /// Fail every peer whose rejoin window has passed without a rejoin.
-  void expire_rejoin_windows();
+  /// Fail every peer whose rejoin window has passed without a rejoin;
+  /// returns when the accept thread must look again (the next window end,
+  /// or a poll interval from now, whichever is sooner).
+  std::chrono::steady_clock::time_point expire_rejoin_windows();
   void handle_rejoin(Fd fd);
   void rejoin_connect(std::chrono::steady_clock::time_point dl);
-  void enqueue(Peer& p, Frame f, bool control);
+  void enqueue(Peer& p, Frame f, bool control, bool retransmit = false);
   void mark_lost(Peer& p, const std::string& why);
   [[nodiscard]] std::chrono::milliseconds drain_deadline() const;
 

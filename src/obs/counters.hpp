@@ -57,8 +57,9 @@ struct CommCounters {
 
 /// Wire-level totals of the socket transport (src/net): what actually
 /// crossed a socket, as opposed to the logical messages of CommCounters.
-/// Retransmits count frames resent by the sender's RTO loop (injected
-/// drops being recovered, or slow acks).
+/// Retransmits count MSG frames written again: an injected drop's one
+/// resend and a rejoin's replay of unacked or logged frames. Nothing else
+/// is resent, so a fault-free run reports 0.
 struct NetCounters {
   long long msgs_sent = 0;
   long long bytes_sent = 0;

@@ -38,8 +38,8 @@ struct FaultConfig {
   /// Probability that a task's outputs are poisoned with a NaN after the
   /// body ran — caught by the executor's output scan and retried.
   double poison_probability = 0.03;
-  /// Probability that a message's first transmission is suppressed; the
-  /// sender's retransmit timer recovers it (net/peer_mesh.hpp).
+  /// Probability that a message's first transmission is suppressed; one
+  /// flagged resend is queued in its place (net/peer_mesh.hpp).
   double message_drop_probability = 0.05;
   /// Probability that a message is transmitted twice; receivers dedupe
   /// by envelope id, so duplicates must be harmless.

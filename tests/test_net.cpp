@@ -637,18 +637,18 @@ net::NetConfig recovery_config(const std::string& dir, int rank,
 struct RecoverySet {
   std::vector<std::unique_ptr<net::SocketTransport>> t;
 
-  RecoverySet(const std::string& dir, int nranks, int epoch_of_rank = -1,
-              int epoch = 0) {
+  RecoverySet(const std::string& dir, int nranks,
+              const resil::FaultConfig& faults = {},
+              long long window_ms = 20000) {
     t.resize(static_cast<std::size_t>(nranks));
     std::vector<std::thread> builders;
     builders.reserve(t.size());
     for (int r = 0; r < nranks; ++r)
       builders.emplace_back([&, r] {
         net::NetConfig cfg = recovery_config(dir, r, nranks);
-        if (r == epoch_of_rank) cfg.epoch = epoch;
+        cfg.rejoin_window_ms = window_ms;
         t[static_cast<std::size_t>(r)] = std::make_unique<net::SocketTransport>(
-            cfg, rt::PerturbConfig{}, resil::FaultConfig{},
-            watchdog_ms(20000));
+            cfg, rt::PerturbConfig{}, faults, watchdog_ms(20000));
       });
     for (auto& b : builders) b.join();
     for (const auto& p : t) EXPECT_NE(p, nullptr);
@@ -738,31 +738,98 @@ TEST(SocketMesh, RejoinValidationRejectsImpostersThenAcceptsTheRespawn) {
   remove_mesh_dir(dir, 2);
 }
 
+// A drop the survivor injects while its peer is lost waits in the send
+// queue like any other frame: the honest respawn is WELCOMEd first and
+// then receives the one flagged resend.
+TEST(SocketMesh, DropWhilePeerIsLostReachesTheRespawnAfterItsWelcome) {
+  resil::FaultConfig drop_all;
+  drop_all.enabled = true;
+  drop_all.seed = 5;
+  drop_all.message_drop_probability = 1.0;
+  drop_all.message_duplicate_probability = 0.0;
+  const auto before = resil::snapshot();
+  const std::string dir = make_mesh_dir();
+  {
+    RecoverySet set(dir, 2, drop_all);
+    set.t[1]->abort();
+    set.t[1].reset();
+    wait_for_lost(*set.t[0], 1);
+
+    const auto tag = make_tag(0, 0, 1, 0);
+    set.t[0]->send(1, tag, std::vector<char>{'d'});
+    // A respawn takes far longer than the send: the dropped frame is
+    // long ready to go when the respawn dials.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    net::NetConfig cfg1 = recovery_config(dir, 1, 2);
+    cfg1.epoch = 1;
+    cfg1.rejoin_frontier = 0;
+    net::SocketTransport respawn(cfg1, rt::PerturbConfig{},
+                                 resil::FaultConfig{}, watchdog_ms(20000));
+    EXPECT_EQ(set.t[0]->mesh().peer_state(1),
+              rt::dist::PeerState::kConnected);
+    EXPECT_EQ(respawn.recv(tag, 0), std::vector<char>{'d'});
+
+    std::thread d([&] { respawn.drain(); });
+    set.t[0]->drain();
+    d.join();
+
+    const auto after = resil::snapshot();
+    EXPECT_EQ(after.of(resil::ResilienceEvent::kMsgDrop) -
+                  before.of(resil::ResilienceEvent::kMsgDrop),
+              1);
+    EXPECT_EQ(after.of(resil::ResilienceEvent::kMsgRecovered) -
+                  before.of(resil::ResilienceEvent::kMsgRecovered),
+              1);
+    EXPECT_EQ(set.t[0]->mesh().peer_stats(1).retransmits, 1)
+        << "the drop's one resend, and nothing else";
+  }
+  remove_mesh_dir(dir, 2);
+}
+
 TEST(SocketMesh, RejoinWindowExpiryDegradesToOrderlyFailure) {
   const std::string dir = make_mesh_dir();
   {
-    std::vector<std::unique_ptr<net::SocketTransport>> t(2);
-    std::vector<std::thread> builders;
-    for (int r = 0; r < 2; ++r)
-      builders.emplace_back([&, r] {
-        net::NetConfig cfg = uds_config(dir, r, 2);
-        cfg.rejoin_window_ms = 100;  // expires before any respawn shows up
-        t[static_cast<std::size_t>(r)] = std::make_unique<net::SocketTransport>(
-            cfg, rt::PerturbConfig{}, resil::FaultConfig{},
-            watchdog_ms(20000));
-      });
-    for (auto& b : builders) b.join();
-
-    t[1]->abort();
-    t[1].reset();
+    // The window expires before any respawn shows up.
+    RecoverySet set(dir, 2, resil::FaultConfig{}, /*window_ms=*/100);
+    set.t[1]->abort();
+    set.t[1].reset();
     std::string what;
     try {
-      t[0]->recv(make_tag(0, 2, 2, 2), 1);
+      set.t[0]->recv(make_tag(0, 2, 2, 2), 1);
     } catch (const Error& e) {
       what = e.what();
     }
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
     EXPECT_NE(what.find("no rejoin within"), std::string::npos) << what;
+  }
+  remove_mesh_dir(dir, 2);
+}
+
+// A dialer that connects and then says nothing keeps the accept thread in
+// its REJOIN read for up to 5 s; a lost peer's window still expires on
+// time meanwhile.
+TEST(SocketMesh, StalledDialerDoesNotHoldBackWindowExpiry) {
+  const std::string dir = make_mesh_dir();
+  {
+    RecoverySet set(dir, 2, resil::FaultConfig{}, /*window_ms=*/100);
+    net::Fd stalled = net::connect_endpoint(
+        uds_config(dir, 1, 2), 0,
+        std::chrono::steady_clock::now() + std::chrono::seconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    const auto start = std::chrono::steady_clock::now();
+    set.t[1]->abort();
+    set.t[1].reset();
+    std::string what;
+    try {
+      set.t[0]->recv(make_tag(0, 2, 2, 2), 1);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("no rejoin within"), std::string::npos) << what;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
   }
   remove_mesh_dir(dir, 2);
 }
