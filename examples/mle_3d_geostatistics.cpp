@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   std::printf("\ngrid scan picks theta_2 = %.2f (true: %.2f)\n", best_theta,
               theta2_true);
 
-  // Refine with the golden-section optimizer (the iterative MLE procedure
-  // of Section III-A): each evaluation is a full TLR pipeline pass.
+  // Refine θ₂ by Brent's method (the iterative MLE procedure of
+  // Section III-A): each evaluation is a full TLR pipeline pass.
   core::MleOptimizerConfig opt;
   opt.tile_size = b;
   opt.cholesky = cfg;
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   opt.hi = best_theta * 2;
   opt.max_evals = 10;
   auto fit = core::fit_theta2(z, opt);
-  std::printf("golden-section refinement: theta_2 = %.3f "
+  std::printf("Brent refinement: theta_2 = %.3f "
               "(ll = %.2f, %d evaluations)\n",
               fit.theta2, fit.log_likelihood, fit.evaluations);
   return 0;

@@ -5,6 +5,8 @@
 // the covariance from the Matérn kernel, factors it, and evaluates ℓ.
 #pragma once
 
+#include <functional>
+
 #include "core/cholesky.hpp"
 #include "core/solve.hpp"
 #include "stars/problem.hpp"
@@ -49,8 +51,8 @@ struct MleOptimizerConfig {
   double theta3 = 0.5;
   double lo = 0.02;          ///< search bracket for θ₂
   double hi = 0.64;
-  double rel_tol = 0.05;     ///< bracket-width stopping criterion
-  int max_evals = 24;
+  double rel_tol = 0.05;     ///< final bracket width in log θ₂
+  int max_evals = 24;        ///< objective evaluations at most
   std::uint64_t geometry_seed = 42;
   double nugget = 1e-2;
   int tile_size = 128;
@@ -59,15 +61,29 @@ struct MleOptimizerConfig {
 
 /// Result of the θ₂ search.
 struct MleFit {
-  double theta2 = 0.0;           ///< arg max of the profile likelihood
-  double log_likelihood = 0.0;
+  double theta2 = 0.0;           ///< the best θ₂ evaluated
+  double log_likelihood = 0.0;   ///< ℓ(theta2)
   int evaluations = 0;           ///< objective evaluations spent
-  std::vector<std::pair<double, double>> path;  ///< (θ₂, ℓ) visited
+  std::vector<std::pair<double, double>> path;  ///< (θ₂, ℓ) in call order
 };
 
-/// Golden-section maximization of ℓ(θ₂) for measurements `z` observed at
-/// the geometry implied by (n = z.size(), geometry_seed). Each objective
-/// evaluation is a full compress + BAND-DENSE-TLR Cholesky + solve.
+/// Maximizes `loglik` over θ₂ in [cfg.lo, cfg.hi] by Brent's method
+/// (Brent 1973, ch. 5) on u = log θ₂, since the parameter spans decades.
+/// Each step moves to the vertex of the parabola through the three best
+/// points, or takes a golden-section step into the larger side of the
+/// bracket when that vertex leaves the bracket or would move at least half
+/// as far as the step before last; on a smooth objective the parabolic
+/// steps converge superlinearly. It stops once the bracket around the best
+/// point is no wider than cfg.rel_tol, or after cfg.max_evals calls; no
+/// other field of `cfg` is read. The result is the best point evaluated:
+/// its θ₂ is bitwise the value passed to `loglik`, and no ℓ on the path
+/// exceeds its log_likelihood.
+MleFit maximize_theta2(const std::function<double(double)>& loglik,
+                       const MleOptimizerConfig& cfg);
+
+/// maximize_theta2 of ℓ(θ₂) for measurements `z` observed at the geometry
+/// implied by (n = z.size(), geometry_seed). Each objective evaluation is
+/// a full evaluate_mle: build Σ(θ), BAND-DENSE-TLR Cholesky, solve.
 MleFit fit_theta2(const std::vector<double>& z,
                   const MleOptimizerConfig& cfg);
 

@@ -93,6 +93,44 @@ int trsm_rlt_strips(ConstMatrixView a, MatrixView b) {
   return i0;
 }
 
+// L X = B on four columns of B per pass: the Left/Lower/N leaf under every
+// (4)-TRSM. The four share each column of L and overlap their divides.
+// Every element runs the one-column loop's sequence: one fused
+// b -= x_p * l(i, p) for p = 0 .. i-1 in order, then b /= l(i, i), so a
+// column solved here gets the bits of a solve of that column alone.
+// Returns the columns solved, a multiple of four; the caller solves the
+// rest one at a time.
+int trsm_lln_quads(ConstMatrixView a, MatrixView b) {
+  using detail::kVecLen;
+  using detail::vec_d;
+  constexpr int kCols = 4;
+  const int m = b.rows(), n = b.cols();
+  int j0 = 0;
+  for (; j0 + kCols <= n; j0 += kCols) {
+    double* bc[kCols];
+    for (int c = 0; c < kCols; ++c) bc[c] = b.col(j0 + c);
+    for (int p = 0; p < m; ++p) {
+      const double* ap = a.col(p);
+      double w[kCols];
+      for (int c = 0; c < kCols; ++c) w[c] = bc[c][p] /= ap[p];
+      int i = p + 1;
+      for (; i + kVecLen <= m; i += kVecLen) {
+        vec_d l;
+        __builtin_memcpy(&l, ap + i, sizeof l);
+        for (int c = 0; c < kCols; ++c) {
+          vec_d x;
+          __builtin_memcpy(&x, bc[c] + i, sizeof x);
+          x -= w[c] * l;
+          __builtin_memcpy(bc[c] + i, &x, sizeof x);
+        }
+      }
+      for (; i < m; ++i)
+        for (int c = 0; c < kCols; ++c) bc[c][i] -= w[c] * ap[i];
+    }
+  }
+  return j0;
+}
+
 }  // namespace
 
 void syrk_unblocked(double alpha, ConstMatrixView a, MatrixView c) {
@@ -124,7 +162,10 @@ void trsm_unblocked(Side side, Trans ta, ConstMatrixView a, MatrixView b) {
     }
     return;
   }
-  for (int j = 0; j < n; ++j) {
+  // L X = B solves four columns at a time; its leftover columns, and every
+  // column of L^T X = B, go one by one.
+  const int j0 = ta == Trans::N ? trsm_lln_quads(a, b) : 0;
+  for (int j = j0; j < n; ++j) {
     double* bj = b.col(j);
     if (ta == Trans::N) {
       // L X = B: forward substitution, axpy form.

@@ -951,8 +951,8 @@ TEST(Mle, RejectsWrongDimension) {
 // ------------------------------------------------- MLE optimization ----
 
 TEST(MleFit, RecoversCorrelationLength) {
-  // Simulate Z from a known theta2, then let the golden-section search
-  // find it back through the full TLR pipeline.
+  // Simulate Z from a known theta2, then let the θ₂ search find it back
+  // through the full TLR pipeline.
   const int n = 512;
   const double theta2_true = 0.15;
   auto truth = stars::make_st3d_matern(n, 1.0, theta2_true, 0.5, 42, 1e-2);
@@ -993,6 +993,108 @@ TEST(MleFit, RejectsInvalidBracket) {
   cfg.lo = 0.5;
   cfg.hi = 0.1;
   EXPECT_THROW(fit_theta2(z, cfg), ptlr::Error);
+}
+
+// The search alone, on analytic objectives of u = log θ over the default
+// bracket [0.02, 0.64] at rel_tol 0.05.
+namespace {
+
+// Evaluations a golden-section search takes to shrink [lo, hi] to rel_tol
+// in log θ: two interior points, then one per 0.618× step.
+int golden_section_evals(const MleOptimizerConfig& cfg) {
+  const double steps = std::log(cfg.rel_tol / std::log(cfg.hi / cfg.lo)) /
+                       std::log(0.6180339887498949);
+  return 2 + static_cast<int>(std::ceil(steps));
+}
+
+// Runs maximize_theta2 on f(log θ) and checks what every run must hold;
+// with a maximizer u_star it also checks that the search lands within
+// rel_tol of it.
+MleFit check_search(const std::function<double(double)>& f,
+                    const MleOptimizerConfig& cfg,
+                    std::optional<double> u_star) {
+  std::vector<std::pair<double, double>> calls;
+  const MleFit fit = maximize_theta2(
+      [&](double theta) {
+        calls.emplace_back(theta, f(std::log(theta)));
+        return calls.back().second;
+      },
+      cfg);
+  EXPECT_EQ(fit.evaluations, static_cast<int>(calls.size()));
+  EXPECT_LE(fit.evaluations, cfg.max_evals);
+  EXPECT_LE(fit.evaluations, golden_section_evals(cfg));
+  EXPECT_EQ(fit.path, calls);
+  bool evaluated = false;
+  for (const auto& [theta, ll] : calls) {
+    EXPECT_GE(theta, cfg.lo);
+    EXPECT_LE(theta, cfg.hi);
+    EXPECT_LE(ll, fit.log_likelihood);
+    evaluated |= std::bit_cast<std::uint64_t>(theta) ==
+                     std::bit_cast<std::uint64_t>(fit.theta2) &&
+                 ll == fit.log_likelihood;
+  }
+  EXPECT_TRUE(evaluated) << "theta2 " << fit.theta2 << " was not evaluated";
+  if (u_star) {
+    EXPECT_NEAR(std::log(fit.theta2), *u_star, cfg.rel_tol);
+  }
+  return fit;
+}
+
+}  // namespace
+
+TEST(MaximizeTheta2, SmoothInteriorMaximum) {
+  const double u0 = std::log(0.1);
+  const auto fit = check_search(
+      [u0](double u) { return -(u - u0) * (u - u0); }, {}, u0);
+  // Once three points are known, the parabola through them is f itself.
+  EXPECT_LE(fit.evaluations, 6);
+}
+
+TEST(MaximizeTheta2, AsymmetricMaximum) {
+  // -e^(u-u0) + u peaks at u0: exponentially steep above, linear below.
+  for (const double t0 : {0.03, 0.1, 0.4}) {
+    SCOPED_TRACE(t0);
+    const double u0 = std::log(t0);
+    check_search([u0](double u) { return -std::exp(u - u0) + u; }, {}, u0);
+  }
+}
+
+TEST(MaximizeTheta2, MaximumAtEitherEnd) {
+  const MleOptimizerConfig cfg;
+  for (const double t0 : {cfg.lo, cfg.hi}) {
+    SCOPED_TRACE(t0);
+    const double u0 = std::log(t0);
+    check_search([u0](double u) { return -(u - u0) * (u - u0); }, cfg, u0);
+    // Linear on the bracket, so no parabola has a vertex inside it.
+    check_search([u0](double u) { return -std::abs(u - u0); }, cfg, u0);
+  }
+}
+
+TEST(MaximizeTheta2, ConstantObjective) {
+  // No parabola has a vertex, so every step is a golden-section step:
+  // the 11 evaluations of a golden-section search of this bracket.
+  const auto fit = check_search([](double) { return -3.5; }, {}, std::nullopt);
+  EXPECT_EQ(fit.evaluations, 11);
+  EXPECT_EQ(golden_section_evals({}), 11);
+}
+
+TEST(MaximizeTheta2, StopsAtMaxEvals) {
+  MleOptimizerConfig cfg;
+  cfg.max_evals = 3;
+  const double u0 = std::log(0.05);
+  const auto fit = check_search(
+      [u0](double u) { return -std::exp(u - u0) + u; }, cfg, std::nullopt);
+  EXPECT_EQ(fit.evaluations, 3);
+}
+
+TEST(MaximizeTheta2, RejectsInvalidStoppingRule) {
+  const auto f = [](double) { return 0.0; };
+  MleOptimizerConfig cfg;
+  cfg.max_evals = 0;
+  EXPECT_THROW(maximize_theta2(f, cfg), ptlr::Error);
+  cfg = {};
+  cfg.rel_tol = 0.0;
+  EXPECT_THROW(maximize_theta2(f, cfg), ptlr::Error);
 }
 
 // ------------------------------------------------ matvec and CG solve ----

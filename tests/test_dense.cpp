@@ -10,6 +10,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #ifdef __linux__
 #include <unistd.h>
@@ -393,6 +394,35 @@ TEST(BlockedPath, TrsmMatchesUnblockedAllVariants) {
       const double scale = frob_norm(bu.view());
       EXPECT_LT(frob_diff(b.view(), bu.view()), 1e-10 * (1.0 + scale))
           << "m=" << m << " n=" << n;
+    }
+  }
+}
+
+// The Left/Lower/N leaf solves four right-hand sides per pass and the
+// leftover ones alone; either way each column must come out bit for bit as
+// the solve of that column alone. m covers every vector-tail length at
+// kVecLen = 4 or 8 plus the 64-row leaf and a 128-row one; n covers one and
+// two passes with every leftover count, and (4)-TRSM's 56 columns.
+TEST(BlockedPath, TrsmLeafColumnsMatchOneColumnSolvesBitwise) {
+  Rng rng(66);
+  std::vector<int> rows;
+  for (int m = 1; m <= 65; ++m) rows.push_back(m);
+  rows.push_back(128);
+  for (const int m : rows) {
+    Matrix l(m, m);
+    fill_uniform(l.view(), rng, -0.5, 0.5);
+    for (int j = 0; j < m; ++j) l(j, j) = 2.0 + 0.01 * j;
+    for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 56}) {
+      // B and its copy sit in taller matrices, so ld != m.
+      Matrix b(m + 3, n);
+      fill_uniform(b.view(), rng);
+      Matrix one = b;
+      trsm_unblocked(Side::Left, Trans::N, l.view(),
+                     b.view().block(0, 0, m, n));
+      for (int j = 0; j < n; ++j)
+        trsm_unblocked(Side::Left, Trans::N, l.view(),
+                       one.view().block(0, j, m, 1));
+      ASSERT_TRUE(same_bits(b.view(), one.view())) << "m=" << m << " n=" << n;
     }
   }
 }
